@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,7 +24,13 @@ from .augment import (
 )
 from .config import PipelineConfig, load_config
 from .corpus import Corpus, ingest_path, load_corpus, save_corpus
-from .ensemble import StopRule, build_answer_prompt, make_schedule, run_ensemble
+from .ensemble import (
+    MAX_OPTIONS,
+    build_answer_prompt,
+    in_flight_limit,
+    make_schedule,
+    run_ensemble,
+)
 from .errors import (
     ConfigError,
     ConflictError,
@@ -74,11 +81,18 @@ def read_questions_jsonl(path: str | Path) -> list[QuestionRecord]:
             try:
                 options = tuple(str(o) for o in raw["options"])
                 answer_index = raw.get("answer_index")
+                answer_index = None if answer_index is None else int(answer_index)
+                if not 2 <= len(options) <= MAX_OPTIONS:
+                    raise ValueError(
+                        f"{len(options)} options; a question needs 2 to {MAX_OPTIONS}")
+                if answer_index is not None and not 0 <= answer_index < len(options):
+                    raise ValueError(
+                        f"answer_index {answer_index} out of range for {len(options)} options")
                 records.append(
                     QuestionRecord(
                         question=str(raw["question"]),
                         options=options,
-                        answer_index=None if answer_index is None else int(answer_index),
+                        answer_index=answer_index,
                         doc_id=raw.get("doc_id"),
                         category=raw.get("category"),
                     )
@@ -105,15 +119,18 @@ def answer_questions(
     """Answer each question with retrieval-grounded ensemble inference.
 
     With retrieval disabled the context is the whole corpus in page order
-    (optionally truncated), the naive long-context baseline. Returns one
-    serializable verdict record per question, in input order.
+    (optionally truncated), the naive long-context baseline. Up to the chat
+    client's ``max_in_flight`` questions run at once, each retrieving and
+    then running its ensemble on a worker thread; the client's own cap still
+    bounds the requests in flight. Returns one serializable verdict record
+    per question, in input order, identical to answering them one by one.
     """
-    verdicts = []
-    for qi, q in enumerate(questions):
+    if use_retrieval and lexical_index is None:
+        raise ConfigError("retrieval requested but no lexical index supplied")
+
+    def answer(qi: int, q: QuestionRecord) -> dict:
         retrieved = []
         if use_retrieval:
-            if lexical_index is None:
-                raise ConfigError("retrieval requested but no lexical index supplied")
             results = retrieve(
                 q.question,
                 lexical_index,
@@ -122,9 +139,8 @@ def answer_questions(
                 config.policy,
                 client=embed_client,
                 candidate_k=config.candidate_k,
+                doc_id=q.doc_id,
             )
-            if q.doc_id is not None:
-                results = [r for r in results if r.page_ref[0] == q.doc_id]
             retrieved = [r.page_ref for r in results]
             contexts = [corpus.get(*ref).normalized_text for ref in retrieved]
         else:
@@ -147,18 +163,19 @@ def answer_questions(
             None if verdict.chosen_option is None
             else ord(verdict.chosen_option) - ord("A")
         )
-        verdicts.append(
-            {
-                "question": q.question,
-                "options": list(q.options),
-                "category": q.category,
-                "gold_answer_index": q.answer_index,
-                "predicted_index": predicted,
-                "retrieved": [[doc, idx] for doc, idx in retrieved],
-                **verdict.to_record(),
-            }
-        )
-    return verdicts
+        return {
+            "question": q.question,
+            "options": list(q.options),
+            "category": q.category,
+            "gold_answer_index": q.answer_index,
+            "predicted_index": predicted,
+            "retrieved": [[doc, idx] for doc, idx in retrieved],
+            **verdict.to_record(),
+        }
+
+    workers = max(1, min(in_flight_limit(chat_client), len(questions)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(answer, range(len(questions)), questions))
 
 
 def evaluate_verdicts(verdicts: list[dict]) -> dict:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import random
 import re
+import threading
 from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 from .corpus import normalize_text
@@ -24,6 +25,7 @@ TOP_P_CYCLE = (0.7, 0.8, 0.9, 0.95)
 TOP_K_CYCLE = (20, 40, 50)
 
 DEFAULT_SCHEDULE_COUNT = 20
+MAX_OPTIONS = 10  # labels A-J, the letters extract_option recognizes
 
 
 @dataclass(frozen=True)
@@ -247,6 +249,11 @@ def build_answer_prompt(question: str, option_texts: list[str],
     return "\n".join(lines)
 
 
+def in_flight_limit(client) -> int:
+    """The client's concurrent-request cap, or 4 when it has none."""
+    return getattr(getattr(client, "config", None), "max_in_flight", 4)
+
+
 def run_ensemble(
     prompt: str,
     context_texts: list[str] | None,
@@ -259,13 +266,16 @@ def run_ensemble(
 ) -> EnsembleVerdict:
     """Fan out the schedule, tally votes, and resolve the final answer.
 
-    Requests are dispatched in schedule order with bounded concurrency but
-    tallied strictly in schedule order, which keeps verdicts reproducible.
-    Once the stop rule holds (min responses AND confidence), no further
-    requests are issued and any in-flight completions are discarded. A
-    transport failure after the gateway's retries counts as a completed
-    but unextractable response. If no response yields an option the
-    verdict abstains rather than guessing.
+    Requests are dispatched in schedule order, the next one whenever any
+    request completes, at most the client's ``max_in_flight`` at a time;
+    beyond ``min_responses`` they run at most that many positions ahead of
+    the tallied prefix. Responses are tallied strictly in schedule order,
+    which keeps verdicts reproducible. Once the stop rule holds (min
+    responses AND confidence) the call returns at once: queued requests are
+    never sent and in-flight completions are discarded. A transport failure
+    after the gateway's retries counts as a completed but unextractable
+    response. If no response yields an option the verdict abstains rather
+    than guessing.
     """
     if not schedule:
         raise ValueError("schedule must not be empty")
@@ -275,42 +285,47 @@ def run_ensemble(
 
     messages = [{"role": "user", "content": compose_user_message(prompt, context_texts)}]
 
+    window = max(1, min(in_flight_limit(client), len(schedule)))
+    stopped = threading.Event()
+
     def call(config: DecodingConfig) -> str:
+        if stopped.is_set():  # the vote was decided while this one queued
+            return ""
         request = {**config.to_request(), "messages": messages, "max_tokens": max_tokens}
         try:
             return client.generate(request)
         except (TransportError, EndpointError, ContractError):
             return ""
 
-    window = getattr(getattr(client, "config", None), "max_in_flight", 4)
-    window = max(1, min(window, len(schedule)))
-
     state = EnsembleState()
-    stopped_early = False
-    with ThreadPoolExecutor(max_workers=window) as pool:
-        pending: list[tuple[DecodingConfig, Future]] = []
-        next_i = 0
-
-        def dispatch():
-            nonlocal next_i
-            while next_i < len(schedule) and len(pending) < window:
-                config = schedule[next_i]
-                pending.append((config, pool.submit(call, config)))
+    decided = False
+    pool = ThreadPoolExecutor(max_workers=window)
+    pending: dict[Future, int] = {}
+    arrived: dict[int, str] = {}  # completed but not yet tallied, by position
+    next_i = 0
+    try:
+        while not decided and len(state.completed) < len(schedule):
+            # Positions below min_responses are always tallied; past them,
+            # stay at most one window ahead of the tallied prefix.
+            horizon = min(len(schedule),
+                          max(stop.min_responses, len(state.completed) + window))
+            while next_i < horizon:
+                pending[pool.submit(call, schedule[next_i])] = next_i
                 next_i += 1
-
-        dispatch()
-        while pending:
-            config, future = pending.pop(0)
-            raw = future.result()
-            state.record(config.id, raw, extract_option(raw, labels, option_texts))
-            if (
-                len(state.completed) >= stop.min_responses
-                and state.confidence >= stop.confidence_threshold
-            ):
-                break
-            dispatch()
-        for _, future in pending:
-            future.cancel()
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                arrived[pending.pop(future)] = future.result()
+            while not decided and len(state.completed) in arrived:
+                i = len(state.completed)
+                raw = arrived.pop(i)
+                state.record(schedule[i].id, raw, extract_option(raw, labels, option_texts))
+                decided = (
+                    len(state.completed) >= stop.min_responses
+                    and state.confidence >= stop.confidence_threshold
+                )
+    finally:
+        stopped.set()
+        pool.shutdown(wait=False, cancel_futures=True)
     stopped_early = len(state.completed) < len(schedule)
 
     if state.extractable == 0:

@@ -42,6 +42,12 @@ class EndpointConfig:
             raise ValueError("max_in_flight must be >= 1")
 
 
+def _retry_after_seconds(value: str | None) -> float:
+    """A Retry-After header in delta-seconds; 0 when absent or an HTTP date."""
+    value = (value or "").strip()
+    return float(int(value)) if value.isdecimal() else 0.0
+
+
 class GatewayClient:
     """Shared client for one endpoint; enforces the in-flight cap internally."""
 
@@ -59,18 +65,22 @@ class GatewayClient:
     def _post(self, path: str, payload: dict) -> dict:
         """POST with bounded retries and exponential backoff.
 
-        Transport failures and 5xx responses are retried; other non-2xx
-        statuses fail immediately with the endpoint's status code.
+        Transport failures, 429 and 5xx responses are retried; other non-2xx
+        statuses fail immediately with the endpoint's status code. A
+        seconds-valued Retry-After header lengthens the next delay to
+        max(backoff, Retry-After).
         """
         url = self.config.base_url.rstrip("/") + path
         delay = self.config.backoff_base
         attempts = self.config.max_retries + 1
         last_exc: Exception | None = None
         last_status: int | None = None
+        retry_after = 0.0
         for attempt in range(attempts):
             if attempt:
-                time.sleep(delay)
+                time.sleep(max(delay, retry_after))
                 delay *= 2
+                retry_after = 0.0
             with self._gate:
                 try:
                     resp = self._session.post(
@@ -85,8 +95,9 @@ class GatewayClient:
                     return resp.json()
                 except ValueError as exc:
                     raise ContractError("endpoint returned non-JSON body") from exc
-            if resp.status_code >= 500:
+            if resp.status_code == 429 or resp.status_code >= 500:
                 last_status = resp.status_code
+                retry_after = _retry_after_seconds(resp.headers.get("Retry-After"))
                 continue
             raise EndpointError(resp.text[:200], resp.status_code)
         if last_status is not None:
@@ -144,12 +155,14 @@ def hash_embedder(dim: int = 1024) -> Callable[[list[str]], list[list[float]]]:
 
 @dataclass
 class MockReply:
-    """One scripted chat response: text, or a failure status, or raw body."""
+    """One scripted chat response: text, or a failure status, or raw body,
+    with optional extra response headers."""
 
     text: str = ""
     status: int = 200
     delay: float = 0.0
     json_body: dict | None = None
+    headers: dict[str, str] = field(default_factory=dict)
 
 
 def _as_reply(entry) -> MockReply:
@@ -164,11 +177,13 @@ class _MockRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # keep pytest output clean
         pass
 
-    def _send(self, status: int, body: dict) -> None:
+    def _send(self, status: int, body: dict, headers: dict[str, str] | None = None) -> None:
         data = json.dumps(body, ensure_ascii=False).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -188,11 +203,12 @@ class _MockRequestHandler(BaseHTTPRequestHandler):
                 if reply.delay:
                     time.sleep(reply.delay)
                 if reply.json_body is not None:
-                    self._send(reply.status, reply.json_body)
+                    body = reply.json_body
                 elif reply.status != 200:
-                    self._send(reply.status, {"error": f"scripted status {reply.status}"})
+                    body = {"error": f"scripted status {reply.status}"}
                 else:
-                    self._send(200, {"choices": [{"message": {"content": reply.text}}]})
+                    body = {"choices": [{"message": {"content": reply.text}}]}
+                self._send(reply.status, body, reply.headers)
             elif self.path.endswith("/embeddings"):
                 vectors = owner._embed_reply(payload)
                 self._send(200, {"data": [{"embedding": v} for v in vectors]})

@@ -135,18 +135,23 @@ def retrieve(
     client=None,
     candidate_k: int = DEFAULT_CANDIDATE_K,
     prefixes: EmbedPrefixes = EmbedPrefixes(),
+    doc_id: str | None = None,
 ) -> list[ScoredPage]:
     """Full retrieval for one query: lexical + semantic -> fuse -> select.
 
     Semantic scoring runs only when both a semantic index and an embedding
-    client are supplied; otherwise retrieval is lexical-only. Deterministic
-    given fixed embeddings.
+    client are supplied; otherwise retrieval is lexical-only. With ``doc_id``
+    both candidate lists hold only that document's pages, so normalization,
+    fusion and selection all run within it. Deterministic given fixed
+    embeddings.
     """
     lex = score_lexical(lexical_index, query_text)
+    if doc_id is not None:
+        lex = [(ref, s) for ref, s in lex if ref[0] == doc_id]
     sem: list[tuple[PageRef, float]] = []
     if semantic_index is not None and client is not None:
         q_vec = embed_query(query_text, client, dim=semantic_index.dim, prefixes=prefixes)
-        sem = search_semantic(semantic_index, q_vec, k=candidate_k)
+        sem = search_semantic(semantic_index, q_vec, k=candidate_k, doc_id=doc_id)
     if not lex and not sem:
         logger.warning("query %r matched nothing (no features, no embeddings)", query_text)
         return []

@@ -113,13 +113,14 @@ def embed_query(
 
 
 def search_semantic(
-    index: SemanticIndex, q: np.ndarray, k: int
+    index: SemanticIndex, q: np.ndarray, k: int, doc_id: str | None = None
 ) -> list[tuple[PageRef, float]]:
     """Exact top-k pages by cosine, descending.
 
     Scores are accumulated in float64 from the stored float32 vectors;
     ties break by (doc_id, page_index) ascending. k larger than the index
-    returns everything.
+    returns everything. With ``doc_id`` the top k is taken over that
+    document's pages only.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -129,10 +130,10 @@ def search_semantic(
     if q.shape != (index.dim,):
         raise ValueError(f"query vector must have shape ({index.dim},)")
     scores = index.vectors.astype(np.float64) @ q.astype(np.float64)
-    order = sorted(
-        range(len(index.page_refs)),
-        key=lambda i: (-scores[i], index.page_refs[i]),
-    )
+    rows = range(len(index.page_refs))
+    if doc_id is not None:
+        rows = [i for i in rows if index.page_refs[i][0] == doc_id]
+    order = sorted(rows, key=lambda i: (-scores[i], index.page_refs[i]))
     return [(index.page_refs[i], float(scores[i])) for i in order[:k]]
 
 

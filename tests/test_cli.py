@@ -389,6 +389,42 @@ class TestReadQuestions:
         with pytest.raises(ParseError, match="bad question record"):
             read_questions_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            ({"question": "q", "options": ["only"]}, "1 options; a question needs 2 to 10"),
+            ({"question": "q", "options": [str(i) for i in range(11)]},
+             "11 options; a question needs 2 to 10"),
+            ({"question": "q", "options": ["a", "b"], "answer_index": 2},
+             "answer_index 2 out of range for 2 options"),
+            ({"question": "q", "options": ["a", "b"], "answer_index": -1},
+             "answer_index -1 out of range"),
+        ],
+    )
+    def test_unanswerable_records_rejected_with_line(self, tmp_path, record, match):
+        path = tmp_path / "q.jsonl"
+        _write_jsonl(path, [{"question": "ok", "options": ["a", "b"]}, record])
+        with pytest.raises(ParseError, match=f"line 2: bad question record: {re.escape(match)}"):
+            read_questions_jsonl(path)
+
+    def test_ten_options_with_last_answer_accepted(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        _write_jsonl(path, [{"question": "q", "options": list("abcdefghij"),
+                             "answer_index": 9}])
+        (record,) = read_questions_jsonl(path)
+        assert record.answer_index == 9
+
+    def test_bad_question_file_exits_with_validation(self, tmp_path, artifacts, capsys):
+        path = tmp_path / "q.jsonl"
+        _write_jsonl(path, [{"question": "q", "options": ["a", "b"], "answer_index": 5}])
+        code = main([
+            "infer", "--questions", str(path), "--output", str(tmp_path / "v.jsonl"),
+            "--corpus", str(artifacts["corpus"]), "--no-retrieval",
+            "--endpoint-url", "http://x/v1", "--model", "m",
+        ])
+        assert code == EXIT_VALIDATION
+        assert "line 1: bad question record: answer_index 5" in capsys.readouterr().err
+
     def test_optional_fields_default(self, tmp_path):
         path = tmp_path / "q.jsonl"
         path.write_text('{"question": "q", "options": ["a", "b"]}\n', encoding="utf-8")

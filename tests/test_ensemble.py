@@ -316,6 +316,47 @@ class TestRunEnsemble:
         run_ensemble("Q", None, schedule, client)
         assert peak <= 2
 
+    def test_early_stop_returns_while_a_request_is_in_flight(self):
+        schedule = make_schedule(20, seed=11)
+        slow_seed = schedule[10].seed  # sent once 7 positions are tallied
+        slow_started = threading.Event()
+
+        def reply(request):
+            if request["seed"] == slow_seed:
+                slow_started.set()
+                time.sleep(1.0)
+            else:
+                time.sleep(0.02)
+            return "Answer: A"
+
+        client = ScriptedClient(reply, max_in_flight=4)
+        start = time.perf_counter()
+        verdict = run_ensemble("Q", None, schedule, client)
+        elapsed = time.perf_counter() - start
+        assert verdict.responses_used == 10 and verdict.stopped_early
+        assert slow_started.is_set()
+        assert elapsed < 0.5
+        # never more than one window past the ten tallied positions
+        assert len(client.calls) <= 10 + 4
+
+    def test_slow_first_position_does_not_stall_dispatch(self):
+        schedule = make_schedule(20, seed=12)
+        ids = {config.seed: config.id for config in schedule}
+        sent_while_slow: list[int] = []
+
+        def reply(request):
+            if ids[request["seed"]] == 0:
+                time.sleep(0.3)
+                sent_while_slow.extend(ids[c["seed"]] for c in list(client.calls))
+            return "Answer: A"
+
+        client = ScriptedClient(reply, max_in_flight=2)
+        verdict = run_ensemble("Q", None, schedule, client)
+        assert verdict.responses_used == 10
+        # every position below min_responses went out while position 0 was
+        # slow, but nothing past them: the tallied prefix was still empty
+        assert sorted(sent_while_slow) == list(range(10))
+
     def test_request_payloads(self):
         schedule = make_schedule(3, seed=8)
         client = ScriptedClient(_script_by_id(schedule, lambda i: "Answer: A"))

@@ -13,6 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from docqa_engine.errors import ContractError, EndpointError, TransportError
 from docqa_engine.gateway import (
@@ -20,6 +22,7 @@ from docqa_engine.gateway import (
     GatewayClient,
     MockModelServer,
     MockReply,
+    _retry_after_seconds,
     hash_embedder,
     request_fingerprint,
 )
@@ -158,6 +161,40 @@ class TestRetryBehavior:
                 client.generate({"messages": [{"role": "user", "content": "q"}]})
             assert excinfo.value.status == 502
             assert len(server.request_log) == 2
+
+    def test_429_then_success_is_retried(self):
+        with MockModelServer(chat=[MockReply(status=429), "recovered"]) as server:
+            client = server.make_client(max_retries=2)
+            out = client.generate({"messages": [{"role": "user", "content": "q"}]})
+            assert out == "recovered"
+            assert len(server.request_log) == 2
+
+    def test_persistent_429_exhausts_retries(self):
+        with MockModelServer(chat=[MockReply(status=429)] * 2) as server:
+            client = server.make_client(max_retries=1)
+            with pytest.raises(EndpointError, match="retries exhausted") as excinfo:
+                client.generate({"messages": [{"role": "user", "content": "q"}]})
+            assert excinfo.value.status == 429
+
+    @pytest.mark.parametrize(
+        "retry_after, expected",
+        [("1", [1.0, 0.02]), ("Wed, 21 Oct 2015 07:28:00 GMT", [0.01, 0.02]),
+         ("0", [0.01, 0.02]), ("-5", [0.01, 0.02]), ("1.5", [0.01, 0.02])],
+    )
+    def test_retry_after_seconds_lengthen_the_backoff(self, monkeypatch,
+                                                       retry_after, expected):
+        sleeps: list[float] = []
+        monkeypatch.setattr("docqa_engine.gateway.time.sleep", sleeps.append)
+        throttled = MockReply(status=429, headers={"Retry-After": retry_after})
+        with MockModelServer(chat=[throttled, MockReply(status=503), "ok"]) as server:
+            client = server.make_client(max_retries=2, backoff_base=0.01)
+            assert client.generate({"messages": [{"role": "user", "content": "q"}]}) == "ok"
+        assert sleeps == expected
+
+    @given(st.text(max_size=20))
+    def test_any_retry_after_header_gives_a_finite_delay(self, value):
+        delay = _retry_after_seconds(value)
+        assert 0.0 <= delay < float("inf")
 
     def test_4xx_fails_immediately_without_retry(self):
         with MockModelServer(chat=[MockReply(status=400), "never"]) as server:

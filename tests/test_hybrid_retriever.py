@@ -7,11 +7,14 @@ threshold, cap at top-n — and the two must agree on every random input.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docqa_engine.corpus import Corpus, Page
+from docqa_engine.gateway import hash_embedder
 from docqa_engine.lexical import build_lexical_index
 from docqa_engine.retriever import (
     DEFAULT_POLICY,
@@ -25,6 +28,7 @@ from docqa_engine.retriever import (
     retrieve,
     select_adaptive,
 )
+from docqa_engine.semantic import build_semantic_index
 
 
 def _page(doc: str, idx: int, final: float) -> ScoredPage:
@@ -238,3 +242,38 @@ class TestRetrieve:
         first = record["results"][0]
         assert set(first) == {"doc_id", "page_index", "s_tfidf", "s_semantic", "s_final"}
         assert first["doc_id"] == "rpt"
+
+
+class TestDocRestriction:
+    """doc_id narrows the candidates before normalization and selection."""
+
+    @pytest.fixture()
+    def corpus(self) -> Corpus:
+        pages = [
+            Page.from_raw("a", i, f"第{i}四半期の売上高は前年比で増加した。営業利益も改善した。")
+            for i in range(8)
+        ]
+        pages += [
+            Page.from_raw("b", 0, "表紙 人事資料"),
+            Page.from_raw("b", 1, "人員計画と採用の方針。売上高への言及は少ない。"),
+        ]
+        return Corpus.from_pages(pages)
+
+    def test_other_document_fills_the_unrestricted_top(self, corpus):
+        out = retrieve("売上高は前年比で増加したか", build_lexical_index(corpus), None,
+                       DEFAULT_WEIGHTS, DEFAULT_POLICY)
+        assert [sp.page_ref[0] for sp in out] == ["a"] * 7
+
+    def test_restricted_query_keeps_its_document(self, corpus):
+        out = retrieve("売上高は前年比で増加したか", build_lexical_index(corpus), None,
+                       DEFAULT_WEIGHTS, DEFAULT_POLICY, doc_id="b")
+        assert [sp.page_ref for sp in out] == [("b", 1)]
+        # normalized within the document: its best page scores 1 on the lexical side
+        assert out[0].s_tfidf == 1.0
+
+    def test_semantic_side_restricted_too(self, corpus):
+        embed_client = SimpleNamespace(embed=hash_embedder(dim=16))
+        semantic = build_semantic_index(corpus, embed_client, dim=16)
+        out = retrieve("売上高は前年比で増加したか", build_lexical_index(corpus), semantic,
+                       DEFAULT_WEIGHTS, DEFAULT_POLICY, client=embed_client, doc_id="b")
+        assert sorted(sp.page_ref for sp in out) == [("b", 0), ("b", 1)]

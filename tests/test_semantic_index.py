@@ -117,6 +117,17 @@ class TestSearch:
             )[:10]
             assert got == [index.page_refs[i] for i in want_order]
 
+    def test_doc_id_takes_top_k_over_that_document(self):
+        rng = np.random.default_rng(43)
+        index = _index(rng, n=40, dim=24)
+        q = index.vectors[3].astype(np.float64)  # doc0 holds the best match
+        got = search_semantic(index, q, k=4, doc_id="doc2")
+        scores = index.vectors.astype(np.float64) @ q
+        rows = [i for i, ref in enumerate(index.page_refs) if ref[0] == "doc2"]
+        want = sorted(rows, key=lambda i: (-scores[i], index.page_refs[i]))[:4]
+        assert got == [(index.page_refs[i], float(scores[i])) for i in want]
+        assert search_semantic(index, q, k=4, doc_id="missing") == []
+
     def test_exact_duplicate_vectors_tie_break_by_ref(self):
         row = np.ones(4, dtype=np.float32) / 2.0
         vectors = np.stack([row, row, row])
