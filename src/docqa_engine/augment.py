@@ -16,9 +16,11 @@ import logging
 import math
 import random
 import re
-import unicodedata
-from dataclasses import dataclass, field
-from functools import lru_cache
+import threading
+from collections import deque
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from string import Template
@@ -61,6 +63,11 @@ class QACandidate:
     qtype: str
     source_page: PageRef
     evidence: str
+
+    @cached_property
+    def question_tokens(self) -> set[str]:
+        # kept with the candidate so the dedup gate tokenizes each question once
+        return token_set(self.question)
 
     def to_record(self) -> dict:
         return {
@@ -248,7 +255,7 @@ def select_pages(
 # Prompt templates
 
 
-_PROMPT_KINDS = ("ocr_enhance", "feasibility") + tuple(f"generate_{q}" for q in QTYPES)
+_PROMPT_KINDS = ("feasibility",) + tuple(f"generate_{q}" for q in QTYPES)
 
 
 @lru_cache(maxsize=None)
@@ -425,6 +432,12 @@ def _jaccard(a: set[str], b: set[str]) -> float:
     return len(a & b) / len(union)
 
 
+def _near_duplicate(
+    candidate: QACandidate, prior: QACandidate, thresholds: GateThresholds
+) -> bool:
+    return _jaccard(candidate.question_tokens, prior.question_tokens) >= thresholds.dedup_jaccard
+
+
 def _matching_option_count(answer: str, options: Iterable[str]) -> int:
     normalized = normalize_text(answer).casefold().strip(" .。")
     if not normalized:
@@ -520,11 +533,7 @@ def run_gates(
         ratio_ok = False
     option_quality_ok = distinct_ok and ratio_ok and index_ok
 
-    question_tokens = token_set(question)
-    dedup_ok = all(
-        _jaccard(question_tokens, token_set(prior.question)) < thresholds.dedup_jaccard
-        for prior in accepted
-    )
+    dedup_ok = not any(_near_duplicate(candidate, prior, thresholds) for prior in accepted)
 
     return GateReport(
         length=length_ok,
@@ -577,6 +586,33 @@ def _options_block(options: Iterable[str]) -> str:
     return "\n".join(f"{chr(ord('A') + i)}. {text}" for i, text in enumerate(options))
 
 
+def _feasibility_outcome(
+    client,
+    request: dict,
+    candidate: QACandidate,
+    base: dict,
+    page_text: str,
+    thresholds: GateThresholds,
+) -> dict | None:
+    """One feasibility round-trip: None if the candidate passes, else its audit record."""
+    try:
+        raw = client.generate(request)
+    except (TransportError, EndpointError, ContractError) as exc:
+        return {**base, "stage": "transport", "reason": str(exc), "question": candidate.question}
+    try:
+        verdict = parse_feasibility(raw)
+    except ParseError as exc:
+        return {**base, "stage": "feasibility_parse", "reason": str(exc), "question": candidate.question}
+    if not validate_feasibility(verdict, candidate, page_text, thresholds):
+        return {
+            **base,
+            "stage": "feasibility",
+            "reason": "feasibility validation failed",
+            "question": candidate.question,
+        }
+    return None
+
+
 def augment(
     corpus: Corpus,
     client,
@@ -599,9 +635,15 @@ def augment(
     unless `per_type_mix` gives weights) and cycled over the selected
     pages. Each attempt is generate -> parse -> gates -> feasibility
     round-trip; the first failing stage rejects the candidate and writes
-    one audit record, so attempts == accepted + rejections. Candidates are
-    processed strictly in attempt order, which keeps the accepted set and
-    the dedup decisions reproducible for a fixed seed and model.
+    one audit record, so attempts == accepted + rejections.
+
+    The caller's thread sends generation requests one at a time in attempt
+    order, parses and gates each reply, and hands the feasibility request
+    to a single worker thread, so at most two requests are in flight.
+    Outcomes are committed strictly in attempt order and a question that
+    nears an uncommitted one waits for its verdict first, so the accepted
+    set, the audit and every request are the same as one-at-a-time
+    processing gives for a fixed seed and model.
     """
     if quota < 1:
         raise ValueError("quota must be at least 1")
@@ -622,140 +664,119 @@ def augment(
     rng = random.Random(seed)
     accepted: list[QACandidate] = []
     audit: list[dict] = []
+    # Uncommitted attempts in order: (attempt, candidate that passed the gates
+    # or None, outcome). An outcome is an audit record, None for acceptance,
+    # or a feasibility-lane Future of either.
+    pending: deque[tuple[int, QACandidate | None, dict | None | Future]] = deque()
+
+    def commit(through: int = -1) -> None:
+        """Commit outcomes in attempt order: every ready one, and every one up
+        to attempt `through`, waiting for its feasibility verdict."""
+        while pending:
+            attempt, candidate, outcome = pending[0]
+            if isinstance(outcome, Future):
+                if attempt > through and not outcome.done():
+                    return
+                outcome = outcome.result()
+            pending.popleft()
+            if outcome is None:
+                accepted.append(candidate)
+            else:
+                audit.append(outcome)
+
+    stop = threading.Event()
+
+    def check_feasibility(*args) -> dict | None:
+        if stop.is_set():  # an earlier check raised: send nothing more
+            raise CancelledError
+        try:
+            return _feasibility_outcome(client, *args)
+        except BaseException:
+            stop.set()
+            raise
+
+    lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="augment-feasibility")
     sequence = _type_sequence(quota, counts)
-    for attempt, qtype in enumerate(sequence):
-        doc_id, page_index = pages[attempt % len(pages)]
-        page = corpus.get(doc_id, page_index)
-        base = {
-            "attempt": attempt,
-            "qtype": qtype,
-            "doc_id": doc_id,
-            "page_index": page_index,
-        }
-        prompt = build_prompt(
-            f"generate_{qtype}",
-            {"page_text": page.normalized_text, "doc_id": doc_id, "page_index": page_index},
-        )
-        request = {
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": gen_temperature,
-            "top_p": 0.95,
-            "top_k": 50,
-            "seed": rng.randrange(2**31),
-            "max_tokens": max_tokens,
-        }
-        try:
-            raw = client.generate(request)
-        except (TransportError, EndpointError, ContractError) as exc:
-            audit.append({**base, "stage": "transport", "reason": str(exc)})
-            continue
-        try:
-            candidate = parse_qa_candidate(raw, qtype, (doc_id, page_index))
-        except ParseError as exc:
-            audit.append({**base, "stage": "parse", "reason": str(exc)})
-            continue
-
-        report = run_gates(candidate, accepted, page.normalized_text, thresholds)
-        if not report.overall:
-            failed = report.failed_gates()
-            audit.append(
-                {
-                    **base,
-                    "stage": f"gate:{failed[0]}",
-                    "reason": "failed gates: " + ",".join(failed),
-                    "question": candidate.question,
-                }
+    try:
+        for attempt, qtype in enumerate(sequence):
+            doc_id, page_index = pages[attempt % len(pages)]
+            page = corpus.get(doc_id, page_index)
+            base = {
+                "attempt": attempt,
+                "qtype": qtype,
+                "doc_id": doc_id,
+                "page_index": page_index,
+            }
+            prompt = build_prompt(
+                f"generate_{qtype}",
+                {"page_text": page.normalized_text, "doc_id": doc_id, "page_index": page_index},
             )
-            continue
-
-        if feasibility_check:
-            feas_prompt = build_prompt(
-                "feasibility",
-                {
-                    "page_text": page.normalized_text,
-                    "question": candidate.question,
-                    "options_block": _options_block(candidate.options),
-                },
-            )
-            feas_request = {
-                "messages": [{"role": "user", "content": feas_prompt}],
-                "temperature": 0.0,
-                "top_p": 1.0,
-                "top_k": 1,
+            request = {
+                "messages": [{"role": "user", "content": prompt}],
+                "temperature": gen_temperature,
+                "top_p": 0.95,
+                "top_k": 50,
                 "seed": rng.randrange(2**31),
                 "max_tokens": max_tokens,
             }
             try:
-                feas_raw = client.generate(feas_request)
+                raw = client.generate(request)
             except (TransportError, EndpointError, ContractError) as exc:
-                audit.append(
-                    {**base, "stage": "transport", "reason": str(exc), "question": candidate.question}
-                )
+                pending.append((attempt, None, {**base, "stage": "transport", "reason": str(exc)}))
                 continue
             try:
-                verdict = parse_feasibility(feas_raw)
+                candidate = parse_qa_candidate(raw, qtype, (doc_id, page_index))
             except ParseError as exc:
-                audit.append(
-                    {**base, "stage": "feasibility_parse", "reason": str(exc), "question": candidate.question}
-                )
+                pending.append((attempt, None, {**base, "stage": "parse", "reason": str(exc)}))
                 continue
-            if not validate_feasibility(verdict, candidate, page.normalized_text, thresholds):
-                audit.append(
+
+            # Dedup is monotone in the accepted set, so a question clear of
+            # every uncommitted candidate is judged exactly by the committed
+            # ones; otherwise commit through the last candidate it clashes with.
+            clashes = [
+                n for n, prior, _ in pending
+                if prior is not None and _near_duplicate(candidate, prior, thresholds)
+            ]
+            commit(through=max(clashes, default=-1))
+            report = run_gates(candidate, accepted, page.normalized_text, thresholds)
+            if not report.overall:
+                failed = report.failed_gates()
+                pending.append((attempt, None, {
+                    **base,
+                    "stage": f"gate:{failed[0]}",
+                    "reason": "failed gates: " + ",".join(failed),
+                    "question": candidate.question,
+                }))
+                continue
+
+            outcome = None
+            if feasibility_check:
+                feas_prompt = build_prompt(
+                    "feasibility",
                     {
-                        **base,
-                        "stage": "feasibility",
-                        "reason": "feasibility validation failed",
+                        "page_text": page.normalized_text,
                         "question": candidate.question,
-                    }
+                        "options_block": _options_block(candidate.options),
+                    },
                 )
-                continue
-
-        accepted.append(candidate)
+                feas_request = {
+                    "messages": [{"role": "user", "content": feas_prompt}],
+                    "temperature": 0.0,
+                    "top_p": 1.0,
+                    "top_k": 1,
+                    "seed": rng.randrange(2**31),
+                    "max_tokens": max_tokens,
+                }
+                outcome = lane.submit(
+                    check_feasibility, feas_request, candidate, base,
+                    page.normalized_text, thresholds,
+                )
+            pending.append((attempt, candidate, outcome))
+        commit(through=len(sequence))
+    finally:
+        stop.set()
+        lane.shutdown(wait=True, cancel_futures=True)
     return AugmentResult(accepted=accepted, audit=audit, attempts=len(sequence))
-
-
-# ---------------------------------------------------------------------------
-# OCR enhancement
-
-
-_HEADING_RE = re.compile(r"^(#{1,6})[ \t]*")
-
-
-def tidy_ocr_text(text: str) -> str:
-    """Whitespace/heading cleanup applied to model-enhanced OCR output."""
-    text = unicodedata.normalize("NFKC", text)
-    lines = []
-    for line in text.splitlines():
-        line = line.rstrip()
-        if line.startswith("#"):
-            line = _HEADING_RE.sub(lambda m: m.group(1) + " ", line)
-        lines.append(line)
-    collapsed: list[str] = []
-    for line in lines:
-        if not line and collapsed and not collapsed[-1]:
-            continue
-        collapsed.append(line)
-    while collapsed and not collapsed[0]:
-        collapsed.pop(0)
-    while collapsed and not collapsed[-1]:
-        collapsed.pop()
-    return "\n".join(collapsed)
-
-
-def enhance_ocr(raw_text: str, client, *, max_tokens: int = 2048, seed: int = 0) -> str:
-    """One model round-trip that restructures noisy OCR text, then tidies it."""
-    prompt = build_prompt("ocr_enhance", {"page_text": raw_text})
-    raw = client.generate(
-        {
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": 0.0,
-            "top_p": 1.0,
-            "top_k": 1,
-            "seed": seed,
-            "max_tokens": max_tokens,
-        }
-    )
-    return tidy_ocr_text(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import unicodedata
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -85,11 +86,13 @@ class Corpus:
             counts[p.doc_id] = counts.get(p.doc_id, 0) + 1
         return counts
 
+    @cached_property
+    def _by_ref(self) -> dict[PageRef, Page]:
+        # not a dataclass field: stays out of equality, hashing and saved bytes
+        return {(p.doc_id, p.page_index): p for p in self.pages}
+
     def get(self, doc_id: str, page_index: int) -> Page:
-        for p in self.pages:
-            if p.doc_id == doc_id and p.page_index == page_index:
-                return p
-        raise KeyError((doc_id, page_index))
+        return self._by_ref[doc_id, page_index]
 
 
 def _check_contiguous(ordered_pages: list[Page]) -> None:

@@ -68,7 +68,8 @@ class GatewayClient:
         Transport failures, 429 and 5xx responses are retried; other non-2xx
         statuses fail immediately with the endpoint's status code. A
         seconds-valued Retry-After header lengthens the next delay to
-        max(backoff, Retry-After).
+        max(backoff, Retry-After), with Retry-After capped at the request
+        timeout so one header cannot stall the caller indefinitely.
         """
         url = self.config.base_url.rstrip("/") + path
         delay = self.config.backoff_base
@@ -97,7 +98,10 @@ class GatewayClient:
                     raise ContractError("endpoint returned non-JSON body") from exc
             if resp.status_code == 429 or resp.status_code >= 500:
                 last_status = resp.status_code
-                retry_after = _retry_after_seconds(resp.headers.get("Retry-After"))
+                retry_after = min(
+                    _retry_after_seconds(resp.headers.get("Retry-After")),
+                    self.config.timeout,
+                )
                 continue
             raise EndpointError(resp.text[:200], resp.status_code)
         if last_status is not None:

@@ -1,17 +1,24 @@
 """Synthetic QA generation tests: page selection, prompt building, output
 parsing, quality gates, feasibility auditing, and the orchestration loop.
 
-The fake client routes on distinctive prompt phrases (generation vs
+The fake clients route on distinctive prompt phrases (generation vs
 feasibility) so scripted replies line up with attempts no matter how the
-two call kinds interleave.
+two call kinds interleave: generation requests are sent one at a time in
+attempt order while feasibility requests run on their own worker thread.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import re
+import sys
+import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docqa_engine.augment import (
     GATE_NAMES,
@@ -21,11 +28,11 @@ from docqa_engine.augment import (
     GateThresholds,
     QACandidate,
     _apportion,
+    _options_block,
     _type_sequence,
     augment,
     build_prompt,
     clause_count,
-    enhance_ocr,
     is_content_page,
     parse_feasibility,
     parse_qa_candidate,
@@ -33,14 +40,14 @@ from docqa_engine.augment import (
     run_gates,
     score_page,
     select_pages,
-    tidy_ocr_text,
     toc_density,
     validate_feasibility,
     write_audit_jsonl,
     write_qa_jsonl,
 )
 from docqa_engine.corpus import Corpus, Page
-from docqa_engine.errors import ParseError, TransportError
+from docqa_engine.errors import ContractError, EndpointError, ParseError, TransportError
+from docqa_engine.gateway import MockModelServer, MockReply
 
 # ---------------------------------------------------------------------------
 # Shared fixtures: one financial page whose figures back every scripted QA
@@ -134,11 +141,15 @@ class RoutedClient:
         return reply
 
 
-@pytest.fixture()
-def corpus() -> Corpus:
+def _fin_corpus() -> Corpus:
     pages = [Page.from_raw("fin", 0, "表紙 2023年度 決算説明資料")]
     pages += [Page.from_raw("fin", i, PAGE_BODY) for i in range(1, 4)]
     return Corpus.from_pages(pages)
+
+
+@pytest.fixture()
+def corpus() -> Corpus:
+    return _fin_corpus()
 
 
 def test_fixture_pages_are_eligible(corpus):
@@ -310,7 +321,7 @@ class TestBuildPrompt:
 
     def test_missing_context_key_rejected(self):
         with pytest.raises(ValueError, match="missing key"):
-            build_prompt("ocr_enhance", {})
+            build_prompt("feasibility", {})
 
 
 # ---------------------------------------------------------------------------
@@ -849,36 +860,258 @@ class TestAugment:
 
 
 # ---------------------------------------------------------------------------
-# OCR cleanup
+# Pipelined augmentation: one generation lane, one feasibility lane
+
+FEAS_MARKER = "auditing one multiple-choice question"
+PIPE_OPTIONS = ["4200 百万円", "310 百万円", "150 百万円", "90 百万円"]
+FEAS_REFUSAL = (
+    "Reasoning: ページからはこの質問に答えるための情報が読み取れませんでした。\n"
+    "Answerable: no\nAnswer:\nEvidence:\n"
+)
 
 
-class TestTidyOcrText:
-    def test_width_normalization(self):
-        assert tidy_ocr_text("Ｔｏｔａｌ：１２３") == "Total:123"
-
-    def test_heading_spacing(self):
-        assert tidy_ocr_text("#見出し\n##続き") == "# 見出し\n## 続き"
-
-    def test_blank_run_collapse_and_trim(self):
-        assert tidy_ocr_text("\n\nfirst   \n\n\n\nsecond\n\n") == "first\n\nsecond"
+def _pipe_question(i: int) -> str:
+    # eight shared tokens and four unique ones: distinct questions stay at a
+    # Jaccard of 0.5, while the question plus one word reaches 12/13
+    return f"Which figure, per the report, matches item{i} tag{i} mark{i} code{i}?"
 
 
-def test_enhance_ocr_round_trip():
-    class EchoClient:
-        def __init__(self):
-            self.requests = []
+def _question_of(prompt: str) -> str:
+    return re.search(r"^Question: (.*)$", prompt, re.MULTILINE).group(1)
 
-        def generate(self, request):
-            self.requests.append(request)
-            return "＃ Ｔｉｔｌｅ\n\n\n\nrestored  line"
 
-    client = EchoClient()
-    out = enhance_ocr("noisy ocr text", client)
-    assert out == "# Title\n\nrestored line".replace("restored line", "restored  line")
-    (request,) = client.requests
-    assert "noisy ocr text" in request["messages"][0]["content"]
-    assert request["temperature"] == 0.0
-    assert request["max_tokens"] == 2048
+def _serial_augment(corpus, client, quota, seed, thresholds=GateThresholds()):
+    """The one-request-at-a-time loop the pipelined augment() must reproduce."""
+    pages = select_pages(corpus, quota, seed=seed)
+    rng = random.Random(seed)
+    accepted, audit = [], []
+    sequence = _type_sequence(quota, _apportion(quota, {q: 1.0 for q in QTYPES}))
+    for attempt, qtype in enumerate(sequence):
+        doc_id, page_index = pages[attempt % len(pages)]
+        page = corpus.get(doc_id, page_index)
+        base = {"attempt": attempt, "qtype": qtype, "doc_id": doc_id, "page_index": page_index}
+        prompt = build_prompt(f"generate_{qtype}", {
+            "page_text": page.normalized_text, "doc_id": doc_id, "page_index": page_index})
+        request = {"messages": [{"role": "user", "content": prompt}], "temperature": 0.7,
+                   "top_p": 0.95, "top_k": 50, "seed": rng.randrange(2**31), "max_tokens": 512}
+        try:
+            raw = client.generate(request)
+        except (TransportError, EndpointError, ContractError) as exc:
+            audit.append({**base, "stage": "transport", "reason": str(exc)})
+            continue
+        try:
+            candidate = parse_qa_candidate(raw, qtype, (doc_id, page_index))
+        except ParseError as exc:
+            audit.append({**base, "stage": "parse", "reason": str(exc)})
+            continue
+        report = run_gates(candidate, accepted, page.normalized_text, thresholds)
+        if not report.overall:
+            failed = report.failed_gates()
+            audit.append({**base, "stage": f"gate:{failed[0]}",
+                          "reason": "failed gates: " + ",".join(failed),
+                          "question": candidate.question})
+            continue
+        feas_prompt = build_prompt("feasibility", {
+            "page_text": page.normalized_text, "question": candidate.question,
+            "options_block": _options_block(candidate.options)})
+        feas_request = {"messages": [{"role": "user", "content": feas_prompt}],
+                        "temperature": 0.0, "top_p": 1.0, "top_k": 1,
+                        "seed": rng.randrange(2**31), "max_tokens": 512}
+        try:
+            feas_raw = client.generate(feas_request)
+        except (TransportError, EndpointError, ContractError) as exc:
+            audit.append({**base, "stage": "transport", "reason": str(exc),
+                          "question": candidate.question})
+            continue
+        try:
+            verdict = parse_feasibility(feas_raw)
+        except ParseError as exc:
+            audit.append({**base, "stage": "feasibility_parse", "reason": str(exc),
+                          "question": candidate.question})
+            continue
+        if not validate_feasibility(verdict, candidate, page.normalized_text, thresholds):
+            audit.append({**base, "stage": "feasibility",
+                          "reason": "feasibility validation failed",
+                          "question": candidate.question})
+            continue
+        accepted.append(candidate)
+    return AugmentResult(accepted=accepted, audit=audit, attempts=quota)
+
+
+class ScriptedLanesClient:
+    """Attempt-indexed generation script; feasibility keyed by question.
+
+    Each script entry is (generation kind, feasibility verdict, feasibility
+    sleep). Generation kinds: clean, defective (duplicate options),
+    dup_pending (the latest clean question plus one word), unparseable and
+    transport. Verdicts: yes, no, garbled and transport. Every attempt's
+    question is unique, so a feasibility reply depends only on its request.
+    """
+
+    def __init__(self, script, sleep: bool = True):
+        self.script = script
+        self.sleep = sleep
+        self.verdicts: dict[str, tuple[str, float]] = {}
+        self.gen_requests: list[dict] = []
+        self.feas_requests: list[dict] = []
+        self.events: list[tuple[str, str]] = []
+        self._gen_lock = threading.Lock()
+
+    def _generation(self, attempt: int) -> str:
+        kind, verdict, pause = self.script[attempt]
+        if kind == "transport":
+            raise TransportError(f"socket closed at attempt {attempt}")
+        if kind == "unparseable":
+            return "I cannot produce a question for this page."
+        if kind == "defective":
+            return _qa_block(_pipe_question(attempt), ["310 百万円", "310 百万円", "55 円"])
+        cleans = [i for i in range(attempt) if self.script[i][0] == "clean"]
+        if kind == "dup_pending" and cleans:
+            question = f"{_pipe_question(cleans[-1])} again{attempt}"
+        else:  # clean, or a duplicate with nothing before it to repeat
+            question = _pipe_question(attempt)
+        self.verdicts[question] = (verdict, pause)
+        return _qa_block(question, PIPE_OPTIONS)
+
+    def _feasibility(self, prompt: str) -> str:
+        question = _question_of(prompt)
+        verdict, pause = self.verdicts[question]
+        self.events.append(("feas_start", question))
+        if self.sleep:
+            time.sleep(pause)
+        self.events.append(("feas_end", question))
+        if verdict == "transport":
+            raise TransportError("feasibility socket closed")
+        if verdict == "no":
+            return FEAS_REFUSAL
+        if verdict == "garbled":
+            return "looks fine to me"
+        return _echo_feasibility(prompt)
+
+    def generate(self, request: dict) -> str:
+        content = request["messages"][0]["content"]
+        if FEAS_MARKER in content:
+            self.feas_requests.append(request)
+            return self._feasibility(content)
+        assert self._gen_lock.acquire(blocking=False), "generation requests overlapped"
+        try:
+            attempt = len(self.gen_requests)
+            self.gen_requests.append(request)
+            self.events.append(("gen", str(attempt)))
+            return self._generation(attempt)
+        finally:
+            self._gen_lock.release()
+
+
+def _lanes_bytes(result: AugmentResult, client: ScriptedLanesClient) -> bytes:
+    return json.dumps(
+        [[c.to_record() for c in result.accepted], result.audit,
+         client.gen_requests, client.feas_requests],
+        ensure_ascii=False,
+    ).encode("utf-8")
+
+
+_SCRIPT_ENTRY = st.tuples(
+    st.sampled_from(["clean", "defective", "dup_pending", "unparseable", "transport"]),
+    st.sampled_from(["yes", "no", "garbled", "transport"]),
+    st.sampled_from([0.0, 0.0005, 0.002, 0.005]),
+)
+
+
+class TestPipelinedAugment:
+    @settings(max_examples=40, deadline=None)
+    @given(script=st.lists(_SCRIPT_ENTRY, min_size=1, max_size=14),
+           seed=st.integers(0, 2**16))
+    def test_same_bytes_as_the_serial_loop(self, script, seed):
+        corpus = _fin_corpus()
+        serial_client = ScriptedLanesClient(script, sleep=False)
+        serial = _serial_augment(corpus, serial_client, len(script), seed)
+        lanes_client = ScriptedLanesClient(script)
+        lanes = augment(corpus, lanes_client, quota=len(script), seed=seed)
+        assert _lanes_bytes(lanes, lanes_client) == _lanes_bytes(serial, serial_client)
+        assert lanes.attempts == len(lanes.accepted) + len(lanes.audit)
+
+    def test_same_bytes_under_frequent_thread_switches(self, corpus):
+        kinds = ["clean", "dup_pending", "clean", "defective", "dup_pending",
+                 "unparseable", "clean", "transport", "dup_pending", "clean"]
+        verdicts = ["yes", "no", "yes", "garbled", "transport"]
+        script = [(kinds[i % len(kinds)], verdicts[i % len(verdicts)], 0.0) for i in range(60)]
+        serial_client = ScriptedLanesClient(script, sleep=False)
+        serial = _serial_augment(corpus, serial_client, len(script), seed=5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                client = ScriptedLanesClient(script)
+                lanes = augment(corpus, client, quota=len(script), seed=5)
+                assert _lanes_bytes(lanes, client) == _lanes_bytes(serial, serial_client)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_generation_requests_follow_attempt_order(self, corpus):
+        # slow verdicts keep several feasibility checks queued behind the
+        # generation lane; it must still ask in attempt order, one at a time
+        script = [("clean", "yes", 0.02)] * 10
+        serial_client = ScriptedLanesClient(script, sleep=False)
+        _serial_augment(corpus, serial_client, 10, seed=3)
+        client = ScriptedLanesClient(script)
+        result = augment(corpus, client, quota=10, seed=3)
+        assert [r["seed"] for r in client.gen_requests] == [
+            r["seed"] for r in serial_client.gen_requests]
+        assert [r["messages"] for r in client.gen_requests] == [
+            r["messages"] for r in serial_client.gen_requests]
+        assert [c.question for c in result.accepted] == [_pipe_question(i) for i in range(10)]
+        # the generation lane ran ahead of the verdicts
+        kinds = [kind for kind, _ in client.events]
+        assert kinds.index("feas_end") > kinds.index("gen", 1) > kinds.index("feas_start")
+
+    def test_at_most_two_chat_requests_in_flight(self, corpus):
+        def reply(payload, index):
+            content = payload["messages"][0]["content"]
+            if FEAS_MARKER in content:
+                return MockReply(_echo_feasibility(content), delay=0.02)
+            return MockReply(_qa_block(_pipe_question(index), PIPE_OPTIONS), delay=0.005)
+
+        with MockModelServer(chat=reply) as server:
+            client = server.make_client(max_in_flight=4)
+            result = augment(corpus, client, quota=8, seed=0)
+            assert len(result.accepted) == 8
+            assert server.max_in_flight_observed == 2
+
+    def test_duplicate_of_a_pending_candidate_is_rejected_at_dedup(self, corpus):
+        script = [("clean", "yes", 0.2), ("dup_pending", "yes", 0.0)]
+        client = ScriptedLanesClient(script)
+        result = augment(corpus, client, quota=2, seed=0)
+        # the duplicate was generated while the first verdict was outstanding
+        assert client.events.index(("gen", "1")) < client.events.index(
+            ("feas_end", _pipe_question(0)))
+        assert [c.question for c in result.accepted] == [_pipe_question(0)]
+        (record,) = result.audit
+        assert record["stage"] == "gate:dedup" and record["attempt"] == 1
+        assert [_question_of(r["messages"][0]["content"]) for r in client.feas_requests] == [
+            _pipe_question(0)]
+
+    def test_duplicate_of_a_rejected_pending_candidate_is_kept(self, corpus):
+        script = [("clean", "no", 0.05), ("dup_pending", "yes", 0.0)]
+        result = augment(corpus, ScriptedLanesClient(script), quota=2, seed=0)
+        assert [c.question for c in result.accepted] == [f"{_pipe_question(0)} again1"]
+        assert [r["stage"] for r in result.audit] == ["feasibility"]
+
+    def test_feasibility_lane_error_propagates_and_stops_the_lane(self, corpus):
+        class Boom(RuntimeError):
+            pass
+
+        class ExplodingClient(ScriptedLanesClient):
+            def _feasibility(self, prompt):
+                time.sleep(0.1)  # let later checks queue up behind this one
+                raise Boom("audit model crashed")
+
+        client = ExplodingClient([("clean", "yes", 0.0)] * 5)
+        with pytest.raises(Boom, match="audit model crashed"):
+            augment(corpus, client, quota=5, seed=0)
+        assert len(client.gen_requests) > 1
+        assert len(client.feas_requests) == 1
+        assert not any(t.name.startswith("augment-feasibility") for t in threading.enumerate())
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,17 @@ class TestCorpusModel:
         with pytest.raises(KeyError):
             corpus.get("d", 5)
 
+    def test_page_index_stays_out_of_equality_hash_and_saved_bytes(self, tmp_path):
+        pages = [Page.from_raw("a", i, f"page {i}") for i in range(3)]
+        looked_up, fresh = Corpus.from_pages(pages), Corpus.from_pages(pages)
+        before = tmp_path / "before.jsonl"
+        save_corpus(looked_up, before)
+        assert looked_up.get("a", 2) is looked_up.pages[2]
+        after = tmp_path / "after.jsonl"
+        save_corpus(looked_up, after)
+        assert looked_up == fresh and hash(looked_up) == hash(fresh)
+        assert after.read_bytes() == before.read_bytes()
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(IntegrityError):
             Corpus.from_pages([])

@@ -191,6 +191,15 @@ class TestRetryBehavior:
             assert client.generate({"messages": [{"role": "user", "content": "q"}]}) == "ok"
         assert sleeps == expected
 
+    def test_retry_after_is_capped_at_the_request_timeout(self, monkeypatch):
+        sleeps: list[float] = []
+        monkeypatch.setattr("docqa_engine.gateway.time.sleep", sleeps.append)
+        throttled = MockReply(status=429, headers={"Retry-After": "3600"})
+        with MockModelServer(chat=[throttled, "ok"]) as server:
+            client = server.make_client(max_retries=1, backoff_base=0.01, timeout=2.0)
+            assert client.generate({"messages": [{"role": "user", "content": "q"}]}) == "ok"
+        assert sleeps == [2.0]
+
     @given(st.text(max_size=20))
     def test_any_retry_after_header_gives_a_finite_delay(self, value):
         delay = _retry_after_seconds(value)
