@@ -80,21 +80,6 @@ class QACandidate:
             "evidence": self.evidence,
         }
 
-    @classmethod
-    def from_record(cls, record: dict) -> "QACandidate":
-        try:
-            options = tuple(str(o) for o in record["options"])
-            return cls(
-                question=str(record["question"]),
-                options=options,
-                answer_index=int(record["answer_index"]),
-                qtype=str(record.get("qtype", "comprehensive")),
-                source_page=(str(record["doc_id"]), int(record["page_index"])),
-                evidence=str(record.get("evidence", "")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad QA record: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
@@ -622,12 +607,6 @@ def augment(
     thresholds: GateThresholds = GateThresholds(),
     seed: int = 0,
     feasibility_check: bool = True,
-    gen_temperature: float = 0.7,
-    max_tokens: int = 512,
-    page_quota: int | None = None,
-    strata: int = DEFAULT_STRATA,
-    content_floor: int = DEFAULT_CONTENT_FLOOR,
-    toc_density_max: float = DEFAULT_TOC_DENSITY_MAX,
 ) -> AugmentResult:
     """Generate, gate, and verify `quota` QA candidates over the corpus.
 
@@ -649,14 +628,7 @@ def augment(
         raise ValueError("quota must be at least 1")
     weights = {q: 1.0 for q in QTYPES} if per_type_mix is None else dict(per_type_mix)
     counts = _apportion(quota, weights)
-    pages = select_pages(
-        corpus,
-        page_quota or quota,
-        seed=seed,
-        strata=strata,
-        content_floor=content_floor,
-        toc_density_max=toc_density_max,
-    )
+    pages = select_pages(corpus, quota, seed=seed)
     if not pages:
         logger.warning("augmentation produced nothing: no eligible pages")
         return AugmentResult(accepted=[], audit=[], attempts=0)
@@ -713,11 +685,11 @@ def augment(
             )
             request = {
                 "messages": [{"role": "user", "content": prompt}],
-                "temperature": gen_temperature,
+                "temperature": 0.7,
                 "top_p": 0.95,
                 "top_k": 50,
                 "seed": rng.randrange(2**31),
-                "max_tokens": max_tokens,
+                "max_tokens": 512,
             }
             try:
                 raw = client.generate(request)
@@ -765,7 +737,7 @@ def augment(
                     "top_p": 1.0,
                     "top_k": 1,
                     "seed": rng.randrange(2**31),
-                    "max_tokens": max_tokens,
+                    "max_tokens": 512,
                 }
                 outcome = lane.submit(
                     check_feasibility, feas_request, candidate, base,
@@ -787,23 +759,6 @@ def write_qa_jsonl(path: str | Path, candidates: Iterable[QACandidate]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for candidate in candidates:
             fh.write(json.dumps(candidate.to_record(), ensure_ascii=False) + "\n")
-
-
-def read_qa_jsonl(path: str | Path) -> list[QACandidate]:
-    candidates = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no) from exc
-            try:
-                candidates.append(QACandidate.from_record(record))
-            except ParseError as exc:
-                raise ParseError(str(exc), line_no=line_no) from exc
-    return candidates
 
 
 def write_audit_jsonl(path: str | Path, audit: Iterable[dict]) -> None:

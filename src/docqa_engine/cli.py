@@ -23,7 +23,7 @@ from .augment import (
     write_qa_jsonl,
 )
 from .config import PipelineConfig, load_config
-from .corpus import Corpus, ingest_path, load_corpus, save_corpus
+from .corpus import Corpus, ingest_path, iter_records, load_corpus, save_corpus
 from .ensemble import (
     MAX_OPTIONS,
     build_answer_prompt,
@@ -69,16 +69,16 @@ class QuestionRecord:
 
 
 def read_questions_jsonl(path: str | Path) -> list[QuestionRecord]:
+    """Question records from JSONL; the QA records `augment` writes read as-is."""
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+        for line_no, raw in iter_records(fh):
             try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no) from exc
-            try:
+                if not isinstance(raw["options"], list):
+                    raise ValueError("options must be a list")
+                for key in ("doc_id", "category"):
+                    if not isinstance(raw.get(key), (str, type(None))):
+                        raise ValueError(f"{key} must be a string")
                 options = tuple(str(o) for o in raw["options"])
                 answer_index = raw.get("answer_index")
                 answer_index = None if answer_index is None else int(answer_index)
@@ -127,6 +127,11 @@ def answer_questions(
     """
     if use_retrieval and lexical_index is None:
         raise ConfigError("retrieval requested but no lexical index supplied")
+    docs = corpus.doc_page_counts()
+    for qi, q in enumerate(questions, start=1):
+        if q.doc_id is not None and q.doc_id not in docs:
+            raise ParseError(
+                f"question {qi}: doc_id {q.doc_id!r} names no document in the corpus")
 
     def answer(qi: int, q: QuestionRecord) -> dict:
         retrieved = []
@@ -231,6 +236,17 @@ def _embed_client(config: PipelineConfig, args) -> GatewayClient | None:
     return None if endpoint is None else GatewayClient(endpoint)
 
 
+def _load_indexes(config: PipelineConfig, args):
+    """Both indexes and the embed client; no semantic index without both."""
+    lexical_index = load_lexical_index(args.lexical or config.paths.lexical_index)
+    embed_client = _embed_client(config, args)
+    semantic_path = Path(args.semantic or config.paths.semantic_index)
+    semantic_index = None
+    if embed_client is not None and semantic_path.exists():
+        semantic_index = load_semantic_index(semantic_path)
+    return lexical_index, semantic_index, embed_client
+
+
 def cmd_ingest(args, config: PipelineConfig) -> int:
     corpus = ingest_path(args.input)
     out = args.output or config.paths.corpus
@@ -263,12 +279,7 @@ def cmd_build_index(args, config: PipelineConfig) -> int:
 
 
 def cmd_retrieve(args, config: PipelineConfig) -> int:
-    lexical_index = load_lexical_index(args.lexical or config.paths.lexical_index)
-    semantic_index = None
-    embed_client = _embed_client(config, args)
-    semantic_path = Path(args.semantic or config.paths.semantic_index)
-    if embed_client is not None and semantic_path.exists():
-        semantic_index = load_semantic_index(semantic_path)
+    lexical_index, semantic_index, embed_client = _load_indexes(config, args)
     weights = config.weights
     if args.alpha is not None:
         weights = FusionWeights(alpha=args.alpha, beta=1.0 - args.alpha)
@@ -320,15 +331,9 @@ def cmd_infer(args, config: PipelineConfig) -> int:
     questions = read_questions_jsonl(args.questions)
     corpus = load_corpus(args.corpus or config.paths.corpus)
     chat_client = _require_chat_client(config, args)
-    lexical_index = None
-    semantic_index = None
-    embed_client = None
+    lexical_index = semantic_index = embed_client = None
     if not args.no_retrieval:
-        lexical_index = load_lexical_index(args.lexical or config.paths.lexical_index)
-        embed_client = _embed_client(config, args)
-        semantic_path = Path(args.semantic or config.paths.semantic_index)
-        if embed_client is not None and semantic_path.exists():
-            semantic_index = load_semantic_index(semantic_path)
+        lexical_index, semantic_index, embed_client = _load_indexes(config, args)
     run_config = config
     if args.seed is not None:
         run_config = replace(config, seed=args.seed)
@@ -352,15 +357,8 @@ def cmd_infer(args, config: PipelineConfig) -> int:
 
 
 def cmd_evaluate(args, config: PipelineConfig) -> int:
-    verdicts = []
     with open(args.verdicts, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                verdicts.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no) from exc
+        verdicts = [record for _, record in iter_records(fh)]
     report = evaluate_verdicts(verdicts)
     if args.json:
         print(json.dumps(report, ensure_ascii=False))

@@ -10,7 +10,7 @@ file, which keeps tokens out of checked-in configs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -28,8 +28,6 @@ from .retriever import (
 )
 
 AUTH_TOKEN_ENV = "DOCQA_AUTH_TOKEN"
-
-_TOP_SECTIONS = ("paths", "retrieval", "ensemble", "gates", "endpoint", "embedding")
 
 
 @dataclass(frozen=True)
@@ -53,150 +51,120 @@ class PipelineConfig:
     embedding: EndpointConfig | None = None
     embed_dim: int = 1024
 
+    def __post_init__(self):
+        if self.candidate_k < 1:
+            raise ValueError("candidate_k must be at least 1")
+        if self.schedule_count < 2:
+            raise ValueError("schedule_count must be at least 2")
+        if self.embed_dim < 1:
+            raise ValueError("embedding dim must be at least 1")
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    return dict(value)
+
+# YAML section -> the PipelineConfig fields its keys fill, in order. A
+# dataclass field takes the keys named after its own fields; any other field
+# takes the key of its own name.
+_SECTIONS = {
+    "paths": ("paths",),
+    "retrieval": ("weights", "policy", "candidate_k"),
+    "ensemble": ("schedule_count", "seed", "stop"),
+    "gates": ("thresholds",),
+    "endpoint": ("endpoint",),
+    "embedding": ("embed_dim", "embedding"),
+}
+# the fields whose YAML key differs from the field name
+_KEY_OF_FIELD = {"top_m": "min_pages", "top_n": "max_pages", "embed_dim": "dim"}
+_TYPES = {"int": int, "float": float, "str": str}
+# An endpoint section starts from this; its two names have no default.
+_BLANK_ENDPOINT = EndpointConfig(base_url="", model_name="")
 
 
-def _reject_unknown(section_name: str, leftovers: dict) -> None:
+def _typed(key: str, value, annotation: str):
+    """`value` checked against a field annotated `annotation` ("int", "float",
+    "str", optionally "| None"); an int is taken as a float. Annotations are
+    strings because each config dataclass's module defers them."""
+    if value is None and annotation.endswith("| None"):
+        return None
+    kind = annotation.split(" |")[0]
+    if kind == "float" and type(value) is int:
+        return float(value)
+    if type(value) is not _TYPES[kind]:
+        raise ConfigError(f"config key {key} must be {kind}, got {value!r}")
+    return value
+
+
+def _take(section: str, values: dict, targets) -> dict:
+    """Pop the keys naming the dataclass fields `targets` from `values`."""
+    taken = {}
+    for f in targets:
+        key = _KEY_OF_FIELD.get(f.name, f.name)
+        if key in values:
+            taken[f.name] = _typed(f"{section}.{key}", values.pop(key), f.type)
+    return taken
+
+
+def _endpoint(section: str, values: dict, auth_env: str | None) -> EndpointConfig | None:
+    if not values:
+        return None
+    endpoint = replace(_BLANK_ENDPOINT, **_take(section, values, fields(EndpointConfig)))
+    if not endpoint.base_url or not endpoint.model_name:
+        raise ConfigError(f"config section {section!r} needs both base_url and model_name")
+    if endpoint.auth_token is None and auth_env:
+        endpoint = replace(endpoint, auth_token=auth_env)
+    return endpoint
+
+
+def _reject_unknown(section_name: str, leftovers) -> None:
     if leftovers:
         keys = ", ".join(sorted(map(str, leftovers)))
         raise ConfigError(f"unknown key(s) in config section {section_name!r}: {keys}")
 
 
-def _endpoint_from(section: dict, section_name: str, auth_env: str | None) -> EndpointConfig | None:
-    if not section:
-        return None
-    base_url = section.pop("base_url", None)
-    model_name = section.pop("model_name", None)
-    if not base_url or not model_name:
-        raise ConfigError(
-            f"config section {section_name!r} needs both base_url and model_name"
-        )
-    kwargs = {}
-    for key in ("timeout", "max_retries", "max_in_flight", "auth_token", "backoff_base"):
-        if key in section:
-            kwargs[key] = section.pop(key)
-    _reject_unknown(section_name, section)
-    if kwargs.get("auth_token") is None and auth_env:
-        kwargs["auth_token"] = auth_env
+def _read_mapping(path: str | Path) -> dict:
     try:
-        return EndpointConfig(base_url=str(base_url), model_name=str(model_name), **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {section_name} config: {exc}") from exc
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        loaded = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
+    if loaded is None:
+        return {}
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"config file {path} must hold a top-level mapping")
+    return loaded
 
 
 def load_config(path: str | Path | None = None) -> PipelineConfig:
-    """Load a YAML config file, or return pure defaults when path is None."""
-    if path is None:
-        raw: dict = {}
-    else:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        try:
-            loaded = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {path} must hold a top-level mapping")
-        raw = loaded
-    unknown = {k: v for k, v in raw.items() if k not in _TOP_SECTIONS}
-    _reject_unknown("<top level>", unknown)
+    """Load a YAML config file, or return pure defaults when path is None.
 
-    paths_raw = _section(raw, "paths")
-    paths = PathsConfig(
-        corpus=str(paths_raw.pop("corpus", PathsConfig.corpus)),
-        lexical_index=str(paths_raw.pop("lexical_index", PathsConfig.lexical_index)),
-        semantic_index=str(paths_raw.pop("semantic_index", PathsConfig.semantic_index)),
-    )
-    _reject_unknown("paths", paths_raw)
-
-    retrieval = _section(raw, "retrieval")
-    try:
-        weights = FusionWeights(
-            alpha=float(retrieval.pop("alpha", DEFAULT_WEIGHTS.alpha)),
-            beta=float(retrieval.pop("beta", DEFAULT_WEIGHTS.beta)),
-        )
-        policy = SelectionPolicy(
-            top_m=int(retrieval.pop("min_pages", DEFAULT_POLICY.top_m)),
-            top_n=int(retrieval.pop("max_pages", DEFAULT_POLICY.top_n)),
-            threshold=float(retrieval.pop("threshold", DEFAULT_POLICY.threshold)),
-        )
-        candidate_k = int(retrieval.pop("candidate_k", DEFAULT_CANDIDATE_K))
-        if candidate_k < 1:
-            raise ValueError("candidate_k must be at least 1")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid retrieval config: {exc}") from exc
-    _reject_unknown("retrieval", retrieval)
-
-    ensemble = _section(raw, "ensemble")
-    try:
-        schedule_count = int(ensemble.pop("schedule_count", DEFAULT_SCHEDULE_COUNT))
-        if schedule_count < 2:
-            raise ValueError("schedule_count must be at least 2")
-        seed = int(ensemble.pop("seed", 0))
-        stop = StopRule(
-            min_responses=int(ensemble.pop("min_responses", StopRule.min_responses)),
-            confidence_threshold=float(
-                ensemble.pop("confidence_threshold", StopRule.confidence_threshold)
-            ),
-        )
-        if stop.min_responses < 1:
-            raise ValueError("min_responses must be at least 1")
-        if not 0.0 <= stop.confidence_threshold <= 1.0:
-            raise ValueError("confidence_threshold must lie in [0, 1]")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid ensemble config: {exc}") from exc
-    _reject_unknown("ensemble", ensemble)
-
-    gates = _section(raw, "gates")
-    defaults = GateThresholds()
-    try:
-        thresholds = GateThresholds(
-            question_min_chars=int(gates.pop("question_min_chars", defaults.question_min_chars)),
-            question_max_chars=int(gates.pop("question_max_chars", defaults.question_max_chars)),
-            min_clauses=int(gates.pop("min_clauses", defaults.min_clauses)),
-            support_jaccard=float(gates.pop("support_jaccard", defaults.support_jaccard)),
-            option_length_ratio=float(gates.pop("option_length_ratio", defaults.option_length_ratio)),
-            dedup_jaccard=float(gates.pop("dedup_jaccard", defaults.dedup_jaccard)),
-            min_reasoning_chars=int(gates.pop("min_reasoning_chars", defaults.min_reasoning_chars)),
-            evidence_overlap=float(gates.pop("evidence_overlap", defaults.evidence_overlap)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid gates config: {exc}") from exc
-    _reject_unknown("gates", gates)
-
+    Each key's value must have its field's type (an int also serves as a
+    float); unknown keys and out-of-range values are rejected.
+    """
+    raw = {} if path is None else _read_mapping(path)
+    _reject_unknown("<top level>", [key for key in raw if key not in _SECTIONS])
+    config = PipelineConfig()
+    top_fields = {f.name: f for f in fields(PipelineConfig)}
     auth_env = os.environ.get(AUTH_TOKEN_ENV)
-    endpoint_raw = _section(raw, "endpoint")
-    embedding_raw = _section(raw, "embedding")
-    try:
-        embed_dim = int(embedding_raw.pop("dim", 1024))
-        if embed_dim < 1:
-            raise ValueError("embedding dim must be at least 1")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid embedding config: {exc}") from exc
-    endpoint = _endpoint_from(endpoint_raw, "endpoint", auth_env)
-    embedding = _endpoint_from(embedding_raw, "embedding", auth_env)
-
-    return PipelineConfig(
-        paths=paths,
-        weights=weights,
-        policy=policy,
-        candidate_k=candidate_k,
-        schedule_count=schedule_count,
-        seed=seed,
-        stop=stop,
-        thresholds=thresholds,
-        endpoint=endpoint,
-        embedding=embedding,
-        embed_dim=embed_dim,
-    )
+    for section, names in _SECTIONS.items():
+        values = raw.get(section)
+        if values is None:
+            continue
+        if not isinstance(values, dict):
+            raise ConfigError(f"config section {section!r} must be a mapping")
+        values = dict(values)
+        changes = {}
+        try:
+            for name in names:
+                current = getattr(config, name)
+                if name in ("endpoint", "embedding"):
+                    changes[name] = _endpoint(section, values, auth_env)
+                elif is_dataclass(current):
+                    changes[name] = replace(current, **_take(section, values, fields(current)))
+                else:
+                    changes.update(_take(section, values, [top_fields[name]]))
+            _reject_unknown(section, values)
+            config = replace(config, **changes)
+        except ValueError as exc:
+            raise ConfigError(f"invalid {section} config: {exc}") from exc
+    return config

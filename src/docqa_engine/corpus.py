@@ -2,16 +2,19 @@
 
 One record per page, line-delimited JSON on the wire. Pages of a document
 must be contiguous starting at page 0; the corpus is immutable once built.
+The engine's readers for line-delimited JSON (iter_records) and for the
+binary index files (ByteReader) live here too.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from .errors import ConflictError, FormatError, IntegrityError, ParseError
 from .tokenizer import count_numeric_tokens
@@ -106,6 +109,24 @@ def _check_contiguous(ordered_pages: list[Page]) -> None:
         expected[p.doc_id] = want + 1
 
 
+def iter_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line of JSON objects.
+
+    A line that is not valid JSON, or holds anything but an object, raises
+    ParseError carrying its line number.
+    """
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
+        if not isinstance(record, dict):
+            raise ParseError("record is not an object", line_no)
+        yield line_no, record
+
+
 def ingest(source: Iterable[str] | IO[str]) -> Corpus:
     """Build a corpus from line-delimited JSON records.
 
@@ -114,16 +135,7 @@ def ingest(source: Iterable[str] | IO[str]) -> Corpus:
     up contiguous from 0, and an empty stream is an error.
     """
     pages: dict[PageRef, Page] = {}
-    for line_no, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
-        if not isinstance(record, dict):
-            raise ParseError("record is not an object", line_no)
+    for line_no, record in iter_records(source):
         try:
             doc_id = record["doc_id"]
             page_index = record["page_index"]
@@ -213,3 +225,43 @@ def load_corpus(path: str | Path) -> Corpus:
                 f"corpus file truncated: header says {expected} pages, found {len(pages)}"
             )
     return Corpus.from_pages(pages)
+
+
+class ByteReader:
+    """Bounds-checked little-endian reads over the bytes of one index file.
+
+    Every way the bytes can fall short (a wrong magic, truncation, a count
+    larger than the bytes left, an undecodable string, trailing bytes)
+    raises FormatError naming the file's kind.
+    """
+
+    def __init__(self, path: str | Path, magic: bytes, kind: str):
+        data = Path(path).read_bytes()
+        if data[: len(magic)] != magic:
+            raise FormatError(f"not a {kind} file")
+        self._view = memoryview(data)
+        self._pos = len(magic)
+        self._kind = kind
+
+    def take(self, size: int) -> memoryview:
+        end = self._pos + size
+        if end > len(self._view):
+            raise FormatError(f"{self._kind} file truncated")
+        chunk = self._view[self._pos : end]
+        self._pos = end
+        return chunk
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self) -> str:
+        """One string stored as its u32 byte length, then its UTF-8 bytes."""
+        (length,) = self.unpack("<I")
+        try:
+            return str(self.take(length), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self._kind} file holds a string that is not UTF-8") from exc
+
+    def finish(self) -> None:
+        if self._pos != len(self._view):
+            raise FormatError(f"trailing bytes after {self._kind} payload")

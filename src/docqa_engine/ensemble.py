@@ -51,6 +51,12 @@ class StopRule:
     min_responses: int = 10
     confidence_threshold: float = 0.8
 
+    def __post_init__(self):
+        if self.min_responses < 1:
+            raise ValueError("min_responses must be at least 1")
+        if not 0.0 <= self.confidence_threshold <= 1.0:
+            raise ValueError("confidence_threshold must lie in [0, 1]")
+
 
 @dataclass
 class EnsembleState:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, PageRef
+from .corpus import ByteReader, Corpus, PageRef
 from .errors import FormatError
 from .tokenizer import ngrams, tokenize
 
@@ -145,18 +145,6 @@ def _write_str(fh, text: str) -> None:
     fh.write(data)
 
 
-def _read_exact(fh, count: int) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise FormatError("lexical index file truncated")
-    return data
-
-
-def _read_str(fh) -> str:
-    (length,) = struct.unpack("<I", _read_exact(fh, 4))
-    return _read_exact(fh, length).decode("utf-8")
-
-
 def save_lexical_index(index: LexicalIndex, path: str | Path) -> None:
     """Binary layout: header, vocabulary table, per-page sparse vectors.
 
@@ -188,34 +176,25 @@ def save_lexical_index(index: LexicalIndex, path: str | Path) -> None:
 
 
 def load_lexical_index(path: str | Path) -> LexicalIndex:
-    with Path(path).open("rb") as fh:
-        if fh.read(4) != LEXICAL_MAGIC:
-            raise FormatError("not a lexical index file")
-        version, page_count, vocab_size, n_min, n_max = struct.unpack(
-            "<IIIII", _read_exact(fh, 20)
-        )
-        if version != LEXICAL_FORMAT_VERSION:
-            raise FormatError(f"unsupported lexical index version {version}")
-        feature_ids: dict[str, int] = {}
-        df: list[int] = []
-        for fid in range(vocab_size):
-            feature = _read_str(fh)
-            (feature_df,) = struct.unpack("<I", _read_exact(fh, 4))
-            feature_ids[feature] = fid
-            df.append(feature_df)
-        page_refs: list[PageRef] = []
-        doc_vectors: list[list[tuple[int, float]]] = []
-        for _ in range(page_count):
-            doc_id = _read_str(fh)
-            page_index, nnz = struct.unpack("<II", _read_exact(fh, 8))
-            vector = []
-            for _ in range(nnz):
-                fid, weight = struct.unpack("<Id", _read_exact(fh, 12))
-                vector.append((fid, weight))
-            page_refs.append((doc_id, page_index))
-            doc_vectors.append(vector)
-        if fh.read(1):
-            raise FormatError("trailing bytes after lexical index payload")
+    reader = ByteReader(path, LEXICAL_MAGIC, "lexical index")
+    version, page_count, vocab_size, n_min, n_max = reader.unpack("<IIIII")
+    if version != LEXICAL_FORMAT_VERSION:
+        raise FormatError(f"unsupported lexical index version {version}")
+    if not 1 <= n_min <= n_max:
+        raise FormatError(f"lexical index n-gram range [{n_min}, {n_max}] is invalid")
+    feature_ids: dict[str, int] = {}
+    df: list[int] = []
+    for fid in range(vocab_size):
+        feature_ids[reader.text()] = fid
+        df.append(reader.unpack("<I")[0])
+    page_refs: list[PageRef] = []
+    doc_vectors: list[list[tuple[int, float]]] = []
+    for _ in range(page_count):
+        doc_id = reader.text()
+        page_index, nnz = reader.unpack("<II")
+        page_refs.append((doc_id, page_index))
+        doc_vectors.append(list(struct.iter_unpack("<Id", reader.take(12 * nnz))))
+    reader.finish()
     return LexicalIndex(
         vocabulary=Vocabulary(feature_ids=feature_ids, df=df),
         page_refs=page_refs,

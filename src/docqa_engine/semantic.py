@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, PageRef
+from .corpus import ByteReader, Corpus, PageRef
 from .errors import ContractError, FormatError
 
 SEMANTIC_MAGIC = b"SEMV"
@@ -76,15 +76,6 @@ def embed(texts: list[str], client, dim: int = DEFAULT_DIM,
                 raise ContractError("endpoint returned a zero embedding vector")
             rows.append((arr / norm).astype(np.float32))
     return np.stack(rows)
-
-
-def cosine_sim(q: np.ndarray, d: np.ndarray) -> float:
-    """Dot product of two normalized vectors; symmetric, sim(v, v) = 1."""
-    q = np.asarray(q)
-    d = np.asarray(d)
-    if q.shape != d.shape:
-        raise ValueError(f"dimension mismatch: {q.shape} vs {d.shape}")
-    return float(np.dot(q.astype(np.float64), d.astype(np.float64)))
 
 
 def build_semantic_index(
@@ -154,28 +145,16 @@ def save_semantic_index(index: SemanticIndex, path: str | Path) -> None:
             fh.write(struct.pack("<I", page_index))
 
 
-def _read_exact(fh, count: int) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise FormatError("semantic index file truncated")
-    return data
-
-
 def load_semantic_index(path: str | Path) -> SemanticIndex:
-    with Path(path).open("rb") as fh:
-        if fh.read(4) != SEMANTIC_MAGIC:
-            raise FormatError("not a semantic index file")
-        version, dim, count = struct.unpack("<III", _read_exact(fh, 12))
-        if version != SEMANTIC_FORMAT_VERSION:
-            raise FormatError(f"unsupported semantic index version {version}")
-        raw = _read_exact(fh, count * dim * 4)
-        vectors = np.frombuffer(raw, dtype="<f4").reshape(count, dim).copy()
-        page_refs: list[PageRef] = []
-        for _ in range(count):
-            (length,) = struct.unpack("<I", _read_exact(fh, 4))
-            doc_id = _read_exact(fh, length).decode("utf-8")
-            (page_index,) = struct.unpack("<I", _read_exact(fh, 4))
-            page_refs.append((doc_id, page_index))
-        if fh.read(1):
-            raise FormatError("trailing bytes after semantic index payload")
+    reader = ByteReader(path, SEMANTIC_MAGIC, "semantic index")
+    version, dim, count = reader.unpack("<III")
+    if version != SEMANTIC_FORMAT_VERSION:
+        raise FormatError(f"unsupported semantic index version {version}")
+    raw = reader.take(count * dim * 4)
+    vectors = np.frombuffer(raw, dtype="<f4").reshape(count, dim).copy()
+    page_refs: list[PageRef] = []
+    for _ in range(count):
+        doc_id = reader.text()
+        page_refs.append((doc_id, reader.unpack("<I")[0]))
+    reader.finish()
     return SemanticIndex(vectors=vectors, page_refs=page_refs, dim=dim)

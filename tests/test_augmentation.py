@@ -36,7 +36,6 @@ from docqa_engine.augment import (
     is_content_page,
     parse_feasibility,
     parse_qa_candidate,
-    read_qa_jsonl,
     run_gates,
     score_page,
     select_pages,
@@ -45,6 +44,7 @@ from docqa_engine.augment import (
     write_audit_jsonl,
     write_qa_jsonl,
 )
+from docqa_engine.cli import QuestionRecord, read_questions_jsonl
 from docqa_engine.corpus import Corpus, Page
 from docqa_engine.errors import ContractError, EndpointError, ParseError, TransportError
 from docqa_engine.gateway import MockModelServer, MockReply
@@ -1126,7 +1126,11 @@ class TestJsonlIO:
         ]
         path = tmp_path / "qa.jsonl"
         write_qa_jsonl(path, candidates)
-        assert read_qa_jsonl(path) == candidates
+        assert read_questions_jsonl(path) == [
+            QuestionRecord(question=c.question, options=c.options,
+                           answer_index=c.answer_index, doc_id=c.source_page[0])
+            for c in candidates
+        ]
 
     def test_record_shape_on_disk(self, tmp_path):
         path = tmp_path / "qa.jsonl"
@@ -1141,7 +1145,7 @@ class TestJsonlIO:
         path = tmp_path / "qa.jsonl"
         write_qa_jsonl(path, [_candidate()])
         path.write_text(path.read_text(encoding="utf-8") + "\n\n", encoding="utf-8")
-        assert len(read_qa_jsonl(path)) == 1
+        assert len(read_questions_jsonl(path)) == 1
 
     def test_bad_json_line_numbered(self, tmp_path):
         path = tmp_path / "qa.jsonl"
@@ -1149,28 +1153,17 @@ class TestJsonlIO:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("{oops\n")
         with pytest.raises(ParseError, match="line 2") as excinfo:
-            read_qa_jsonl(path)
+            read_questions_jsonl(path)
         assert excinfo.value.line_no == 2
 
     def test_missing_field_numbered(self, tmp_path):
         path = tmp_path / "qa.jsonl"
         path.write_text('{"question": "q"}\n', encoding="utf-8")
         with pytest.raises(ParseError, match="line 1"):
-            read_qa_jsonl(path)
+            read_questions_jsonl(path)
 
     def test_audit_jsonl(self, tmp_path):
         path = tmp_path / "audit.jsonl"
         write_audit_jsonl(path, [{"stage": "parse", "attempt": 0}])
         lines = path.read_text(encoding="utf-8").splitlines()
         assert json.loads(lines[0]) == {"stage": "parse", "attempt": 0}
-
-
-def test_candidate_record_defaults():
-    candidate = QACandidate.from_record(
-        {"question": "q", "options": ["a", "b"], "answer_index": 0,
-         "doc_id": "d", "page_index": 3}
-    )
-    assert candidate.qtype == "comprehensive"
-    assert candidate.evidence == ""
-    with pytest.raises(ParseError, match="bad QA record"):
-        QACandidate.from_record({"question": "q"})

@@ -27,7 +27,7 @@ from docqa_engine.cli import QuestionRecord, answer_questions
 from docqa_engine.config import PipelineConfig
 from docqa_engine.corpus import Corpus, Page
 from docqa_engine.ensemble import build_answer_prompt, make_schedule, run_ensemble
-from docqa_engine.errors import ConfigError, TransportError
+from docqa_engine.errors import ConfigError, ParseError, TransportError
 from docqa_engine.gateway import MockModelServer, MockReply
 from docqa_engine.lexical import build_lexical_index
 from docqa_engine.retriever import retrieve
@@ -207,3 +207,17 @@ def test_doc_restricted_question_gets_its_document_pages():
     (record,) = answer_questions([question], corpus, _SeedKeyedChat(1, [0.0], 2),
                                  PipelineConfig(), lexical_index=index)
     assert record["retrieved"] == [["b", 1]]
+
+
+def test_unknown_doc_id_is_rejected_before_any_request():
+    corpus, index = _fixture()
+
+    class Chat(_SeedKeyedChat):
+        def generate(self, request):
+            raise AssertionError("no request may be sent")
+
+    questions = _questions([0, 1]) + [
+        QuestionRecord(question="売上高は", options=_OPTIONS, doc_id="missing")]
+    with pytest.raises(ParseError, match="question 3: doc_id 'missing' names no document"):
+        answer_questions(questions, corpus, Chat(1, [0.0], 2), PipelineConfig(),
+                         lexical_index=index)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import struct
 
 import pytest
 
@@ -224,6 +225,23 @@ class TestRetrieve:
     def test_missing_index_is_io_error(self, tmp_path):
         assert main(["retrieve", "q", "--lexical", str(tmp_path / "none.idx")]) == EXIT_IO
 
+    def test_undecodable_lexical_feature_is_io_error(self, tmp_path, artifacts, capsys):
+        data = bytearray(artifacts["lexical"].read_bytes())
+        data[28] = 0xFF  # first byte of the first feature string
+        corrupt = tmp_path / "corrupt.idx"
+        corrupt.write_bytes(bytes(data))
+        assert main(["retrieve", "q", "--lexical", str(corrupt)]) == EXIT_IO
+        assert "i/o error: lexical index" in capsys.readouterr().err
+
+    def test_huge_semantic_header_counts_are_io_error(self, tmp_path, artifacts, capsys):
+        semantic = tmp_path / "semantic.idx"
+        semantic.write_bytes(b"SEMV" + struct.pack("<III", 1, 0xFFFFFFFF, 0xFFFFFFFF))
+        code = main(["retrieve", "q", "--lexical", str(artifacts["lexical"]),
+                     "--semantic", str(semantic),
+                     "--embed-url", "http://127.0.0.1:9/v1", "--embed-model", "m"])
+        assert code == EXIT_IO
+        assert "semantic index file truncated" in capsys.readouterr().err
+
 
 def _augment_chat_script():
     """Chat callable for the mock server: generation blocks, echoed audits."""
@@ -348,6 +366,20 @@ class TestInfer:
         assert all(r["retrieved"] == [] for r in records)
         assert all(r["predicted_index"] == 1 for r in records)
 
+    def test_unknown_doc_id_is_validation_error(self, tmp_path, artifacts, capsys):
+        questions = tmp_path / "q.jsonl"
+        _write_jsonl(questions, [{"question": "売上高は", "options": ["a", "b"],
+                                  "doc_id": "nope"}])
+        with MockModelServer(chat="Answer: A") as server:
+            code = main([
+                "infer", "--questions", str(questions), "--output", str(tmp_path / "v.jsonl"),
+                "--corpus", str(artifacts["corpus"]), "--lexical", str(artifacts["lexical"]),
+                "--endpoint-url", server.base_url, "--model", "mock-model",
+            ])
+            assert server.request_log == []
+        assert code == EXIT_VALIDATION
+        assert "doc_id 'nope' names no document" in capsys.readouterr().err
+
     def test_missing_questions_file_is_io_error(self, tmp_path, artifacts):
         assert main([
             "infer", "--questions", str(tmp_path / "none.jsonl"),
@@ -399,6 +431,10 @@ class TestReadQuestions:
              "answer_index 2 out of range for 2 options"),
             ({"question": "q", "options": ["a", "b"], "answer_index": -1},
              "answer_index -1 out of range"),
+            ({"question": "q", "options": "ab"}, "options must be a list"),
+            ({"question": "q", "options": ["a", "b"], "doc_id": 7}, "doc_id must be a string"),
+            ({"question": "q", "options": ["a", "b"], "category": ["Num"]},
+             "category must be a string"),
         ],
     )
     def test_unanswerable_records_rejected_with_line(self, tmp_path, record, match):
@@ -487,6 +523,12 @@ class TestEvaluate:
         assert main(["evaluate", "--verdicts", str(path)]) == EXIT_VALIDATION
         assert "line 1" in capsys.readouterr().err
 
+    def test_non_object_line_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "verdicts.jsonl"
+        path.write_text(json.dumps(_verdict(0, 0)) + "\n[1]\n", encoding="utf-8")
+        assert main(["evaluate", "--verdicts", str(path)]) == EXIT_VALIDATION
+        assert "line 2: record is not an object" in capsys.readouterr().err
+
 
 class TestParserAndConfig:
     def test_missing_subcommand_exits_via_argparse(self):
@@ -508,3 +550,16 @@ class TestParserAndConfig:
                      "--lexical", str(artifacts["lexical"])])
         assert code == EXIT_OK
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+    def test_wrong_config_type_is_config_error(self, tmp_path, artifacts, questions_file,
+                                               capsys):
+        config = tmp_path / "config.yaml"
+        with MockModelServer(chat="Answer: A") as server:
+            config.write_text(
+                f"endpoint:\n  base_url: {server.base_url}\n  model_name: m\n"
+                "  max_retries: 1.5\n", encoding="utf-8")
+            code = main(["--config", str(config), "infer",
+                         "--questions", str(questions_file), "--output", str(tmp_path / "v"),
+                         "--corpus", str(artifacts["corpus"]), "--no-retrieval"])
+        assert code == EXIT_CONFIG
+        assert "endpoint.max_retries must be int" in capsys.readouterr().err

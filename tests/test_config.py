@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from docqa_engine.config import AUTH_TOKEN_ENV, PipelineConfig, load_config
@@ -157,3 +159,58 @@ class TestRejection:
     def test_bad_candidate_k(self, tmp_path):
         with pytest.raises(ConfigError, match="candidate_k"):
             load_config(_write(tmp_path, "retrieval:\n  candidate_k: 0\n"))
+
+
+_ENDPOINT = "  base_url: http://llm/v1\n  model_name: m\n"
+
+# (key, YAML holding a value of the wrong type for it)
+_WRONG_TYPES = [
+    ("retrieval.min_pages", "retrieval:\n  min_pages: 2.7\n"),
+    ("retrieval.max_pages", "retrieval:\n  max_pages: '9'\n"),
+    ("retrieval.alpha", "retrieval:\n  alpha: '0.5'\n  beta: 0.5\n"),
+    ("retrieval.threshold", "retrieval:\n  threshold: true\n"),
+    ("retrieval.candidate_k", "retrieval:\n  candidate_k: 5.0\n"),
+    ("ensemble.min_responses", "ensemble:\n  min_responses: true\n"),
+    ("ensemble.schedule_count", "ensemble:\n  schedule_count: 6.5\n"),
+    ("ensemble.seed", "ensemble:\n  seed: '3'\n"),
+    ("ensemble.confidence_threshold", "ensemble:\n  confidence_threshold: [0.5]\n"),
+    ("paths.corpus", "paths:\n  corpus: [a, b]\n"),
+    ("paths.semantic_index", "paths:\n  semantic_index: 7\n"),
+    ("gates.min_clauses", "gates:\n  min_clauses: 1.0\n"),
+    ("gates.dedup_jaccard", "gates:\n  dedup_jaccard: high\n"),
+    ("endpoint.max_retries", "endpoint:\n" + _ENDPOINT + "  max_retries: 1.5\n"),
+    ("endpoint.base_url", "endpoint:\n  base_url: 8000\n  model_name: m\n"),
+    ("endpoint.auth_token", "endpoint:\n" + _ENDPOINT + "  auth_token: 123\n"),
+    ("embedding.max_in_flight", "embedding:\n" + _ENDPOINT + "  max_in_flight: true\n"),
+    ("embedding.dim", "embedding:\n  dim: 256.0\n"),
+]
+
+
+class TestTypes:
+    @pytest.mark.parametrize("key, text", _WRONG_TYPES, ids=[key for key, _ in _WRONG_TYPES])
+    def test_wrong_type_is_rejected_naming_the_key(self, tmp_path, key, text):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(_write(tmp_path, text))
+
+    def test_float_field_takes_an_int(self, tmp_path):
+        config = load_config(_write(
+            tmp_path,
+            "retrieval:\n  alpha: 1\n  beta: 0\nendpoint:\n" + _ENDPOINT + "  backoff_base: 2\n",
+        ))
+        assert (config.weights.alpha, config.weights.beta) == (1.0, 0.0)
+        assert isinstance(config.weights.alpha, float)
+        assert config.endpoint.backoff_base == 2.0
+
+    def test_field_names_are_not_config_keys(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown key.*top_m"):
+            load_config(_write(tmp_path, "retrieval:\n  top_m: 2\n"))
+
+    def test_null_auth_token_falls_back_to_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(AUTH_TOKEN_ENV, "from-env")
+        path = _write(tmp_path, "endpoint:\n" + _ENDPOINT + "  auth_token: null\n")
+        assert load_config(path).endpoint.auth_token == "from-env"
+
+    def test_embedding_dim_alone_sets_no_endpoint(self, tmp_path):
+        config = load_config(_write(tmp_path, "embedding:\n  dim: 64\n"))
+        assert config.embed_dim == 64
+        assert config.embedding is None

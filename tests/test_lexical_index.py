@@ -6,11 +6,17 @@ cosine via dot product — with plain dict arithmetic, independent of the
 index's postings machinery.
 """
 
+import functools
 import math
+import struct
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from docqa_engine.corpus import Corpus, Page
 from docqa_engine.errors import FormatError
@@ -238,3 +244,58 @@ class TestPersistence:
 
     def test_magic_constant(self):
         assert LEXICAL_MAGIC == b"LEXI"
+
+
+# ---------------------------------------------------------------------------
+# Corrupt files: each one loads or raises FormatError, never another exception
+
+
+@functools.cache
+def _sample_file() -> bytes:
+    corpus = _corpus(("d", ["日本語のテキスト 12%", "alpha beta"]), ("e", ["gamma 3"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lex.idx"
+        save_lexical_index(build_lexical_index(corpus, n_min=1, n_max=2), path)
+        return path.read_bytes()
+
+
+def _load_bytes(tmp_path, data: bytes):
+    path = tmp_path / "corrupt.idx"
+    path.write_bytes(data)
+    return load_lexical_index(path)
+
+
+class TestCorruptFiles:
+    def test_every_truncation_rejected(self, tmp_path):
+        data = _sample_file()
+        for cut in range(len(data)):
+            with pytest.raises(FormatError):
+                _load_bytes(tmp_path, data[:cut])
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_single_byte_flip_loads_or_raises_format_error(self, tmp_path, data):
+        corrupt = bytearray(_sample_file())
+        corrupt[data.draw(st.integers(0, len(corrupt) - 1), label="offset")] ^= data.draw(
+            st.integers(1, 255), label="mask")
+        try:
+            _load_bytes(tmp_path, bytes(corrupt))
+        except FormatError:
+            pass
+
+    @pytest.mark.parametrize(
+        "offset", [8, 12, 16, 24],
+        ids=["page_count", "vocab_size", "n_min", "first_feature_length"])
+    def test_huge_header_count_rejected(self, tmp_path, offset):
+        data = bytearray(_sample_file())
+        struct.pack_into("<I", data, offset, 0xFFFFFFFF)
+        with pytest.raises(FormatError):
+            _load_bytes(tmp_path, bytes(data))
+
+    @pytest.mark.parametrize("n_min, n_max", [(0, 2), (3, 2)])
+    def test_gram_range_outside_one_to_n_max_rejected(self, tmp_path, n_min, n_max):
+        data = bytearray(_sample_file())
+        struct.pack_into("<II", data, 16, n_min, n_max)
+        with pytest.raises(FormatError, match="n-gram range"):
+            _load_bytes(tmp_path, bytes(data))

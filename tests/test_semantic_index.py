@@ -1,7 +1,14 @@
 """Embedding plumbing and exact cosine search against a full-scan oracle."""
 
+import functools
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from docqa_engine.corpus import Corpus, Page
 from docqa_engine.errors import ContractError, FormatError
@@ -10,7 +17,6 @@ from docqa_engine.semantic import (
     EmbedPrefixes,
     SemanticIndex,
     build_semantic_index,
-    cosine_sim,
     embed,
     embed_query,
     load_semantic_index,
@@ -84,23 +90,6 @@ class TestEmbed:
         client = FakeEmbedClient(lambda texts: [[0.0] * 8 for _ in texts])
         with pytest.raises(ContractError, match="zero"):
             embed(["x"], client, dim=8)
-
-
-class TestCosine:
-    def test_self_similarity_is_one(self):
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(16)
-        v = v / np.linalg.norm(v)
-        assert cosine_sim(v, v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.standard_normal((2, 16))
-        assert cosine_sim(a, b) == pytest.approx(cosine_sim(b, a), abs=1e-15)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_sim(np.ones(3), np.ones(4))
 
 
 class TestSearch:
@@ -238,3 +227,53 @@ class TestPersistence:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
             load_semantic_index(path)
+
+
+# ---------------------------------------------------------------------------
+# Corrupt files: each one loads or raises FormatError, never another exception
+
+
+@functools.cache
+def _sample_file() -> bytes:
+    vectors = _unit_rows(np.random.default_rng(7), 3, 4)
+    index = SemanticIndex(vectors=vectors, page_refs=[("報告書", 0), ("報告書", 1), ("b", 0)],
+                          dim=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sem.idx"
+        save_semantic_index(index, path)
+        return path.read_bytes()
+
+
+def _load_bytes(tmp_path, data: bytes):
+    path = tmp_path / "corrupt.idx"
+    path.write_bytes(data)
+    return load_semantic_index(path)
+
+
+class TestCorruptFiles:
+    def test_every_truncation_rejected(self, tmp_path):
+        data = _sample_file()
+        for cut in range(len(data)):
+            with pytest.raises(FormatError):
+                _load_bytes(tmp_path, data[:cut])
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_single_byte_flip_loads_or_raises_format_error(self, tmp_path, data):
+        corrupt = bytearray(_sample_file())
+        corrupt[data.draw(st.integers(0, len(corrupt) - 1), label="offset")] ^= data.draw(
+            st.integers(1, 255), label="mask")
+        try:
+            _load_bytes(tmp_path, bytes(corrupt))
+        except FormatError:
+            pass
+
+    @pytest.mark.parametrize("fields", [(8,), (12,), (8, 12)],
+                             ids=["dim", "count", "dim_and_count"])
+    def test_huge_header_count_rejected(self, tmp_path, fields):
+        data = bytearray(_sample_file())
+        for offset in fields:
+            struct.pack_into("<I", data, offset, 0xFFFFFFFF)
+        with pytest.raises(FormatError, match="truncated"):
+            _load_bytes(tmp_path, bytes(data))
