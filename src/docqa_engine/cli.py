@@ -74,14 +74,20 @@ def read_questions_jsonl(path: str | Path) -> list[QuestionRecord]:
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in iter_records(fh):
             try:
+                if not isinstance(raw["question"], str):
+                    raise ValueError("question must be a string")
                 if not isinstance(raw["options"], list):
                     raise ValueError("options must be a list")
+                if not all(isinstance(o, str) for o in raw["options"]):
+                    raise ValueError("options must be strings")
                 for key in ("doc_id", "category"):
                     if not isinstance(raw.get(key), (str, type(None))):
                         raise ValueError(f"{key} must be a string")
-                options = tuple(str(o) for o in raw["options"])
+                options = tuple(raw["options"])
                 answer_index = raw.get("answer_index")
-                answer_index = None if answer_index is None else int(answer_index)
+                # bool is an int subclass; JSON true must not read as index 1
+                if answer_index is not None and type(answer_index) is not int:
+                    raise ValueError("answer_index must be an integer")
                 if not 2 <= len(options) <= MAX_OPTIONS:
                     raise ValueError(
                         f"{len(options)} options; a question needs 2 to {MAX_OPTIONS}")
@@ -90,7 +96,7 @@ def read_questions_jsonl(path: str | Path) -> list[QuestionRecord]:
                         f"answer_index {answer_index} out of range for {len(options)} options")
                 records.append(
                     QuestionRecord(
-                        question=str(raw["question"]),
+                        question=raw["question"],
                         options=options,
                         answer_index=answer_index,
                         doc_id=raw.get("doc_id"),

@@ -10,17 +10,20 @@ deterministic behavior so every network path can be exercised in tests.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
+import queue
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
+from urllib.parse import urlsplit
 
 import numpy as np
-import requests
 
-from .errors import ContractError, EndpointError, TransportError
+from .errors import ConfigError, ContractError, EndpointError, TransportError
 
 
 @dataclass(frozen=True)
@@ -48,19 +51,64 @@ def _retry_after_seconds(value: str | None) -> float:
     return float(int(value)) if value.isdecimal() else 0.0
 
 
+# Errors raised before any status line arrives: on a reused keep-alive
+# connection they mean the server closed it while it sat idle in the pool.
+_STALE_CONNECTION = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    for conn in connections:
+        conn.close()
+
+
 class GatewayClient:
-    """Shared client for one endpoint; enforces the in-flight cap internally."""
+    """Shared client for one endpoint.
+
+    It keeps ``max_in_flight`` keep-alive connections in a pool; a request
+    waits for a free connection, so the pool is also the in-flight cap.
+    """
 
     def __init__(self, config: EndpointConfig):
         self.config = config
-        self._session = requests.Session()
-        self._gate = threading.BoundedSemaphore(config.max_in_flight)
+        try:
+            url = urlsplit(config.base_url)
+            connection = {"http": http.client.HTTPConnection,
+                          "https": http.client.HTTPSConnection}[url.scheme]
+            host, port = url.hostname, url.port
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"base_url {config.base_url!r} is not an http(s) URL") from exc
+        if not host:
+            raise ConfigError(f"base_url {config.base_url!r} has no host")
+        self._prefix = url.path.rstrip("/")
+        self._headers = {"Content-Type": "application/json"}
+        if config.auth_token:
+            self._headers["Authorization"] = f"Bearer {config.auth_token}"
+        connections = [connection(host, port, timeout=config.timeout)
+                       for _ in range(config.max_in_flight)]
+        self._pool: queue.LifoQueue = queue.LifoQueue()
+        for conn in connections:
+            self._pool.put(conn)
+        # a collected client closes its open keep-alive sockets itself
+        weakref.finalize(self, _close_all, connections)
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        if self.config.auth_token:
-            headers["Authorization"] = f"Bearer {self.config.auth_token}"
-        return headers
+    def _exchange(self, conn: http.client.HTTPConnection, path: str,
+                  body: bytes) -> tuple[int, str | None, bytes]:
+        """One POST on a pooled connection: status, Retry-After, response body.
+
+        A reused connection the server has closed while idle is opened
+        again and the request sent once more, without counting as a retry.
+        """
+        reused = conn.sock is not None
+        try:
+            conn.request("POST", self._prefix + path, body, self._headers)
+            resp = conn.getresponse()
+        except _STALE_CONNECTION:
+            if not reused:
+                raise
+            conn.close()
+            conn.request("POST", self._prefix + path, body, self._headers)
+            resp = conn.getresponse()
+        return resp.status, resp.getheader("Retry-After"), resp.read()
 
     def _post(self, path: str, payload: dict) -> dict:
         """POST with bounded retries and exponential backoff.
@@ -71,7 +119,7 @@ class GatewayClient:
         max(backoff, Retry-After), with Retry-After capped at the request
         timeout so one header cannot stall the caller indefinitely.
         """
-        url = self.config.base_url.rstrip("/") + path
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         delay = self.config.backoff_base
         attempts = self.config.max_retries + 1
         last_exc: Exception | None = None
@@ -82,28 +130,25 @@ class GatewayClient:
                 time.sleep(max(delay, retry_after))
                 delay *= 2
                 retry_after = 0.0
-            with self._gate:
+            conn = self._pool.get()
+            try:
+                status, retry_after_header, data = self._exchange(conn, path, body)
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                last_exc = exc
+                continue
+            finally:
+                self._pool.put(conn)
+            if 200 <= status < 300:
                 try:
-                    resp = self._session.post(
-                        url, json=payload, timeout=self.config.timeout,
-                        headers=self._headers(),
-                    )
-                except requests.RequestException as exc:
-                    last_exc = exc
-                    continue
-            if 200 <= resp.status_code < 300:
-                try:
-                    return resp.json()
+                    return json.loads(data)
                 except ValueError as exc:
                     raise ContractError("endpoint returned non-JSON body") from exc
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_status = resp.status_code
-                retry_after = min(
-                    _retry_after_seconds(resp.headers.get("Retry-After")),
-                    self.config.timeout,
-                )
+            if status == 429 or status >= 500:
+                last_status = status
+                retry_after = min(_retry_after_seconds(retry_after_header), self.config.timeout)
                 continue
-            raise EndpointError(resp.text[:200], resp.status_code)
+            raise EndpointError(data.decode("utf-8", "replace")[:200], status)
         if last_status is not None:
             raise EndpointError("retries exhausted", last_status)
         raise TransportError(
@@ -177,6 +222,10 @@ def _as_reply(entry) -> MockReply:
 
 class _MockRequestHandler(BaseHTTPRequestHandler):
     server_version = "MockModel/1.0"
+    protocol_version = "HTTP/1.1"
+    # Keep-alive plus Nagle would hold each response body until the client's
+    # delayed ACK of the headers.
+    disable_nagle_algorithm = True
 
     def log_message(self, *args):  # keep pytest output clean
         pass

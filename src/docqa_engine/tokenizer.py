@@ -85,7 +85,7 @@ def ngrams(tokens: list[Token], n_min: int = 1, n_max: int = 5) -> list[str]:
         raise ValueError(f"invalid n-gram range [{n_min}, {n_max}]")
     texts = [t.text for t in tokens]
     grams: list[str] = []
-    for n in range(n_min, n_max + 1):
+    for n in range(n_min, min(n_max, len(texts)) + 1):
         for i in range(len(texts) - n + 1):
             grams.append(NGRAM_SEP.join(texts[i : i + n]))
     return grams

@@ -435,6 +435,17 @@ class TestReadQuestions:
             ({"question": "q", "options": ["a", "b"], "doc_id": 7}, "doc_id must be a string"),
             ({"question": "q", "options": ["a", "b"], "category": ["Num"]},
              "category must be a string"),
+            ({"question": "q", "options": ["a", "b"], "answer_index": 1.5},
+             "answer_index must be an integer"),
+            ({"question": "q", "options": ["a", "b"], "answer_index": 1.0},
+             "answer_index must be an integer"),
+            ({"question": "q", "options": ["a", "b"], "answer_index": True},
+             "answer_index must be an integer"),
+            ({"question": "q", "options": ["a", "b"], "answer_index": "1"},
+             "answer_index must be an integer"),
+            ({"question": "q", "options": ["a", None]}, "options must be strings"),
+            ({"question": "q", "options": ["a", 2]}, "options must be strings"),
+            ({"question": None, "options": ["a", "b"]}, "question must be a string"),
         ],
     )
     def test_unanswerable_records_rejected_with_line(self, tmp_path, record, match):
@@ -442,6 +453,18 @@ class TestReadQuestions:
         _write_jsonl(path, [{"question": "ok", "options": ["a", "b"]}, record])
         with pytest.raises(ParseError, match=f"line 2: bad question record: {re.escape(match)}"):
             read_questions_jsonl(path)
+
+    def test_coerced_answer_index_exits_with_validation(self, tmp_path, artifacts, capsys):
+        path = tmp_path / "q.jsonl"
+        _write_jsonl(path, [{"question": "q", "options": ["a", "b", "c"], "answer_index": "2"}])
+        code = main([
+            "infer", "--questions", str(path), "--output", str(tmp_path / "v.jsonl"),
+            "--corpus", str(artifacts["corpus"]), "--no-retrieval",
+            "--endpoint-url", "http://x/v1", "--model", "m",
+        ])
+        assert code == EXIT_VALIDATION
+        assert "line 1: bad question record: answer_index must be an integer" \
+            in capsys.readouterr().err
 
     def test_ten_options_with_last_answer_accepted(self, tmp_path):
         path = tmp_path / "q.jsonl"

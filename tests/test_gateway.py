@@ -1,13 +1,17 @@
 """Gateway client and mock endpoint tests.
 
 Everything here runs against the real HTTP stack: the mock server binds a
-loopback port and the client talks to it through requests, so retries,
-status handling, and concurrency caps are exercised end to end.
+loopback port and the client talks to it over pooled keep-alive
+connections, so retries, status handling, connection reuse and
+concurrency caps are exercised end to end.
 """
 
 from __future__ import annotations
 
+import os
 import socket
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -16,12 +20,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from docqa_engine.errors import ContractError, EndpointError, TransportError
+import docqa_engine
+from docqa_engine.errors import ConfigError, ContractError, EndpointError, TransportError
 from docqa_engine.gateway import (
     EndpointConfig,
     GatewayClient,
     MockModelServer,
     MockReply,
+    _MockRequestHandler,
     _retry_after_seconds,
     hash_embedder,
     request_fingerprint,
@@ -32,6 +38,24 @@ def _free_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
+
+
+QUESTION = {"messages": [{"role": "user", "content": "q"}]}
+
+
+@pytest.fixture
+def seen(monkeypatch) -> list[tuple]:
+    """(path, Authorization header, client address) of each request the
+    mock server reads; one client address is one TCP connection."""
+    log: list[tuple] = []
+    handle = _MockRequestHandler.do_POST
+
+    def recording(handler):
+        log.append((handler.path, handler.headers.get("Authorization"), handler.client_address))
+        handle(handler)
+
+    monkeypatch.setattr(_MockRequestHandler, "do_POST", recording)
+    return log
 
 
 class TestEndpointConfig:
@@ -54,15 +78,23 @@ class TestEndpointConfig:
         with pytest.raises(ValueError, match=match):
             EndpointConfig(base_url="http://x", model_name="m", **kwargs)
 
-    def test_auth_token_becomes_bearer_header(self):
-        client = GatewayClient(
-            EndpointConfig(base_url="http://x", model_name="m", auth_token="tok")
-        )
-        assert client._headers()["Authorization"] == "Bearer tok"
+    def test_auth_token_becomes_bearer_header(self, seen):
+        with MockModelServer(chat="ok") as server:
+            client = server.make_client(auth_token="tok")
+            client.generate(QUESTION)
+            client.embed(["page"])
+        assert [auth for _, auth, _ in seen] == ["Bearer tok", "Bearer tok"]
 
-    def test_no_token_no_header(self):
-        client = GatewayClient(EndpointConfig(base_url="http://x", model_name="m"))
-        assert "Authorization" not in client._headers()
+    def test_no_token_no_header(self, seen):
+        with MockModelServer(chat="ok") as server:
+            server.make_client().generate(QUESTION)
+        assert seen[0][1] is None
+
+    @pytest.mark.parametrize(
+        "base_url", ["ftp://x/v1", "localhost:8000/v1", "http:///v1", "http://x:port/v1"])
+    def test_base_url_must_be_an_http_url(self, base_url):
+        with pytest.raises(ConfigError, match="base_url"):
+            GatewayClient(EndpointConfig(base_url=base_url, model_name="m"))
 
 
 class TestRequestFingerprint:
@@ -279,6 +311,66 @@ class TestConcurrencyCap:
                 results = [f.result() for f in futures]
             assert results == ["ok"] * 8
             assert 1 <= server.max_in_flight_observed <= 2
+
+
+class TestKeepAlive:
+    @pytest.mark.parametrize("max_in_flight", [1, 3])
+    def test_sequential_requests_share_one_connection(self, seen, max_in_flight):
+        with MockModelServer(chat="ok") as server:
+            client = server.make_client(max_in_flight=max_in_flight)
+            for _ in range(5):
+                assert client.generate(QUESTION) == "ok"
+                client.embed(["page"])
+        assert len(seen) == 10
+        assert len({address for _, _, address in seen}) == 1
+
+    def test_concurrent_requests_open_at_most_max_in_flight_connections(self, seen):
+        with MockModelServer(chat=lambda payload, i: MockReply("ok", delay=0.01)) as server:
+            client = server.make_client(max_in_flight=2)
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                results = list(pool.map(lambda _: client.generate(QUESTION), range(24)))
+        assert results == ["ok"] * 24
+        assert len({address for _, _, address in seen}) <= 2
+
+    def test_server_closing_idle_connections_costs_no_retry(self, monkeypatch, seen):
+        sleeps: list[float] = []
+        monkeypatch.setattr("docqa_engine.gateway.time.sleep", sleeps.append)
+        # the server drops a keep-alive connection after 50 ms without a request
+        monkeypatch.setattr(_MockRequestHandler, "timeout", 0.05)
+        with MockModelServer(chat="ok") as server:
+            client = server.make_client(max_retries=0, max_in_flight=1)
+            for _ in range(3):
+                assert client.generate(QUESTION) == "ok"
+                threading.Event().wait(0.3)
+            assert len(server.request_log) == 3
+        assert len({address for _, _, address in seen}) == 3
+        assert sleeps == []
+
+    def test_connection_is_reopened_after_a_timeout(self):
+        script = [MockReply(text="late", delay=0.5), "on time"]
+        with MockModelServer(chat=script) as server:
+            client = server.make_client(max_retries=0, max_in_flight=1, timeout=0.1)
+            with pytest.raises(TransportError):
+                client.generate(QUESTION)
+            assert client.generate(QUESTION) == "on time"
+
+    def test_base_url_path_prefix_reaches_the_server(self, seen):
+        with MockModelServer(chat="ok") as server:
+            prefixed = server.base_url.replace("/v1", "/custom/prefix/")
+            client = server.make_client(base_url=prefixed)
+            client.generate(QUESTION)
+            client.embed(["page"])
+        assert [path for path, _, _ in seen] == [
+            "/custom/prefix/chat/completions", "/custom/prefix/embeddings"]
+
+
+def test_cli_import_pulls_in_no_third_party_http_stack():
+    src = os.path.dirname(os.path.dirname(docqa_engine.__file__))
+    probe = ("import sys, docqa_engine.cli; "
+             "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestMakeClient:

@@ -10,6 +10,7 @@ import functools
 import math
 import struct
 import tempfile
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -299,3 +300,20 @@ class TestCorruptFiles:
         struct.pack_into("<II", data, 16, n_min, n_max)
         with pytest.raises(FormatError, match="n-gram range"):
             _load_bytes(tmp_path, bytes(data))
+
+    def test_huge_n_max_scores_like_the_saved_range(self, tmp_path):
+        corpus = _corpus(("d", ["日本語のテキスト 12%", "alpha beta"]), ("e", ["gamma 3"]))
+        index = build_lexical_index(corpus, n_min=1, n_max=2)
+        data = bytearray(_sample_file())
+        struct.pack_into("<I", data, 20, 0xFFFFFFFF)
+        huge = _load_bytes(tmp_path, bytes(data))
+        assert huge.n_max == 0xFFFFFFFF
+        queries = ["alpha beta gamma", "日本語 12%", "beta"]
+        got: list = []
+        # each query's n-grams stop at its token count, so scoring is immediate
+        worker = threading.Thread(
+            target=lambda: got.extend(score_lexical(huge, q) for q in queries), daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "scoring against n_max=0xFFFFFFFF did not finish"
+        assert got == [score_lexical(index, q) for q in queries]
