@@ -2,118 +2,3 @@
 result selection, gated synthetic QA generation, and ensemble
 multiple-choice inference over a chat-completions endpoint.
 """
-
-# NB: the augment() orchestrator itself stays at docqa_engine.augment.augment;
-# re-exporting the function here would shadow the submodule attribute.
-from .augment import (
-    GateReport,
-    GateThresholds,
-    QACandidate,
-    build_prompt,
-    parse_feasibility,
-    parse_qa_candidate,
-    run_gates,
-    select_pages,
-    validate_feasibility,
-)
-from .config import PipelineConfig, load_config
-from .corpus import Corpus, Page, ingest, ingest_path, load_corpus, normalize_text, save_corpus
-from .ensemble import (
-    DecodingConfig,
-    EnsembleVerdict,
-    StopRule,
-    extract_option,
-    make_schedule,
-    run_ensemble,
-)
-from .errors import (
-    ConfigError,
-    ConflictError,
-    ContractError,
-    EndpointError,
-    EngineError,
-    FormatError,
-    IntegrityError,
-    ParseError,
-    TransportError,
-)
-from .gateway import EndpointConfig, GatewayClient, MockModelServer, hash_embedder
-from .lexical import LexicalIndex, build_lexical_index, load_lexical_index, save_lexical_index
-from .retriever import (
-    FusionWeights,
-    ScoredPage,
-    SelectionPolicy,
-    fuse,
-    retrieve,
-    select_adaptive,
-)
-from .semantic import (
-    SemanticIndex,
-    build_semantic_index,
-    embed,
-    load_semantic_index,
-    save_semantic_index,
-    search_semantic,
-)
-from .tokenizer import Token, ngrams, tokenize
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Corpus",
-    "Page",
-    "ingest",
-    "ingest_path",
-    "load_corpus",
-    "save_corpus",
-    "normalize_text",
-    "Token",
-    "tokenize",
-    "ngrams",
-    "LexicalIndex",
-    "build_lexical_index",
-    "save_lexical_index",
-    "load_lexical_index",
-    "SemanticIndex",
-    "build_semantic_index",
-    "save_semantic_index",
-    "load_semantic_index",
-    "search_semantic",
-    "embed",
-    "FusionWeights",
-    "SelectionPolicy",
-    "ScoredPage",
-    "fuse",
-    "select_adaptive",
-    "retrieve",
-    "DecodingConfig",
-    "StopRule",
-    "EnsembleVerdict",
-    "make_schedule",
-    "extract_option",
-    "run_ensemble",
-    "GateReport",
-    "GateThresholds",
-    "QACandidate",
-    "select_pages",
-    "build_prompt",
-    "parse_qa_candidate",
-    "parse_feasibility",
-    "validate_feasibility",
-    "run_gates",
-    "EndpointConfig",
-    "GatewayClient",
-    "MockModelServer",
-    "hash_embedder",
-    "PipelineConfig",
-    "load_config",
-    "EngineError",
-    "ConfigError",
-    "ParseError",
-    "ConflictError",
-    "IntegrityError",
-    "FormatError",
-    "TransportError",
-    "EndpointError",
-    "ContractError",
-]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import random
 import re
 import threading
@@ -34,9 +33,9 @@ logger = logging.getLogger(__name__)
 
 QTYPES = ("comparative", "computational", "conditional", "causal", "comprehensive")
 
-DEFAULT_CONTENT_FLOOR = 200      # min normalized chars for a content page
-DEFAULT_TOC_DENSITY_MAX = 0.5    # max fraction of lines ending in a digit
-DEFAULT_STRATA = 5               # relative-position strata for sampling
+CONTENT_FLOOR = 200              # min normalized chars for a content page
+TOC_DENSITY_MAX = 0.5            # max fraction of lines ending in a digit
+STRATA = 5                       # relative-position strata for sampling
 NUMERIC_RICHNESS_WEIGHT = 5.0    # numbers count this many chars toward richness
 MIDDLE_WEIGHT_DEPTH = 0.5        # edge pages keep 1 - depth of their score
 
@@ -169,45 +168,32 @@ def toc_density(raw_text: str) -> float:
     return sum(1 for line in lines if line[-1].isdigit()) / len(lines)
 
 
-def is_content_page(
-    page: Page,
-    content_floor: int = DEFAULT_CONTENT_FLOOR,
-    toc_density_max: float = DEFAULT_TOC_DENSITY_MAX,
-) -> bool:
+def is_content_page(page: Page) -> bool:
     if page.page_index == 0:  # covers never carry answerable content
         return False
-    if page.char_count < content_floor:
+    if page.char_count < CONTENT_FLOOR:
         return False
-    return toc_density(page.raw_text) <= toc_density_max
+    return toc_density(page.raw_text) <= TOC_DENSITY_MAX
 
 
-def select_pages(
-    corpus: Corpus,
-    quota: int,
-    seed: int = 0,
-    strata: int = DEFAULT_STRATA,
-    content_floor: int = DEFAULT_CONTENT_FLOOR,
-    toc_density_max: float = DEFAULT_TOC_DENSITY_MAX,
-) -> list[PageRef]:
+def select_pages(corpus: Corpus, quota: int, seed: int = 0) -> list[PageRef]:
     """Pick up to `quota` content pages, spread across document positions.
 
-    Eligible pages are bucketed into `strata` bands by relative position
+    Eligible pages are bucketed into STRATA bands by relative position
     within their document and drained round-robin, best score first within
     each band, so picks span the document rather than clustering. The seed
     fixes the band visiting order; everything else is deterministic.
     """
     if quota < 1:
         raise ValueError("quota must be at least 1")
-    if strata < 1:
-        raise ValueError("strata must be at least 1")
     counts = corpus.doc_page_counts()
-    buckets: list[list[PageScore]] = [[] for _ in range(strata)]
+    buckets: list[list[PageScore]] = [[] for _ in range(STRATA)]
     for page in corpus.pages:
-        if not is_content_page(page, content_floor, toc_density_max):
+        if not is_content_page(page):
             continue
         pages_in_doc = counts[page.doc_id]
         relative = page.page_index / (pages_in_doc - 1) if pages_in_doc > 1 else 0.0
-        bucket = min(int(relative * strata), strata - 1)
+        bucket = min(int(relative * STRATA), STRATA - 1)
         buckets[bucket].append(score_page(page, pages_in_doc))
     for bucket in buckets:
         bucket.sort(key=lambda s: (-s.final, s.page_ref))
@@ -221,10 +207,10 @@ def select_pages(
             "quota %d exceeds %d eligible pages; returning all", quota, eligible_total
         )
 
-    band_order = list(range(strata))
+    band_order = list(range(STRATA))
     random.Random(seed).shuffle(band_order)
     target = min(quota, eligible_total)
-    cursors = [0] * strata
+    cursors = [0] * STRATA
     picked: list[PageRef] = []
     while len(picked) < target:
         for band in band_order:
@@ -533,40 +519,6 @@ def run_gates(
 # Orchestration
 
 
-def _apportion(quota: int, weights: dict[str, float]) -> dict[str, int]:
-    """Largest-remainder split of `quota` attempts across question types."""
-    for qtype, weight in weights.items():
-        if qtype not in QTYPES:
-            raise ValueError(f"unknown question type: {qtype!r}")
-        if weight < 0:
-            raise ValueError(f"negative weight for {qtype!r}")
-    total = sum(weights.values())
-    if total <= 0:
-        raise ValueError("type mix weights must sum to a positive value")
-    shares = {q: quota * w / total for q, w in weights.items()}
-    counts = {q: math.floor(s) for q, s in shares.items()}
-    leftover = quota - sum(counts.values())
-    by_remainder = sorted(
-        weights, key=lambda q: (-(shares[q] - counts[q]), QTYPES.index(q))
-    )
-    for qtype in by_remainder[:leftover]:
-        counts[qtype] += 1
-    return counts
-
-
-def _type_sequence(quota: int, counts: dict[str, int]) -> list[str]:
-    remaining = dict(counts)
-    sequence: list[str] = []
-    while len(sequence) < quota:
-        for qtype in QTYPES:
-            if len(sequence) >= quota:
-                break
-            if remaining.get(qtype, 0) > 0:
-                sequence.append(qtype)
-                remaining[qtype] -= 1
-    return sequence
-
-
 def _options_block(options: Iterable[str]) -> str:
     return "\n".join(f"{chr(ord('A') + i)}. {text}" for i, text in enumerate(options))
 
@@ -602,7 +554,6 @@ def augment(
     corpus: Corpus,
     client,
     quota: int,
-    per_type_mix: dict[str, float] | None = None,
     *,
     thresholds: GateThresholds = GateThresholds(),
     seed: int = 0,
@@ -610,11 +561,10 @@ def augment(
 ) -> AugmentResult:
     """Generate, gate, and verify `quota` QA candidates over the corpus.
 
-    Attempts are apportioned across the five question types (uniformly
-    unless `per_type_mix` gives weights) and cycled over the selected
-    pages. Each attempt is generate -> parse -> gates -> feasibility
-    round-trip; the first failing stage rejects the candidate and writes
-    one audit record, so attempts == accepted + rejections.
+    Attempts cycle through the five question types in QTYPES order and
+    over the selected pages. Each attempt is generate -> parse -> gates ->
+    feasibility round-trip; the first failing stage rejects the candidate
+    and writes one audit record, so attempts == accepted + rejections.
 
     The caller's thread sends generation requests one at a time in attempt
     order, parses and gates each reply, and hands the feasibility request
@@ -626,8 +576,6 @@ def augment(
     """
     if quota < 1:
         raise ValueError("quota must be at least 1")
-    weights = {q: 1.0 for q in QTYPES} if per_type_mix is None else dict(per_type_mix)
-    counts = _apportion(quota, weights)
     pages = select_pages(corpus, quota, seed=seed)
     if not pages:
         logger.warning("augmentation produced nothing: no eligible pages")
@@ -668,9 +616,9 @@ def augment(
             raise
 
     lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="augment-feasibility")
-    sequence = _type_sequence(quota, counts)
     try:
-        for attempt, qtype in enumerate(sequence):
+        for attempt in range(quota):
+            qtype = QTYPES[attempt % len(QTYPES)]
             doc_id, page_index = pages[attempt % len(pages)]
             page = corpus.get(doc_id, page_index)
             base = {
@@ -744,11 +692,11 @@ def augment(
                     page.normalized_text, thresholds,
                 )
             pending.append((attempt, candidate, outcome))
-        commit(through=len(sequence))
+        commit(through=quota)
     finally:
         stop.set()
         lane.shutdown(wait=True, cancel_futures=True)
-    return AugmentResult(accepted=accepted, audit=audit, attempts=len(sequence))
+    return AugmentResult(accepted=accepted, audit=audit, attempts=quota)
 
 
 # ---------------------------------------------------------------------------

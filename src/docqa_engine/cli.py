@@ -133,6 +133,8 @@ def answer_questions(
     """
     if use_retrieval and lexical_index is None:
         raise ConfigError("retrieval requested but no lexical index supplied")
+    if max_context_chars is not None and max_context_chars < 1:
+        raise ValueError(f"max_context_chars must be at least 1, got {max_context_chars}")
     docs = corpus.doc_page_counts()
     for qi, q in enumerate(questions, start=1):
         if q.doc_id is not None and q.doc_id not in docs:

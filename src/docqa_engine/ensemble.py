@@ -241,16 +241,18 @@ def compose_user_message(prompt: str, context_texts: list[str] | None) -> str:
     return "\n\n".join(blocks) + "\n\n" + prompt
 
 
-def build_answer_prompt(question: str, option_texts: list[str],
-                        option_labels: list[str] | None = None) -> str:
+def _labels(count: int) -> list[str]:
+    return [chr(ord("A") + i) for i in range(count)]
+
+
+def build_answer_prompt(question: str, option_texts: list[str]) -> str:
     """Deterministic multiple-choice prompt demanding a labeled answer line."""
-    labels = option_labels or [chr(ord("A") + i) for i in range(len(option_texts))]
     lines = [
         "Answer the following multiple-choice question using the context above.",
         f"Question: {question}",
         "Options:",
     ]
-    lines += [f"{label}. {text}" for label, text in zip(labels, option_texts)]
+    lines += [f"{label}. {text}" for label, text in zip(_labels(len(option_texts)), option_texts)]
     lines.append('Reply with the single best option letter on its own line as "Answer: X".')
     return "\n".join(lines)
 
@@ -267,8 +269,6 @@ def run_ensemble(
     client,
     stop: StopRule = StopRule(),
     option_texts: list[str] | None = None,
-    option_labels: list[str] | None = None,
-    max_tokens: int = 256,
 ) -> EnsembleVerdict:
     """Fan out the schedule, tally votes, and resolve the final answer.
 
@@ -285,9 +285,8 @@ def run_ensemble(
     """
     if not schedule:
         raise ValueError("schedule must not be empty")
-    if option_texts and not option_labels:
-        option_labels = [chr(ord("A") + i) for i in range(len(option_texts))]
-    labels = option_labels or ["A", "B", "C", "D"]
+    # labels A.. follow the option count; without option texts, A-D
+    labels = _labels(len(option_texts) if option_texts else 4)
 
     messages = [{"role": "user", "content": compose_user_message(prompt, context_texts)}]
 
@@ -297,7 +296,7 @@ def run_ensemble(
     def call(config: DecodingConfig) -> str:
         if stopped.is_set():  # the vote was decided while this one queued
             return ""
-        request = {**config.to_request(), "messages": messages, "max_tokens": max_tokens}
+        request = {**config.to_request(), "messages": messages, "max_tokens": 256}
         try:
             return client.generate(request)
         except (TransportError, EndpointError, ContractError):

@@ -3,8 +3,6 @@
 GatewayClient speaks the de-facto JSON-over-HTTP shapes: POST
 {model, messages, ...} -> {choices: [{message: {content}}]} for chat and
 POST {model, input: [...]} -> {data: [{embedding: [...]}]} for embeddings.
-MockModelServer is a real in-process HTTP server with scriptable,
-deterministic behavior so every network path can be exercised in tests.
 """
 
 from __future__ import annotations
@@ -13,11 +11,9 @@ import hashlib
 import http.client
 import json
 import queue
-import threading
 import time
 import weakref
-from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from dataclasses import dataclass
 from typing import Callable
 from urllib.parse import urlsplit
 
@@ -178,14 +174,6 @@ class GatewayClient:
         return vectors
 
 
-def request_fingerprint(payload: dict) -> str:
-    """Deterministic key for scripting: prompt hash plus request seed."""
-    messages = payload.get("messages") or []
-    text = "\n".join(str(m.get("content", "")) for m in messages)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-    return f"{digest}:{payload.get('seed')}"
-
-
 def hash_embedder(dim: int = 1024) -> Callable[[list[str]], list[list[float]]]:
     """Deterministic pseudo-random embeddings: one fixed vector per text."""
 
@@ -200,178 +188,3 @@ def hash_embedder(dim: int = 1024) -> Callable[[list[str]], list[list[float]]]:
         return out
 
     return _embed
-
-
-@dataclass
-class MockReply:
-    """One scripted chat response: text, or a failure status, or raw body,
-    with optional extra response headers."""
-
-    text: str = ""
-    status: int = 200
-    delay: float = 0.0
-    json_body: dict | None = None
-    headers: dict[str, str] = field(default_factory=dict)
-
-
-def _as_reply(entry) -> MockReply:
-    if isinstance(entry, MockReply):
-        return entry
-    return MockReply(text=str(entry))
-
-
-class _MockRequestHandler(BaseHTTPRequestHandler):
-    server_version = "MockModel/1.0"
-    protocol_version = "HTTP/1.1"
-    # Keep-alive plus Nagle would hold each response body until the client's
-    # delayed ACK of the headers.
-    disable_nagle_algorithm = True
-
-    def log_message(self, *args):  # keep pytest output clean
-        pass
-
-    def _send(self, status: int, body: dict, headers: dict[str, str] | None = None) -> None:
-        data = json.dumps(body, ensure_ascii=False).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
-
-    def do_POST(self):
-        owner: MockModelServer = self.server.owner  # type: ignore[attr-defined]
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b"{}"
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError:
-            self._send(400, {"error": "invalid JSON"})
-            return
-        owner._enter()
-        try:
-            if self.path.endswith("/chat/completions"):
-                reply = owner._chat_reply(payload)
-                if reply.delay:
-                    time.sleep(reply.delay)
-                if reply.json_body is not None:
-                    body = reply.json_body
-                elif reply.status != 200:
-                    body = {"error": f"scripted status {reply.status}"}
-                else:
-                    body = {"choices": [{"message": {"content": reply.text}}]}
-                self._send(reply.status, body, reply.headers)
-            elif self.path.endswith("/embeddings"):
-                vectors = owner._embed_reply(payload)
-                self._send(200, {"data": [{"embedding": v} for v in vectors]})
-            else:
-                self._send(404, {"error": f"unknown path {self.path}"})
-        finally:
-            owner._leave()
-
-
-class MockModelServer:
-    """In-process deterministic endpoint for generation and embeddings.
-
-    Chat behavior comes from ``chat``: a fixed string, a list consumed in
-    arrival order, a dict keyed by request_fingerprint(payload), or a
-    callable (payload, call_index) -> str | MockReply. Unscripted requests
-    fall back to ``default_chat_text`` or fail with 404. Embeddings come
-    from ``embed`` (callable texts -> vectors), defaulting to the
-    deterministic hash embedder. Every request is appended to
-    ``request_log``; peak handler concurrency is tracked in
-    ``max_in_flight_observed``.
-    """
-
-    def __init__(
-        self,
-        chat=None,
-        embed: Callable[[list[str]], list[list[float]]] | None = None,
-        dim: int = 1024,
-        default_chat_text: str | None = None,
-    ):
-        self._chat = chat
-        self._embed_fn = embed or hash_embedder(dim)
-        self._default_chat_text = default_chat_text
-        self.request_log: list[dict] = []
-        self.max_in_flight_observed = 0
-        self._in_flight = 0
-        self._chat_calls = 0
-        self._lock = threading.Lock()
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), _MockRequestHandler)
-        self._server.daemon_threads = True
-        self._server.owner = self  # type: ignore[attr-defined]
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
-
-    @property
-    def base_url(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}/v1"
-
-    def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-
-    def __enter__(self) -> "MockModelServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def make_client(self, **overrides) -> GatewayClient:
-        values = {
-            "base_url": self.base_url,
-            "model_name": "mock-model",
-            "timeout": 5.0,
-            "max_retries": 2,
-            "backoff_base": 0.01,
-        }
-        values.update(overrides)
-        return GatewayClient(EndpointConfig(**values))
-
-    def _enter(self) -> None:
-        with self._lock:
-            self._in_flight += 1
-            self.max_in_flight_observed = max(self.max_in_flight_observed, self._in_flight)
-
-    def _leave(self) -> None:
-        with self._lock:
-            self._in_flight -= 1
-
-    def _chat_reply(self, payload: dict) -> MockReply:
-        with self._lock:
-            index = self._chat_calls
-            self._chat_calls += 1
-            self.request_log.append({"kind": "chat", "payload": payload})
-            script = self._chat
-            if isinstance(script, str):
-                return _as_reply(script)
-            if isinstance(script, list):
-                if index < len(script):
-                    return _as_reply(script[index])
-                return self._fallback(payload)
-            if isinstance(script, dict):
-                entry = script.get(request_fingerprint(payload))
-                if entry is None:
-                    return self._fallback(payload)
-                if isinstance(entry, list):
-                    if entry:
-                        return _as_reply(entry.pop(0))
-                    return self._fallback(payload)
-                return _as_reply(entry)
-        if callable(script):
-            return _as_reply(script(payload, index))
-        return self._fallback(payload)
-
-    def _fallback(self, payload: dict) -> MockReply:
-        if self._default_chat_text is not None:
-            return MockReply(text=self._default_chat_text)
-        return MockReply(status=404, json_body={"error": "unscripted request"})
-
-    def _embed_reply(self, payload: dict) -> list[list[float]]:
-        texts = payload.get("input") or []
-        with self._lock:
-            self.request_log.append({"kind": "embed", "payload": payload})
-        return self._embed_fn(list(texts))

@@ -14,6 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import ByteReader, Corpus, PageRef
 from .errors import FormatError
 from .tokenizer import ngrams, tokenize
@@ -22,6 +24,8 @@ LEXICAL_MAGIC = b"LEXI"
 LEXICAL_FORMAT_VERSION = 1
 
 DEFAULT_MAX_FEATURES = 50_000
+
+_PAIR = np.dtype([("fid", "<u4"), ("weight", "<f8")])  # one saved (feature id, weight)
 
 
 @dataclass
@@ -188,13 +192,26 @@ def load_lexical_index(path: str | Path) -> LexicalIndex:
         feature_ids[reader.text()] = fid
         df.append(reader.unpack("<I")[0])
     page_refs: list[PageRef] = []
-    doc_vectors: list[list[tuple[int, float]]] = []
+    counts: list[int] = []
+    chunks: list[bytes] = []
     for _ in range(page_count):
         doc_id = reader.text()
         page_index, nnz = reader.unpack("<II")
         page_refs.append((doc_id, page_index))
-        doc_vectors.append(list(struct.iter_unpack("<Id", reader.take(12 * nnz))))
+        counts.append(nnz)
+        chunks.append(reader.take(12 * nnz))
     reader.finish()
+    pairs = np.frombuffer(b"".join(chunks), dtype=_PAIR)
+    ends = np.cumsum(counts, dtype=np.int64)
+    # feature ids ascend strictly within a page; they may only drop where the next page starts
+    ascending = np.diff(pairs["fid"].astype(np.int64)) > 0
+    ascending[ends[(ends > 0) & (ends < len(pairs))] - 1] = True
+    if not (ascending.all() and (pairs["fid"] < vocab_size).all()
+            and np.isfinite(pairs["weight"]).all()):
+        raise FormatError(
+            "lexical index page vector has an unknown, unsorted or non-finite entry")
+    flat = pairs.tolist()
+    doc_vectors = [flat[end - nnz:end] for nnz, end in zip(counts, ends.tolist())]
     return LexicalIndex(
         vocabulary=Vocabulary(feature_ids=feature_ids, df=df),
         page_refs=page_refs,

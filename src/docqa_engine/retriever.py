@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .corpus import PageRef
 from .lexical import LexicalIndex, score_lexical
-from .semantic import EmbedPrefixes, SemanticIndex, embed_query, search_semantic
+from .semantic import SemanticIndex, embed_query, search_semantic
 
 logger = logging.getLogger(__name__)
 
@@ -134,7 +134,6 @@ def retrieve(
     policy: SelectionPolicy,
     client=None,
     candidate_k: int = DEFAULT_CANDIDATE_K,
-    prefixes: EmbedPrefixes = EmbedPrefixes(),
     doc_id: str | None = None,
 ) -> list[ScoredPage]:
     """Full retrieval for one query: lexical + semantic -> fuse -> select.
@@ -150,7 +149,7 @@ def retrieve(
         lex = [(ref, s) for ref, s in lex if ref[0] == doc_id]
     sem: list[tuple[PageRef, float]] = []
     if semantic_index is not None and client is not None:
-        q_vec = embed_query(query_text, client, dim=semantic_index.dim, prefixes=prefixes)
+        q_vec = embed_query(query_text, client, dim=semantic_index.dim)
         sem = search_semantic(semantic_index, q_vec, k=candidate_k, doc_id=doc_id)
     if not lex and not sem:
         logger.warning("query %r matched nothing (no features, no embeddings)", query_text)

@@ -21,15 +21,11 @@ SEMANTIC_MAGIC = b"SEMV"
 SEMANTIC_FORMAT_VERSION = 1
 
 DEFAULT_DIM = 1024
-DEFAULT_BATCH_SIZE = 32
+BATCH_SIZE = 32  # texts per embedding request
 
-
-@dataclass(frozen=True)
-class EmbedPrefixes:
-    """Prefix convention expected by query/passage asymmetric embed models."""
-
-    query: str = "query: "
-    passage: str = "passage: "
+# Prefixes that query/passage asymmetric embedding models expect.
+QUERY_PREFIX = "query: "
+PASSAGE_PREFIX = "passage: "
 
 
 @dataclass
@@ -45,21 +41,18 @@ class SemanticIndex:
             raise ValueError("vectors and page_refs must be parallel")
 
 
-def embed(texts: list[str], client, dim: int = DEFAULT_DIM,
-          batch_size: int = DEFAULT_BATCH_SIZE) -> np.ndarray:
+def embed(texts: list[str], client, dim: int = DEFAULT_DIM) -> np.ndarray:
     """Fetch one L2-normalized vector per text, in order.
 
-    Batching is transparent: ceil(len(texts)/batch_size) endpoint calls.
-    A response vector of the wrong dimension or zero norm violates the
-    wire contract.
+    Batching is transparent: ceil(len(texts)/BATCH_SIZE) endpoint calls.
+    A response vector of the wrong dimension, with a non-finite component
+    or of zero norm violates the wire contract.
     """
     if not texts:
         raise ValueError("embed requires at least one text")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     rows: list[np.ndarray] = []
-    for start in range(0, len(texts), batch_size):
-        batch = texts[start : start + batch_size]
+    for start in range(0, len(texts), BATCH_SIZE):
+        batch = texts[start : start + BATCH_SIZE]
         vectors = client.embed(batch)
         if len(vectors) != len(batch):
             raise ContractError(
@@ -71,6 +64,8 @@ def embed(texts: list[str], client, dim: int = DEFAULT_DIM,
                     f"embedding dimension {len(vec)} does not match configured {dim}"
                 )
             arr = np.asarray(vec, dtype=np.float64)
+            if not np.isfinite(arr).all():
+                raise ContractError("endpoint returned a non-finite embedding component")
             norm = float(np.linalg.norm(arr))
             if norm == 0.0:
                 raise ContractError("endpoint returned a zero embedding vector")
@@ -78,15 +73,9 @@ def embed(texts: list[str], client, dim: int = DEFAULT_DIM,
     return np.stack(rows)
 
 
-def build_semantic_index(
-    corpus: Corpus,
-    client,
-    dim: int = DEFAULT_DIM,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    prefixes: EmbedPrefixes = EmbedPrefixes(),
-) -> SemanticIndex:
-    texts = [prefixes.passage + p.normalized_text for p in corpus.pages]
-    vectors = embed(texts, client, dim=dim, batch_size=batch_size)
+def build_semantic_index(corpus: Corpus, client, dim: int = DEFAULT_DIM) -> SemanticIndex:
+    texts = [PASSAGE_PREFIX + p.normalized_text for p in corpus.pages]
+    vectors = embed(texts, client, dim=dim)
     return SemanticIndex(
         vectors=vectors,
         page_refs=[(p.doc_id, p.page_index) for p in corpus.pages],
@@ -94,13 +83,8 @@ def build_semantic_index(
     )
 
 
-def embed_query(
-    query_text: str,
-    client,
-    dim: int = DEFAULT_DIM,
-    prefixes: EmbedPrefixes = EmbedPrefixes(),
-) -> np.ndarray:
-    return embed([prefixes.query + query_text], client, dim=dim)[0]
+def embed_query(query_text: str, client, dim: int = DEFAULT_DIM) -> np.ndarray:
+    return embed([QUERY_PREFIX + query_text], client, dim=dim)[0]
 
 
 def search_semantic(
@@ -152,6 +136,8 @@ def load_semantic_index(path: str | Path) -> SemanticIndex:
         raise FormatError(f"unsupported semantic index version {version}")
     raw = reader.take(count * dim * 4)
     vectors = np.frombuffer(raw, dtype="<f4").reshape(count, dim).copy()
+    if not np.isfinite(vectors).all():
+        raise FormatError("semantic index holds a non-finite vector component")
     page_refs: list[PageRef] = []
     for _ in range(count):
         doc_id = reader.text()

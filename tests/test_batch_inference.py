@@ -28,9 +28,9 @@ from docqa_engine.config import PipelineConfig
 from docqa_engine.corpus import Corpus, Page
 from docqa_engine.ensemble import build_answer_prompt, make_schedule, run_ensemble
 from docqa_engine.errors import ConfigError, ParseError, TransportError
-from docqa_engine.gateway import MockModelServer, MockReply
 from docqa_engine.lexical import build_lexical_index
 from docqa_engine.retriever import retrieve
+from mock_server import MockModelServer, MockReply
 
 _QUESTION_RE = re.compile(r"^Question: (.*)$", re.M)
 

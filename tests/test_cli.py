@@ -24,7 +24,7 @@ from docqa_engine.cli import (
     read_questions_jsonl,
 )
 from docqa_engine.errors import ParseError
-from docqa_engine.gateway import MockModelServer
+from mock_server import MockModelServer
 
 FIN_BODY = (
     "第3四半期の業績概況。当期の売上高は 4200 百万円 に達した。"
@@ -242,6 +242,17 @@ class TestRetrieve:
         assert code == EXIT_IO
         assert "semantic index file truncated" in capsys.readouterr().err
 
+    def test_non_finite_semantic_vector_is_io_error(self, tmp_path, artifacts, capsys):
+        semantic = tmp_path / "semantic.idx"
+        semantic.write_bytes(b"SEMV" + struct.pack("<III", 1, 1, 1)
+                             + struct.pack("<f", float("nan")) + struct.pack("<I", 3) + b"fin"
+                             + struct.pack("<I", 1))
+        code = main(["retrieve", "q", "--json", "--lexical", str(artifacts["lexical"]),
+                     "--semantic", str(semantic),
+                     "--embed-url", "http://127.0.0.1:9/v1", "--embed-model", "m"])
+        assert code == EXIT_IO
+        assert "non-finite" in capsys.readouterr().err
+
 
 def _augment_chat_script():
     """Chat callable for the mock server: generation blocks, echoed audits."""
@@ -365,6 +376,20 @@ class TestInfer:
         records = [json.loads(line) for line in output.read_text(encoding="utf-8").splitlines()]
         assert all(r["retrieved"] == [] for r in records)
         assert all(r["predicted_index"] == 1 for r in records)
+
+    @pytest.mark.parametrize("chars", ["0", "-5"])
+    def test_max_context_chars_below_one_is_validation_error(self, tmp_path, artifacts,
+                                                            questions_file, chars, capsys):
+        with MockModelServer(chat="Answer: A") as server:
+            code = main([
+                "infer", "--questions", str(questions_file), "--output", str(tmp_path / "v.jsonl"),
+                "--corpus", str(artifacts["corpus"]),
+                "--no-retrieval", "--max-context-chars", chars,
+                "--endpoint-url", server.base_url, "--model", "mock-model",
+            ])
+            assert server.request_log == []
+        assert code == EXIT_VALIDATION
+        assert "max_context_chars" in capsys.readouterr().err
 
     def test_unknown_doc_id_is_validation_error(self, tmp_path, artifacts, capsys):
         questions = tmp_path / "q.jsonl"

@@ -211,10 +211,6 @@ class TestPromptComposition:
         assert "A. 10" in prompt and "B. 20" in prompt
         assert prompt.rstrip().endswith('"Answer: X".')
 
-    def test_answer_prompt_custom_labels(self):
-        prompt = build_answer_prompt("Pick", ["x", "y"], option_labels=["P", "Q"])
-        assert "P. x" in prompt and "Q. y" in prompt
-
 
 class TestStopRuleDefaults:
     def test_defaults(self):
@@ -360,12 +356,12 @@ class TestRunEnsemble:
     def test_request_payloads(self):
         schedule = make_schedule(3, seed=8)
         client = ScriptedClient(_script_by_id(schedule, lambda i: "Answer: A"))
-        run_ensemble("Why?", ["page text"], schedule, client, max_tokens=99)
+        run_ensemble("Why?", ["page text"], schedule, client)
         assert len(client.calls) == 3
         greedy = [c for c in client.calls if c["top_k"] == 1]
         assert len(greedy) == 1 and greedy[0]["temperature"] == 0.0
         for call in client.calls:
-            assert call["max_tokens"] == 99
+            assert call["max_tokens"] == 256
             (message,) = call["messages"]
             assert message["role"] == "user"
             assert message["content"].startswith("[Context 1]\npage text")

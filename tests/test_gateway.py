@@ -25,13 +25,10 @@ from docqa_engine.errors import ConfigError, ContractError, EndpointError, Trans
 from docqa_engine.gateway import (
     EndpointConfig,
     GatewayClient,
-    MockModelServer,
-    MockReply,
-    _MockRequestHandler,
     _retry_after_seconds,
     hash_embedder,
-    request_fingerprint,
 )
+from mock_server import MockModelServer, MockReply, _MockRequestHandler
 
 
 def _free_port() -> int:
@@ -97,22 +94,6 @@ class TestEndpointConfig:
             GatewayClient(EndpointConfig(base_url=base_url, model_name="m"))
 
 
-class TestRequestFingerprint:
-    def test_shape_and_determinism(self):
-        payload = {"messages": [{"role": "user", "content": "hello"}], "seed": 5}
-        fp = request_fingerprint(payload)
-        assert fp == request_fingerprint(payload)
-        digest, seed = fp.split(":")
-        assert len(digest) == 12 and seed == "5"
-
-    def test_sensitive_to_content_and_seed(self):
-        base = {"messages": [{"role": "user", "content": "hello"}], "seed": 5}
-        other_text = {"messages": [{"role": "user", "content": "bye"}], "seed": 5}
-        other_seed = {"messages": [{"role": "user", "content": "hello"}], "seed": 6}
-        assert request_fingerprint(base) != request_fingerprint(other_text)
-        assert request_fingerprint(base) != request_fingerprint(other_seed)
-
-
 class TestHashEmbedder:
     def test_deterministic_and_shaped(self):
         embed = hash_embedder(dim=16)
@@ -142,22 +123,6 @@ class TestChatScripting:
             message = [{"role": "user", "content": "q"}]
             assert client.generate({"messages": message}) == "first"
             assert client.generate({"messages": message}) == "second"
-
-    def test_dict_keyed_by_fingerprint(self):
-        message = [{"role": "user", "content": "hello"}]
-        key = request_fingerprint({"messages": message, "seed": 5})
-        with MockModelServer(chat={key: "scripted"}, default_chat_text="fallback") as server:
-            client = server.make_client()
-            assert client.generate({"messages": message, "seed": 5}) == "scripted"
-            assert client.generate({"messages": message, "seed": 6}) == "fallback"
-
-    def test_dict_list_values_pop_then_fall_back(self):
-        message = [{"role": "user", "content": "hello"}]
-        key = request_fingerprint({"messages": message, "seed": 1})
-        with MockModelServer(chat={key: ["one", "two"]}, default_chat_text="done") as server:
-            client = server.make_client()
-            request = {"messages": message, "seed": 1}
-            assert [client.generate(request) for _ in range(3)] == ["one", "two", "done"]
 
     def test_callable_sees_payload_and_index(self):
         def script(payload, index):
@@ -365,9 +330,10 @@ class TestKeepAlive:
 
 
 def test_cli_import_pulls_in_no_third_party_http_stack():
+    # nor the standard library's HTTP server: the mock endpoint is test code
     src = os.path.dirname(os.path.dirname(docqa_engine.__file__))
-    probe = ("import sys, docqa_engine.cli; "
-             "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+    probe = ("import sys, docqa_engine.cli; print(sorted("
+             "{'requests', 'urllib3', 'http.server', 'socketserver'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert out.stdout.strip() == "[]"

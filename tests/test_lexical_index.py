@@ -251,12 +251,16 @@ class TestPersistence:
 # Corrupt files: each one loads or raises FormatError, never another exception
 
 
+def _sample_index():
+    corpus = _corpus(("d", ["日本語のテキスト 12%", "alpha beta"]), ("e", ["gamma 3"]))
+    return build_lexical_index(corpus, n_min=1, n_max=2)
+
+
 @functools.cache
 def _sample_file() -> bytes:
-    corpus = _corpus(("d", ["日本語のテキスト 12%", "alpha beta"]), ("e", ["gamma 3"]))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "lex.idx"
-        save_lexical_index(build_lexical_index(corpus, n_min=1, n_max=2), path)
+        save_lexical_index(_sample_index(), path)
         return path.read_bytes()
 
 
@@ -301,9 +305,24 @@ class TestCorruptFiles:
         with pytest.raises(FormatError, match="n-gram range"):
             _load_bytes(tmp_path, bytes(data))
 
+    @pytest.mark.parametrize("vector", [
+        lambda size: [(0, 0.6), (size, 0.8)],
+        lambda size: [(2, 0.6), (1, 0.8)],
+        lambda size: [(1, 0.6), (1, 0.8)],
+        lambda size: [(0, 0.6), (1, float("nan"))],
+        lambda size: [(0, float("inf"))],
+    ], ids=["feature_id_at_vocabulary_size", "descending_ids", "repeated_id",
+            "nan_weight", "infinite_weight"])
+    def test_page_vector_its_writer_never_produces_rejected(self, tmp_path, vector):
+        index = _sample_index()
+        index.doc_vectors[1] = vector(index.vocabulary.size)
+        path = tmp_path / "lex.idx"
+        save_lexical_index(index, path)
+        with pytest.raises(FormatError, match="page vector"):
+            load_lexical_index(path)
+
     def test_huge_n_max_scores_like_the_saved_range(self, tmp_path):
-        corpus = _corpus(("d", ["日本語のテキスト 12%", "alpha beta"]), ("e", ["gamma 3"]))
-        index = build_lexical_index(corpus, n_min=1, n_max=2)
+        index = _sample_index()
         data = bytearray(_sample_file())
         struct.pack_into("<I", data, 20, 0xFFFFFFFF)
         huge = _load_bytes(tmp_path, bytes(data))

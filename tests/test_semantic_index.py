@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 from docqa_engine.corpus import Corpus, Page
 from docqa_engine.errors import ContractError, FormatError
-from docqa_engine.gateway import MockModelServer, hash_embedder
+from docqa_engine.gateway import hash_embedder
 from docqa_engine.semantic import (
-    EmbedPrefixes,
     SemanticIndex,
     build_semantic_index,
     embed,
@@ -23,6 +22,7 @@ from docqa_engine.semantic import (
     save_semantic_index,
     search_semantic,
 )
+from mock_server import MockModelServer
 
 
 def _unit_rows(rng, n, dim):
@@ -63,18 +63,13 @@ class TestEmbed:
 
     def test_batching_splits_requests(self):
         client = FakeEmbedClient(hash_embedder(dim=8))
-        embed([f"t{i}" for i in range(7)], client, dim=8, batch_size=3)
-        assert [len(c) for c in client.calls] == [3, 3, 1]
+        embed([f"t{i}" for i in range(65)], client, dim=8)
+        assert [len(c) for c in client.calls] == [32, 32, 1]
 
     def test_empty_input_rejected(self):
         client = FakeEmbedClient(hash_embedder(dim=8))
         with pytest.raises(ValueError):
             embed([], client, dim=8)
-
-    def test_bad_batch_size_rejected(self):
-        client = FakeEmbedClient(hash_embedder(dim=8))
-        with pytest.raises(ValueError):
-            embed(["x"], client, dim=8, batch_size=0)
 
     def test_wrong_dimension_is_contract_error(self):
         client = FakeEmbedClient(lambda texts: [[1.0, 2.0]] * len(texts))
@@ -85,6 +80,12 @@ class TestEmbed:
         client = FakeEmbedClient(lambda texts: [[1.0] * 8])
         with pytest.raises(ContractError, match="vectors"):
             embed(["x", "y"], client, dim=8)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_vector_is_contract_error(self, bad):
+        client = FakeEmbedClient(lambda texts: [[1.0] * 7 + [bad] for _ in texts])
+        with pytest.raises(ContractError, match="non-finite"):
+            embed(["x"], client, dim=8)
 
     def test_zero_vector_is_contract_error(self):
         client = FakeEmbedClient(lambda texts: [[0.0] * 8 for _ in texts])
@@ -168,11 +169,13 @@ class TestBuildViaEndpoint:
             assert len(ranked) == 3
 
     def test_prefixes_affect_embedding_input(self):
+        corpus = Corpus.from_pages([Page.from_raw("d", 0, "page")])
         with MockModelServer(dim=16) as server:
             client = server.make_client()
-            embed_query("question", client, dim=16, prefixes=EmbedPrefixes())
-            sent = server.request_log[-1]["payload"]["input"]
-            assert sent == ["query: question"]
+            build_semantic_index(corpus, client, dim=16)
+            embed_query("question", client, dim=16)
+            sent = [entry["payload"]["input"] for entry in server.request_log]
+            assert sent == [["passage: page"], ["query: question"]]
 
 
 class TestPersistence:
@@ -276,4 +279,11 @@ class TestCorruptFiles:
         for offset in fields:
             struct.pack_into("<I", data, offset, 0xFFFFFFFF)
         with pytest.raises(FormatError, match="truncated"):
+            _load_bytes(tmp_path, bytes(data))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_component_rejected(self, tmp_path, bad):
+        data = bytearray(_sample_file())
+        struct.pack_into("<f", data, 16 + 4 * 5, bad)  # row 1, column 1
+        with pytest.raises(FormatError, match="non-finite"):
             _load_bytes(tmp_path, bytes(data))
