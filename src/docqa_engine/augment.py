@@ -11,7 +11,6 @@ stage that killed it, so attempts = accepted + audited rejections.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import re
@@ -21,7 +20,6 @@ from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
-from pathlib import Path
 from string import Template
 from typing import Iterable
 
@@ -698,18 +696,3 @@ def augment(
         lane.shutdown(wait=True, cancel_futures=True)
     return AugmentResult(accepted=accepted, audit=audit, attempts=quota)
 
-
-# ---------------------------------------------------------------------------
-# Line-delimited record I/O
-
-
-def write_qa_jsonl(path: str | Path, candidates: Iterable[QACandidate]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for candidate in candidates:
-            fh.write(json.dumps(candidate.to_record(), ensure_ascii=False) + "\n")
-
-
-def write_audit_jsonl(path: str | Path, audit: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in audit:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")

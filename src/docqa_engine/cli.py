@@ -16,14 +16,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .augment import (
-    GateThresholds,
-    augment,
-    write_audit_jsonl,
-    write_qa_jsonl,
-)
+from .augment import augment
 from .config import PipelineConfig, load_config
-from .corpus import Corpus, ingest_path, iter_records, load_corpus, save_corpus
+from .corpus import Corpus, ingest_path, iter_records, load_corpus, save_corpus, write_records
 from .ensemble import (
     MAX_OPTIONS,
     build_answer_prompt,
@@ -43,7 +38,7 @@ from .errors import (
 )
 from .gateway import EndpointConfig, GatewayClient
 from .lexical import build_lexical_index, load_lexical_index, save_lexical_index
-from .retriever import FusionWeights, SelectionPolicy, retrieval_record, retrieve
+from .retriever import FusionWeights, SelectionPolicy, check_same_pages, retrieval_record, retrieve
 from .semantic import build_semantic_index, load_semantic_index, save_semantic_index
 
 logger = logging.getLogger(__name__)
@@ -130,9 +125,12 @@ def answer_questions(
     then running its ensemble on a worker thread; the client's own cap still
     bounds the requests in flight. Returns one serializable verdict record
     per question, in input order, identical to answering them one by one.
+    An index whose pages differ from the corpus fails before any request.
     """
-    if use_retrieval and lexical_index is None:
-        raise ConfigError("retrieval requested but no lexical index supplied")
+    if use_retrieval:
+        if lexical_index is None:
+            raise ConfigError("retrieval requested but no lexical index supplied")
+        check_same_pages(corpus.page_refs, lexical_index, semantic_index)
     if max_context_chars is not None and max_context_chars < 1:
         raise ValueError(f"max_context_chars must be at least 1, got {max_context_chars}")
     docs = corpus.doc_page_counts()
@@ -288,6 +286,7 @@ def cmd_build_index(args, config: PipelineConfig) -> int:
 
 def cmd_retrieve(args, config: PipelineConfig) -> int:
     lexical_index, semantic_index, embed_client = _load_indexes(config, args)
+    check_same_pages(lexical_index.page_refs, semantic_index)
     weights = config.weights
     if args.alpha is not None:
         weights = FusionWeights(alpha=args.alpha, beta=1.0 - args.alpha)
@@ -328,9 +327,9 @@ def cmd_augment(args, config: PipelineConfig) -> int:
         seed=args.seed if args.seed is not None else config.seed,
         feasibility_check=not args.no_feasibility,
     )
-    write_qa_jsonl(args.output, result.accepted)
+    write_records(args.output, (c.to_record() for c in result.accepted))
     if args.audit:
-        write_audit_jsonl(args.audit, result.audit)
+        write_records(args.audit, result.audit)
     print(json.dumps(result.summary(), ensure_ascii=False))
     return EXIT_OK
 
@@ -356,9 +355,7 @@ def cmd_infer(args, config: PipelineConfig) -> int:
         use_retrieval=not args.no_retrieval,
         max_context_chars=args.max_context_chars,
     )
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for record in verdicts:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    write_records(args.output, verdicts)
     answered = sum(1 for v in verdicts if v["predicted_index"] is not None)
     print(f"answered {answered}/{len(verdicts)} questions -> {args.output}")
     return EXIT_OK

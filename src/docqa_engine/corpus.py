@@ -2,8 +2,9 @@
 
 One record per page, line-delimited JSON on the wire. Pages of a document
 must be contiguous starting at page 0; the corpus is immutable once built.
-The engine's readers for line-delimited JSON (iter_records) and for the
-binary index files (ByteReader) live here too.
+Also here: the engine's reader and writer for line-delimited JSON
+(iter_records, write_records), for the binary index files (ByteReader,
+pack_text), and the page-order rules every index shares.
 """
 
 from __future__ import annotations
@@ -11,17 +12,42 @@ from __future__ import annotations
 import json
 import struct
 import unicodedata
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import asdict, dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
+
+import numpy as np
 
 from .errors import ConflictError, FormatError, IntegrityError, ParseError
 from .tokenizer import count_numeric_tokens
 
 CORPUS_FORMAT_VERSION = 1
 
+# Every index lists the corpus's pages in corpus order: PageRefs strictly
+# ascending, as Corpus.from_pages sorts them. Row order is then ref order,
+# and one document's pages are one contiguous run of rows.
 PageRef = tuple[str, int]
+
+
+def check_corpus_order(page_refs: list[PageRef]) -> None:
+    if any(a >= b for a, b in zip(page_refs, page_refs[1:])):
+        raise ValueError("page_refs are not strictly ascending (doc_id, page_index) pairs")
+
+
+def doc_rows(page_refs: list[PageRef], doc_id: str | None) -> range:
+    """Rows of one document's pages (all rows for None), found by bisection."""
+    if doc_id is None:
+        return range(len(page_refs))
+    key = itemgetter(0)
+    return range(bisect_left(page_refs, doc_id, key=key), bisect_right(page_refs, doc_id, key=key))
+
+
+def rank_rows(scores: np.ndarray) -> np.ndarray:
+    """Row positions by descending score; ties keep row order, i.e. ref order."""
+    return np.argsort(-scores, kind="stable")
 
 
 def normalize_text(raw: str) -> str:
@@ -55,6 +81,17 @@ class Page:
     char_count: int
     numeric_token_count: int
 
+    def __post_init__(self):
+        if not isinstance(self.doc_id, str) or not self.doc_id:
+            raise ValueError("doc_id must be a non-empty string")
+        for name in ("raw_text", "normalized_text"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
+        for name in ("page_index", "char_count", "numeric_token_count"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:  # bool is an int subclass: true is not 1
+                raise ValueError(f"{name} must be a non-negative integer")
+
     @classmethod
     def from_raw(cls, doc_id: str, page_index: int, raw_text: str) -> "Page":
         normalized = normalize_text(raw_text)
@@ -82,6 +119,10 @@ class Corpus:
         _check_contiguous(ordered)
         doc_ids = {p.doc_id for p in ordered}
         return cls(pages=tuple(ordered), doc_count=len(doc_ids), page_count=len(ordered))
+
+    @property
+    def page_refs(self) -> list[PageRef]:
+        return [(p.doc_id, p.page_index) for p in self.pages]
 
     def doc_page_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -127,6 +168,13 @@ def iter_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
         yield line_no, record
 
 
+def write_records(path: str | Path, records: Iterable[dict]) -> None:
+    """Write one JSON object per line, as iter_records reads them back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
 def ingest(source: Iterable[str] | IO[str]) -> Corpus:
     """Build a corpus from line-delimited JSON records.
 
@@ -137,21 +185,19 @@ def ingest(source: Iterable[str] | IO[str]) -> Corpus:
     pages: dict[PageRef, Page] = {}
     for line_no, record in iter_records(source):
         try:
-            doc_id = record["doc_id"]
-            page_index = record["page_index"]
-            text = record["text"]
+            doc_id, page_index, text = record["doc_id"], record["page_index"], record["text"]
         except KeyError as exc:
             raise ParseError(f"missing field {exc.args[0]!r}", line_no) from exc
-        if not isinstance(doc_id, str) or not doc_id:
-            raise ParseError("doc_id must be a non-empty string", line_no)
-        if not isinstance(page_index, int) or isinstance(page_index, bool) or page_index < 0:
-            raise ParseError("page_index must be a non-negative integer", line_no)
         if not isinstance(text, str):
             raise ParseError("text must be a string", line_no)
+        try:
+            page = Page.from_raw(doc_id, page_index, text)
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from exc
         key = (doc_id, page_index)
         if key in pages:
             raise ConflictError(f"duplicate page {key}")
-        pages[key] = Page.from_raw(doc_id, page_index, text)
+        pages[key] = page
     if not pages:
         raise IntegrityError("input stream contains no page records")
     return Corpus.from_pages(pages.values())
@@ -162,28 +208,14 @@ def ingest_path(path: str | Path) -> Corpus:
         return ingest(fh)
 
 
-def _page_to_record(page: Page) -> dict:
-    return {
-        "doc_id": page.doc_id,
-        "page_index": page.page_index,
-        "raw_text": page.raw_text,
-        "normalized_text": page.normalized_text,
-        "char_count": page.char_count,
-        "numeric_token_count": page.numeric_token_count,
-    }
-
-
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus: one header line, then one record per page."""
+    """Write the corpus: one header line, then one record of Page's fields per page."""
     header = {
         "format": "corpus",
         "version": CORPUS_FORMAT_VERSION,
         "page_count": corpus.page_count,
     }
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, ensure_ascii=False) + "\n")
-        for page in corpus.pages:
-            fh.write(json.dumps(_page_to_record(page), ensure_ascii=False) + "\n")
+    write_records(path, [header, *map(asdict, corpus.pages)])
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -204,22 +236,12 @@ def load_corpus(path: str | Path) -> Corpus:
         expected = header.get("page_count")
         pages = []
         for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                page = Page(
-                    doc_id=rec["doc_id"],
-                    page_index=rec["page_index"],
-                    raw_text=rec["raw_text"],
-                    normalized_text=rec["normalized_text"],
-                    char_count=rec["char_count"],
-                    numeric_token_count=rec["numeric_token_count"],
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"corrupt corpus record at line {line_no}") from exc
-            pages.append(page)
+                pages.append(Page(**json.loads(line)))
+            except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+                raise FormatError(f"corrupt corpus record at line {line_no}: {exc}") from exc
         if len(pages) != expected:
             raise FormatError(
                 f"corpus file truncated: header says {expected} pages, found {len(pages)}"
@@ -255,7 +277,7 @@ class ByteReader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def text(self) -> str:
-        """One string stored as its u32 byte length, then its UTF-8 bytes."""
+        """One string as pack_text stores it: its u32 byte length, then its UTF-8 bytes."""
         (length,) = self.unpack("<I")
         try:
             return str(self.take(length), "utf-8")
@@ -265,3 +287,9 @@ class ByteReader:
     def finish(self) -> None:
         if self._pos != len(self._view):
             raise FormatError(f"trailing bytes after {self._kind} payload")
+
+
+def pack_text(text: str) -> bytes:
+    """The bytes of one string as ByteReader.text reads it back."""
+    data = text.encode("utf-8")
+    return struct.pack("<I", len(data)) + data

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import ByteReader, Corpus, PageRef
+from .corpus import ByteReader, Corpus, PageRef, check_corpus_order, doc_rows, pack_text, rank_rows
 from .errors import FormatError
 from .tokenizer import ngrams, tokenize
 
@@ -41,7 +42,7 @@ class Vocabulary:
 @dataclass
 class LexicalIndex:
     vocabulary: Vocabulary
-    page_refs: list[PageRef]
+    page_refs: list[PageRef]  # in corpus order
     # Per page: sorted (feature_id, weight) pairs; L2 norm 1 unless empty.
     doc_vectors: list[list[tuple[int, float]]]
     page_count: int
@@ -49,13 +50,29 @@ class LexicalIndex:
     n_max: int
 
     def __post_init__(self):
+        check_corpus_order(self.page_refs)
+        self.idf = idf_table(self.vocabulary.df, self.page_count)
         self._postings: dict[int, list[tuple[int, float]]] = {}
         for page_i, vector in enumerate(self.doc_vectors):
             for fid, weight in vector:
                 self._postings.setdefault(fid, []).append((page_i, weight))
 
-    def idf(self, feature_id: int) -> float:
-        return math.log((1 + self.page_count) / (1 + self.vocabulary.df[feature_id])) + 1.0
+
+def idf_table(df: list[int], page_count: int) -> array:
+    """Smoothed idf per feature id, as packed doubles: 8 bytes a feature, not a float object."""
+    return array("d", (math.log((1 + page_count) / (1 + count)) + 1.0 for count in df))
+
+
+def tfidf_weights(grams: Counter, feature_ids: dict[str, int],
+                  idf: array) -> list[tuple[int, float]]:
+    """(feature id, weight) for the grams in the vocabulary, in gram order.
+
+    One rule for pages and queries: sublinear tf times idf, L2-normalized.
+    """
+    pairs = [(fid, (1.0 + math.log(tf)) * idf[fid]) for feature, tf in grams.items()
+             if (fid := feature_ids.get(feature)) is not None]
+    norm = math.sqrt(sum(w * w for _, w in pairs))
+    return [(fid, w / norm) for fid, w in pairs] if norm > 0 else pairs
 
 
 def page_features(normalized_text: str, n_min: int, n_max: int) -> Counter:
@@ -87,66 +104,36 @@ def build_lexical_index(
     selection = selection[:max_features]
     feature_ids = {feature: fid for fid, (feature, _) in enumerate(selection)}
     df = [count for _, count in selection]
-    vocabulary = Vocabulary(feature_ids=feature_ids, df=df)
-
-    n_pages = corpus.page_count
-    doc_vectors: list[list[tuple[int, float]]] = []
-    for grams in page_grams:
-        pairs: list[tuple[int, float]] = []
-        for feature, tf in grams.items():
-            fid = feature_ids.get(feature)
-            if fid is None:
-                continue
-            idf = math.log((1 + n_pages) / (1 + df[fid])) + 1.0
-            pairs.append((fid, (1.0 + math.log(tf)) * idf))
-        norm = math.sqrt(sum(w * w for _, w in pairs))
-        if norm > 0:
-            pairs = [(fid, w / norm) for fid, w in pairs]
-        pairs.sort()
-        doc_vectors.append(pairs)
-
+    idf = idf_table(df, corpus.page_count)
     return LexicalIndex(
-        vocabulary=vocabulary,
-        page_refs=[(p.doc_id, p.page_index) for p in corpus.pages],
-        doc_vectors=doc_vectors,
-        page_count=n_pages,
+        vocabulary=Vocabulary(feature_ids=feature_ids, df=df),
+        page_refs=corpus.page_refs,
+        doc_vectors=[sorted(tfidf_weights(grams, feature_ids, idf)) for grams in page_grams],
+        page_count=corpus.page_count,
         n_min=n_min,
         n_max=n_max,
     )
 
 
-def score_lexical(index: LexicalIndex, query_text: str) -> list[tuple[PageRef, float]]:
+def score_lexical(index: LexicalIndex, query_text: str,
+                  doc_id: str | None = None) -> list[tuple[PageRef, float]]:
     """Cosine scores of all pages against the query, descending.
 
     The query is tokenized, gram-expanded, and weighted exactly like a
     document. Pages with score 0 are omitted; ties are broken by
-    (doc_id, page_index) ascending.
+    (doc_id, page_index) ascending. With ``doc_id`` only that document's
+    pages are ranked.
     """
     grams = page_features(query_text, index.n_min, index.n_max)
-    weights: dict[int, float] = {}
-    for feature, tf in grams.items():
-        fid = index.vocabulary.feature_ids.get(feature)
-        if fid is None:
-            continue
-        weights[fid] = (1.0 + math.log(tf)) * index.idf(fid)
-    if not weights:
-        return []
-    norm = math.sqrt(sum(w * w for w in weights.values()))
-    scores: dict[int, float] = {}
-    for fid, q_weight in weights.items():
+    acc = [0.0] * index.page_count
+    for fid, q_weight in tfidf_weights(grams, index.vocabulary.feature_ids, index.idf):
         for page_i, d_weight in index._postings.get(fid, ()):
-            scores[page_i] = scores.get(page_i, 0.0) + (q_weight / norm) * d_weight
-    results = [
-        (index.page_refs[page_i], min(1.0, s)) for page_i, s in scores.items() if s > 0.0
-    ]
-    results.sort(key=lambda item: (-item[1], item[0]))
-    return results
-
-
-def _write_str(fh, text: str) -> None:
-    data = text.encode("utf-8")
-    fh.write(struct.pack("<I", len(data)))
-    fh.write(data)
+            acc[page_i] += q_weight * d_weight
+    rows = doc_rows(index.page_refs, doc_id)
+    scores = np.minimum(acc[rows.start:rows.stop], 1.0)
+    hits = np.flatnonzero(scores > 0.0)
+    return [(index.page_refs[rows.start + i], float(scores[i]))
+            for i in hits[rank_rows(scores[hits])]]
 
 
 def save_lexical_index(index: LexicalIndex, path: str | Path) -> None:
@@ -170,10 +157,10 @@ def save_lexical_index(index: LexicalIndex, path: str | Path) -> None:
             )
         )
         for feature, fid in features:
-            _write_str(fh, feature)
+            fh.write(pack_text(feature))
             fh.write(struct.pack("<I", index.vocabulary.df[fid]))
         for (doc_id, page_index), vector in zip(index.page_refs, index.doc_vectors):
-            _write_str(fh, doc_id)
+            fh.write(pack_text(doc_id))
             fh.write(struct.pack("<II", page_index, len(vector)))
             for fid, weight in vector:
                 fh.write(struct.pack("<Id", fid, weight))
@@ -191,6 +178,8 @@ def load_lexical_index(path: str | Path) -> LexicalIndex:
     for fid in range(vocab_size):
         feature_ids[reader.text()] = fid
         df.append(reader.unpack("<I")[0])
+    if not all(1 <= count <= page_count for count in df):
+        raise FormatError(f"lexical index holds a document frequency outside 1..{page_count}")
     page_refs: list[PageRef] = []
     counts: list[int] = []
     chunks: list[bytes] = []
@@ -212,11 +201,14 @@ def load_lexical_index(path: str | Path) -> LexicalIndex:
             "lexical index page vector has an unknown, unsorted or non-finite entry")
     flat = pairs.tolist()
     doc_vectors = [flat[end - nnz:end] for nnz, end in zip(counts, ends.tolist())]
-    return LexicalIndex(
-        vocabulary=Vocabulary(feature_ids=feature_ids, df=df),
-        page_refs=page_refs,
-        doc_vectors=doc_vectors,
-        page_count=page_count,
-        n_min=n_min,
-        n_max=n_max,
-    )
+    try:
+        return LexicalIndex(
+            vocabulary=Vocabulary(feature_ids=feature_ids, df=df),
+            page_refs=page_refs,
+            doc_vectors=doc_vectors,
+            page_count=page_count,
+            n_min=n_min,
+            n_max=n_max,
+        )
+    except ValueError as exc:
+        raise FormatError(f"lexical index {exc}") from exc

@@ -13,6 +13,7 @@ import logging
 from dataclasses import dataclass
 
 from .corpus import PageRef
+from .errors import FormatError
 from .lexical import LexicalIndex, score_lexical
 from .semantic import SemanticIndex, embed_query, search_semantic
 
@@ -126,6 +127,18 @@ def select_adaptive(ranked: list[ScoredPage], policy: SelectionPolicy) -> list[S
     return ranked[: min(take, len(ranked))]
 
 
+def check_same_pages(page_refs: list[PageRef], *indexes) -> None:
+    """Reject an index (None is skipped) that lists other pages than page_refs.
+
+    An index built from another corpus would name pages the corpus lacks or
+    score the wrong ones, so it fails before any request with FormatError.
+    """
+    for index in indexes:
+        if index is not None and index.page_refs != page_refs:
+            raise FormatError(f"{type(index).__name__} lists other pages than the corpus "
+                              "or the other index; rebuild the indexes")
+
+
 def retrieve(
     query_text: str,
     lexical_index: LexicalIndex,
@@ -144,9 +157,7 @@ def retrieve(
     fusion and selection all run within it. Deterministic given fixed
     embeddings.
     """
-    lex = score_lexical(lexical_index, query_text)
-    if doc_id is not None:
-        lex = [(ref, s) for ref, s in lex if ref[0] == doc_id]
+    lex = score_lexical(lexical_index, query_text, doc_id=doc_id)
     sem: list[tuple[PageRef, float]] = []
     if semantic_index is not None and client is not None:
         q_vec = embed_query(query_text, client, dim=semantic_index.dim)

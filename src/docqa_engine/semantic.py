@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ByteReader, Corpus, PageRef
+from .corpus import ByteReader, Corpus, PageRef, check_corpus_order, doc_rows, pack_text, rank_rows
 from .errors import ContractError, FormatError
 
 SEMANTIC_MAGIC = b"SEMV"
@@ -22,6 +22,7 @@ SEMANTIC_FORMAT_VERSION = 1
 
 DEFAULT_DIM = 1024
 BATCH_SIZE = 32  # texts per embedding request
+UNIT_NORM_TOL = 1e-4  # a saved row's norm may differ from 1 by float32 rounding only
 
 # Prefixes that query/passage asymmetric embedding models expect.
 QUERY_PREFIX = "query: "
@@ -31,10 +32,11 @@ PASSAGE_PREFIX = "passage: "
 @dataclass
 class SemanticIndex:
     vectors: np.ndarray  # float32, shape (page_count, dim), unit rows
-    page_refs: list[PageRef]
+    page_refs: list[PageRef]  # in corpus order
     dim: int
 
     def __post_init__(self):
+        check_corpus_order(self.page_refs)
         if self.vectors.ndim != 2 or self.vectors.shape[1] != self.dim:
             raise ValueError("vectors must have shape (page_count, dim)")
         if self.vectors.shape[0] != len(self.page_refs):
@@ -76,11 +78,7 @@ def embed(texts: list[str], client, dim: int = DEFAULT_DIM) -> np.ndarray:
 def build_semantic_index(corpus: Corpus, client, dim: int = DEFAULT_DIM) -> SemanticIndex:
     texts = [PASSAGE_PREFIX + p.normalized_text for p in corpus.pages]
     vectors = embed(texts, client, dim=dim)
-    return SemanticIndex(
-        vectors=vectors,
-        page_refs=[(p.doc_id, p.page_index) for p in corpus.pages],
-        dim=dim,
-    )
+    return SemanticIndex(vectors=vectors, page_refs=corpus.page_refs, dim=dim)
 
 
 def embed_query(query_text: str, client, dim: int = DEFAULT_DIM) -> np.ndarray:
@@ -99,17 +97,12 @@ def search_semantic(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(index.page_refs) == 0:
-        return []
     q = np.asarray(q)
     if q.shape != (index.dim,):
         raise ValueError(f"query vector must have shape ({index.dim},)")
-    scores = index.vectors.astype(np.float64) @ q.astype(np.float64)
-    rows = range(len(index.page_refs))
-    if doc_id is not None:
-        rows = [i for i in rows if index.page_refs[i][0] == doc_id]
-    order = sorted(rows, key=lambda i: (-scores[i], index.page_refs[i]))
-    return [(index.page_refs[i], float(scores[i])) for i in order[:k]]
+    rows = doc_rows(index.page_refs, doc_id)
+    scores = (index.vectors.astype(np.float64) @ q.astype(np.float64))[rows.start:rows.stop]
+    return [(index.page_refs[rows.start + i], float(scores[i])) for i in rank_rows(scores)[:k]]
 
 
 def save_semantic_index(index: SemanticIndex, path: str | Path) -> None:
@@ -123,10 +116,7 @@ def save_semantic_index(index: SemanticIndex, path: str | Path) -> None:
         )
         fh.write(np.ascontiguousarray(index.vectors, dtype="<f4").tobytes())
         for doc_id, page_index in index.page_refs:
-            data = doc_id.encode("utf-8")
-            fh.write(struct.pack("<I", len(data)))
-            fh.write(data)
-            fh.write(struct.pack("<I", page_index))
+            fh.write(pack_text(doc_id) + struct.pack("<I", page_index))
 
 
 def load_semantic_index(path: str | Path) -> SemanticIndex:
@@ -135,12 +125,16 @@ def load_semantic_index(path: str | Path) -> SemanticIndex:
     if version != SEMANTIC_FORMAT_VERSION:
         raise FormatError(f"unsupported semantic index version {version}")
     raw = reader.take(count * dim * 4)
-    vectors = np.frombuffer(raw, dtype="<f4").reshape(count, dim).copy()
-    if not np.isfinite(vectors).all():
-        raise FormatError("semantic index holds a non-finite vector component")
-    page_refs: list[PageRef] = []
-    for _ in range(count):
-        doc_id = reader.text()
-        page_refs.append((doc_id, reader.unpack("<I")[0]))
+    # reading the refs first bounds count by the file size, even for dim 0
+    page_refs = [(reader.text(), reader.unpack("<I")[0]) for _ in range(count)]
     reader.finish()
-    return SemanticIndex(vectors=vectors, page_refs=page_refs, dim=dim)
+    vectors = np.frombuffer(raw, dtype="<f4").reshape(count, dim).copy()
+    # one pass rejects non-finite components (their norm is inf or nan) and non-unit rows
+    norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64))
+    if not (np.abs(norms - 1.0) <= UNIT_NORM_TOL).all():
+        raise FormatError("semantic index holds a row with a non-finite component or a norm "
+                          f"that is not 1 within {UNIT_NORM_TOL}")
+    try:
+        return SemanticIndex(vectors=vectors, page_refs=page_refs, dim=dim)
+    except ValueError as exc:
+        raise FormatError(f"semantic index {exc}") from exc

@@ -40,11 +40,9 @@ from docqa_engine.augment import (
     select_pages,
     toc_density,
     validate_feasibility,
-    write_audit_jsonl,
-    write_qa_jsonl,
 )
 from docqa_engine.cli import QuestionRecord, read_questions_jsonl
-from docqa_engine.corpus import Corpus, Page
+from docqa_engine.corpus import Corpus, Page, write_records
 from docqa_engine.errors import ContractError, EndpointError, ParseError, TransportError
 from mock_server import MockModelServer, MockReply
 
@@ -1098,7 +1096,7 @@ class TestJsonlIO:
             _candidate(question="別の質問は、どれですか。", answer_index=1),
         ]
         path = tmp_path / "qa.jsonl"
-        write_qa_jsonl(path, candidates)
+        write_records(path, [c.to_record() for c in candidates])
         assert read_questions_jsonl(path) == [
             QuestionRecord(question=c.question, options=c.options,
                            answer_index=c.answer_index, doc_id=c.source_page[0])
@@ -1107,7 +1105,7 @@ class TestJsonlIO:
 
     def test_record_shape_on_disk(self, tmp_path):
         path = tmp_path / "qa.jsonl"
-        write_qa_jsonl(path, [_candidate()])
+        write_records(path, [_candidate().to_record()])
         record = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
         assert set(record) == {
             "question", "options", "answer_index", "qtype",
@@ -1116,13 +1114,13 @@ class TestJsonlIO:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "qa.jsonl"
-        write_qa_jsonl(path, [_candidate()])
+        write_records(path, [_candidate().to_record()])
         path.write_text(path.read_text(encoding="utf-8") + "\n\n", encoding="utf-8")
         assert len(read_questions_jsonl(path)) == 1
 
     def test_bad_json_line_numbered(self, tmp_path):
         path = tmp_path / "qa.jsonl"
-        write_qa_jsonl(path, [_candidate()])
+        write_records(path, [_candidate().to_record()])
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("{oops\n")
         with pytest.raises(ParseError, match="line 2") as excinfo:
@@ -1137,6 +1135,6 @@ class TestJsonlIO:
 
     def test_audit_jsonl(self, tmp_path):
         path = tmp_path / "audit.jsonl"
-        write_audit_jsonl(path, [{"stage": "parse", "attempt": 0}])
+        write_records(path, [{"stage": "parse", "attempt": 0}])
         lines = path.read_text(encoding="utf-8").splitlines()
         assert json.loads(lines[0]) == {"stage": "parse", "attempt": 0}

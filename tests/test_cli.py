@@ -63,6 +63,18 @@ def raw_pages(tmp_path):
 
 
 @pytest.fixture()
+def other_artifacts(tmp_path):
+    """Corpus and lexical index of another corpus: fin runs to page 4, hr is absent."""
+    raw = tmp_path / "other_raw.jsonl"
+    _write_jsonl(raw, [{"doc_id": "fin", "page_index": i, "text": FIN_BODY} for i in range(5)])
+    corpus = tmp_path / "other_corpus.jsonl"
+    lexical = tmp_path / "other_lexical.idx"
+    assert main(["ingest", "--input", str(raw), "--output", str(corpus)]) == EXIT_OK
+    assert main(["build-index", "--corpus", str(corpus), "--lexical", str(lexical)]) == EXIT_OK
+    return {"corpus": corpus, "lexical": lexical}
+
+
+@pytest.fixture()
 def artifacts(tmp_path, raw_pages):
     """Ingested corpus plus lexical index, built through the CLI itself."""
     corpus = tmp_path / "corpus.jsonl"
@@ -166,6 +178,19 @@ class TestBuildIndex:
         assert main(["build-index", "--corpus", str(tmp_path / "nope"),
                      "--lexical", str(tmp_path / "l.idx")]) == EXIT_IO
 
+    @pytest.mark.parametrize("field, value", [("page_index", "1"), ("normalized_text", 7)])
+    def test_mistyped_corpus_record_is_io_error(self, tmp_path, artifacts, field, value, capsys):
+        lines = artifacts["corpus"].read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        record[field] = value
+        lines[2] = json.dumps(record, ensure_ascii=False)
+        corpus = tmp_path / "mistyped.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["build-index", "--corpus", str(corpus), "--lexical", str(tmp_path / "l.idx")])
+        assert code == EXIT_IO
+        assert f"corrupt corpus record at line 3: {field} must be" in capsys.readouterr().err
+
 
 class TestRetrieve:
     def test_rank_lines(self, artifacts, capsys):
@@ -241,6 +266,26 @@ class TestRetrieve:
                      "--embed-url", "http://127.0.0.1:9/v1", "--embed-model", "m"])
         assert code == EXIT_IO
         assert "semantic index file truncated" in capsys.readouterr().err
+
+    def test_semantic_index_of_another_corpus_is_io_error(self, tmp_path, artifacts,
+                                                          other_artifacts, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("embedding:\n  dim: 32\n", encoding="utf-8")
+        semantic = tmp_path / "semantic.idx"
+        with MockModelServer(dim=32) as server:
+            embed_flags = ["--embed-url", server.base_url, "--embed-model", "embedder"]
+            assert main(["--config", str(config), "build-index",
+                         "--corpus", str(other_artifacts["corpus"]),
+                         "--lexical", str(tmp_path / "lex6.idx"), "--semantic", str(semantic),
+                         *embed_flags]) == EXIT_OK
+            sent = len(server.request_log)
+            capsys.readouterr()
+            code = main(["--config", str(config), "retrieve", "売上高",
+                         "--lexical", str(artifacts["lexical"]), "--semantic", str(semantic),
+                         *embed_flags])
+            assert len(server.request_log) == sent  # no query embedding was requested
+        assert code == EXIT_IO
+        assert "SemanticIndex lists other pages" in capsys.readouterr().err
 
     def test_non_finite_semantic_vector_is_io_error(self, tmp_path, artifacts, capsys):
         semantic = tmp_path / "semantic.idx"
@@ -404,6 +449,19 @@ class TestInfer:
             assert server.request_log == []
         assert code == EXIT_VALIDATION
         assert "doc_id 'nope' names no document" in capsys.readouterr().err
+
+    def test_lexical_index_of_another_corpus_is_io_error(self, tmp_path, artifacts,
+                                                         other_artifacts, questions_file,
+                                                         capsys):
+        with MockModelServer(chat="Answer: A") as server:
+            code = main([
+                "infer", "--questions", str(questions_file), "--output", str(tmp_path / "v.jsonl"),
+                "--corpus", str(artifacts["corpus"]), "--lexical", str(other_artifacts["lexical"]),
+                "--endpoint-url", server.base_url, "--model", "mock-model",
+            ])
+            assert server.request_log == []
+        assert code == EXIT_IO
+        assert "LexicalIndex lists other pages" in capsys.readouterr().err
 
     def test_missing_questions_file_is_io_error(self, tmp_path, artifacts):
         assert main([

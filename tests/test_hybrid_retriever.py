@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from docqa_engine.corpus import Corpus, Page
 from docqa_engine.gateway import hash_embedder
-from docqa_engine.lexical import build_lexical_index
+from docqa_engine.lexical import build_lexical_index, score_lexical
 from docqa_engine.retriever import (
     DEFAULT_POLICY,
     DEFAULT_WEIGHTS,
@@ -28,7 +28,7 @@ from docqa_engine.retriever import (
     retrieve,
     select_adaptive,
 )
-from docqa_engine.semantic import build_semantic_index
+from docqa_engine.semantic import build_semantic_index, embed_query, search_semantic
 
 
 def _page(doc: str, idx: int, final: float) -> ScoredPage:
@@ -277,3 +277,28 @@ class TestDocRestriction:
         out = retrieve("売上高は前年比で増加したか", build_lexical_index(corpus), semantic,
                        DEFAULT_WEIGHTS, DEFAULT_POLICY, client=embed_client, doc_id="b")
         assert sorted(sp.page_ref for sp in out) == [("b", 0), ("b", 1)]
+
+
+_DOC_IDS = st.text(alphabet="ab報", min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=st.dictionaries(_DOC_IDS, st.lists(st.text(alphabet="xy 1報", max_size=10),
+                                               min_size=1, max_size=4),
+                            min_size=1, max_size=4),
+       query=st.text(alphabet="xy 1報", max_size=8), k=st.integers(1, 12), data=st.data())
+def test_doc_restriction_equals_filtered_full_ranking(docs, query, k, data):
+    """score_lexical and search_semantic with doc_id keep exactly that
+    document's entries of the unrestricted ranking, in the same order."""
+    corpus = Corpus.from_pages(Page.from_raw(doc, i, text)
+                               for doc, texts in docs.items() for i, text in enumerate(texts))
+    doc_id = data.draw(st.one_of(st.sampled_from(sorted(docs)), _DOC_IDS), label="doc_id")
+    lexical = build_lexical_index(corpus, n_min=1, n_max=2)
+    assert score_lexical(lexical, query, doc_id=doc_id) == [
+        hit for hit in score_lexical(lexical, query) if hit[0][0] == doc_id]
+    embed_client = SimpleNamespace(embed=hash_embedder(dim=8))
+    semantic = build_semantic_index(corpus, embed_client, dim=8)
+    q = embed_query(query, embed_client, dim=8)
+    full = search_semantic(semantic, q, k=corpus.page_count)
+    assert search_semantic(semantic, q, k=k, doc_id=doc_id) == [
+        hit for hit in full if hit[0][0] == doc_id][:k]

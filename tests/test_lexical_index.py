@@ -6,6 +6,7 @@ cosine via dot product — with plain dict arithmetic, independent of the
 index's postings machinery.
 """
 
+import dataclasses
 import functools
 import math
 import struct
@@ -321,6 +322,16 @@ class TestCorruptFiles:
         with pytest.raises(FormatError, match="page vector"):
             load_lexical_index(path)
 
+    @pytest.mark.parametrize("df", [0, 4, 0xFFFFFFFF],
+                             ids=["zero", "page_count_plus_one", "u32_max"])
+    def test_document_frequency_outside_one_to_page_count_rejected(self, tmp_path, df):
+        index = _sample_index()
+        index.vocabulary.df[0] = df
+        path = tmp_path / "lex.idx"
+        save_lexical_index(index, path)
+        with pytest.raises(FormatError, match=r"document frequency outside 1\.\.3"):
+            load_lexical_index(path)
+
     def test_huge_n_max_scores_like_the_saved_range(self, tmp_path):
         index = _sample_index()
         data = bytearray(_sample_file())
@@ -336,3 +347,21 @@ class TestCorruptFiles:
         worker.join(timeout=10)
         assert not worker.is_alive(), "scoring against n_max=0xFFFFFFFF did not finish"
         assert got == [score_lexical(index, q) for q in queries]
+
+
+@pytest.mark.parametrize("refs", [[("e", 0), ("d", 0), ("d", 1)], [("d", 0), ("d", 0), ("e", 0)]],
+                         ids=["unsorted", "duplicate"])
+class TestPageOrder:
+    """An index lists its pages in corpus order: refs strictly ascending."""
+
+    def test_constructor_rejects(self, refs):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            dataclasses.replace(_sample_index(), page_refs=refs)
+
+    def test_loader_rejects(self, tmp_path, refs):
+        index = _sample_index()
+        index.page_refs = refs
+        path = tmp_path / "lex.idx"
+        save_lexical_index(index, path)
+        with pytest.raises(FormatError, match="strictly ascending"):
+            load_lexical_index(path)

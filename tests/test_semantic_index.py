@@ -1,5 +1,6 @@
 """Embedding plumbing and exact cosine search against a full-scan oracle."""
 
+import dataclasses
 import functools
 import struct
 import tempfile
@@ -122,7 +123,7 @@ class TestSearch:
         row = np.ones(4, dtype=np.float32) / 2.0
         vectors = np.stack([row, row, row])
         index = SemanticIndex(
-            vectors=vectors, page_refs=[("b", 0), ("a", 1), ("a", 0)], dim=4
+            vectors=vectors, page_refs=[("a", 0), ("a", 1), ("b", 0)], dim=4
         )
         got = [ref for ref, _ in search_semantic(index, row, k=3)]
         assert got == [("a", 0), ("a", 1), ("b", 0)]
@@ -239,7 +240,7 @@ class TestPersistence:
 @functools.cache
 def _sample_file() -> bytes:
     vectors = _unit_rows(np.random.default_rng(7), 3, 4)
-    index = SemanticIndex(vectors=vectors, page_refs=[("報告書", 0), ("報告書", 1), ("b", 0)],
+    index = SemanticIndex(vectors=vectors, page_refs=[("b", 0), ("報告書", 0), ("報告書", 1)],
                           dim=4)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sem.idx"
@@ -281,9 +282,37 @@ class TestCorruptFiles:
         with pytest.raises(FormatError, match="truncated"):
             _load_bytes(tmp_path, bytes(data))
 
+    @pytest.mark.parametrize("scale", [1e6, 0.0], ids=["scaled", "zero"])
+    def test_row_without_unit_norm_rejected(self, tmp_path, scale):
+        index = _index(np.random.default_rng(8), n=3, dim=4)
+        index.vectors[1] *= scale
+        path = tmp_path / "sem.idx"
+        save_semantic_index(index, path)
+        with pytest.raises(FormatError, match="not 1"):
+            load_semantic_index(path)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_component_rejected(self, tmp_path, bad):
         data = bytearray(_sample_file())
         struct.pack_into("<f", data, 16 + 4 * 5, bad)  # row 1, column 1
         with pytest.raises(FormatError, match="non-finite"):
             _load_bytes(tmp_path, bytes(data))
+
+
+@pytest.mark.parametrize("refs", [[("b", 0), ("a", 0), ("a", 1)], [("a", 0), ("a", 0), ("b", 0)]],
+                         ids=["unsorted", "duplicate"])
+class TestPageOrder:
+    """An index lists its pages in corpus order: refs strictly ascending."""
+
+    def test_constructor_rejects(self, refs):
+        index = _index(np.random.default_rng(9), n=3, dim=4)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            dataclasses.replace(index, page_refs=refs)
+
+    def test_loader_rejects(self, tmp_path, refs):
+        index = _index(np.random.default_rng(9), n=3, dim=4)
+        index.page_refs = refs
+        path = tmp_path / "sem.idx"
+        save_semantic_index(index, path)
+        with pytest.raises(FormatError, match="strictly ascending"):
+            load_semantic_index(path)
