@@ -15,7 +15,7 @@ import logging
 import random
 import re
 import threading
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -24,7 +24,9 @@ from string import Template
 from typing import Iterable
 
 from .corpus import Corpus, Page, PageRef, normalize_text
+from .ensemble import options_block
 from .errors import ConfigError, ContractError, EndpointError, ParseError, TransportError
+from .gateway import chat_request
 from .tokenizer import count_numeric_tokens, token_set, tokenize
 
 logger = logging.getLogger(__name__)
@@ -42,14 +44,6 @@ GATE_NAMES = ("length", "complexity", "answer_support", "option_quality", "dedup
 
 # ---------------------------------------------------------------------------
 # Domain types
-
-
-@dataclass(frozen=True)
-class PageScore:
-    page_ref: PageRef
-    richness: float
-    middle_weight: float
-    final: float
 
 
 @dataclass(frozen=True)
@@ -87,27 +81,6 @@ class FeasibilityVerdict:
 
 
 @dataclass(frozen=True)
-class GateReport:
-    length: bool
-    complexity: bool
-    answer_support: bool
-    option_quality: bool
-    dedup: bool
-
-    @property
-    def overall(self) -> bool:
-        return all(getattr(self, name) for name in GATE_NAMES)
-
-    def failed_gates(self) -> list[str]:
-        return [name for name in GATE_NAMES if not getattr(self, name)]
-
-    def to_record(self) -> dict:
-        record = {name: getattr(self, name) for name in GATE_NAMES}
-        record["overall"] = self.overall
-        return record
-
-
-@dataclass(frozen=True)
 class GateThresholds:
     question_min_chars: int = 10
     question_max_chars: int = 300
@@ -126,9 +99,7 @@ class AugmentResult:
     attempts: int
 
     def summary(self) -> dict:
-        stages: dict[str, int] = {}
-        for record in self.audit:
-            stages[record["stage"]] = stages.get(record["stage"], 0) + 1
+        stages = Counter(record["stage"] for record in self.audit)
         return {
             "attempts": self.attempts,
             "accepted": len(self.accepted),
@@ -141,20 +112,13 @@ class AugmentResult:
 # Page selection
 
 
-def score_page(page: Page, pages_in_doc: int) -> PageScore:
+def score_page(page: Page, pages_in_doc: int) -> float:
     """Content richness damped toward 1x at the middle, 0.5x at the edges."""
     richness = page.char_count + NUMERIC_RICHNESS_WEIGHT * page.numeric_token_count
+    middle_weight = 1.0
     if pages_in_doc > 1:
-        offset = abs(2 * page.page_index / (pages_in_doc - 1) - 1)
-        middle_weight = 1.0 - offset * MIDDLE_WEIGHT_DEPTH
-    else:
-        middle_weight = 1.0
-    return PageScore(
-        page_ref=(page.doc_id, page.page_index),
-        richness=richness,
-        middle_weight=middle_weight,
-        final=richness * middle_weight,
-    )
+        middle_weight -= abs(2 * page.page_index / (pages_in_doc - 1) - 1) * MIDDLE_WEIGHT_DEPTH
+    return richness * middle_weight
 
 
 def toc_density(raw_text: str) -> float:
@@ -185,16 +149,16 @@ def select_pages(corpus: Corpus, quota: int, seed: int = 0) -> list[PageRef]:
     if quota < 1:
         raise ValueError("quota must be at least 1")
     counts = corpus.doc_page_counts()
-    buckets: list[list[PageScore]] = [[] for _ in range(STRATA)]
+    buckets: list[list[tuple[float, PageRef]]] = [[] for _ in range(STRATA)]
     for page in corpus.pages:
         if not is_content_page(page):
             continue
         pages_in_doc = counts[page.doc_id]
         relative = page.page_index / (pages_in_doc - 1) if pages_in_doc > 1 else 0.0
         bucket = min(int(relative * STRATA), STRATA - 1)
-        buckets[bucket].append(score_page(page, pages_in_doc))
+        buckets[bucket].append((-score_page(page, pages_in_doc), (page.doc_id, page.page_index)))
     for bucket in buckets:
-        bucket.sort(key=lambda s: (-s.final, s.page_ref))
+        bucket.sort()  # best score first, ties by page ref
 
     eligible_total = sum(len(bucket) for bucket in buckets)
     if eligible_total == 0:
@@ -215,7 +179,7 @@ def select_pages(corpus: Corpus, quota: int, seed: int = 0) -> list[PageRef]:
             if len(picked) >= target:
                 break
             if cursors[band] < len(buckets[band]):
-                picked.append(buckets[band][cursors[band]].page_ref)
+                picked.append(buckets[band][cursors[band]][1])
                 cursors[band] += 1
     return picked
 
@@ -458,8 +422,9 @@ def run_gates(
     accepted: Iterable[QACandidate],
     page_text: str,
     thresholds: GateThresholds = GateThresholds(),
-) -> GateReport:
-    """Run the five quality gates; the report's overall is their conjunction.
+) -> list[str]:
+    """Run the five quality gates; returns the failed ones in GATE_NAMES order,
+    so an empty list means the candidate passed.
 
     length: question within the char bounds. complexity: at least two
     clauses or a numeric reference. answer_support: the correct option's
@@ -504,48 +469,12 @@ def run_gates(
 
     dedup_ok = not any(_near_duplicate(candidate, prior, thresholds) for prior in accepted)
 
-    return GateReport(
-        length=length_ok,
-        complexity=complexity_ok,
-        answer_support=support_ok,
-        option_quality=option_quality_ok,
-        dedup=dedup_ok,
-    )
+    passed = (length_ok, complexity_ok, support_ok, option_quality_ok, dedup_ok)
+    return [name for name, ok in zip(GATE_NAMES, passed) if not ok]
 
 
 # ---------------------------------------------------------------------------
 # Orchestration
-
-
-def _options_block(options: Iterable[str]) -> str:
-    return "\n".join(f"{chr(ord('A') + i)}. {text}" for i, text in enumerate(options))
-
-
-def _feasibility_outcome(
-    client,
-    request: dict,
-    candidate: QACandidate,
-    base: dict,
-    page_text: str,
-    thresholds: GateThresholds,
-) -> dict | None:
-    """One feasibility round-trip: None if the candidate passes, else its audit record."""
-    try:
-        raw = client.generate(request)
-    except (TransportError, EndpointError, ContractError) as exc:
-        return {**base, "stage": "transport", "reason": str(exc), "question": candidate.question}
-    try:
-        verdict = parse_feasibility(raw)
-    except ParseError as exc:
-        return {**base, "stage": "feasibility_parse", "reason": str(exc), "question": candidate.question}
-    if not validate_feasibility(verdict, candidate, page_text, thresholds):
-        return {
-            **base,
-            "stage": "feasibility",
-            "reason": "feasibility validation failed",
-            "question": candidate.question,
-        }
-    return None
 
 
 def augment(
@@ -604,14 +533,28 @@ def augment(
 
     stop = threading.Event()
 
-    def check_feasibility(*args) -> dict | None:
+    def check_feasibility(request: dict, candidate: QACandidate, base: dict,
+                          page_text: str) -> dict | None:
+        """One feasibility round-trip: None if the candidate passes, else its
+        audit record. Any other error stops every later check."""
         if stop.is_set():  # an earlier check raised: send nothing more
             raise CancelledError
         try:
-            return _feasibility_outcome(client, *args)
+            raw = client.generate(request)
+            try:
+                verdict = parse_feasibility(raw)
+            except ParseError as exc:
+                stage, reason = "feasibility_parse", str(exc)
+            else:
+                if validate_feasibility(verdict, candidate, page_text, thresholds):
+                    return None
+                stage, reason = "feasibility", "feasibility validation failed"
+        except (TransportError, EndpointError, ContractError) as exc:
+            stage, reason = "transport", str(exc)
         except BaseException:
             stop.set()
             raise
+        return {**base, "stage": stage, "reason": reason, "question": candidate.question}
 
     lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="augment-feasibility")
     try:
@@ -629,14 +572,8 @@ def augment(
                 f"generate_{qtype}",
                 {"page_text": page.normalized_text, "doc_id": doc_id, "page_index": page_index},
             )
-            request = {
-                "messages": [{"role": "user", "content": prompt}],
-                "temperature": 0.7,
-                "top_p": 0.95,
-                "top_k": 50,
-                "seed": rng.randrange(2**31),
-                "max_tokens": 512,
-            }
+            request = chat_request(prompt, temperature=0.7, top_p=0.95, top_k=50,
+                                   seed=rng.randrange(2**31), max_tokens=512)
             try:
                 raw = client.generate(request)
             except (TransportError, EndpointError, ContractError) as exc:
@@ -656,9 +593,8 @@ def augment(
                 if prior is not None and _near_duplicate(candidate, prior, thresholds)
             ]
             commit(through=max(clashes, default=-1))
-            report = run_gates(candidate, accepted, page.normalized_text, thresholds)
-            if not report.overall:
-                failed = report.failed_gates()
+            failed = run_gates(candidate, accepted, page.normalized_text, thresholds)
+            if failed:
                 pending.append((attempt, None, {
                     **base,
                     "stage": f"gate:{failed[0]}",
@@ -674,21 +610,13 @@ def augment(
                     {
                         "page_text": page.normalized_text,
                         "question": candidate.question,
-                        "options_block": _options_block(candidate.options),
+                        "options_block": options_block(candidate.options),
                     },
                 )
-                feas_request = {
-                    "messages": [{"role": "user", "content": feas_prompt}],
-                    "temperature": 0.0,
-                    "top_p": 1.0,
-                    "top_k": 1,
-                    "seed": rng.randrange(2**31),
-                    "max_tokens": 512,
-                }
+                feas_request = chat_request(feas_prompt, temperature=0.0, top_p=1.0, top_k=1,
+                                            seed=rng.randrange(2**31), max_tokens=512)
                 outcome = lane.submit(
-                    check_feasibility, feas_request, candidate, base,
-                    page.normalized_text, thresholds,
-                )
+                    check_feasibility, feas_request, candidate, base, page.normalized_text)
             pending.append((attempt, candidate, outcome))
         commit(through=quota)
     finally:

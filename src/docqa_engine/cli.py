@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .augment import augment
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, resolve_endpoint
 from .corpus import Corpus, ingest_path, iter_records, load_corpus, save_corpus, write_records
 from .ensemble import (
     MAX_OPTIONS,
@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     TransportError,
 )
-from .gateway import EndpointConfig, GatewayClient
+from .gateway import GatewayClient
 from .lexical import build_lexical_index, load_lexical_index, save_lexical_index
 from .retriever import FusionWeights, SelectionPolicy, check_same_pages, retrieval_record, retrieve
 from .semantic import build_semantic_index, load_semantic_index, save_semantic_index
@@ -138,6 +138,9 @@ def answer_questions(
         if q.doc_id is not None and q.doc_id not in docs:
             raise ParseError(
                 f"question {qi}: doc_id {q.doc_id!r} names no document in the corpus")
+    if not use_retrieval:  # the naive baseline: the same context for every question
+        joined = "\n\n".join(p.normalized_text for p in corpus.pages)[:max_context_chars]
+        baseline_contexts = [joined] if joined else []
 
     def answer(qi: int, q: QuestionRecord) -> dict:
         retrieved = []
@@ -155,10 +158,7 @@ def answer_questions(
             retrieved = [r.page_ref for r in results]
             contexts = [corpus.get(*ref).normalized_text for ref in retrieved]
         else:
-            joined = "\n\n".join(p.normalized_text for p in corpus.pages)
-            if max_context_chars is not None:
-                joined = joined[:max_context_chars]
-            contexts = [joined] if joined else []
+            contexts = baseline_contexts
 
         prompt = build_answer_prompt(q.question, list(q.options))
         schedule = make_schedule(config.schedule_count, seed=config.seed + qi)
@@ -215,20 +215,8 @@ def evaluate_verdicts(verdicts: list[dict]) -> dict:
 # Commands
 
 
-def _endpoint_override(base: EndpointConfig | None, url: str | None,
-                       model: str | None) -> EndpointConfig | None:
-    if url and model:
-        return EndpointConfig(base_url=url, model_name=model)
-    if base is not None and (url or model):
-        return replace(base, **({"base_url": url} if url else {}),
-                       **({"model_name": model} if model else {}))
-    if url or model:
-        raise ConfigError("an endpoint override needs both --endpoint-url and --model")
-    return base
-
-
 def _require_chat_client(config: PipelineConfig, args) -> GatewayClient:
-    endpoint = _endpoint_override(config.endpoint, args.endpoint_url, args.model)
+    endpoint = resolve_endpoint(config.endpoint, args.endpoint_url, args.model)
     if endpoint is None:
         raise ConfigError(
             "no model endpoint configured; set the endpoint section in the "
@@ -238,7 +226,7 @@ def _require_chat_client(config: PipelineConfig, args) -> GatewayClient:
 
 
 def _embed_client(config: PipelineConfig, args) -> GatewayClient | None:
-    endpoint = _endpoint_override(config.embedding, args.embed_url, args.embed_model)
+    endpoint = resolve_endpoint(config.embedding, args.embed_url, args.embed_model)
     return None if endpoint is None else GatewayClient(endpoint)
 
 

@@ -102,15 +102,34 @@ def _take(section: str, values: dict, targets) -> dict:
     return taken
 
 
-def _endpoint(section: str, values: dict, auth_env: str | None) -> EndpointConfig | None:
+def resolve_endpoint(section: EndpointConfig | None, base_url: str | None = None,
+                     model_name: str | None = None) -> EndpointConfig | None:
+    """The endpoint a run talks to: the config section, with each of
+    `base_url` and `model_name` that is given replacing that field. Without
+    a section both are needed. A token-less endpoint takes its bearer token
+    from $DOCQA_AUTH_TOKEN. None when there is neither section nor name."""
+    names = {key: value for key, value in (("base_url", base_url), ("model_name", model_name))
+             if value}
+    if section is None:
+        if not names:
+            return None
+        if len(names) < 2:
+            raise ConfigError("an endpoint without a config section needs both "
+                              "a base URL and a model name")
+        section = _BLANK_ENDPOINT
+    endpoint = replace(section, **names)
+    if endpoint.auth_token is None:
+        endpoint = replace(endpoint, auth_token=os.environ.get(AUTH_TOKEN_ENV) or None)
+    return endpoint
+
+
+def _endpoint(section: str, values: dict) -> EndpointConfig | None:
     if not values:
         return None
     endpoint = replace(_BLANK_ENDPOINT, **_take(section, values, fields(EndpointConfig)))
     if not endpoint.base_url or not endpoint.model_name:
         raise ConfigError(f"config section {section!r} needs both base_url and model_name")
-    if endpoint.auth_token is None and auth_env:
-        endpoint = replace(endpoint, auth_token=auth_env)
-    return endpoint
+    return resolve_endpoint(endpoint)
 
 
 def _reject_unknown(section_name: str, leftovers) -> None:
@@ -145,7 +164,6 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
     _reject_unknown("<top level>", [key for key in raw if key not in _SECTIONS])
     config = PipelineConfig()
     top_fields = {f.name: f for f in fields(PipelineConfig)}
-    auth_env = os.environ.get(AUTH_TOKEN_ENV)
     for section, names in _SECTIONS.items():
         values = raw.get(section)
         if values is None:
@@ -158,7 +176,7 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
             for name in names:
                 current = getattr(config, name)
                 if name in ("endpoint", "embedding"):
-                    changes[name] = _endpoint(section, values, auth_env)
+                    changes[name] = _endpoint(section, values)
                 elif is_dataclass(current):
                     changes[name] = replace(current, **_take(section, values, fields(current)))
                 else:

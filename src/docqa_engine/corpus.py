@@ -221,31 +221,31 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus written by save_corpus; field-for-field inverse."""
     with Path(path).open("r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise FormatError("empty corpus file")
+        records = iter_records(fh)
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"corrupt corpus header: {exc.msg}") from exc
-        if not isinstance(header, dict) or header.get("format") != "corpus":
-            raise FormatError("not a corpus file")
-        version = header.get("version")
-        if version != CORPUS_FORMAT_VERSION:
-            raise FormatError(f"unsupported corpus version {version!r}")
-        expected = header.get("page_count")
-        pages = []
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                pages.append(Page(**json.loads(line)))
-            except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
-                raise FormatError(f"corrupt corpus record at line {line_no}: {exc}") from exc
-        if len(pages) != expected:
-            raise FormatError(
-                f"corpus file truncated: header says {expected} pages, found {len(pages)}"
-            )
+            _, header = next(records, (0, None))
+            if header is None:
+                raise FormatError("empty corpus file")
+            if header.get("format") != "corpus":
+                raise FormatError("not a corpus file")
+            version = header.get("version")
+            if version != CORPUS_FORMAT_VERSION:
+                raise FormatError(f"unsupported corpus version {version!r}")
+            expected = header.get("page_count")
+            if type(expected) is not int or expected < 0:  # bool is an int subclass
+                raise FormatError(
+                    f"corpus header page_count must be a non-negative integer, got {expected!r}")
+            pages = []
+            for line_no, record in records:
+                try:
+                    pages.append(Page(**record))
+                except (ValueError, TypeError) as exc:
+                    raise FormatError(f"corrupt corpus record at line {line_no}: {exc}") from exc
+        except ParseError as exc:
+            raise FormatError(f"corrupt corpus file: {exc}") from exc
+    if len(pages) != expected:
+        raise FormatError(
+            f"corpus file truncated: header says {expected} pages, found {len(pages)}")
     return Corpus.from_pages(pages)
 
 

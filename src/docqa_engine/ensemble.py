@@ -14,11 +14,12 @@ import random
 import re
 import threading
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 from .corpus import normalize_text
 from .errors import ContractError, EndpointError, TransportError
+from .gateway import chat_request
 
 TEMPERATURE_RANGE = (0.1, 1.5)
 TOP_P_CYCLE = (0.7, 0.8, 0.9, 0.95)
@@ -56,27 +57,6 @@ class StopRule:
             raise ValueError("min_responses must be at least 1")
         if not 0.0 <= self.confidence_threshold <= 1.0:
             raise ValueError("confidence_threshold must lie in [0, 1]")
-
-
-@dataclass
-class EnsembleState:
-    completed: list[tuple[int, str, str | None]] = field(default_factory=list)
-    vote_counts: Counter = field(default_factory=Counter)
-
-    @property
-    def extractable(self) -> int:
-        return sum(self.vote_counts.values())
-
-    @property
-    def confidence(self) -> float:
-        if not self.vote_counts:
-            return 0.0
-        return max(self.vote_counts.values()) / self.extractable
-
-    def record(self, config_id: int, raw: str, extracted: str | None) -> None:
-        self.completed.append((config_id, raw, extracted))
-        if extracted is not None:
-            self.vote_counts[extracted] += 1
 
 
 @dataclass(frozen=True)
@@ -245,16 +225,21 @@ def _labels(count: int) -> list[str]:
     return [chr(ord("A") + i) for i in range(count)]
 
 
+def options_block(option_texts: list[str] | tuple[str, ...]) -> str:
+    """One "A. text" line per option, labelled in order."""
+    return "\n".join(f"{label}. {text}"
+                     for label, text in zip(_labels(len(option_texts)), option_texts))
+
+
 def build_answer_prompt(question: str, option_texts: list[str]) -> str:
     """Deterministic multiple-choice prompt demanding a labeled answer line."""
-    lines = [
+    return "\n".join([
         "Answer the following multiple-choice question using the context above.",
         f"Question: {question}",
         "Options:",
-    ]
-    lines += [f"{label}. {text}" for label, text in zip(_labels(len(option_texts)), option_texts)]
-    lines.append('Reply with the single best option letter on its own line as "Answer: X".')
-    return "\n".join(lines)
+        options_block(option_texts),
+        'Reply with the single best option letter on its own line as "Answer: X".',
+    ])
 
 
 def in_flight_limit(client) -> int:
@@ -288,7 +273,7 @@ def run_ensemble(
     # labels A.. follow the option count; without option texts, A-D
     labels = _labels(len(option_texts) if option_texts else 4)
 
-    messages = [{"role": "user", "content": compose_user_message(prompt, context_texts)}]
+    content = compose_user_message(prompt, context_texts)
 
     window = max(1, min(in_flight_limit(client), len(schedule)))
     stopped = threading.Event()
@@ -296,62 +281,43 @@ def run_ensemble(
     def call(config: DecodingConfig) -> str:
         if stopped.is_set():  # the vote was decided while this one queued
             return ""
-        request = {**config.to_request(), "messages": messages, "max_tokens": 256}
         try:
-            return client.generate(request)
+            return client.generate(chat_request(content, max_tokens=256, **config.to_request()))
         except (TransportError, EndpointError, ContractError):
             return ""
 
-    state = EnsembleState()
-    decided = False
+    votes: Counter = Counter()
+    responses: list[tuple[int, str, str | None]] = []  # (config id, raw, extracted)
+    confidence = 0.0
+    futures = []
     pool = ThreadPoolExecutor(max_workers=window)
-    pending: dict[Future, int] = {}
-    arrived: dict[int, str] = {}  # completed but not yet tallied, by position
-    next_i = 0
     try:
-        while not decided and len(state.completed) < len(schedule):
-            # Positions below min_responses are always tallied; past them,
-            # stay at most one window ahead of the tallied prefix.
-            horizon = min(len(schedule),
-                          max(stop.min_responses, len(state.completed) + window))
-            while next_i < horizon:
-                pending[pool.submit(call, schedule[next_i])] = next_i
-                next_i += 1
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                arrived[pending.pop(future)] = future.result()
-            while not decided and len(state.completed) in arrived:
-                i = len(state.completed)
-                raw = arrived.pop(i)
-                state.record(schedule[i].id, raw, extract_option(raw, labels, option_texts))
-                decided = (
-                    len(state.completed) >= stop.min_responses
-                    and state.confidence >= stop.confidence_threshold
-                )
+        for i, config in enumerate(schedule):
+            if i == len(futures) or not futures[i].done():
+                # Positions below min_responses are always sent; past them,
+                # stay at most one window ahead of the tallied prefix. The
+                # pool sends each queued position as soon as a worker frees.
+                horizon = min(len(schedule), max(stop.min_responses, i + window))
+                futures += [pool.submit(call, c) for c in schedule[len(futures):horizon]]
+            raw = futures[i].result()
+            extracted = extract_option(raw, labels, option_texts)
+            responses.append((config.id, raw, extracted))
+            if extracted is not None:
+                votes[extracted] += 1
+            confidence = max(votes.values()) / sum(votes.values()) if votes else 0.0
+            if len(responses) >= stop.min_responses and confidence >= stop.confidence_threshold:
+                break
     finally:
         stopped.set()
         pool.shutdown(wait=False, cancel_futures=True)
-    stopped_early = len(state.completed) < len(schedule)
 
-    if state.extractable == 0:
-        return EnsembleVerdict(
-            chosen_option=None,
-            confidence=0.0,
-            votes={},
-            responses_used=len(state.completed),
-            stopped_early=stopped_early,
-            abstained=True,
-        )
-    top = max(state.vote_counts.values())
-    tied = sorted(opt for opt, count in state.vote_counts.items() if count == top)
-    if len(tied) == 1:
-        chosen = tied[0]
-    else:
-        chosen = tiebreak_structural(tied, state.completed, option_texts)
+    top = max(votes.values(), default=0)
+    tied = sorted(option for option, count in votes.items() if count == top)
     return EnsembleVerdict(
-        chosen_option=chosen,
-        confidence=state.confidence,
-        votes=dict(state.vote_counts),
-        responses_used=len(state.completed),
-        stopped_early=stopped_early,
+        chosen_option=tiebreak_structural(tied, responses, option_texts) if votes else None,
+        confidence=confidence,
+        votes=dict(votes),
+        responses_used=len(responses),
+        stopped_early=len(responses) < len(schedule),
+        abstained=not votes,
     )

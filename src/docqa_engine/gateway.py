@@ -41,6 +41,19 @@ class EndpointConfig:
             raise ValueError("max_in_flight must be >= 1")
 
 
+def chat_request(content: str, *, temperature: float, top_p: float, top_k: int, seed: int,
+                 max_tokens: int) -> dict:
+    """One single-user-message request for GatewayClient.generate."""
+    return {
+        "messages": [{"role": "user", "content": content}],
+        "temperature": temperature,
+        "top_p": top_p,
+        "top_k": top_k,
+        "seed": seed,
+        "max_tokens": max_tokens,
+    }
+
+
 def _retry_after_seconds(value: str | None) -> float:
     """A Retry-After header in delta-seconds; 0 when absent or an HTTP date."""
     value = (value or "").strip()

@@ -47,8 +47,9 @@ def embed(texts: list[str], client, dim: int = DEFAULT_DIM) -> np.ndarray:
     """Fetch one L2-normalized vector per text, in order.
 
     Batching is transparent: ceil(len(texts)/BATCH_SIZE) endpoint calls.
-    A response vector of the wrong dimension, with a non-finite component
-    or of zero norm violates the wire contract.
+    A response vector that is not a list of numbers, of the wrong
+    dimension, with a non-finite component or of zero norm violates the
+    wire contract.
     """
     if not texts:
         raise ValueError("embed requires at least one text")
@@ -61,11 +62,16 @@ def embed(texts: list[str], client, dim: int = DEFAULT_DIM) -> np.ndarray:
                 f"endpoint returned {len(vectors)} vectors for {len(batch)} inputs"
             )
         for vec in vectors:
-            if len(vec) != dim:
+            arr = np.asarray(vec)
+            # a flat list of JSON numbers gives a 1-D int or float array; a
+            # scalar, a nested list or a string or null component does not
+            if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+                raise ContractError("endpoint returned an embedding that is not a list of numbers")
+            if len(arr) != dim:
                 raise ContractError(
-                    f"embedding dimension {len(vec)} does not match configured {dim}"
+                    f"embedding dimension {len(arr)} does not match configured {dim}"
                 )
-            arr = np.asarray(vec, dtype=np.float64)
+            arr = arr.astype(np.float64, copy=False)
             if not np.isfinite(arr).all():
                 raise ContractError("endpoint returned a non-finite embedding component")
             norm = float(np.linalg.norm(arr))

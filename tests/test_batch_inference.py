@@ -221,3 +221,33 @@ def test_unknown_doc_id_is_rejected_before_any_request():
     with pytest.raises(ParseError, match="question 3: doc_id 'missing' names no document"):
         answer_questions(questions, corpus, Chat(1, [0.0], 2), PipelineConfig(),
                          lexical_index=index)
+
+
+def test_no_retrieval_context_is_joined_once_per_call():
+    corpus, _ = _fixture()
+    page_reads = 0
+
+    class CountingCorpus:
+        """The fixture corpus, counting reads of its page list."""
+
+        def __getattr__(self, name):
+            return getattr(corpus, name)
+
+        @property
+        def pages(self):
+            nonlocal page_reads
+            page_reads += 1
+            return corpus.pages
+
+    seen: list[str] = []
+
+    class Chat(_SeedKeyedChat):
+        def generate(self, request):
+            seen.append(request["messages"][-1]["content"])
+            return super().generate(request)
+
+    answer_questions(_questions([0, 1, 2, 5]), CountingCorpus(), Chat(1, [0.0], 2),
+                     PipelineConfig(), use_retrieval=False, max_context_chars=50)
+    assert page_reads == 1
+    context = "\n\n".join(p.normalized_text for p in corpus.pages)[:50]
+    assert seen and all(s.startswith(f"[Context 1]\n{context}\n\n") for s in seen)

@@ -13,6 +13,7 @@ import struct
 
 import pytest
 
+from docqa_engine import cli
 from docqa_engine.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -23,7 +24,9 @@ from docqa_engine.cli import (
     main,
     read_questions_jsonl,
 )
-from docqa_engine.errors import ParseError
+from docqa_engine.config import AUTH_TOKEN_ENV
+from docqa_engine.errors import ConfigError, ParseError
+from docqa_engine.gateway import EndpointConfig
 from mock_server import MockModelServer
 
 FIN_BODY = (
@@ -143,6 +146,16 @@ class TestBuildIndex:
         assert code == EXIT_OK
         assert semantic.exists()
         assert "semantic index: 7 pages, dim 32" in capsys.readouterr().out
+
+    def test_scalar_embedding_is_validation_error(self, tmp_path, artifacts, capsys):
+        with MockModelServer(embed=lambda texts: [5 for _ in texts]) as server:
+            code = main([
+                "build-index", "--corpus", str(artifacts["corpus"]),
+                "--lexical", str(tmp_path / "lex4.idx"), "--semantic", str(tmp_path / "sem.idx"),
+                "--embed-url", server.base_url, "--embed-model", "embedder",
+            ])
+        assert code == EXIT_VALIDATION
+        assert "not a list of numbers" in capsys.readouterr().err
 
     def test_semantic_without_endpoint_is_config_error(self, tmp_path, artifacts, capsys):
         code = main([
@@ -669,3 +682,62 @@ class TestParserAndConfig:
                          "--corpus", str(artifacts["corpus"]), "--no-retrieval"])
         assert code == EXIT_CONFIG
         assert "endpoint.max_retries must be int" in capsys.readouterr().err
+
+
+class TestEndpointFlags:
+    """Endpoint flags replace only the fields they name."""
+
+    SECTION = ("  base_url: http://cfg/v1\n  model_name: cfg-model\n  auth_token: s3cret\n"
+               "  timeout: 7.5\n  max_retries: 5\n  max_in_flight: 8\n  backoff_base: 0.1\n")
+
+    @pytest.fixture()
+    def endpoints(self, monkeypatch):
+        """The endpoint each GatewayClient is built for; building one ends the command."""
+        seen = []
+
+        def capture(endpoint):
+            seen.append(endpoint)
+            raise ConfigError("endpoint captured")
+
+        monkeypatch.setattr(cli, "GatewayClient", capture)
+        return seen
+
+    def _augment(self, tmp_path, artifacts, config_text, *flags):
+        config = tmp_path / "config.yaml"
+        config.write_text(config_text, encoding="utf-8")
+        return main(["--config", str(config), "augment", "--corpus", str(artifacts["corpus"]),
+                     "--quota", "1", "--output", str(tmp_path / "qa.jsonl"), *flags])
+
+    def test_both_flags_keep_the_sections_other_fields(self, tmp_path, artifacts, endpoints,
+                                                        monkeypatch):
+        monkeypatch.setenv(AUTH_TOKEN_ENV, "from-env")
+        assert self._augment(tmp_path, artifacts, "endpoint:\n" + self.SECTION,
+                             "--endpoint-url", "http://flag/v1", "--model", "flag-model",
+                             ) == EXIT_CONFIG
+        assert endpoints == [EndpointConfig(
+            base_url="http://flag/v1", model_name="flag-model", timeout=7.5, max_retries=5,
+            max_in_flight=8, auth_token="s3cret", backoff_base=0.1)]
+
+    def test_one_flag_replaces_one_field(self, tmp_path, artifacts, endpoints):
+        self._augment(tmp_path, artifacts, "endpoint:\n" + self.SECTION, "--model", "flag-model")
+        (endpoint,) = endpoints
+        assert (endpoint.base_url, endpoint.model_name) == ("http://cfg/v1", "flag-model")
+        assert endpoint.max_in_flight == 8
+
+    def test_env_token_applies_to_a_flags_only_endpoint(self, tmp_path, artifacts, endpoints,
+                                                        monkeypatch):
+        monkeypatch.setenv(AUTH_TOKEN_ENV, "from-env")
+        self._augment(tmp_path, artifacts, "", "--endpoint-url", "http://flag/v1",
+                      "--model", "flag-model")
+        assert endpoints == [EndpointConfig(base_url="http://flag/v1", model_name="flag-model",
+                                            auth_token="from-env")]
+
+    def test_embed_flags_keep_the_embedding_section(self, tmp_path, artifacts, endpoints):
+        config = tmp_path / "config.yaml"
+        config.write_text("embedding:\n  dim: 32\n" + self.SECTION, encoding="utf-8")
+        assert main(["--config", str(config), "build-index", "--corpus", str(artifacts["corpus"]),
+                     "--lexical", str(tmp_path / "l.idx"), "--semantic", str(tmp_path / "s.idx"),
+                     "--embed-url", "http://embed/v1"]) == EXIT_CONFIG
+        (endpoint,) = endpoints
+        assert (endpoint.base_url, endpoint.model_name) == ("http://embed/v1", "cfg-model")
+        assert (endpoint.auth_token, endpoint.max_in_flight) == ("s3cret", 8)

@@ -157,6 +157,28 @@ class TestSaveLoad:
         with pytest.raises(FormatError, match="version"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("page_count", ["2", True, -1, None])
+    def test_header_page_count_must_be_a_non_negative_int(self, tmp_path, page_count):
+        corpus = ingest(_lines(_record("a", 0, "x"), _record("a", 1, "y")))
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[0] = json.dumps({"format": "corpus", "version": 1, "page_count": page_count})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="page_count must be a non-negative integer"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("bad_line", ["{oops", "[1, 2]"])
+    def test_bad_record_line_is_format_error_with_line_number(self, tmp_path, bad_line):
+        corpus = ingest(_lines(_record("a", 0, "x"), _record("a", 1, "y")))
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = bad_line
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 3"):
+            load_corpus(path)
+
     def test_truncation_detected(self, tmp_path):
         corpus = ingest(_lines(_record("a", 0, "x"), _record("a", 1, "y")))
         path = tmp_path / "corpus.jsonl"

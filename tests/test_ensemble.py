@@ -9,9 +9,12 @@ from __future__ import annotations
 import random
 import threading
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docqa_engine.ensemble import (
     DEFAULT_SCHEDULE_COUNT,
@@ -50,6 +53,39 @@ class ScriptedClient:
 def _script_by_id(schedule, reply_for_id):
     """Build a seed-keyed script from a per-config-id rule."""
     return {config.seed: reply_for_id(config.id) for config in schedule}
+
+
+_OPTION_TEXTS = ["growth", "decline", "flat"]
+# votes, an unextractable reply, a marker-backed reply that wins ties on
+# structure, one naming an option by its text, and a transport failure
+_REPLIES = ["Answer: A", "Answer: B", "Answer: C", "no idea", "A",
+            "The report shows the figure rising, so the answer is B.",
+            "Revenue is flat", TransportError("down")]
+
+
+def _serial_record(replies, schedule, stop: StopRule) -> dict:
+    """The verdict record of tallying replies one by one in schedule order."""
+    labels = ["A", "B", "C"]
+    votes: Counter = Counter()
+    responses = []
+    confidence = 0.0
+    for config, reply in zip(schedule, replies):
+        raw = "" if isinstance(reply, Exception) else reply
+        extracted = extract_option(raw, labels, _OPTION_TEXTS)
+        responses.append((config.id, raw, extracted))
+        if extracted is not None:
+            votes[extracted] += 1
+        confidence = max(votes.values()) / sum(votes.values()) if votes else 0.0
+        if len(responses) >= stop.min_responses and confidence >= stop.confidence_threshold:
+            break
+    chosen = None
+    if votes:
+        top = max(votes.values())
+        chosen = tiebreak_structural(sorted(o for o, n in votes.items() if n == top),
+                                     responses, _OPTION_TEXTS)
+    return {"chosen_option": chosen, "confidence": confidence,
+            "votes": dict(sorted(votes.items())), "responses_used": len(responses),
+            "stopped_early": len(responses) < len(schedule), "abstained": not votes}
 
 
 class TestMakeSchedule:
@@ -391,6 +427,49 @@ class TestRunEnsemble:
             "stopped_early": False,
             "abstained": False,
         }
+
+
+class TestStopRule:
+    """The stop point and the requests sent, against a serial tally."""
+
+    def test_zero_threshold_without_votes_stops_at_minimum_and_abstains(self):
+        schedule = make_schedule(12, seed=13)
+        client = ScriptedClient(_script_by_id(schedule, lambda i: "no idea, sorry"))
+        verdict = run_ensemble("Q", None, schedule, client,
+                               stop=StopRule(min_responses=4, confidence_threshold=0.0))
+        assert verdict.to_record() == {
+            "chosen_option": None,
+            "confidence": 0.0,
+            "votes": {},
+            "responses_used": 4,
+            "stopped_early": True,
+            "abstained": True,
+        }
+        assert len(client.calls) <= 4 - 1 + 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        replies=st.lists(st.sampled_from(_REPLIES), min_size=2, max_size=12),
+        min_responses=st.integers(1, 12),
+        threshold=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        max_in_flight=st.integers(1, 4),
+        delays=st.lists(st.sampled_from([0.0, 0.0, 0.001]), min_size=1, max_size=4),
+    )
+    def test_verdict_equals_a_serial_tally(self, replies, min_responses, threshold,
+                                           max_in_flight, delays):
+        schedule = make_schedule(len(replies), seed=14)
+        stop = StopRule(min_responses=min_responses, confidence_threshold=threshold)
+        script = _script_by_id(schedule, lambda i: replies[i])
+
+        def reply(request):
+            time.sleep(delays[request["seed"] % len(delays)])
+            return script[request["seed"]]
+
+        client = ScriptedClient(reply, max_in_flight=max_in_flight)
+        verdict = run_ensemble("Q", None, schedule, client, stop=stop, option_texts=_OPTION_TEXTS)
+        assert verdict.to_record() == _serial_record(replies, schedule, stop)
+        window = min(max_in_flight, len(schedule))
+        assert len(client.calls) <= max(min_responses, verdict.responses_used - 1 + window)
 
 
 class TestDecodingConfigRequest:
