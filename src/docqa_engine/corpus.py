@@ -276,9 +276,16 @@ class ByteReader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def text(self) -> str:
-        """One string as pack_text stores it: its u32 byte length, then its UTF-8 bytes."""
-        (length,) = self.unpack("<I")
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        """count items of a little-endian dtype, as a read-only view of the file's bytes."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.take(count * dtype.itemsize), dtype)
+
+    def text(self, length: int | None = None) -> str:
+        """One UTF-8 string of ``length`` bytes or, by default, as pack_text stores
+        it: its u32 byte length, then its bytes."""
+        if length is None:
+            (length,) = self.unpack("<I")
         try:
             return str(self.take(length), "utf-8")
         except UnicodeDecodeError as exc:

@@ -4,15 +4,20 @@ Weights follow w(f, d) = (1 + ln tf) * (ln((1 + N) / (1 + df)) + 1) with
 per-page L2 normalization, so scoring a query is a cosine over sparse
 vectors. The vocabulary keeps the max_features features with the highest
 document frequency (ties broken lexicographically ascending).
+
+Page vectors are arrays: a page-major CSR, which is also the saved layout,
+and a feature-major CSC view of it for scoring.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import struct
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +27,11 @@ from .errors import FormatError
 from .tokenizer import ngrams, tokenize
 
 LEXICAL_MAGIC = b"LEXI"
-LEXICAL_FORMAT_VERSION = 1
+LEXICAL_FORMAT_VERSION = 2
 
 DEFAULT_MAX_FEATURES = 50_000
 
-_PAIR = np.dtype([("fid", "<u4"), ("weight", "<f8")])  # one saved (feature id, weight)
+_HEADER = "<IIIIQQ"  # page_count, vocab_size, n_min, n_max, vocabulary bytes, nnz
 
 
 @dataclass
@@ -43,24 +48,40 @@ class Vocabulary:
 class LexicalIndex:
     vocabulary: Vocabulary
     page_refs: list[PageRef]  # in corpus order
-    # Per page: sorted (feature_id, weight) pairs; L2 norm 1 unless empty.
-    doc_vectors: list[list[tuple[int, float]]]
-    page_count: int
+    # Page-major CSR: row i's entries are [indptr[i], indptr[i + 1]) of fids
+    # (ascending within a row) and weights; L2 norm 1 unless the row is empty.
+    indptr: np.ndarray  # int64, page_count + 1 offsets
+    fids: np.ndarray  # uint32
+    weights: np.ndarray  # float64
     n_min: int
     n_max: int
 
     def __post_init__(self):
         check_corpus_order(self.page_refs)
         self.idf = idf_table(self.vocabulary.df, self.page_count)
-        self._postings: dict[int, list[tuple[int, float]]] = {}
-        for page_i, vector in enumerate(self.doc_vectors):
-            for fid, weight in vector:
-                self._postings.setdefault(fid, []).append((page_i, weight))
+        # Feature-major CSC view, each entry keyed by fid * page_count + row.
+        # The stable sort keeps rows ascending within a column, so the keys
+        # ascend, and one searchsorted finds a column's entries in any row range.
+        order = np.argsort(self.fids, kind="stable")
+        rows = np.repeat(np.arange(self.page_count, dtype=np.uint64), np.diff(self.indptr))
+        self._col_keys = self.fids[order].astype(np.uint64) * self.page_count + rows[order]
+        self._col_weights = self.weights[order]
+
+    @property
+    def page_count(self) -> int:
+        return len(self.page_refs)
+
+    @property
+    def doc_vectors(self) -> list[list[tuple[int, float]]]:
+        """Per page, its (feature id, weight) pairs, as lists read off the CSR arrays."""
+        return [list(zip(self.fids[s:e].tolist(), self.weights[s:e].tolist()))
+                for s, e in pairwise(self.indptr.tolist())]
 
 
 def idf_table(df: list[int], page_count: int) -> array:
-    """Smoothed idf per feature id, as packed doubles: 8 bytes a feature, not a float object."""
-    return array("d", (math.log((1 + page_count) / (1 + count)) + 1.0 for count in df))
+    """Smoothed idf per feature id as packed doubles, one log per distinct df value."""
+    idf_of = {count: math.log((1 + page_count) / (1 + count)) + 1.0 for count in set(df)}
+    return array("d", map(idf_of.__getitem__, df))
 
 
 def tfidf_weights(grams: Counter, feature_ids: dict[str, int],
@@ -80,39 +101,33 @@ def page_features(normalized_text: str, n_min: int, n_max: int) -> Counter:
     return Counter(ngrams(tokenize(normalized_text), n_min, n_max))
 
 
-def build_lexical_index(
-    corpus: Corpus,
-    max_features: int = DEFAULT_MAX_FEATURES,
-    n_min: int = 1,
-    n_max: int = 5,
-) -> LexicalIndex:
+def build_lexical_index(corpus: Corpus, max_features: int = DEFAULT_MAX_FEATURES,
+                        n_min: int = 1, n_max: int = 5) -> LexicalIndex:
     if corpus.page_count == 0:
         raise ValueError("cannot index an empty corpus")
     if max_features < 1:
         raise ValueError("max_features must be >= 1")
 
     page_grams = [page_features(p.normalized_text, n_min, n_max) for p in corpus.pages]
-
-    df_counts: Counter = Counter()
-    for grams in page_grams:
-        df_counts.update(grams.keys())
-
+    df_counts = Counter(chain.from_iterable(page_grams))
     # Highest-df features first; lexicographic ascending on ties. Taking a
     # prefix of this fixed order keeps the vocabulary monotone in
-    # max_features.
-    selection = sorted(df_counts.items(), key=lambda item: (-item[1], item[0]))
-    selection = selection[:max_features]
+    # max_features, and the key decides every tie, so no dict order leaks in.
+    selection = heapq.nsmallest(max_features, df_counts.items(),
+                                key=lambda item: (-item[1], item[0]))
     feature_ids = {feature: fid for fid, (feature, _) in enumerate(selection)}
     df = [count for _, count in selection]
     idf = idf_table(df, corpus.page_count)
-    return LexicalIndex(
-        vocabulary=Vocabulary(feature_ids=feature_ids, df=df),
-        page_refs=corpus.page_refs,
-        doc_vectors=[sorted(tfidf_weights(grams, feature_ids, idf)) for grams in page_grams],
-        page_count=corpus.page_count,
-        n_min=n_min,
-        n_max=n_max,
-    )
+    fids, weights, indptr = array("I"), array("d"), [0]
+    for grams in page_grams:
+        pairs = sorted(tfidf_weights(grams, feature_ids, idf))
+        fids.extend(fid for fid, _ in pairs)
+        weights.extend(w for _, w in pairs)
+        indptr.append(len(fids))
+    return LexicalIndex(Vocabulary(feature_ids, df), corpus.page_refs,
+                        indptr=np.array(indptr, dtype=np.int64),
+                        fids=np.array(fids, dtype=np.uint32),
+                        weights=np.array(weights, dtype=np.float64), n_min=n_min, n_max=n_max)
 
 
 def score_lexical(index: LexicalIndex, query_text: str,
@@ -122,93 +137,79 @@ def score_lexical(index: LexicalIndex, query_text: str,
     The query is tokenized, gram-expanded, and weighted exactly like a
     document. Pages with score 0 are omitted; ties are broken by
     (doc_id, page_index) ascending. With ``doc_id`` only that document's
-    pages are ranked.
+    pages are scored and ranked.
     """
     grams = page_features(query_text, index.n_min, index.n_max)
-    acc = [0.0] * index.page_count
-    for fid, q_weight in tfidf_weights(grams, index.vocabulary.feature_ids, index.idf):
-        for page_i, d_weight in index._postings.get(fid, ()):
-            acc[page_i] += q_weight * d_weight
     rows = doc_rows(index.page_refs, doc_id)
-    scores = np.minimum(acc[rows.start:rows.stop], 1.0)
+    pairs = tfidf_weights(grams, index.vocabulary.feature_ids, index.idf)
+    # each query feature's column entries within the row range, in query-feature order
+    base = np.array([fid for fid, _ in pairs], dtype=np.uint64) * index.page_count
+    starts, ends = np.searchsorted(index._col_keys, (base + rows.start, base + rows.stop))
+    counts = ends - starts
+    at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    # bincount adds each page's products in that order, the order of a walk
+    # over per-feature postings, so every score is the same float
+    acc = np.bincount((index._col_keys[at] - np.repeat(base, counts)).astype(np.intp) - rows.start,
+                      weights=np.repeat([w for _, w in pairs], counts) * index._col_weights[at],
+                      minlength=len(rows))
+    scores = np.minimum(acc, 1.0)
     hits = np.flatnonzero(scores > 0.0)
-    return [(index.page_refs[rows.start + i], float(scores[i]))
-            for i in hits[rank_rows(scores[hits])]]
+    ranked = hits[rank_rows(scores[hits])]
+    return list(zip([index.page_refs[i] for i in (ranked + rows.start).tolist()],
+                    scores[ranked].tolist()))
 
 
 def save_lexical_index(index: LexicalIndex, path: str | Path) -> None:
-    """Binary layout: header, vocabulary table, per-page sparse vectors.
-
-    Header carries version, page count, vocabulary size, and the gram
-    range so queries can be expanded identically after a reload. All
-    integers and the float64 weights are little-endian.
+    """Format v2, little-endian: the magic, the u32 version and ``_HEADER``;
+    the features in id order as one UTF-8 blob joined with "\\n" (tokens
+    never hold whitespace); u32 df per feature; each page ref as a string and
+    a u32 page index; then the CSR arrays: int64 indptr, u32 fids, f64 weights.
     """
-    features = sorted(index.vocabulary.feature_ids.items(), key=lambda item: item[1])
+    feature_ids = index.vocabulary.feature_ids
+    blob = "\n".join(sorted(feature_ids, key=feature_ids.get)).encode("utf-8")
     with Path(path).open("wb") as fh:
-        fh.write(LEXICAL_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIIII",
-                LEXICAL_FORMAT_VERSION,
-                index.page_count,
-                index.vocabulary.size,
-                index.n_min,
-                index.n_max,
-            )
-        )
-        for feature, fid in features:
-            fh.write(pack_text(feature))
-            fh.write(struct.pack("<I", index.vocabulary.df[fid]))
-        for (doc_id, page_index), vector in zip(index.page_refs, index.doc_vectors):
-            fh.write(pack_text(doc_id))
-            fh.write(struct.pack("<II", page_index, len(vector)))
-            for fid, weight in vector:
-                fh.write(struct.pack("<Id", fid, weight))
+        fh.write(LEXICAL_MAGIC + struct.pack("<I", LEXICAL_FORMAT_VERSION))
+        fh.write(struct.pack(_HEADER, index.page_count, index.vocabulary.size,
+                             index.n_min, index.n_max, len(blob), len(index.fids)))
+        fh.write(blob)
+        fh.write(np.asarray(index.vocabulary.df, dtype="<u4").tobytes())
+        fh.write(b"".join(pack_text(doc_id) + struct.pack("<I", page_index)
+                          for doc_id, page_index in index.page_refs))
+        for values, dtype in ((index.indptr, "<i8"), (index.fids, "<u4"), (index.weights, "<f8")):
+            fh.write(np.asarray(values, dtype=dtype).tobytes())
 
 
 def load_lexical_index(path: str | Path) -> LexicalIndex:
     reader = ByteReader(path, LEXICAL_MAGIC, "lexical index")
-    version, page_count, vocab_size, n_min, n_max = reader.unpack("<IIIII")
+    (version,) = reader.unpack("<I")
     if version != LEXICAL_FORMAT_VERSION:
-        raise FormatError(f"unsupported lexical index version {version}")
+        raise FormatError(f"unsupported lexical index version {version}: "
+                          "rebuild it with `docqa build-index`")
+    page_count, vocab_size, n_min, n_max, blob_size, nnz = reader.unpack(_HEADER)
     if not 1 <= n_min <= n_max:
         raise FormatError(f"lexical index n-gram range [{n_min}, {n_max}] is invalid")
-    feature_ids: dict[str, int] = {}
-    df: list[int] = []
-    for fid in range(vocab_size):
-        feature_ids[reader.text()] = fid
-        df.append(reader.unpack("<I")[0])
-    if not all(1 <= count <= page_count for count in df):
-        raise FormatError(f"lexical index holds a document frequency outside 1..{page_count}")
-    page_refs: list[PageRef] = []
-    counts: list[int] = []
-    chunks: list[bytes] = []
-    for _ in range(page_count):
-        doc_id = reader.text()
-        page_index, nnz = reader.unpack("<II")
-        page_refs.append((doc_id, page_index))
-        counts.append(nnz)
-        chunks.append(reader.take(12 * nnz))
+    features = reader.text(blob_size).split("\n") if blob_size else []
+    df = reader.array("<u4", vocab_size)
+    page_refs = [(reader.text(), reader.unpack("<I")[0]) for _ in range(page_count)]
+    indptr = reader.array("<i8", page_count + 1)
+    fids = reader.array("<u4", nnz)
+    weights = reader.array("<f8", nnz)
     reader.finish()
-    pairs = np.frombuffer(b"".join(chunks), dtype=_PAIR)
-    ends = np.cumsum(counts, dtype=np.int64)
-    # feature ids ascend strictly within a page; they may only drop where the next page starts
-    ascending = np.diff(pairs["fid"].astype(np.int64)) > 0
-    ascending[ends[(ends > 0) & (ends < len(pairs))] - 1] = True
-    if not (ascending.all() and (pairs["fid"] < vocab_size).all()
-            and np.isfinite(pairs["weight"]).all()):
-        raise FormatError(
-            "lexical index page vector has an unknown, unsorted or non-finite entry")
-    flat = pairs.tolist()
-    doc_vectors = [flat[end - nnz:end] for nnz, end in zip(counts, ends.tolist())]
+    feature_ids = dict(zip(features, range(len(features))))
+    if not len(features) == len(feature_ids) == vocab_size:
+        raise FormatError(f"lexical index vocabulary holds {len(features)} features, "
+                          f"{len(feature_ids)} of them distinct; header says {vocab_size}")
+    if not ((df >= 1) & (df <= page_count)).all():
+        raise FormatError(f"lexical index holds a document frequency outside 1..{page_count}")
+    if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
+        raise FormatError(f"lexical index page offsets do not ascend from 0 to {nnz}")
+    # (row, feature id) keys ascend strictly: ids ascend within a page, drop only at a page start
+    keys = np.repeat(np.arange(page_count, dtype=np.uint64), np.diff(indptr)) * vocab_size + fids
+    if not ((fids < vocab_size).all() and (keys[1:] > keys[:-1]).all()
+            and np.isfinite(weights).all()):
+        raise FormatError("lexical index page vector has an unknown, unsorted or non-finite entry")
     try:
-        return LexicalIndex(
-            vocabulary=Vocabulary(feature_ids=feature_ids, df=df),
-            page_refs=page_refs,
-            doc_vectors=doc_vectors,
-            page_count=page_count,
-            n_min=n_min,
-            n_max=n_max,
-        )
+        return LexicalIndex(Vocabulary(feature_ids, df.tolist()), page_refs,
+                            indptr=indptr, fids=fids, weights=weights, n_min=n_min, n_max=n_max)
     except ValueError as exc:
         raise FormatError(f"lexical index {exc}") from exc

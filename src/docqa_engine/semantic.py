@@ -64,8 +64,9 @@ def embed(texts: list[str], client, dim: int = DEFAULT_DIM) -> np.ndarray:
         for vec in vectors:
             arr = np.asarray(vec)
             # a flat list of JSON numbers gives a 1-D int or float array; a
-            # scalar, a nested list or a string or null component does not
-            if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+            # scalar, a nested list or a string or null component does not,
+            # and a true or false component is promoted unless looked for
+            if arr.ndim != 1 or arr.dtype.kind not in "iuf" or bool in map(type, vec):
                 raise ContractError("endpoint returned an embedding that is not a list of numbers")
             if len(arr) != dim:
                 raise ContractError(
@@ -130,11 +131,11 @@ def load_semantic_index(path: str | Path) -> SemanticIndex:
     version, dim, count = reader.unpack("<III")
     if version != SEMANTIC_FORMAT_VERSION:
         raise FormatError(f"unsupported semantic index version {version}")
-    raw = reader.take(count * dim * 4)
+    raw = reader.array("<f4", count * dim)
     # reading the refs first bounds count by the file size, even for dim 0
     page_refs = [(reader.text(), reader.unpack("<I")[0]) for _ in range(count)]
     reader.finish()
-    vectors = np.frombuffer(raw, dtype="<f4").reshape(count, dim).copy()
+    vectors = raw.reshape(count, dim).copy()
     # one pass rejects non-finite components (their norm is inf or nan) and non-unit rows
     norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64))
     if not (np.abs(norms - 1.0) <= UNIT_NORM_TOL).all():

@@ -86,8 +86,7 @@ def ngrams(tokens: list[Token], n_min: int = 1, n_max: int = 5) -> list[str]:
     texts = [t.text for t in tokens]
     grams: list[str] = []
     for n in range(n_min, min(n_max, len(texts)) + 1):
-        for i in range(len(texts) - n + 1):
-            grams.append(NGRAM_SEP.join(texts[i : i + n]))
+        grams.extend(map(NGRAM_SEP.join, zip(*(texts[k:] for k in range(n)))))
     return grams
 
 

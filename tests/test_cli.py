@@ -28,6 +28,7 @@ from docqa_engine.config import AUTH_TOKEN_ENV
 from docqa_engine.errors import ConfigError, ParseError
 from docqa_engine.gateway import EndpointConfig
 from mock_server import MockModelServer
+from test_lexical_index import V1_FILE
 
 FIN_BODY = (
     "第3四半期の業績概況。当期の売上高は 4200 百万円 に達した。"
@@ -157,6 +158,17 @@ class TestBuildIndex:
         assert code == EXIT_VALIDATION
         assert "not a list of numbers" in capsys.readouterr().err
 
+    def test_bool_embedding_component_is_validation_error(self, tmp_path, artifacts, capsys):
+        # JSON true is not a number, even beside numbers that numpy would promote it to
+        with MockModelServer(embed=lambda texts: [[True] + [1.0] * 1023 for _ in texts]) as server:
+            code = main([
+                "build-index", "--corpus", str(artifacts["corpus"]),
+                "--lexical", str(tmp_path / "lex7.idx"), "--semantic", str(tmp_path / "sem.idx"),
+                "--embed-url", server.base_url, "--embed-model", "embedder",
+            ])
+        assert code == EXIT_VALIDATION
+        assert "not a list of numbers" in capsys.readouterr().err
+
     def test_semantic_without_endpoint_is_config_error(self, tmp_path, artifacts, capsys):
         code = main([
             "build-index",
@@ -265,7 +277,7 @@ class TestRetrieve:
 
     def test_undecodable_lexical_feature_is_io_error(self, tmp_path, artifacts, capsys):
         data = bytearray(artifacts["lexical"].read_bytes())
-        data[28] = 0xFF  # first byte of the first feature string
+        data[40] = 0xFF  # first byte of the vocabulary blob
         corrupt = tmp_path / "corrupt.idx"
         corrupt.write_bytes(bytes(data))
         assert main(["retrieve", "q", "--lexical", str(corrupt)]) == EXIT_IO
@@ -475,6 +487,20 @@ class TestInfer:
             assert server.request_log == []
         assert code == EXIT_IO
         assert "LexicalIndex lists other pages" in capsys.readouterr().err
+
+    def test_version_1_lexical_index_is_io_error(self, tmp_path, artifacts, questions_file,
+                                                 capsys):
+        v1 = tmp_path / "v1.idx"
+        v1.write_bytes(V1_FILE)
+        with MockModelServer(chat="Answer: A") as server:
+            code = main([
+                "infer", "--questions", str(questions_file), "--output", str(tmp_path / "v.jsonl"),
+                "--corpus", str(artifacts["corpus"]), "--lexical", str(v1),
+                "--endpoint-url", server.base_url, "--model", "mock-model",
+            ])
+            assert server.request_log == []
+        assert code == EXIT_IO
+        assert "unsupported lexical index version 1: rebuild it" in capsys.readouterr().err
 
     def test_missing_questions_file_is_io_error(self, tmp_path, artifacts):
         assert main([

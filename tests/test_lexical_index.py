@@ -9,7 +9,10 @@ index's postings machinery.
 import dataclasses
 import functools
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 import threading
 from collections import Counter
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import docqa_engine
 from docqa_engine.corpus import Corpus, Page
 from docqa_engine.errors import FormatError
 from docqa_engine.lexical import (
@@ -28,6 +32,7 @@ from docqa_engine.lexical import (
     load_lexical_index,
     save_lexical_index,
     score_lexical,
+    tfidf_weights,
 )
 from docqa_engine.tokenizer import ngrams, tokenize
 
@@ -198,6 +203,32 @@ class TestScore:
             )
 
 
+    def test_scores_equal_a_postings_walk_float_for_float(self):
+        # the reference adds each page's products in query-feature order, as
+        # the scorer must; its floats, not just a tolerance, must agree
+        rng = np.random.default_rng(99)
+        alphabet = ["kawa", "yama", "umi", "sora", "hoshi", "tsuki", "hana", "yuki"]
+        corpus = _corpus(*[(f"doc{d}", [" ".join(rng.choice(alphabet, size=rng.integers(1, 40)))
+                                         for _ in range(5)]) for d in range(4)])
+        index = build_lexical_index(corpus, n_min=1, n_max=3)
+        postings: dict = {}
+        for row, vector in enumerate(index.doc_vectors):
+            for fid, weight in vector:
+                postings.setdefault(fid, []).append((row, weight))
+        for _ in range(20):
+            query = " ".join(rng.choice(alphabet, size=6))
+            grams = Counter(ngrams(tokenize(query), 1, 3))
+            acc = [0.0] * corpus.page_count
+            for fid, q_weight in tfidf_weights(grams, index.vocabulary.feature_ids, index.idf):
+                for row, d_weight in postings.get(fid, ()):
+                    acc[row] += q_weight * d_weight
+            for doc_id in (None, "doc2"):
+                want = sorted(((ref, min(s, 1.0)) for ref, s in zip(index.page_refs, acc)
+                               if s > 0.0 and doc_id in (None, ref[0])),
+                              key=lambda hit: (-hit[1], hit[0]))
+                assert score_lexical(index, query, doc_id=doc_id) == want
+
+
 class TestPersistence:
     def test_round_trip_exact(self, tmp_path):
         corpus = _corpus(("d", ["日本語のテキスト 12%", "second ページ", "third"]))
@@ -247,6 +278,35 @@ class TestPersistence:
     def test_magic_constant(self):
         assert LEXICAL_MAGIC == b"LEXI"
 
+    def test_version_1_file_rejected_naming_its_version(self, tmp_path):
+        with pytest.raises(FormatError, match=r"version 1: rebuild it with `docqa build-index`"):
+            _load_bytes(tmp_path, V1_FILE)
+
+    def test_saved_bytes_do_not_depend_on_hash_seed(self, tmp_path):
+        # vocabulary selection and the file must not follow dict or set
+        # order, which changes with the string hash seed
+        script = (
+            "import sys\n"
+            "from docqa_engine.corpus import Corpus, Page\n"
+            "from docqa_engine.lexical import build_lexical_index, save_lexical_index\n"
+            "texts = ['kawa yama umi sora', 'sora umi hoshi tsuki', 'hana yuki kawa tsuki',"
+            " '日本語のテキスト 12% kawa', 'yama hana 3.5 yuki']\n"
+            "corpus = Corpus.from_pages(Page.from_raw(f'doc{i % 2}', i // 2, t)"
+            " for i, t in enumerate(texts))\n"
+            "save_lexical_index(build_lexical_index(corpus, max_features=9, n_min=1, n_max=3),"
+            " sys.argv[1])\n"
+        )
+        src = str(Path(docqa_engine.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "1", "4242"):
+            path = tmp_path / f"lex-{seed}.idx"
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True,
+                           timeout=120)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
 
 # ---------------------------------------------------------------------------
 # Corrupt files: each one loads or raises FormatError, never another exception
@@ -271,6 +331,48 @@ def _load_bytes(tmp_path, data: bytes):
     return load_lexical_index(path)
 
 
+# A whole index in the version 1 layout: header, each feature with its df,
+# then each page's ref and its (feature id, weight) pairs.
+V1_FILE = (LEXICAL_MAGIC + struct.pack("<IIIII", 1, 1, 1, 1, 1)
+           + struct.pack("<I", 1) + b"a" + struct.pack("<I", 1)
+           + struct.pack("<I", 1) + b"d" + struct.pack("<II", 0, 1) + struct.pack("<Id", 0, 1.0))
+
+_BLOB_AT = 40  # the vocabulary blob follows the magic, the version and _HEADER
+
+
+def _with_page_vector(index, row, pairs):
+    """The index with page ``row``'s CSR entries replaced by ``pairs``."""
+    start, end = index.indptr[row], index.indptr[row + 1]
+    indptr = index.indptr.copy()
+    indptr[row + 1:] += len(pairs) - (end - start)
+    return dataclasses.replace(
+        index, indptr=indptr,
+        fids=np.concatenate([index.fids[:start], [f for f, _ in pairs], index.fids[end:]]),
+        weights=np.concatenate([index.weights[:start], [w for _, w in pairs],
+                                index.weights[end:]]))
+
+
+def _with_vocabulary(edit) -> bytes:
+    """The sample file with its feature list edited in place; the blob keeps its byte length."""
+    data = bytearray(_sample_file())
+    (size,) = struct.unpack_from("<Q", data, 24)
+    blob = "\n".join(edit(data[_BLOB_AT:_BLOB_AT + size].decode().split("\n"))).encode()
+    assert len(blob) == size
+    data[_BLOB_AT:_BLOB_AT + size] = blob
+    return bytes(data)
+
+
+def _with_page_offsets(edit) -> bytes:
+    """The sample file with its page offsets (the i64 array before fids and weights) edited."""
+    data = bytearray(_sample_file())
+    (page_count,) = struct.unpack_from("<I", data, 8)
+    (nnz,) = struct.unpack_from("<Q", data, 32)
+    at = len(data) - 12 * nnz - 8 * (page_count + 1)
+    offsets = np.frombuffer(data, "<i8", page_count + 1, at).tolist()
+    data[at:at + 8 * len(offsets)] = np.array(edit(offsets, nnz), "<i8").tobytes()
+    return bytes(data)
+
+
 class TestCorruptFiles:
     def test_every_truncation_rejected(self, tmp_path):
         data = _sample_file()
@@ -291,8 +393,8 @@ class TestCorruptFiles:
             pass
 
     @pytest.mark.parametrize(
-        "offset", [8, 12, 16, 24],
-        ids=["page_count", "vocab_size", "n_min", "first_feature_length"])
+        "offset", [8, 12, 16, 24, 32],
+        ids=["page_count", "vocab_size", "n_min", "vocabulary_bytes", "nnz"])
     def test_huge_header_count_rejected(self, tmp_path, offset):
         data = bytearray(_sample_file())
         struct.pack_into("<I", data, offset, 0xFFFFFFFF)
@@ -316,11 +418,29 @@ class TestCorruptFiles:
             "nan_weight", "infinite_weight"])
     def test_page_vector_its_writer_never_produces_rejected(self, tmp_path, vector):
         index = _sample_index()
-        index.doc_vectors[1] = vector(index.vocabulary.size)
+        index = _with_page_vector(index, 1, vector(index.vocabulary.size))
         path = tmp_path / "lex.idx"
         save_lexical_index(index, path)
         with pytest.raises(FormatError, match="page vector"):
             load_lexical_index(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda offsets, nnz: [0, offsets[2] + 1, *offsets[2:]],
+        lambda offsets, nnz: [*offsets[:-1], nnz - 1],
+        lambda offsets, nnz: [1, *offsets[1:]],
+    ], ids=["decreasing", "not_ending_at_nnz", "not_starting_at_zero"])
+    def test_page_offsets_its_writer_never_produces_rejected(self, tmp_path, edit):
+        with pytest.raises(FormatError, match="page offsets do not ascend from 0 to"):
+            _load_bytes(tmp_path, _with_page_offsets(edit))
+
+    @pytest.mark.parametrize("edit", [
+        lambda features: [f.replace("alpha", "al\nha") for f in features],
+        lambda features: [features[0] + "\x1f" + features[1], *features[2:]],
+        lambda features: ["alpha" if f == "gamma" else f for f in features],
+    ], ids=["more_entries", "fewer_entries", "repeated_feature"])
+    def test_vocabulary_other_than_the_header_says_rejected(self, tmp_path, edit):
+        with pytest.raises(FormatError, match="distinct; header says"):
+            _load_bytes(tmp_path, _with_vocabulary(edit))
 
     @pytest.mark.parametrize("df", [0, 4, 0xFFFFFFFF],
                              ids=["zero", "page_count_plus_one", "u32_max"])

@@ -88,7 +88,8 @@ class TestEmbed:
         with pytest.raises(ContractError, match="non-finite"):
             embed(["x"], client, dim=8)
 
-    @pytest.mark.parametrize("bad", [5, [1.0] * 7 + ["x"], [1.0] * 7 + [None], [[1.0] * 8]])
+    @pytest.mark.parametrize("bad", [5, [1.0] * 7 + ["x"], [1.0] * 7 + [None], [[1.0] * 8],
+                                     [True] + [1.0] * 7])
     def test_vector_not_a_list_of_numbers_is_contract_error(self, bad):
         client = FakeEmbedClient(lambda texts: [bad for _ in texts])
         with pytest.raises(ContractError, match="not a list of numbers"):
