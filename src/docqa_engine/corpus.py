@@ -60,6 +60,11 @@ def normalize_text(raw: str) -> str:
     removing a control character brings combining marks together.
     """
     text = unicodedata.normalize("NFKC", raw)
+    joined = " ".join(text.split())
+    # Printable text holds no Cc or Cf character to strip, and spaces in place
+    # of whitespace keep it NFKC, so the per-character pass would return it as is.
+    if joined.isprintable():
+        return joined
     kept = []
     for ch in text:
         if ch.isspace():

@@ -11,20 +11,18 @@ and a feature-major CSC view of it for scoring.
 
 from __future__ import annotations
 
-import heapq
 import math
 import struct
-from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, pairwise
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import ByteReader, Corpus, PageRef, check_corpus_order, doc_rows, pack_text, rank_rows
 from .errors import FormatError
-from .tokenizer import ngrams, tokenize
+from .tokenizer import NGRAM_SEP, ngrams, tokenize
 
 LEXICAL_MAGIC = b"LEXI"
 LEXICAL_FORMAT_VERSION = 2
@@ -60,12 +58,12 @@ class LexicalIndex:
         check_corpus_order(self.page_refs)
         self.idf = idf_table(self.vocabulary.df, self.page_count)
         # Feature-major CSC view, each entry keyed by fid * page_count + row.
-        # The stable sort keeps rows ascending within a column, so the keys
-        # ascend, and one searchsorted finds a column's entries in any row range.
-        order = np.argsort(self.fids, kind="stable")
+        # The keys are distinct, so sorting them puts rows ascending within a
+        # column, and one searchsorted finds a column's entries in any row range.
         rows = np.repeat(np.arange(self.page_count, dtype=np.uint64), np.diff(self.indptr))
-        self._col_keys = self.fids[order].astype(np.uint64) * self.page_count + rows[order]
-        self._col_weights = self.weights[order]
+        keys = self.fids.astype(np.uint64) * self.page_count + rows
+        order = np.argsort(keys)
+        self._col_keys, self._col_weights = keys[order], self.weights[order]
 
     @property
     def page_count(self) -> int:
@@ -78,22 +76,27 @@ class LexicalIndex:
                 for s, e in pairwise(self.indptr.tolist())]
 
 
-def idf_table(df: list[int], page_count: int) -> array:
-    """Smoothed idf per feature id as packed doubles, one log per distinct df value."""
-    idf_of = {count: math.log((1 + page_count) / (1 + count)) + 1.0 for count in set(df)}
-    return array("d", map(idf_of.__getitem__, df))
+def idf_table(df: list[int] | np.ndarray, page_count: int) -> np.ndarray:
+    """Smoothed idf per feature id, one log per distinct df value."""
+    counts, inverse = np.unique(np.asarray(df, dtype=np.int64), return_inverse=True)
+    return np.array([math.log((1 + page_count) / (1 + count)) + 1.0
+                     for count in counts.tolist()])[inverse]
 
 
-def tfidf_weights(grams: Counter, feature_ids: dict[str, int],
-                  idf: array) -> list[tuple[int, float]]:
-    """(feature id, weight) for the grams in the vocabulary, in gram order.
+def tfidf_weights(fids: np.ndarray, tfs: np.ndarray, idf: np.ndarray) -> np.ndarray:
+    """Weights of the features ``fids`` with term counts ``tfs``, both in gram order.
 
-    One rule for pages and queries: sublinear tf times idf, L2-normalized.
+    One rule for pages and queries: sublinear tf (``math.log``) times idf,
+    L2-normalized. The norm adds the squares one by one in gram order:
+    ``cumsum`` neither sums pairwise, as ``np.sum`` does, nor compensates, as
+    builtin ``sum`` does from Python 3.12 on, so the weights are the same
+    floats on every Python.
     """
-    pairs = [(fid, (1.0 + math.log(tf)) * idf[fid]) for feature, tf in grams.items()
-             if (fid := feature_ids.get(feature)) is not None]
-    norm = math.sqrt(sum(w * w for _, w in pairs))
-    return [(fid, w / norm) for fid, w in pairs] if norm > 0 else pairs
+    if not len(fids):
+        return np.zeros(0)
+    sublinear = np.array([1.0 + math.log(tf) for tf in range(1, int(tfs.max()) + 1)])
+    weights = sublinear[tfs - 1] * idf[fids]
+    return weights / math.sqrt(np.cumsum(weights * weights)[-1])
 
 
 def page_features(normalized_text: str, n_min: int, n_max: int) -> Counter:
@@ -101,33 +104,91 @@ def page_features(normalized_text: str, n_min: int, n_max: int) -> Counter:
     return Counter(ngrams(tokenize(normalized_text), n_min, n_max))
 
 
+def _gram_pairs(tok: np.ndarray, lengths: np.ndarray, n_min: int, n_max: int) -> tuple:
+    """Integer ids for the n-grams of ``tok``, the token ids of pages of ``lengths``.
+
+    Returns each gram's first position and n, then per (page, gram) pair its
+    page, gram id, term count and a key that orders pairs by page and then as
+    page_features counts grams (n ascending, then position). An n-gram's id
+    ranks its ((n-1)-gram id, last token id) pair among the n-grams, past the
+    ids of the shorter ones.
+    """
+    span = max(len(tok), 1)
+    page_of = np.repeat(np.arange(len(lengths)), lengths)
+    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(tok))  # tokens left on the page
+    pos, gid, starts, pairs = np.arange(len(tok)), tok, [], []
+    for n in range(1, n_max + 1):
+        if n > 1:
+            keep = room[pos] >= n
+            pos = pos[keep]
+            _, gid = np.unique(gid[keep] * span + tok[pos + n - 1], return_inverse=True)
+        if n >= n_min:
+            # sorted (gram id, position) keys put each gram's occurrences
+            # together, those on one page together and the first first
+            grams, at = np.divmod(np.sort(gid * span + pos), span)
+            new_gram = np.diff(grams, prepend=-1) != 0
+            head = np.flatnonzero(new_gram | (np.diff(page_of[at], prepend=-1) != 0))
+            page = page_of[at[head]]
+            pairs.append((page, grams[head] + sum(map(len, starts)), np.diff(head, append=len(at)),
+                          (page * n_max + n) * span + at[head]))
+            starts.append(at[new_gram])
+    return (np.concatenate(starts), np.repeat(np.arange(n_min, n_max + 1), list(map(len, starts))),
+            *map(np.concatenate, zip(*pairs)))
+
+
 def build_lexical_index(corpus: Corpus, max_features: int = DEFAULT_MAX_FEATURES,
                         n_min: int = 1, n_max: int = 5) -> LexicalIndex:
+    """The index of every page's ``page_features``, counted on integer gram ids:
+    only the chosen features are ever joined into strings."""
     if corpus.page_count == 0:
         raise ValueError("cannot index an empty corpus")
     if max_features < 1:
         raise ValueError("max_features must be >= 1")
+    if not 1 <= n_min <= n_max:
+        raise ValueError(f"invalid n-gram range [{n_min}, {n_max}]")
+    token_ids: dict[str, int] = {}  # by first appearance
+    page_tokens = [np.array([token_ids.setdefault(t.text, len(token_ids))
+                             for t in tokenize(p.normalized_text)], dtype=np.int64)
+                   for p in corpus.pages]
+    tok, token_texts = np.concatenate(page_tokens), list(token_ids)
+    gram_start, gram_len, pair_page, pair_gram, pair_tf, pair_order = _gram_pairs(
+        tok, np.array(list(map(len, page_tokens))), n_min, n_max)
+    df = np.bincount(pair_gram, minlength=len(gram_start))
 
-    page_grams = [page_features(p.normalized_text, n_min, n_max) for p in corpus.pages]
-    df_counts = Counter(chain.from_iterable(page_grams))
-    # Highest-df features first; lexicographic ascending on ties. Taking a
-    # prefix of this fixed order keeps the vocabulary monotone in
+    # Highest-df features first, ties in ascending feature string order.
+    # Taking a prefix of this fixed order keeps the vocabulary monotone in
     # max_features, and the key decides every tie, so no dict order leaks in.
-    selection = heapq.nsmallest(max_features, df_counts.items(),
-                                key=lambda item: (-item[1], item[0]))
-    feature_ids = {feature: fid for fid, (feature, _) in enumerate(selection)}
-    df = [count for _, count in selection]
-    idf = idf_table(df, corpus.page_count)
-    fids, weights, indptr = array("I"), array("d"), [0]
-    for grams in page_grams:
-        pairs = sorted(tfidf_weights(grams, feature_ids, idf))
-        fids.extend(fid for fid, _ in pairs)
-        weights.extend(w for _, w in pairs)
-        indptr.append(len(fids))
-    return LexicalIndex(Vocabulary(feature_ids, df), corpus.page_refs,
-                        indptr=np.array(indptr, dtype=np.int64),
-                        fids=np.array(fids, dtype=np.uint32),
-                        weights=np.array(weights, dtype=np.float64), n_min=n_min, n_max=n_max)
+    # Two grams' strings compare as their token lists do, each token as its
+    # text + NGRAM_SEP but the last as its bare text (no token holds the
+    # separator). Those units are distinct, so two grams differ by the shorter
+    # one's last unit: what the columns past it hold never decides.
+    units = [t + NGRAM_SEP for t in token_texts] + token_texts
+    rank = np.empty(len(units), dtype=np.int64)
+    rank[sorted(range(len(units)), key=units.__getitem__)] = np.arange(len(units))
+    cut = -np.partition(-df, max_features - 1)[max_features - 1] if len(df) > max_features else 0
+    candidates = np.flatnonzero(df >= cut)
+    k, lens = np.arange(n_max), gram_len[candidates, None]
+    words = tok[np.minimum(gram_start[candidates, None] + k, len(tok) - 1)]
+    ranks = rank[words + len(token_texts) * (k == lens - 1)]
+    chosen = candidates[np.lexsort((*ranks.T[::-1], -df[candidates]))[:max_features]]
+    flat = list(map(token_texts.__getitem__, tok.tolist()))
+    features = [NGRAM_SEP.join(flat[s:s + n])
+                for s, n in zip(gram_start[chosen].tolist(), gram_len[chosen].tolist())]
+
+    # each page's vocabulary pairs weighted in gram order, then put in id order
+    fid_of = np.full(len(df), -1)
+    fid_of[chosen] = np.arange(len(chosen))
+    kept = np.flatnonzero(fid_of[pair_gram] >= 0)
+    kept = kept[np.argsort(pair_order[kept])]
+    pages, fids, tfs = pair_page[kept], fid_of[pair_gram[kept]], pair_tf[kept]
+    indptr = np.searchsorted(pages, np.arange(corpus.page_count + 1))
+    idf = idf_table(df[chosen], corpus.page_count)
+    weights = np.concatenate([np.zeros(0)] + [tfidf_weights(fids[s:e], tfs[s:e], idf)
+                                              for s, e in pairwise(indptr.tolist())])
+    order = np.argsort(pages * len(chosen) + fids)
+    return LexicalIndex(Vocabulary(dict(zip(features, range(len(features)))), df[chosen].tolist()),
+                        corpus.page_refs, indptr=indptr, fids=fids[order].astype(np.uint32),
+                        weights=weights[order], n_min=n_min, n_max=n_max)
 
 
 def score_lexical(index: LexicalIndex, query_text: str,
@@ -141,16 +202,19 @@ def score_lexical(index: LexicalIndex, query_text: str,
     """
     grams = page_features(query_text, index.n_min, index.n_max)
     rows = doc_rows(index.page_refs, doc_id)
-    pairs = tfidf_weights(grams, index.vocabulary.feature_ids, index.idf)
+    feature_ids = index.vocabulary.feature_ids
+    hits = [(fid, tf) for gram, tf in grams.items() if (fid := feature_ids.get(gram)) is not None]
+    fids, tfs = np.array(hits, dtype=np.int64).reshape(-1, 2).T
+    weights = tfidf_weights(fids, tfs, index.idf)
     # each query feature's column entries within the row range, in query-feature order
-    base = np.array([fid for fid, _ in pairs], dtype=np.uint64) * index.page_count
+    base = fids.astype(np.uint64) * index.page_count
     starts, ends = np.searchsorted(index._col_keys, (base + rows.start, base + rows.stop))
     counts = ends - starts
     at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
     # bincount adds each page's products in that order, the order of a walk
     # over per-feature postings, so every score is the same float
     acc = np.bincount((index._col_keys[at] - np.repeat(base, counts)).astype(np.intp) - rows.start,
-                      weights=np.repeat([w for _, w in pairs], counts) * index._col_weights[at],
+                      weights=np.repeat(weights, counts) * index._col_weights[at],
                       minlength=len(rows))
     scores = np.minimum(acc, 1.0)
     hits = np.flatnonzero(scores > 0.0)

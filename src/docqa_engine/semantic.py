@@ -9,12 +9,15 @@ structures, and exactness makes results directly checkable.
 from __future__ import annotations
 
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import ByteReader, Corpus, PageRef, check_corpus_order, doc_rows, pack_text, rank_rows
+from .ensemble import in_flight_limit
 from .errors import ContractError, FormatError
 
 SEMANTIC_MAGIC = b"SEMV"
@@ -46,39 +49,45 @@ class SemanticIndex:
 def embed(texts: list[str], client, dim: int = DEFAULT_DIM) -> np.ndarray:
     """Fetch one L2-normalized vector per text, in order.
 
-    Batching is transparent: ceil(len(texts)/BATCH_SIZE) endpoint calls.
-    A response vector that is not a list of numbers, of the wrong
+    Batching is transparent: ceil(len(texts)/BATCH_SIZE) endpoint calls, up
+    to the client's in-flight limit of them at a time (one batch stays on the
+    caller's thread). When several batches fail, the earliest one's error is
+    raised. A response vector that is not a list of numbers, of the wrong
     dimension, with a non-finite component or of zero norm violates the
     wire contract.
     """
     if not texts:
         raise ValueError("embed requires at least one text")
+    batches = [texts[start : start + BATCH_SIZE] for start in range(0, len(texts), BATCH_SIZE)]
+    if len(batches) == 1:
+        return _embed_batch(batches[0], client, dim)
+    with ThreadPoolExecutor(min(in_flight_limit(client), len(batches))) as pool:
+        # map yields in input order, so the earliest failed batch raises
+        rows = pool.map(partial(_embed_batch, client=client, dim=dim), batches)
+        return np.concatenate(list(rows))
+
+
+def _embed_batch(batch: list[str], client, dim: int) -> np.ndarray:
+    vectors = client.embed(batch)
+    if len(vectors) != len(batch):
+        raise ContractError(f"endpoint returned {len(vectors)} vectors for {len(batch)} inputs")
     rows: list[np.ndarray] = []
-    for start in range(0, len(texts), BATCH_SIZE):
-        batch = texts[start : start + BATCH_SIZE]
-        vectors = client.embed(batch)
-        if len(vectors) != len(batch):
-            raise ContractError(
-                f"endpoint returned {len(vectors)} vectors for {len(batch)} inputs"
-            )
-        for vec in vectors:
-            arr = np.asarray(vec)
-            # a flat list of JSON numbers gives a 1-D int or float array; a
-            # scalar, a nested list or a string or null component does not,
-            # and a true or false component is promoted unless looked for
-            if arr.ndim != 1 or arr.dtype.kind not in "iuf" or bool in map(type, vec):
-                raise ContractError("endpoint returned an embedding that is not a list of numbers")
-            if len(arr) != dim:
-                raise ContractError(
-                    f"embedding dimension {len(arr)} does not match configured {dim}"
-                )
-            arr = arr.astype(np.float64, copy=False)
-            if not np.isfinite(arr).all():
-                raise ContractError("endpoint returned a non-finite embedding component")
-            norm = float(np.linalg.norm(arr))
-            if norm == 0.0:
-                raise ContractError("endpoint returned a zero embedding vector")
-            rows.append((arr / norm).astype(np.float32))
+    for vec in vectors:
+        arr = np.asarray(vec)
+        # a flat list of JSON numbers gives a 1-D int or float array; a
+        # scalar, a nested list or a string or null component does not,
+        # and a true or false component is promoted unless looked for
+        if arr.ndim != 1 or arr.dtype.kind not in "iuf" or bool in map(type, vec):
+            raise ContractError("endpoint returned an embedding that is not a list of numbers")
+        if len(arr) != dim:
+            raise ContractError(f"embedding dimension {len(arr)} does not match configured {dim}")
+        arr = arr.astype(np.float64, copy=False)
+        if not np.isfinite(arr).all():
+            raise ContractError("endpoint returned a non-finite embedding component")
+        norm = float(np.linalg.norm(arr))
+        if norm == 0.0:
+            raise ContractError("endpoint returned a zero embedding vector")
+        rows.append((arr / norm).astype(np.float32))
     return np.stack(rows)
 
 

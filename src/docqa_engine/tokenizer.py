@@ -11,7 +11,7 @@ kept as a symbol token. Input is expected to be already normalized by
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Hiragana, katakana (incl. prolonged sound mark), iteration marks, CJK
 # unified ideographs + extension A, compatibility ideographs.
@@ -36,8 +36,7 @@ _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?%?(?![0-9A-Za-z])")
 TOKEN_KINDS = ("cjk_gram", "latin_word", "number", "symbol")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     kind: str  # one of TOKEN_KINDS
 

@@ -1,8 +1,11 @@
 """Corpus ingestion, integrity checks, and file round-trips."""
 
 import json
+import unicodedata
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from docqa_engine.corpus import (
     Corpus,
@@ -10,6 +13,7 @@ from docqa_engine.corpus import (
     ingest,
     ingest_path,
     load_corpus,
+    normalize_text,
     save_corpus,
 )
 from docqa_engine.errors import ConflictError, FormatError, IntegrityError, ParseError
@@ -21,6 +25,35 @@ def _lines(*records):
 
 def _record(doc_id, page_index, text):
     return {"doc_id": doc_id, "page_index": page_index, "text": text}
+
+
+def _normalize_by_loop(raw: str) -> str:
+    """normalize_text as one pass over every character, without its fast path."""
+    text = unicodedata.normalize("NFKC", raw)
+    kept = []
+    for ch in text:
+        if ch.isspace():
+            kept.append(" ")
+        elif unicodedata.category(ch) in ("Cc", "Cf"):
+            continue
+        else:
+            kept.append(ch)
+    text = unicodedata.normalize("NFKC", "".join(kept))
+    return " ".join(text.split())
+
+
+# control (Cc) and format (Cf) characters, space (Zs), line (Zl) and paragraph
+# (Zp) separators, combining marks (Mn), letters, and full-width forms that NFKC folds
+_RAW_TEXTS = st.text(st.characters(categories=("Cc", "Cf", "Zs", "Zl", "Zp", "Mn", "Ll", "Lo"))
+                     | st.sampled_from("aeA1 \tＡ１　\u00a0\u00ad\u200dか\u3099ｶﾞ\u0301"), max_size=20)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(raw=_RAW_TEXTS)
+@example(raw="e\u200d\u0301")  # dropping the joiner brings e and the accent together
+@example(raw="Ｆｕｌｌ\u3000ｗｉｄｔｈ\n\tline")
+def test_normalize_text_equals_the_per_character_loop(raw):
+    assert normalize_text(raw) == _normalize_by_loop(raw)
 
 
 class TestIngest:

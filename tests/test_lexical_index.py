@@ -16,20 +16,25 @@ import sys
 import tempfile
 import threading
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import docqa_engine
 from docqa_engine.corpus import Corpus, Page
 from docqa_engine.errors import FormatError
 from docqa_engine.lexical import (
+    DEFAULT_MAX_FEATURES,
     LEXICAL_MAGIC,
+    LexicalIndex,
+    Vocabulary,
     build_lexical_index,
     load_lexical_index,
+    page_features,
     save_lexical_index,
     score_lexical,
     tfidf_weights,
@@ -218,8 +223,11 @@ class TestScore:
         for _ in range(20):
             query = " ".join(rng.choice(alphabet, size=6))
             grams = Counter(ngrams(tokenize(query), 1, 3))
+            fids = np.array([index.vocabulary.feature_ids[g] for g in grams
+                             if g in index.vocabulary.feature_ids], dtype=np.int64)
+            tfs = np.array([tf for g, tf in grams.items() if g in index.vocabulary.feature_ids])
             acc = [0.0] * corpus.page_count
-            for fid, q_weight in tfidf_weights(grams, index.vocabulary.feature_ids, index.idf):
+            for fid, q_weight in zip(fids.tolist(), tfidf_weights(fids, tfs, index.idf).tolist()):
                 for row, d_weight in postings.get(fid, ()):
                     acc[row] += q_weight * d_weight
             for doc_id in (None, "doc2"):
@@ -227,6 +235,90 @@ class TestScore:
                                if s > 0.0 and doc_id in (None, ref[0])),
                               key=lambda hit: (-hit[1], hit[0]))
                 assert score_lexical(index, query, doc_id=doc_id) == want
+
+
+def _plain_python_build(corpus, max_features=DEFAULT_MAX_FEATURES, n_min=1, n_max=5):
+    """The build as it was before gram ids: a gram Counter per page, a full
+    sort for the vocabulary, and per-pair weights whose norm an explicit loop
+    adds left to right."""
+    page_grams = [Counter(ngrams(tokenize(p.normalized_text), n_min, n_max)) for p in corpus.pages]
+    df_counts = Counter(chain.from_iterable(page_grams))
+    selection = sorted(df_counts.items(), key=lambda item: (-item[1], item[0]))[:max_features]
+    feature_ids = {feature: fid for fid, (feature, _) in enumerate(selection)}
+    df = [count for _, count in selection]
+    n = corpus.page_count
+    fids, weights, indptr = [], [], [0]
+    for grams in page_grams:
+        pairs = [(fid, (1.0 + math.log(tf)) * (math.log((1 + n) / (1 + df[fid])) + 1.0))
+                 for feature, tf in grams.items() if (fid := feature_ids.get(feature)) is not None]
+        norm = 0.0
+        for _, w in pairs:
+            norm += w * w
+        for fid, w in sorted((fid, w / math.sqrt(norm)) for fid, w in pairs):
+            fids.append(fid)
+            weights.append(w)
+        indptr.append(len(fids))
+    return LexicalIndex(Vocabulary(feature_ids, df), corpus.page_refs,
+                        indptr=np.array(indptr, dtype=np.int64), fids=np.array(fids, dtype=np.uint32),
+                        weights=np.array(weights, dtype=np.float64), n_min=n_min, n_max=n_max)
+
+
+def _saved_bytes(index) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lex.idx"
+        save_lexical_index(index, path)
+        return path.read_bytes()
+
+
+# Latin, number, CJK and symbol tokens. U+0001 stands for a control
+# character a hand-edited corpus file can carry in a page's normalized text:
+# it sorts below the n-gram separator, so "!" < "!\x01" as tokens while
+# "!\x1fa" > "!\x01" as joined grams.
+_PAGE_TEXTS = st.text(alphabet="ab z1.%!報告書年\x01", max_size=24)
+
+
+class TestArrayBuild:
+    @settings(max_examples=200, deadline=None)
+    @given(docs=st.lists(st.lists(_PAGE_TEXTS, min_size=1, max_size=4), min_size=1, max_size=3),
+           max_features=st.integers(1, 40), n_min=st.integers(1, 3), extra=st.integers(0, 2))
+    @example(docs=[["a b", "a z"]], max_features=2, n_min=1, extra=0)  # the cut splits a df tie
+    @example(docs=[["報告書 1.5% ab", "報告書 ab z"]], max_features=40, n_min=2, extra=1)
+    @example(docs=[["a a", "a", "z"], [""]], max_features=1, n_min=1, extra=0)  # rows with no feature
+    @example(docs=[["報告書年 2024年 1.5% !a"]], max_features=40, n_min=1, extra=2)  # one page
+    @example(docs=[["! !\x01 !a"]], max_features=40, n_min=1, extra=1)
+    def test_saved_bytes_equal_the_plain_python_build(self, docs, max_features, n_min, extra):
+        corpus = Corpus.from_pages(
+            Page(f"d{d}", i, text, text, len(text), 0)
+            for d, texts in enumerate(docs) for i, text in enumerate(texts))
+        args = (corpus, max_features, n_min, n_min + extra)
+        assert _saved_bytes(build_lexical_index(*args)) == _saved_bytes(_plain_python_build(*args))
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=_PAGE_TEXTS, n_min=st.integers(1, 3), extra=st.integers(0, 2))
+    def test_one_page_grams_are_its_page_features(self, text, n_min, extra):
+        # pages and queries are counted by one rule
+        corpus = Corpus.from_pages([Page.from_raw("d", 0, text)])
+        index = build_lexical_index(corpus, n_min=n_min, n_max=n_min + extra)
+        grams = page_features(corpus.pages[0].normalized_text, n_min, n_min + extra)
+        assert index.vocabulary.feature_ids.keys() == grams.keys()
+        fids = np.array([index.vocabulary.feature_ids[g] for g in grams], dtype=np.int64)
+        weights = tfidf_weights(fids, np.array(list(grams.values())), index.idf)
+        assert index.doc_vectors == [sorted(zip(fids.tolist(), weights.tolist()))]
+
+    def test_norm_adds_squares_left_to_right(self):
+        # each 1e-16 square is lost against 1.0 one at a time, but a pairwise
+        # or compensated sum (builtin sum from Python 3.12 on) keeps them
+        idf = np.array([1.0] + [1e-8] * 10)
+        total = 0.0
+        for w in idf.tolist():
+            total += w * w
+        assert total != math.fsum(w * w for w in idf.tolist())
+        weights = tfidf_weights(np.arange(11), np.ones(11, dtype=np.int64), idf)
+        assert weights.tolist() == [w / math.sqrt(total) for w in idf.tolist()]
+
+    def test_empty_gram_range_rejected(self):
+        with pytest.raises(ValueError, match="n-gram range"):
+            build_lexical_index(_corpus(("d", ["a"])), n_min=3, n_max=2)
 
 
 class TestPersistence:

@@ -4,6 +4,9 @@ import dataclasses
 import functools
 import struct
 import tempfile
+import threading
+import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from docqa_engine.corpus import Corpus, Page
-from docqa_engine.errors import ContractError, FormatError
+from docqa_engine.errors import ContractError, EndpointError, FormatError
 from docqa_engine.gateway import hash_embedder
 from docqa_engine.semantic import (
     SemanticIndex,
@@ -64,8 +67,10 @@ class TestEmbed:
 
     def test_batching_splits_requests(self):
         client = FakeEmbedClient(hash_embedder(dim=8))
-        embed([f"t{i}" for i in range(65)], client, dim=8)
-        assert [len(c) for c in client.calls] == [32, 32, 1]
+        texts = [f"t{i}" for i in range(65)]
+        embed(texts, client, dim=8)
+        # batches overlap, so they may reach the endpoint in any order
+        assert sorted(client.calls) == [texts[:32], texts[32:64], texts[64:]]
 
     def test_empty_input_rejected(self):
         client = FakeEmbedClient(hash_embedder(dim=8))
@@ -99,6 +104,74 @@ class TestEmbed:
         client = FakeEmbedClient(lambda texts: [[0.0] * 8 for _ in texts])
         with pytest.raises(ContractError, match="zero"):
             embed(["x"], client, dim=8)
+
+
+class RecordingEmbedClient:
+    """Client double with an in-flight cap that records overlap and threads;
+    ``script`` maps a batch's first text to a callable run before it answers."""
+
+    def __init__(self, max_in_flight, dim=8, script=None):
+        self.config = types.SimpleNamespace(max_in_flight=max_in_flight)
+        self.embedder = hash_embedder(dim=dim)
+        self.script = script or {}
+        self.lock = threading.Lock()
+        self.in_flight = self.peak = 0
+        self.threads = set()
+
+    def embed(self, texts):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.threads.add(threading.get_ident())
+        try:
+            self.script.get(texts[0], lambda: None)()
+            return self.embedder(texts)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+class TestOverlappedEmbed:
+    TEXTS = [f"page {i}" for i in range(100)]  # four batches: 32, 32, 32, 4
+
+    def test_batches_overlap_and_rows_keep_input_order(self):
+        meet = threading.Barrier(2, timeout=10)  # breaks unless two batches are in flight at once
+        client = RecordingEmbedClient(3, script={"page 0": meet.wait, "page 32": meet.wait})
+        out = embed(self.TEXTS, client, dim=8)
+        assert client.peak >= 2
+        serial = np.concatenate([embed(self.TEXTS[i:i + 32], RecordingEmbedClient(1), dim=8)
+                                 for i in range(0, 100, 32)])
+        assert out.dtype == serial.dtype and (out == serial).all()
+
+    def test_in_flight_limit_caps_the_overlap(self):
+        # the first two batches meet, then hold their slots long enough for a
+        # third to start if the cap let it
+        meet = threading.Barrier(2, timeout=10)
+        hold = lambda: (meet.wait(), time.sleep(0.05))  # noqa: E731
+        client = RecordingEmbedClient(2, script={"page 0": hold, "page 32": hold})
+        embed(self.TEXTS, client, dim=8)
+        assert client.peak == 2
+
+    def test_earliest_failed_batch_raises(self):
+        third_failed = threading.Event()
+
+        def fail_third():
+            third_failed.set()
+            raise EndpointError("batch 3", 503)
+
+        def fail_second():
+            assert third_failed.wait(10)  # batch 3 fails first
+            raise EndpointError("batch 2", 503)
+
+        client = RecordingEmbedClient(4, script={"page 32": fail_second, "page 64": fail_third})
+        with pytest.raises(EndpointError, match="batch 2"):
+            embed(self.TEXTS, client, dim=8)
+
+    def test_one_batch_stays_on_the_calling_thread(self):
+        client = RecordingEmbedClient(4)
+        embed_query("question", client, dim=8)
+        embed(self.TEXTS[:32], client, dim=8)
+        assert client.threads == {threading.get_ident()}
 
 
 class TestSearch:
