@@ -14,15 +14,16 @@ from __future__ import annotations
 import math
 import struct
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import ByteReader, Corpus, PageRef, check_corpus_order, doc_rows, pack_text, rank_rows
+from .corpus import ByteReader, Corpus, Page, PageRef, check_corpus_order, doc_rows, pack_text, rank_rows
 from .errors import FormatError
-from .tokenizer import NGRAM_SEP, ngrams, tokenize
+# perfbench's tracer wraps ``tokenize`` and ``ngrams`` by these names
+from .tokenizer import NGRAM_SEP, gram_texts, ngrams, token_texts, tokenize  # noqa: F401
 
 LEXICAL_MAGIC = b"LEXI"
 LEXICAL_FORMAT_VERSION = 2
@@ -53,17 +54,21 @@ class LexicalIndex:
     weights: np.ndarray  # float64
     n_min: int
     n_max: int
+    # the idf the build weighted with; ``dataclasses.replace`` passes None
+    known_idf: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, known_idf):
         check_corpus_order(self.page_refs)
-        self.idf = idf_table(self.vocabulary.df, self.page_count)
+        self.idf = idf_table(self.vocabulary.df, self.page_count) if known_idf is None else known_idf
         # Feature-major CSC view, each entry keyed by fid * page_count + row.
         # The keys are distinct, so sorting them puts rows ascending within a
         # column, and one searchsorted finds a column's entries in any row range.
-        rows = np.repeat(np.arange(self.page_count, dtype=np.uint64), np.diff(self.indptr))
-        keys = self.fids.astype(np.uint64) * self.page_count + rows
+        keys = self.fids.astype(np.uint64)
+        keys *= self.page_count
+        keys += np.repeat(np.arange(self.page_count, dtype=np.uint64), np.diff(self.indptr))
         order = np.argsort(keys)
-        self._col_keys, self._col_weights = keys[order], self.weights[order]
+        keys.sort()
+        self._col_keys, self._col_weights = keys, self.weights[order]
 
     @property
     def page_count(self) -> int:
@@ -101,94 +106,136 @@ def tfidf_weights(fids: np.ndarray, tfs: np.ndarray, idf: np.ndarray) -> np.ndar
 
 def page_features(normalized_text: str, n_min: int, n_max: int) -> Counter:
     """Gram frequencies for one page (or query), identical on both sides."""
-    return Counter(ngrams(tokenize(normalized_text), n_min, n_max))
+    return Counter(gram_texts(token_texts(normalized_text), n_min, n_max))
 
 
 def _gram_pairs(tok: np.ndarray, lengths: np.ndarray, n_min: int, n_max: int) -> tuple:
     """Integer ids for the n-grams of ``tok``, the token ids of pages of ``lengths``.
 
-    Returns each gram's first position and n, then per (page, gram) pair its
-    page, gram id, term count and a key that orders pairs by page and then as
-    page_features counts grams (n ascending, then position). An n-gram's id
-    ranks its ((n-1)-gram id, last token id) pair among the n-grams, past the
-    ids of the shorter ones.
+    Returns each gram's first position, n and document frequency, then per n
+    its (page, gram) pairs in order of first position, as arrays in ``tok``'s
+    dtype of gram id, term count and page. An n-gram's id ranks its
+    ((n-1)-gram id, last token id) pair among the n-grams, past the ids of
+    the shorter ones.
     """
-    span = max(len(tok), 1)
-    page_of = np.repeat(np.arange(len(lengths)), lengths)
-    room = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(tok))  # tokens left on the page
-    pos, gid, starts, pairs = np.arange(len(tok)), tok, [], []
+    span, dtype = max(len(tok), 1), tok.dtype
+    # each position's page, and past the last token a page of its own
+    page_of = np.repeat(np.arange(len(lengths) + 1, dtype=dtype), np.append(lengths, 1))
+    pos, gid, starts, dfs, pairs = np.arange(len(tok), dtype=dtype), tok.astype(np.int64), [], [], []
     for n in range(1, n_max + 1):
         if n > 1:
-            keep = room[pos] >= n
+            keep = page_of[pos + n - 1] == page_of[pos]  # the n-gram at pos ends on its page
             pos = pos[keep]
-            _, gid = np.unique(gid[keep] * span + tok[pos + n - 1], return_inverse=True)
+            gid = gid[keep] * span + tok[pos + n - 1]  # (n-1)-gram id, last token id
+            _, gid = np.unique(gid, return_inverse=True)
         if n >= n_min:
             # sorted (gram id, position) keys put each gram's occurrences
             # together, those on one page together and the first first
             grams, at = np.divmod(np.sort(gid * span + pos), span)
             new_gram = np.diff(grams, prepend=-1) != 0
             head = np.flatnonzero(new_gram | (np.diff(page_of[at], prepend=-1) != 0))
-            page = page_of[at[head]]
-            pairs.append((page, grams[head] + sum(map(len, starts)), np.diff(head, append=len(at)),
-                          (page * n_max + n) * span + at[head]))
-            starts.append(at[new_gram])
-    return (np.concatenate(starts), np.repeat(np.arange(n_min, n_max + 1), list(map(len, starts))),
-            *map(np.concatenate, zip(*pairs)))
+            dfs.append(np.bincount(grams[head]).astype(dtype))
+            tfs = np.diff(head, append=len(at)).astype(dtype)
+            first = np.argsort(at[head])  # the pairs in order of first position
+            head, tfs = head[first], tfs[first]
+            pairs.append(((grams[head] + sum(map(len, starts))).astype(dtype), tfs, page_of[at[head]]))
+            starts.append(at[new_gram].astype(dtype))
+    counts = list(map(len, starts))
+    return (np.concatenate(starts), np.repeat(np.arange(n_min, n_max + 1, dtype=dtype), counts),
+            np.concatenate(dfs), pairs)
+
+
+def _choose(tok: np.ndarray, texts: list[str], starts: np.ndarray, lens: np.ndarray,
+            df: np.ndarray, max_features: int) -> tuple[np.ndarray, list[str]]:
+    """The vocabulary's gram ids in feature id order, and its features.
+
+    Highest-df features first, ties in ascending feature string order.
+    Taking a prefix of this fixed order keeps the vocabulary monotone in
+    max_features, and the key decides every tie, so no dict order leaks in.
+    Two grams' strings compare as their token lists do, each token as its
+    text + NGRAM_SEP but the last as its bare text (no token holds the
+    separator). Those units are distinct, so two grams differ by the shorter
+    one's last unit: what the columns past it hold never decides.
+    """
+    units = [t + NGRAM_SEP for t in texts] + texts
+    rank = np.empty(len(units), dtype=tok.dtype)
+    rank[sorted(range(len(units)), key=units.__getitem__)] = np.arange(len(units))
+    cut = -np.partition(-df, max_features - 1)[max_features - 1] if len(df) > max_features else 0
+    candidates = np.flatnonzero(df >= cut)
+    at, n, last = starts[candidates], lens[candidates], len(tok) - 1
+    ranks = [rank[tok[np.minimum(at + k, last)] + len(texts) * (n == k + 1)]
+             for k in range(int(n.max(initial=0)))]
+    picked = np.lexsort((*ranks[::-1], -df[candidates]))[:max_features]
+    at, n, words = at[picked], n[picked], np.array(texts, dtype=object)
+    features = np.empty(len(picked), dtype=object)
+    for k in range(1, int(n.max(initial=0)) + 1):  # the k-token features, a column at a time
+        rows = np.flatnonzero(n == k)
+        columns = (words[tok[at[rows] + j]].tolist() for j in range(k))
+        features[rows] = list(map(NGRAM_SEP.join, zip(*columns)))
+    return candidates[picked], features.tolist()
+
+
+def _page_major(pairs: list, fid_of: np.ndarray, page_count: int) -> tuple:
+    """Feature ids and term counts of the pairs whose gram is a feature, page
+    by page in gram order (n, then position), and the pages' offsets."""
+    keep = [fid_of[grams] >= 0 for grams, _, _ in pairs]
+    counts = np.array([np.bincount(rows[k], minlength=page_count) for (_, _, rows), k in zip(pairs, keep)])
+    indptr = np.concatenate(([0], np.cumsum(counts.sum(axis=0))))
+    # where an n's pairs on a page go: past the page's pairs of smaller n, and
+    # less the place the first of them has among that n's pairs
+    offsets = indptr[:-1] + (np.cumsum(counts, axis=0) - counts) - (np.cumsum(counts, axis=1) - counts)
+    fids, tfs = np.empty(indptr[-1], np.uint32), np.empty(indptr[-1], fid_of.dtype)
+    for (grams, tf, rows), k, offset in zip(pairs, keep, offsets):
+        at = offset[rows[k]] + np.arange(np.count_nonzero(k))
+        fids[at], tfs[at] = fid_of[grams[k]], tf[k]
+    return fids, tfs, indptr
+
+
+def _page_vectors(pages: tuple[Page, ...], max_features: int, n_min: int, n_max: int) -> tuple:
+    """The vocabulary, the page-major CSR arrays and the idf of the pages'
+    ``page_features``, counted on integer gram ids: only the chosen features
+    are ever joined into strings. The intermediates are freed on return,
+    before the index derives its feature-major view."""
+    ids: dict[str, int] = {}  # token text -> id, by first appearance
+    lengths = np.zeros(len(pages), dtype=np.int64)
+
+    def page_ids():
+        for row, page in enumerate(pages):
+            texts = token_texts(page.normalized_text)
+            lengths[row] = len(texts)
+            yield from [ids.setdefault(text, len(ids)) for text in texts]
+
+    tok = np.fromiter(page_ids(), dtype=np.int64)
+    # token and gram ids, positions, counts and rows stay below n_max * tokens + pages
+    tok = tok.astype(np.int32 if n_max * len(tok) + len(pages) < 2**31 else np.int64)
+    starts, lens, df, pairs = _gram_pairs(tok, lengths, n_min, n_max)
+    chosen, features = _choose(tok, list(ids), starts, lens, df, max_features)
+    fid_of = np.full(len(df), -1, dtype=tok.dtype)
+    fid_of[chosen] = np.arange(len(chosen))
+    fids, tfs, indptr = _page_major(pairs, fid_of, len(pages))
+    # each page weighted in gram order, then put in id order
+    idf = idf_table(df[chosen], len(pages))
+    weights = np.empty(len(fids))
+    for s, e in pairwise(indptr.tolist()):
+        by_id = np.argsort(fids[s:e])
+        weights[s:e] = tfidf_weights(fids[s:e], tfs[s:e], idf)[by_id]
+        fids[s:e] = fids[s:e][by_id]
+    return (Vocabulary(dict(zip(features, range(len(features)))), df[chosen].tolist()),
+            indptr, fids, weights, idf)
 
 
 def build_lexical_index(corpus: Corpus, max_features: int = DEFAULT_MAX_FEATURES,
                         n_min: int = 1, n_max: int = 5) -> LexicalIndex:
-    """The index of every page's ``page_features``, counted on integer gram ids:
-    only the chosen features are ever joined into strings."""
+    """The index of every page's ``page_features``."""
     if corpus.page_count == 0:
         raise ValueError("cannot index an empty corpus")
     if max_features < 1:
         raise ValueError("max_features must be >= 1")
     if not 1 <= n_min <= n_max:
         raise ValueError(f"invalid n-gram range [{n_min}, {n_max}]")
-    token_ids: dict[str, int] = {}  # by first appearance
-    page_tokens = [np.array([token_ids.setdefault(t.text, len(token_ids))
-                             for t in tokenize(p.normalized_text)], dtype=np.int64)
-                   for p in corpus.pages]
-    tok, token_texts = np.concatenate(page_tokens), list(token_ids)
-    gram_start, gram_len, pair_page, pair_gram, pair_tf, pair_order = _gram_pairs(
-        tok, np.array(list(map(len, page_tokens))), n_min, n_max)
-    df = np.bincount(pair_gram, minlength=len(gram_start))
-
-    # Highest-df features first, ties in ascending feature string order.
-    # Taking a prefix of this fixed order keeps the vocabulary monotone in
-    # max_features, and the key decides every tie, so no dict order leaks in.
-    # Two grams' strings compare as their token lists do, each token as its
-    # text + NGRAM_SEP but the last as its bare text (no token holds the
-    # separator). Those units are distinct, so two grams differ by the shorter
-    # one's last unit: what the columns past it hold never decides.
-    units = [t + NGRAM_SEP for t in token_texts] + token_texts
-    rank = np.empty(len(units), dtype=np.int64)
-    rank[sorted(range(len(units)), key=units.__getitem__)] = np.arange(len(units))
-    cut = -np.partition(-df, max_features - 1)[max_features - 1] if len(df) > max_features else 0
-    candidates = np.flatnonzero(df >= cut)
-    k, lens = np.arange(n_max), gram_len[candidates, None]
-    words = tok[np.minimum(gram_start[candidates, None] + k, len(tok) - 1)]
-    ranks = rank[words + len(token_texts) * (k == lens - 1)]
-    chosen = candidates[np.lexsort((*ranks.T[::-1], -df[candidates]))[:max_features]]
-    flat = list(map(token_texts.__getitem__, tok.tolist()))
-    features = [NGRAM_SEP.join(flat[s:s + n])
-                for s, n in zip(gram_start[chosen].tolist(), gram_len[chosen].tolist())]
-
-    # each page's vocabulary pairs weighted in gram order, then put in id order
-    fid_of = np.full(len(df), -1)
-    fid_of[chosen] = np.arange(len(chosen))
-    kept = np.flatnonzero(fid_of[pair_gram] >= 0)
-    kept = kept[np.argsort(pair_order[kept])]
-    pages, fids, tfs = pair_page[kept], fid_of[pair_gram[kept]], pair_tf[kept]
-    indptr = np.searchsorted(pages, np.arange(corpus.page_count + 1))
-    idf = idf_table(df[chosen], corpus.page_count)
-    weights = np.concatenate([np.zeros(0)] + [tfidf_weights(fids[s:e], tfs[s:e], idf)
-                                              for s, e in pairwise(indptr.tolist())])
-    order = np.argsort(pages * len(chosen) + fids)
-    return LexicalIndex(Vocabulary(dict(zip(features, range(len(features)))), df[chosen].tolist()),
-                        corpus.page_refs, indptr=indptr, fids=fids[order].astype(np.uint32),
-                        weights=weights[order], n_min=n_min, n_max=n_max)
+    vocabulary, indptr, fids, weights, idf = _page_vectors(corpus.pages, max_features, n_min, n_max)
+    return LexicalIndex(vocabulary, corpus.page_refs, indptr=indptr, fids=fids, weights=weights,
+                        n_min=n_min, n_max=n_max, known_idf=idf)
 
 
 def score_lexical(index: LexicalIndex, query_text: str,

@@ -6,6 +6,9 @@ contiguous CJK runs are expanded into overlapping character bigrams plus
 the whole run when it is short. Everything else that is not whitespace is
 kept as a symbol token. Input is expected to be already normalized by
 ``corpus.normalize_text``.
+
+``token_texts`` and ``gram_texts`` work on token texts alone; ``tokenize``
+and ``ngrams`` are their forms over ``Token``s, which also carry the kind.
 """
 
 from __future__ import annotations
@@ -41,52 +44,64 @@ class Token(NamedTuple):
     kind: str  # one of TOKEN_KINDS
 
 
-def _cjk_run_tokens(run: str) -> list[Token]:
+def _cjk_run_texts(run: str) -> list[str]:
     """Overlapping bigrams plus the whole run when len <= SHORT_RUN_MAX.
 
     A two-character run is emitted once: its single bigram already equals
     the whole run, and emitting both would double the term frequency of one
     occurrence.
     """
-    grams = [Token(run[i : i + 2], "cjk_gram") for i in range(len(run) - 1)]
+    grams = [run[i : i + 2] for i in range(len(run) - 1)]
     if len(run) <= SHORT_RUN_MAX and len(run) != 2:
-        grams.append(Token(run, "cjk_gram"))
+        grams.append(run)
     return grams
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split normalized text into tokens, preserving source order.
+def token_texts(text: str) -> list[str]:
+    """The texts of ``tokenize(text)``, without making a Token per token.
 
-    Deterministic and total: any input yields a (possibly empty) token list.
+    Deterministic and total: any input yields a (possibly empty) list.
     """
-    tokens: list[Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "number":
-            tokens.append(Token(value, "number"))
-        elif kind == "latin":
-            tokens.append(Token(value.lower(), "latin_word"))
-        elif kind == "cjk":
-            tokens.extend(_cjk_run_tokens(value))
+    texts: list[str] = []
+    for number, latin, cjk, symbol in _TOKEN_RE.findall(text):
+        if cjk:
+            texts += _cjk_run_texts(cjk)
         else:
-            tokens.append(Token(value, "symbol"))
+            texts.append(number or latin.lower() or symbol)
+    return texts
+
+
+def tokenize(text: str) -> list[Token]:
+    """Split normalized text into tokens, preserving source order: the texts
+    of ``token_texts``, each with its kind."""
+    tokens: list[Token] = []
+    for number, latin, cjk, symbol in _TOKEN_RE.findall(text):
+        if cjk:
+            tokens += [Token(gram, "cjk_gram") for gram in _cjk_run_texts(cjk)]
+        elif latin:
+            tokens.append(Token(latin.lower(), "latin_word"))
+        else:
+            tokens.append(Token(number, "number") if number else Token(symbol, "symbol"))
     return tokens
 
 
-def ngrams(tokens: list[Token], n_min: int = 1, n_max: int = 5) -> list[str]:
-    """All contiguous token n-grams for n in [n_min, n_max].
+def gram_texts(texts: list[str], n_min: int = 1, n_max: int = 5) -> list[str]:
+    """All contiguous n-grams of the token texts for n in [n_min, n_max].
 
     Grams are token texts joined with NGRAM_SEP. Order is deterministic:
     ascending n, then position.
     """
     if not 1 <= n_min <= n_max:
         raise ValueError(f"invalid n-gram range [{n_min}, {n_max}]")
-    texts = [t.text for t in tokens]
     grams: list[str] = []
     for n in range(n_min, min(n_max, len(texts)) + 1):
         grams.extend(map(NGRAM_SEP.join, zip(*(texts[k:] for k in range(n)))))
     return grams
+
+
+def ngrams(tokens: list[Token], n_min: int = 1, n_max: int = 5) -> list[str]:
+    """``gram_texts`` of the tokens' texts."""
+    return gram_texts([t.text for t in tokens], n_min, n_max)
 
 
 def count_numeric_tokens(text: str) -> int:
@@ -96,4 +111,4 @@ def count_numeric_tokens(text: str) -> int:
 
 def token_set(text: str) -> set[str]:
     """Set of token texts, for overlap measures over normalized text."""
-    return {t.text for t in tokenize(text)}
+    return set(token_texts(text))

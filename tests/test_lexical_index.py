@@ -10,11 +10,13 @@ import dataclasses
 import functools
 import math
 import os
+import random
 import struct
 import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -25,6 +27,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import docqa_engine
+from docqa_engine import lexical
 from docqa_engine.corpus import Corpus, Page
 from docqa_engine.errors import FormatError
 from docqa_engine.lexical import (
@@ -33,6 +36,7 @@ from docqa_engine.lexical import (
     LexicalIndex,
     Vocabulary,
     build_lexical_index,
+    idf_table,
     load_lexical_index,
     page_features,
     save_lexical_index,
@@ -319,6 +323,54 @@ class TestArrayBuild:
     def test_empty_gram_range_rejected(self):
         with pytest.raises(ValueError, match="n-gram range"):
             build_lexical_index(_corpus(("d", ["a"])), n_min=3, n_max=2)
+
+
+def _report_pages(pages=300, seed=11):
+    """Seeded yearly-report-like pages, 20 per document, of about 1,400
+    characters of Japanese words, Latin words, numbers and punctuation."""
+    rng = random.Random(seed)
+    kanji = ["売上高", "営業利益", "経常利益", "当期", "前年", "設備投資", "研究開発", "事業", "海外",
+             "国内", "部門", "製品", "増加", "減少", "推移", "計画", "人材", "環境", "拠点", "市場"]
+    kana = ["の", "は", "が", "を", "に", "した", "ました", "について", "および", "ため"]
+    latin = ["revenue", "margin", "growth", "segment", "IoT", "ESG", "DX", "cloud", "Q1", "Q4"]
+    pieces = [lambda: rng.choice(kanji), lambda: rng.choice(kana), lambda: " " + rng.choice(latin) + " ",
+              lambda: f"{rng.randint(1, 9999)}", lambda: f"{rng.uniform(0, 100):.1f}%", lambda: "、",
+              lambda: "。"]
+    return Corpus.from_pages(
+        Page.from_raw(f"rep{i // 20:03d}", i % 20, "".join(
+            rng.choice(pieces)() for _ in range(450)))
+        for i in range(pages))
+
+
+class TestBuildResources:
+    def test_idf_is_computed_once_and_matches_the_saved_df(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(lexical, "idf_table", lambda *args: calls.append(args) or idf_table(*args))
+        index = build_lexical_index(_corpus(("d", ["a b a", "b c"]), ("e", ["c 2024年"])), n_max=2)
+        assert len(calls) == 1
+        want = idf_table(index.vocabulary.df, index.page_count)
+        assert index.idf.dtype == want.dtype and index.idf.tobytes() == want.tobytes()
+        save_lexical_index(index, tmp_path / "lex.idx")
+        assert load_lexical_index(tmp_path / "lex.idx").idf.tobytes() == want.tobytes()
+        # a copy with other document frequencies derives its own idf
+        df = [1] * index.vocabulary.size
+        edited = dataclasses.replace(index, vocabulary=Vocabulary(index.vocabulary.feature_ids, df))
+        assert edited.idf.tobytes() == idf_table(df, index.page_count).tobytes()
+
+    def test_peak_traced_allocation_is_bounded(self):
+        # 37.6 MB traced on numpy 2.4 and Python 3.11, bounded at 1.5 times
+        # that; the build that kept int64 pairs, held them twice and made a
+        # Token per token traced 114.8 MB
+        corpus = _report_pages()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            build_lexical_index(corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 56 * 2**20
 
 
 class TestPersistence:

@@ -1,7 +1,7 @@
 """Tokenizer and normalization behavior, frozen against hand-worked examples."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docqa_engine.corpus import normalize_text
@@ -11,12 +11,28 @@ from docqa_engine.tokenizer import (
     TOKEN_KINDS,
     Token,
     count_numeric_tokens,
+    gram_texts,
     ngrams,
     token_set,
+    token_texts,
     tokenize,
 )
 
 _CJK_ALPHABET = "日本語試験漢字東京大阪売上高年度調査"
+
+# Pieces of mixed text, run together with or without a space between them:
+# CJK runs of every length around SHORT_RUN_MAX, Latin words, numbers
+# (decimal, percent, full-width, Arabic-Indic), digit runs running into
+# letters, and symbol runs.
+_PIECES = st.one_of(
+    st.text(alphabet=_CJK_ALPHABET + "ひらがなカタカナー々", min_size=1, max_size=5),
+    st.text(alphabet="abcXYZ", min_size=1, max_size=6),
+    st.from_regex(r"[0-9０-９٣]{1,4}(\.[0-9]{1,2})?%?", fullmatch=True),
+    st.from_regex(r"[0-9]{1,4}[A-Za-z]{1,3}", fullmatch=True),
+    st.text(alphabet="、。,.%!()+-¥Σ", min_size=1, max_size=3),
+)
+_MIXED_TEXT = st.lists(st.tuples(_PIECES, st.sampled_from(["", " "])), max_size=12).map(
+    lambda parts: "".join(piece + gap for piece, gap in parts))
 
 
 class TestNormalizeText:
@@ -115,6 +131,25 @@ class TestTokenize:
         else:
             whole_extra = 1 if 2 < len(run) <= SHORT_RUN_MAX else 0
             assert len(tokens) == (len(run) - 1) + whole_extra
+
+
+class TestTokenTexts:
+    @settings(max_examples=300)
+    @given(_MIXED_TEXT)
+    def test_equal_the_texts_of_tokenize(self, text):
+        assert token_texts(text) == [t.text for t in tokenize(text)]
+
+    @given(st.text(max_size=200))
+    def test_equal_the_texts_of_tokenize_on_any_text(self, text):
+        assert token_texts(text) == [t.text for t in tokenize(text)]
+
+    @given(_MIXED_TEXT, st.integers(1, 3), st.integers(0, 2))
+    def test_gram_texts_equal_ngrams(self, text, n_min, extra):
+        assert gram_texts(token_texts(text), n_min, n_min + extra) == ngrams(
+            tokenize(text), n_min, n_min + extra)
+
+    def test_digit_run_into_letters_is_one_word(self):
+        assert token_texts("12ab 3.5% 2024年") == ["12ab", "3.5%", "2024", "年"]
 
 
 class TestNgrams:
