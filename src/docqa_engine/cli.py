@@ -37,7 +37,8 @@ from .errors import (
     TransportError,
 )
 from .gateway import GatewayClient
-from .lexical import build_lexical_index, load_lexical_index, save_lexical_index
+from .lexical import (DEFAULT_MAX_FEATURES, DEFAULT_N_MAX, DEFAULT_N_MIN, build_lexical_index,
+                      load_lexical_index, save_lexical_index)
 from .retriever import FusionWeights, SelectionPolicy, check_same_pages, retrieval_record, retrieve
 from .semantic import build_semantic_index, load_semantic_index, save_semantic_index
 
@@ -130,7 +131,7 @@ def answer_questions(
     if use_retrieval:
         if lexical_index is None:
             raise ConfigError("retrieval requested but no lexical index supplied")
-        check_same_pages(corpus.page_refs, lexical_index, semantic_index)
+        check_same_pages(corpus.fingerprint, lexical_index, semantic_index)
     if max_context_chars is not None and max_context_chars < 1:
         raise ValueError(f"max_context_chars must be at least 1, got {max_context_chars}")
     docs = corpus.doc_page_counts()
@@ -238,6 +239,10 @@ def _load_indexes(config: PipelineConfig, args):
     semantic_index = None
     if embed_client is not None and semantic_path.exists():
         semantic_index = load_semantic_index(semantic_path)
+        if semantic_index.model != embed_client.config.model_name:
+            raise FormatError(f"semantic index was embedded by model {semantic_index.model!r}, "
+                              f"not by {embed_client.config.model_name!r}; rebuild it with "
+                              "`docqa build-index`")
     return lexical_index, semantic_index, embed_client
 
 
@@ -274,7 +279,7 @@ def cmd_build_index(args, config: PipelineConfig) -> int:
 
 def cmd_retrieve(args, config: PipelineConfig) -> int:
     lexical_index, semantic_index, embed_client = _load_indexes(config, args)
-    check_same_pages(lexical_index.page_refs, semantic_index)
+    check_same_pages(lexical_index.fingerprint, semantic_index)
     weights = config.weights
     if args.alpha is not None:
         weights = FusionWeights(alpha=args.alpha, beta=1.0 - args.alpha)
@@ -395,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="corpus file")
     p.add_argument("--lexical", help="lexical index output path")
     p.add_argument("--semantic", help="semantic index output path (needs embedding endpoint)")
-    p.add_argument("--max-features", type=int, default=50_000)
-    p.add_argument("--ngram-min", type=int, default=1)
-    p.add_argument("--ngram-max", type=int, default=5)
+    p.add_argument("--max-features", type=int, default=DEFAULT_MAX_FEATURES)
+    p.add_argument("--ngram-min", type=int, default=DEFAULT_N_MIN)
+    p.add_argument("--ngram-max", type=int, default=DEFAULT_N_MAX)
     _add_endpoint_flags(p)
     p.set_defaults(func=cmd_build_index)
 

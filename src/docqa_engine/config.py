@@ -26,6 +26,7 @@ from .retriever import (
     FusionWeights,
     SelectionPolicy,
 )
+from .semantic import DEFAULT_DIM
 
 AUTH_TOKEN_ENV = "DOCQA_AUTH_TOKEN"
 
@@ -49,7 +50,7 @@ class PipelineConfig:
     thresholds: GateThresholds = GateThresholds()
     endpoint: EndpointConfig | None = None
     embedding: EndpointConfig | None = None
-    embed_dim: int = 1024
+    embed_dim: int = DEFAULT_DIM
 
     def __post_init__(self):
         if self.candidate_k < 1:

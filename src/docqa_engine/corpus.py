@@ -4,11 +4,12 @@ One record per page, line-delimited JSON on the wire. Pages of a document
 must be contiguous starting at page 0; the corpus is immutable once built.
 Also here: the engine's reader and writer for line-delimited JSON
 (iter_records, write_records), for the binary index files (ByteReader,
-pack_text), and the page-order rules every index shares.
+pack_text), and the page-order and fingerprint rules every index shares.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 import unicodedata
@@ -142,6 +143,10 @@ class Corpus:
 
     def get(self, doc_id: str, page_index: int) -> Page:
         return self._by_ref[doc_id, page_index]
+
+    @cached_property
+    def fingerprint(self) -> bytes:
+        return page_fingerprint(self.pages)
 
 
 def _check_contiguous(ordered_pages: list[Page]) -> None:
@@ -305,3 +310,16 @@ def pack_text(text: str) -> bytes:
     """The bytes of one string as ByteReader.text reads it back."""
     data = text.encode("utf-8")
     return struct.pack("<I", len(data)) + data
+
+
+def page_fingerprint(pages: Iterable[Page]) -> bytes:
+    """sha256 over each page's ref and normalized text, in the given order.
+
+    Every index records it of the corpus it was built from, so an index of
+    other pages, or of the same refs with other texts, is told apart.
+    """
+    digest = hashlib.sha256()
+    for p in pages:
+        digest.update(pack_text(p.doc_id) + struct.pack("<I", p.page_index)
+                      + pack_text(p.normalized_text))
+    return digest.digest()

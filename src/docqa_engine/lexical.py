@@ -5,8 +5,10 @@ per-page L2 normalization, so scoring a query is a cosine over sparse
 vectors. The vocabulary keeps the max_features features with the highest
 document frequency (ties broken lexicographically ascending).
 
-Page vectors are arrays: a page-major CSR, which is also the saved layout,
-and a feature-major CSC view of it for scoring.
+Page vectors are one feature-major (CSC) layout from build through the saved
+file to scoring: per feature, the rows of the pages that hold it and their
+weights. A column holds one entry per such page, so its length is the
+feature's document frequency and the column offsets are ``cumsum(df)``.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from .errors import FormatError
 from .tokenizer import NGRAM_SEP, gram_texts, ngrams, token_texts, tokenize  # noqa: F401
 
 LEXICAL_MAGIC = b"LEXI"
-LEXICAL_FORMAT_VERSION = 2
+LEXICAL_FORMAT_VERSION = 3
 
 DEFAULT_MAX_FEATURES = 50_000
+DEFAULT_N_MIN, DEFAULT_N_MAX = 1, 5
 
-_HEADER = "<IIIIQQ"  # page_count, vocab_size, n_min, n_max, vocabulary bytes, nnz
+_HEADER = "<IIIIQQ32s"  # page_count, vocab_size, n_min, n_max, vocabulary bytes, nnz, fingerprint
 
 
 @dataclass
@@ -47,28 +50,30 @@ class Vocabulary:
 class LexicalIndex:
     vocabulary: Vocabulary
     page_refs: list[PageRef]  # in corpus order
-    # Page-major CSR: row i's entries are [indptr[i], indptr[i + 1]) of fids
-    # (ascending within a row) and weights; L2 norm 1 unless the row is empty.
-    indptr: np.ndarray  # int64, page_count + 1 offsets
-    fids: np.ndarray  # uint32
+    # Feature-major CSC: feature f's entries are the df[f] rows (ascending) and weights past
+    # those of the features below f. A page's weights have L2 norm 1 unless it has no feature.
+    rows: np.ndarray  # uint32
     weights: np.ndarray  # float64
     n_min: int
     n_max: int
+    fingerprint: bytes  # corpus.page_fingerprint of the indexed pages
     # the idf the build weighted with; ``dataclasses.replace`` passes None
     known_idf: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, known_idf):
         check_corpus_order(self.page_refs)
         self.idf = idf_table(self.vocabulary.df, self.page_count) if known_idf is None else known_idf
-        # Feature-major CSC view, each entry keyed by fid * page_count + row.
-        # The keys are distinct, so sorting them puts rows ascending within a
-        # column, and one searchsorted finds a column's entries in any row range.
-        keys = self.fids.astype(np.uint64)
-        keys *= self.page_count
-        keys += np.repeat(np.arange(self.page_count, dtype=np.uint64), np.diff(self.indptr))
-        order = np.argsort(keys)
-        keys.sort()
-        self._col_keys, self._col_weights = keys, self.weights[order]
+        df = np.asarray(self.vocabulary.df, dtype=np.int64)
+        if not df.sum() == len(self.rows) == len(self.weights):
+            raise ValueError(f"document frequencies add up to {df.sum()}, but rows and weights "
+                             f"hold {len(self.rows)} and {len(self.weights)} entries")
+        # keys fid * page_count + row ascend when rows ascend within each column,
+        # and one searchsorted then finds a column's entries in any row range
+        keys = np.repeat(np.arange(len(df), dtype=np.uint64) * np.uint64(self.page_count), df)
+        keys += self.rows
+        if not ((self.rows < self.page_count).all() and (keys[1:] > keys[:-1]).all()):
+            raise ValueError("column rows must ascend strictly and stay below the page count")
+        self._col_keys = keys
 
     @property
     def page_count(self) -> int:
@@ -76,9 +81,12 @@ class LexicalIndex:
 
     @property
     def doc_vectors(self) -> list[list[tuple[int, float]]]:
-        """Per page, its (feature id, weight) pairs, as lists read off the CSR arrays."""
-        return [list(zip(self.fids[s:e].tolist(), self.weights[s:e].tolist()))
-                for s, e in pairwise(self.indptr.tolist())]
+        """Per page, its (feature id, weight) pairs in feature id order, read off the CSC arrays."""
+        by_row = np.argsort(self.rows, kind="stable")
+        fids = np.repeat(np.arange(self.vocabulary.size), self.vocabulary.df)[by_row].tolist()
+        weights = self.weights[by_row].tolist()
+        ends = np.cumsum(np.bincount(self.rows, minlength=self.page_count)).tolist()
+        return [list(zip(fids[s:e], weights[s:e])) for s, e in pairwise([0, *ends])]
 
 
 def idf_table(df: list[int] | np.ndarray, page_count: int) -> np.ndarray:
@@ -88,20 +96,22 @@ def idf_table(df: list[int] | np.ndarray, page_count: int) -> np.ndarray:
                      for count in counts.tolist()])[inverse]
 
 
-def tfidf_weights(fids: np.ndarray, tfs: np.ndarray, idf: np.ndarray) -> np.ndarray:
-    """Weights of the features ``fids`` with term counts ``tfs``, both in gram order.
+def tfidf_weights(fids: np.ndarray, tfs: np.ndarray, idf: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Weights of the features ``fids`` with term counts ``tfs`` on the pages
+    ``rows``, each page's pairs in gram order.
 
-    One rule for pages and queries: sublinear tf (``math.log``) times idf,
-    L2-normalized. The norm adds the squares one by one in gram order:
-    ``cumsum`` neither sums pairwise, as ``np.sum`` does, nor compensates, as
-    builtin ``sum`` does from Python 3.12 on, so the weights are the same
-    floats on every Python.
+    One rule for pages and queries (a query is one page, all rows 0):
+    sublinear tf (``math.log``) times idf, L2-normalized per row. The norm is
+    ``np.bincount``, which adds each row's squares one by one in input order:
+    it neither sums pairwise, as ``np.sum`` does, nor compensates, as builtin
+    ``sum`` does from Python 3.12 on, so the weights are the same floats on
+    every Python.
     """
     if not len(fids):
         return np.zeros(0)
     sublinear = np.array([1.0 + math.log(tf) for tf in range(1, int(tfs.max()) + 1)])
     weights = sublinear[tfs - 1] * idf[fids]
-    return weights / math.sqrt(np.cumsum(weights * weights)[-1])
+    return weights / np.sqrt(np.bincount(rows, weights * weights))[rows]
 
 
 def page_features(normalized_text: str, n_min: int, n_max: int) -> Counter:
@@ -175,27 +185,10 @@ def _choose(tok: np.ndarray, texts: list[str], starts: np.ndarray, lens: np.ndar
     return candidates[picked], features.tolist()
 
 
-def _page_major(pairs: list, fid_of: np.ndarray, page_count: int) -> tuple:
-    """Feature ids and term counts of the pairs whose gram is a feature, page
-    by page in gram order (n, then position), and the pages' offsets."""
-    keep = [fid_of[grams] >= 0 for grams, _, _ in pairs]
-    counts = np.array([np.bincount(rows[k], minlength=page_count) for (_, _, rows), k in zip(pairs, keep)])
-    indptr = np.concatenate(([0], np.cumsum(counts.sum(axis=0))))
-    # where an n's pairs on a page go: past the page's pairs of smaller n, and
-    # less the place the first of them has among that n's pairs
-    offsets = indptr[:-1] + (np.cumsum(counts, axis=0) - counts) - (np.cumsum(counts, axis=1) - counts)
-    fids, tfs = np.empty(indptr[-1], np.uint32), np.empty(indptr[-1], fid_of.dtype)
-    for (grams, tf, rows), k, offset in zip(pairs, keep, offsets):
-        at = offset[rows[k]] + np.arange(np.count_nonzero(k))
-        fids[at], tfs[at] = fid_of[grams[k]], tf[k]
-    return fids, tfs, indptr
-
-
-def _page_vectors(pages: tuple[Page, ...], max_features: int, n_min: int, n_max: int) -> tuple:
-    """The vocabulary, the page-major CSR arrays and the idf of the pages'
-    ``page_features``, counted on integer gram ids: only the chosen features
-    are ever joined into strings. The intermediates are freed on return,
-    before the index derives its feature-major view."""
+def _page_pairs(pages: tuple[Page, ...], max_features: int, n_min: int, n_max: int) -> tuple:
+    """The vocabulary of the pages' ``page_features`` and their (feature id, term count,
+    row) pairs, each page's in gram order (n, then position), counted on integer gram
+    ids: only the chosen features are ever joined into strings. Frees the rest on return."""
     ids: dict[str, int] = {}  # token text -> id, by first appearance
     lengths = np.zeros(len(pages), dtype=np.int64)
 
@@ -212,20 +205,14 @@ def _page_vectors(pages: tuple[Page, ...], max_features: int, n_min: int, n_max:
     chosen, features = _choose(tok, list(ids), starts, lens, df, max_features)
     fid_of = np.full(len(df), -1, dtype=tok.dtype)
     fid_of[chosen] = np.arange(len(chosen))
-    fids, tfs, indptr = _page_major(pairs, fid_of, len(pages))
-    # each page weighted in gram order, then put in id order
-    idf = idf_table(df[chosen], len(pages))
-    weights = np.empty(len(fids))
-    for s, e in pairwise(indptr.tolist()):
-        by_id = np.argsort(fids[s:e])
-        weights[s:e] = tfidf_weights(fids[s:e], tfs[s:e], idf)[by_id]
-        fids[s:e] = fids[s:e][by_id]
+    keep = [fid_of[grams] >= 0 for grams, _, _ in pairs]
+    grams, tfs, rows = (np.concatenate([a[k] for a, k in zip(arrays, keep)]) for arrays in zip(*pairs))
     return (Vocabulary(dict(zip(features, range(len(features)))), df[chosen].tolist()),
-            indptr, fids, weights, idf)
+            fid_of[grams], tfs, rows)
 
 
 def build_lexical_index(corpus: Corpus, max_features: int = DEFAULT_MAX_FEATURES,
-                        n_min: int = 1, n_max: int = 5) -> LexicalIndex:
+                        n_min: int = DEFAULT_N_MIN, n_max: int = DEFAULT_N_MAX) -> LexicalIndex:
     """The index of every page's ``page_features``."""
     if corpus.page_count == 0:
         raise ValueError("cannot index an empty corpus")
@@ -233,9 +220,15 @@ def build_lexical_index(corpus: Corpus, max_features: int = DEFAULT_MAX_FEATURES
         raise ValueError("max_features must be >= 1")
     if not 1 <= n_min <= n_max:
         raise ValueError(f"invalid n-gram range [{n_min}, {n_max}]")
-    vocabulary, indptr, fids, weights, idf = _page_vectors(corpus.pages, max_features, n_min, n_max)
-    return LexicalIndex(vocabulary, corpus.page_refs, indptr=indptr, fids=fids, weights=weights,
-                        n_min=n_min, n_max=n_max, known_idf=idf)
+    vocabulary, fids, tfs, rows = _page_pairs(corpus.pages, max_features, n_min, n_max)
+    idf = idf_table(vocabulary.df, corpus.page_count)
+    weights = tfidf_weights(fids, tfs, idf, rows)
+    # column-major: one sort of the pairs' distinct (feature id, row) keys
+    by_column = np.argsort(fids.astype(np.int64) * corpus.page_count + rows)
+    del fids, tfs  # freed before the index derives its keys
+    return LexicalIndex(vocabulary, corpus.page_refs, rows=rows[by_column].astype(np.uint32),
+                        weights=weights[by_column], n_min=n_min, n_max=n_max,
+                        fingerprint=corpus.fingerprint, known_idf=idf)
 
 
 def score_lexical(index: LexicalIndex, query_text: str,
@@ -252,7 +245,7 @@ def score_lexical(index: LexicalIndex, query_text: str,
     feature_ids = index.vocabulary.feature_ids
     hits = [(fid, tf) for gram, tf in grams.items() if (fid := feature_ids.get(gram)) is not None]
     fids, tfs = np.array(hits, dtype=np.int64).reshape(-1, 2).T
-    weights = tfidf_weights(fids, tfs, index.idf)
+    weights = tfidf_weights(fids, tfs, index.idf, np.zeros(len(fids), dtype=np.intp))
     # each query feature's column entries within the row range, in query-feature order
     base = fids.astype(np.uint64) * index.page_count
     starts, ends = np.searchsorted(index._col_keys, (base + rows.start, base + rows.stop))
@@ -261,7 +254,7 @@ def score_lexical(index: LexicalIndex, query_text: str,
     # bincount adds each page's products in that order, the order of a walk
     # over per-feature postings, so every score is the same float
     acc = np.bincount((index._col_keys[at] - np.repeat(base, counts)).astype(np.intp) - rows.start,
-                      weights=np.repeat(weights, counts) * index._col_weights[at],
+                      weights=np.repeat(weights, counts) * index.weights[at],
                       minlength=len(rows))
     scores = np.minimum(acc, 1.0)
     hits = np.flatnonzero(scores > 0.0)
@@ -271,23 +264,24 @@ def score_lexical(index: LexicalIndex, query_text: str,
 
 
 def save_lexical_index(index: LexicalIndex, path: str | Path) -> None:
-    """Format v2, little-endian: the magic, the u32 version and ``_HEADER``;
-    the features in id order as one UTF-8 blob joined with "\\n" (tokens
-    never hold whitespace); u32 df per feature; each page ref as a string and
-    a u32 page index; then the CSR arrays: int64 indptr, u32 fids, f64 weights.
+    """Format v3, little-endian: the magic, the u32 version and ``_HEADER``,
+    whose last field is the corpus fingerprint; the features in id order as
+    one UTF-8 blob joined with "\\n" (tokens never hold whitespace); u32 df
+    per feature, which are also the column lengths; each page ref as a string
+    and a u32 page index; then the CSC arrays: u32 rows, f64 weights.
     """
     feature_ids = index.vocabulary.feature_ids
     blob = "\n".join(sorted(feature_ids, key=feature_ids.get)).encode("utf-8")
     with Path(path).open("wb") as fh:
         fh.write(LEXICAL_MAGIC + struct.pack("<I", LEXICAL_FORMAT_VERSION))
-        fh.write(struct.pack(_HEADER, index.page_count, index.vocabulary.size,
-                             index.n_min, index.n_max, len(blob), len(index.fids)))
+        fh.write(struct.pack(_HEADER, index.page_count, index.vocabulary.size, index.n_min,
+                             index.n_max, len(blob), len(index.rows), index.fingerprint))
         fh.write(blob)
         fh.write(np.asarray(index.vocabulary.df, dtype="<u4").tobytes())
         fh.write(b"".join(pack_text(doc_id) + struct.pack("<I", page_index)
                           for doc_id, page_index in index.page_refs))
-        for values, dtype in ((index.indptr, "<i8"), (index.fids, "<u4"), (index.weights, "<f8")):
-            fh.write(np.asarray(values, dtype=dtype).tobytes())
+        fh.write(np.asarray(index.rows, dtype="<u4").tobytes())
+        fh.write(np.asarray(index.weights, dtype="<f8").tobytes())
 
 
 def load_lexical_index(path: str | Path) -> LexicalIndex:
@@ -296,14 +290,13 @@ def load_lexical_index(path: str | Path) -> LexicalIndex:
     if version != LEXICAL_FORMAT_VERSION:
         raise FormatError(f"unsupported lexical index version {version}: "
                           "rebuild it with `docqa build-index`")
-    page_count, vocab_size, n_min, n_max, blob_size, nnz = reader.unpack(_HEADER)
+    page_count, vocab_size, n_min, n_max, blob_size, nnz, fingerprint = reader.unpack(_HEADER)
     if not 1 <= n_min <= n_max:
         raise FormatError(f"lexical index n-gram range [{n_min}, {n_max}] is invalid")
     features = reader.text(blob_size).split("\n") if blob_size else []
     df = reader.array("<u4", vocab_size)
     page_refs = [(reader.text(), reader.unpack("<I")[0]) for _ in range(page_count)]
-    indptr = reader.array("<i8", page_count + 1)
-    fids = reader.array("<u4", nnz)
+    rows = reader.array("<u4", nnz)
     weights = reader.array("<f8", nnz)
     reader.finish()
     feature_ids = dict(zip(features, range(len(features))))
@@ -312,15 +305,10 @@ def load_lexical_index(path: str | Path) -> LexicalIndex:
                           f"{len(feature_ids)} of them distinct; header says {vocab_size}")
     if not ((df >= 1) & (df <= page_count)).all():
         raise FormatError(f"lexical index holds a document frequency outside 1..{page_count}")
-    if indptr[0] != 0 or indptr[-1] != nnz or (np.diff(indptr) < 0).any():
-        raise FormatError(f"lexical index page offsets do not ascend from 0 to {nnz}")
-    # (row, feature id) keys ascend strictly: ids ascend within a page, drop only at a page start
-    keys = np.repeat(np.arange(page_count, dtype=np.uint64), np.diff(indptr)) * vocab_size + fids
-    if not ((fids < vocab_size).all() and (keys[1:] > keys[:-1]).all()
-            and np.isfinite(weights).all()):
-        raise FormatError("lexical index page vector has an unknown, unsorted or non-finite entry")
+    if not np.isfinite(weights).all():
+        raise FormatError("lexical index holds a non-finite weight")
     try:
-        return LexicalIndex(Vocabulary(feature_ids, df.tolist()), page_refs,
-                            indptr=indptr, fids=fids, weights=weights, n_min=n_min, n_max=n_max)
+        return LexicalIndex(Vocabulary(feature_ids, df.tolist()), page_refs, rows=rows,
+                            weights=weights, n_min=n_min, n_max=n_max, fingerprint=fingerprint)
     except ValueError as exc:
         raise FormatError(f"lexical index {exc}") from exc

@@ -127,14 +127,16 @@ def select_adaptive(ranked: list[ScoredPage], policy: SelectionPolicy) -> list[S
     return ranked[: min(take, len(ranked))]
 
 
-def check_same_pages(page_refs: list[PageRef], *indexes) -> None:
-    """Reject an index (None is skipped) that lists other pages than page_refs.
+def check_same_pages(fingerprint: bytes, *indexes) -> None:
+    """Reject an index (None is skipped) built from other pages than those of
+    ``fingerprint`` (a ``corpus.page_fingerprint``).
 
-    An index built from another corpus would name pages the corpus lacks or
-    score the wrong ones, so it fails before any request with FormatError.
+    An index built from another corpus, or from this one's refs with other
+    texts, would name pages the corpus lacks or score the wrong ones, so it
+    fails before any request with FormatError.
     """
     for index in indexes:
-        if index is not None and index.page_refs != page_refs:
+        if index is not None and index.fingerprint != fingerprint:
             raise FormatError(f"{type(index).__name__} lists other pages than the corpus "
                               "or the other index; rebuild the indexes")
 

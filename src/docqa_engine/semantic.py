@@ -21,7 +21,7 @@ from .ensemble import in_flight_limit
 from .errors import ContractError, FormatError
 
 SEMANTIC_MAGIC = b"SEMV"
-SEMANTIC_FORMAT_VERSION = 1
+SEMANTIC_FORMAT_VERSION = 2
 
 DEFAULT_DIM = 1024
 BATCH_SIZE = 32  # texts per embedding request
@@ -37,6 +37,8 @@ class SemanticIndex:
     vectors: np.ndarray  # float32, shape (page_count, dim), unit rows
     page_refs: list[PageRef]  # in corpus order
     dim: int
+    fingerprint: bytes = bytes(32)  # corpus.page_fingerprint of the embedded pages
+    model: str = ""  # the embedding model's name; "" for a client without a config
 
     def __post_init__(self):
         check_corpus_order(self.page_refs)
@@ -94,7 +96,9 @@ def _embed_batch(batch: list[str], client, dim: int) -> np.ndarray:
 def build_semantic_index(corpus: Corpus, client, dim: int = DEFAULT_DIM) -> SemanticIndex:
     texts = [PASSAGE_PREFIX + p.normalized_text for p in corpus.pages]
     vectors = embed(texts, client, dim=dim)
-    return SemanticIndex(vectors=vectors, page_refs=corpus.page_refs, dim=dim)
+    model = getattr(getattr(client, "config", None), "model_name", "")
+    return SemanticIndex(vectors=vectors, page_refs=corpus.page_refs, dim=dim,
+                         fingerprint=corpus.fingerprint, model=model)
 
 
 def embed_query(query_text: str, client, dim: int = DEFAULT_DIM) -> np.ndarray:
@@ -122,14 +126,13 @@ def search_semantic(
 
 
 def save_semantic_index(index: SemanticIndex, path: str | Path) -> None:
-    """Header (version, dim, count), row-major float32 LE, page_ref table."""
+    """Format v2, little-endian: the magic; u32 version, dim and count; the
+    32-byte corpus fingerprint and the model name as a string; the rows as
+    row-major f32; each page ref as a string and a u32 page index."""
     with Path(path).open("wb") as fh:
-        fh.write(SEMANTIC_MAGIC)
-        fh.write(
-            struct.pack(
-                "<III", SEMANTIC_FORMAT_VERSION, index.dim, len(index.page_refs)
-            )
-        )
+        fh.write(SEMANTIC_MAGIC + struct.pack("<III32s", SEMANTIC_FORMAT_VERSION, index.dim,
+                                              len(index.page_refs), index.fingerprint))
+        fh.write(pack_text(index.model))
         fh.write(np.ascontiguousarray(index.vectors, dtype="<f4").tobytes())
         for doc_id, page_index in index.page_refs:
             fh.write(pack_text(doc_id) + struct.pack("<I", page_index))
@@ -137,9 +140,12 @@ def save_semantic_index(index: SemanticIndex, path: str | Path) -> None:
 
 def load_semantic_index(path: str | Path) -> SemanticIndex:
     reader = ByteReader(path, SEMANTIC_MAGIC, "semantic index")
-    version, dim, count = reader.unpack("<III")
+    (version,) = reader.unpack("<I")
     if version != SEMANTIC_FORMAT_VERSION:
-        raise FormatError(f"unsupported semantic index version {version}")
+        raise FormatError(f"unsupported semantic index version {version}: "
+                          "rebuild it with `docqa build-index`")
+    dim, count, fingerprint = reader.unpack("<II32s")
+    model = reader.text()
     raw = reader.array("<f4", count * dim)
     # reading the refs first bounds count by the file size, even for dim 0
     page_refs = [(reader.text(), reader.unpack("<I")[0]) for _ in range(count)]
@@ -151,6 +157,7 @@ def load_semantic_index(path: str | Path) -> SemanticIndex:
         raise FormatError("semantic index holds a row with a non-finite component or a norm "
                           f"that is not 1 within {UNIT_NORM_TOL}")
     try:
-        return SemanticIndex(vectors=vectors, page_refs=page_refs, dim=dim)
+        return SemanticIndex(vectors=vectors, page_refs=page_refs, dim=dim,
+                             fingerprint=fingerprint, model=model)
     except ValueError as exc:
         raise FormatError(f"semantic index {exc}") from exc

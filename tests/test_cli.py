@@ -28,7 +28,7 @@ from docqa_engine.config import AUTH_TOKEN_ENV
 from docqa_engine.errors import ConfigError, ParseError
 from docqa_engine.gateway import EndpointConfig
 from mock_server import MockModelServer
-from test_lexical_index import V1_FILE
+from test_lexical_index import V1_FILE, V2_FILE
 
 FIN_BODY = (
     "第3四半期の業績概況。当期の売上高は 4200 百万円 に達した。"
@@ -277,7 +277,7 @@ class TestRetrieve:
 
     def test_undecodable_lexical_feature_is_io_error(self, tmp_path, artifacts, capsys):
         data = bytearray(artifacts["lexical"].read_bytes())
-        data[40] = 0xFF  # first byte of the vocabulary blob
+        data[72] = 0xFF  # first byte of the vocabulary blob
         corrupt = tmp_path / "corrupt.idx"
         corrupt.write_bytes(bytes(data))
         assert main(["retrieve", "q", "--lexical", str(corrupt)]) == EXIT_IO
@@ -285,7 +285,7 @@ class TestRetrieve:
 
     def test_huge_semantic_header_counts_are_io_error(self, tmp_path, artifacts, capsys):
         semantic = tmp_path / "semantic.idx"
-        semantic.write_bytes(b"SEMV" + struct.pack("<III", 1, 0xFFFFFFFF, 0xFFFFFFFF))
+        semantic.write_bytes(b"SEMV" + struct.pack("<III32sI", 2, 0xFFFFFFFF, 0xFFFFFFFF, b"", 0))
         code = main(["retrieve", "q", "--lexical", str(artifacts["lexical"]),
                      "--semantic", str(semantic),
                      "--embed-url", "http://127.0.0.1:9/v1", "--embed-model", "m"])
@@ -312,9 +312,38 @@ class TestRetrieve:
         assert code == EXIT_IO
         assert "SemanticIndex lists other pages" in capsys.readouterr().err
 
+    def test_semantic_index_of_another_model_is_io_error(self, tmp_path, artifacts, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("embedding:\n  dim: 32\n", encoding="utf-8")
+        semantic = tmp_path / "semantic.idx"
+        with MockModelServer(dim=32) as server:
+            assert main(["--config", str(config), "build-index",
+                         "--corpus", str(artifacts["corpus"]),
+                         "--lexical", str(tmp_path / "lex7.idx"), "--semantic", str(semantic),
+                         "--embed-url", server.base_url, "--embed-model", "embedder"]) == EXIT_OK
+            sent = len(server.request_log)
+            capsys.readouterr()
+            code = main(["--config", str(config), "retrieve", "売上高",
+                         "--lexical", str(artifacts["lexical"]), "--semantic", str(semantic),
+                         "--embed-url", server.base_url, "--embed-model", "other-embedder"])
+            assert len(server.request_log) == sent  # no query embedding was requested
+        assert code == EXIT_IO
+        assert ("semantic index was embedded by model 'embedder', not by 'other-embedder'"
+                in capsys.readouterr().err)
+
+    def test_version_1_semantic_index_is_io_error(self, tmp_path, artifacts, capsys):
+        semantic = tmp_path / "semantic.idx"
+        semantic.write_bytes(b"SEMV" + struct.pack("<IIIf", 1, 1, 1, 1.0) + struct.pack("<I", 3)
+                             + b"fin" + struct.pack("<I", 0))
+        code = main(["retrieve", "q", "--lexical", str(artifacts["lexical"]),
+                     "--semantic", str(semantic),
+                     "--embed-url", "http://127.0.0.1:9/v1", "--embed-model", "m"])
+        assert code == EXIT_IO
+        assert "unsupported semantic index version 1: rebuild it" in capsys.readouterr().err
+
     def test_non_finite_semantic_vector_is_io_error(self, tmp_path, artifacts, capsys):
         semantic = tmp_path / "semantic.idx"
-        semantic.write_bytes(b"SEMV" + struct.pack("<III", 1, 1, 1)
+        semantic.write_bytes(b"SEMV" + struct.pack("<III32sI", 2, 1, 1, b"", 1) + b"m"
                              + struct.pack("<f", float("nan")) + struct.pack("<I", 3) + b"fin"
                              + struct.pack("<I", 1))
         code = main(["retrieve", "q", "--json", "--lexical", str(artifacts["lexical"]),
@@ -501,6 +530,39 @@ class TestInfer:
             assert server.request_log == []
         assert code == EXIT_IO
         assert "unsupported lexical index version 1: rebuild it" in capsys.readouterr().err
+
+    def test_version_2_lexical_index_is_io_error(self, tmp_path, artifacts, questions_file,
+                                                 capsys):
+        v2 = tmp_path / "v2.idx"
+        v2.write_bytes(V2_FILE)
+        with MockModelServer(chat="Answer: A") as server:
+            code = main([
+                "infer", "--questions", str(questions_file), "--output", str(tmp_path / "v.jsonl"),
+                "--corpus", str(artifacts["corpus"]), "--lexical", str(v2),
+                "--endpoint-url", server.base_url, "--model", "mock-model",
+            ])
+            assert server.request_log == []
+        assert code == EXIT_IO
+        assert "unsupported lexical index version 2: rebuild it" in capsys.readouterr().err
+
+    def test_lexical_index_of_the_same_refs_with_other_texts_is_io_error(
+            self, tmp_path, raw_pages, artifacts, questions_file, capsys):
+        # the index's corpus with two pages' texts swapped under the same refs
+        records = [json.loads(line) for line in raw_pages.read_text(encoding="utf-8").splitlines()]
+        records[0]["text"], records[1]["text"] = records[1]["text"], records[0]["text"]
+        swapped_raw, swapped = tmp_path / "swapped_raw.jsonl", tmp_path / "swapped.jsonl"
+        _write_jsonl(swapped_raw, records)
+        assert main(["ingest", "--input", str(swapped_raw), "--output", str(swapped)]) == EXIT_OK
+        capsys.readouterr()
+        with MockModelServer(chat="Answer: A") as server:
+            code = main([
+                "infer", "--questions", str(questions_file), "--output", str(tmp_path / "v.jsonl"),
+                "--corpus", str(swapped), "--lexical", str(artifacts["lexical"]),
+                "--endpoint-url", server.base_url, "--model", "mock-model",
+            ])
+            assert server.request_log == []
+        assert code == EXIT_IO
+        assert "LexicalIndex lists other pages" in capsys.readouterr().err
 
     def test_missing_questions_file_is_io_error(self, tmp_path, artifacts):
         assert main([

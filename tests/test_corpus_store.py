@@ -14,6 +14,7 @@ from docqa_engine.corpus import (
     ingest_path,
     load_corpus,
     normalize_text,
+    page_fingerprint,
     save_corpus,
 )
 from docqa_engine.errors import ConflictError, FormatError, IntegrityError, ParseError
@@ -143,6 +144,16 @@ class TestCorpusModel:
     def test_empty_corpus_rejected(self):
         with pytest.raises(IntegrityError):
             Corpus.from_pages([])
+
+    def test_fingerprint_follows_every_ref_and_text(self):
+        pages = [Page.from_raw("a", 0, "alpha"), Page.from_raw("a", 1, "beta")]
+        corpus = Corpus.from_pages(pages)
+        assert corpus.fingerprint == page_fingerprint(pages) == Corpus.from_pages(pages).fingerprint
+        swapped = [Page.from_raw("a", 0, "beta"), Page.from_raw("a", 1, "alpha")]
+        assert Corpus.from_pages(swapped).fingerprint != corpus.fingerprint
+        assert Corpus.from_pages(pages[:1]).fingerprint != corpus.fingerprint
+        other_doc = Corpus.from_pages([Page.from_raw("b", 0, "alpha")])
+        assert other_doc.fingerprint != Corpus.from_pages(pages[:1]).fingerprint
 
 
 class TestSaveLoad:

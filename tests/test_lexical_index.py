@@ -43,6 +43,7 @@ from docqa_engine.lexical import (
     score_lexical,
     tfidf_weights,
 )
+from docqa_engine.retriever import check_same_pages
 from docqa_engine.tokenizer import ngrams, tokenize
 
 
@@ -231,7 +232,8 @@ class TestScore:
                              if g in index.vocabulary.feature_ids], dtype=np.int64)
             tfs = np.array([tf for g, tf in grams.items() if g in index.vocabulary.feature_ids])
             acc = [0.0] * corpus.page_count
-            for fid, q_weight in zip(fids.tolist(), tfidf_weights(fids, tfs, index.idf).tolist()):
+            q_weights = tfidf_weights(fids, tfs, index.idf, np.zeros(len(fids), dtype=np.intp))
+            for fid, q_weight in zip(fids.tolist(), q_weights.tolist()):
                 for row, d_weight in postings.get(fid, ()):
                     acc[row] += q_weight * d_weight
             for doc_id in (None, "doc2"):
@@ -251,20 +253,19 @@ def _plain_python_build(corpus, max_features=DEFAULT_MAX_FEATURES, n_min=1, n_ma
     feature_ids = {feature: fid for fid, (feature, _) in enumerate(selection)}
     df = [count for _, count in selection]
     n = corpus.page_count
-    fids, weights, indptr = [], [], [0]
-    for grams in page_grams:
+    entries = []  # (feature id, row, weight)
+    for row, grams in enumerate(page_grams):
         pairs = [(fid, (1.0 + math.log(tf)) * (math.log((1 + n) / (1 + df[fid])) + 1.0))
                  for feature, tf in grams.items() if (fid := feature_ids.get(feature)) is not None]
         norm = 0.0
         for _, w in pairs:
             norm += w * w
-        for fid, w in sorted((fid, w / math.sqrt(norm)) for fid, w in pairs):
-            fids.append(fid)
-            weights.append(w)
-        indptr.append(len(fids))
+        entries.extend((fid, row, w / math.sqrt(norm)) for fid, w in pairs)
+    entries.sort()  # column-major: by feature id, then row
     return LexicalIndex(Vocabulary(feature_ids, df), corpus.page_refs,
-                        indptr=np.array(indptr, dtype=np.int64), fids=np.array(fids, dtype=np.uint32),
-                        weights=np.array(weights, dtype=np.float64), n_min=n_min, n_max=n_max)
+                        rows=np.array([row for _, row, _ in entries], dtype=np.uint32),
+                        weights=np.array([w for _, _, w in entries], dtype=np.float64),
+                        n_min=n_min, n_max=n_max, fingerprint=corpus.fingerprint)
 
 
 def _saved_bytes(index) -> bytes:
@@ -306,7 +307,8 @@ class TestArrayBuild:
         grams = page_features(corpus.pages[0].normalized_text, n_min, n_min + extra)
         assert index.vocabulary.feature_ids.keys() == grams.keys()
         fids = np.array([index.vocabulary.feature_ids[g] for g in grams], dtype=np.int64)
-        weights = tfidf_weights(fids, np.array(list(grams.values())), index.idf)
+        weights = tfidf_weights(fids, np.array(list(grams.values())), index.idf,
+                                np.zeros(len(fids), dtype=np.intp))
         assert index.doc_vectors == [sorted(zip(fids.tolist(), weights.tolist()))]
 
     def test_norm_adds_squares_left_to_right(self):
@@ -317,8 +319,19 @@ class TestArrayBuild:
         for w in idf.tolist():
             total += w * w
         assert total != math.fsum(w * w for w in idf.tolist())
-        weights = tfidf_weights(np.arange(11), np.ones(11, dtype=np.int64), idf)
+        weights = tfidf_weights(np.arange(11), np.ones(11, dtype=np.int64), idf, np.zeros(11, int))
         assert weights.tolist() == [w / math.sqrt(total) for w in idf.tolist()]
+        # a second row, the same features in reverse, whose entries interleave
+        # with the first row's: each row's squares still add left to right
+        # (the second row's 1e-16 squares add up before they meet 1.0)
+        reverse = 0.0
+        for w in idf[::-1].tolist():
+            reverse += w * w
+        assert reverse != total
+        fids = np.stack([np.arange(11), np.arange(11)[::-1]], axis=1).ravel()
+        both = tfidf_weights(fids, np.ones(22, dtype=np.int64), idf, np.tile([0, 1], 11))
+        assert both[0::2].tolist() == [w / math.sqrt(total) for w in idf.tolist()]
+        assert both[1::2].tolist() == [w / math.sqrt(reverse) for w in idf[::-1].tolist()]
 
     def test_empty_gram_range_rejected(self):
         with pytest.raises(ValueError, match="n-gram range"):
@@ -352,10 +365,10 @@ class TestBuildResources:
         assert index.idf.dtype == want.dtype and index.idf.tobytes() == want.tobytes()
         save_lexical_index(index, tmp_path / "lex.idx")
         assert load_lexical_index(tmp_path / "lex.idx").idf.tobytes() == want.tobytes()
-        # a copy with other document frequencies derives its own idf
-        df = [1] * index.vocabulary.size
-        edited = dataclasses.replace(index, vocabulary=Vocabulary(index.vocabulary.feature_ids, df))
-        assert edited.idf.tobytes() == idf_table(df, index.page_count).tobytes()
+        # a copy derives its own idf from the df it keeps
+        calls.clear()
+        copy = dataclasses.replace(index)
+        assert len(calls) == 1 and copy.idf.tobytes() == want.tobytes()
 
     def test_peak_traced_allocation_is_bounded(self):
         # 37.6 MB traced on numpy 2.4 and Python 3.11, bounded at 1.5 times
@@ -426,6 +439,10 @@ class TestPersistence:
         with pytest.raises(FormatError, match=r"version 1: rebuild it with `docqa build-index`"):
             _load_bytes(tmp_path, V1_FILE)
 
+    def test_version_2_file_rejected_naming_its_version(self, tmp_path):
+        with pytest.raises(FormatError, match=r"version 2: rebuild it with `docqa build-index`"):
+            _load_bytes(tmp_path, V2_FILE)
+
     def test_saved_bytes_do_not_depend_on_hash_seed(self, tmp_path):
         # vocabulary selection and the file must not follow dict or set
         # order, which changes with the string hash seed
@@ -456,9 +473,12 @@ class TestPersistence:
 # Corrupt files: each one loads or raises FormatError, never another exception
 
 
+def _sample_corpus():
+    return _corpus(("d", ["日本語のテキスト 12%", "alpha beta"]), ("e", ["gamma 3"]))
+
+
 def _sample_index():
-    corpus = _corpus(("d", ["日本語のテキスト 12%", "alpha beta"]), ("e", ["gamma 3"]))
-    return build_lexical_index(corpus, n_min=1, n_max=2)
+    return build_lexical_index(_sample_corpus(), n_min=1, n_max=2)
 
 
 @functools.cache
@@ -481,19 +501,27 @@ V1_FILE = (LEXICAL_MAGIC + struct.pack("<IIIII", 1, 1, 1, 1, 1)
            + struct.pack("<I", 1) + b"a" + struct.pack("<I", 1)
            + struct.pack("<I", 1) + b"d" + struct.pack("<II", 0, 1) + struct.pack("<Id", 0, 1.0))
 
-_BLOB_AT = 40  # the vocabulary blob follows the magic, the version and _HEADER
+# The same in the version 2 layout: header, the features, df, page refs,
+# then the page-major CSR arrays (page offsets, feature ids, weights).
+V2_FILE = (LEXICAL_MAGIC + struct.pack("<IIIIIQQ", 2, 1, 1, 1, 1, 1, 1) + b"a"
+           + struct.pack("<I", 1) + struct.pack("<I", 1) + b"d" + struct.pack("<I", 0)
+           + struct.pack("<qqId", 0, 1, 0, 1.0))
+
+_FINGERPRINT_AT = 40  # the corpus fingerprint ends _HEADER, past the magic and the version
+_BLOB_AT = 72  # the vocabulary blob follows it
 
 
-def _with_page_vector(index, row, pairs):
-    """The index with page ``row``'s CSR entries replaced by ``pairs``."""
-    start, end = index.indptr[row], index.indptr[row + 1]
-    indptr = index.indptr.copy()
-    indptr[row + 1:] += len(pairs) - (end - start)
-    return dataclasses.replace(
-        index, indptr=indptr,
-        fids=np.concatenate([index.fids[:start], [f for f, _ in pairs], index.fids[end:]]),
-        weights=np.concatenate([index.weights[:start], [w for _, w in pairs],
-                                index.weights[end:]]))
+def _with_column(index, fid, pairs):
+    """The index with feature ``fid``'s CSC entries replaced, in place and so
+    past the constructor's checks, by (row, weight) ``pairs``, and its df by
+    their count."""
+    start = sum(index.vocabulary.df[:fid])
+    end = start + index.vocabulary.df[fid]
+    index.rows = np.concatenate([index.rows[:start], [r for r, _ in pairs], index.rows[end:]])
+    index.weights = np.concatenate([index.weights[:start], [w for _, w in pairs],
+                                    index.weights[end:]])
+    index.vocabulary.df[fid] = len(pairs)
+    return index
 
 
 def _with_vocabulary(edit) -> bytes:
@@ -503,17 +531,6 @@ def _with_vocabulary(edit) -> bytes:
     blob = "\n".join(edit(data[_BLOB_AT:_BLOB_AT + size].decode().split("\n"))).encode()
     assert len(blob) == size
     data[_BLOB_AT:_BLOB_AT + size] = blob
-    return bytes(data)
-
-
-def _with_page_offsets(edit) -> bytes:
-    """The sample file with its page offsets (the i64 array before fids and weights) edited."""
-    data = bytearray(_sample_file())
-    (page_count,) = struct.unpack_from("<I", data, 8)
-    (nnz,) = struct.unpack_from("<Q", data, 32)
-    at = len(data) - 12 * nnz - 8 * (page_count + 1)
-    offsets = np.frombuffer(data, "<i8", page_count + 1, at).tolist()
-    data[at:at + 8 * len(offsets)] = np.array(edit(offsets, nnz), "<i8").tobytes()
     return bytes(data)
 
 
@@ -552,30 +569,47 @@ class TestCorruptFiles:
         with pytest.raises(FormatError, match="n-gram range"):
             _load_bytes(tmp_path, bytes(data))
 
-    @pytest.mark.parametrize("vector", [
-        lambda size: [(0, 0.6), (size, 0.8)],
-        lambda size: [(2, 0.6), (1, 0.8)],
-        lambda size: [(1, 0.6), (1, 0.8)],
-        lambda size: [(0, 0.6), (1, float("nan"))],
-        lambda size: [(0, float("inf"))],
-    ], ids=["feature_id_at_vocabulary_size", "descending_ids", "repeated_id",
-            "nan_weight", "infinite_weight"])
-    def test_page_vector_its_writer_never_produces_rejected(self, tmp_path, vector):
+    @pytest.mark.parametrize("column, message", [
+        (lambda pages: [(0, 0.6), (pages, 0.8)], "column rows must ascend strictly"),
+        (lambda pages: [(2, 0.6), (1, 0.8)], "column rows must ascend strictly"),
+        (lambda pages: [(1, 0.6), (1, 0.8)], "column rows must ascend strictly"),
+        (lambda pages: [(0, 0.6), (1, float("nan"))], "non-finite weight"),
+        (lambda pages: [(0, float("inf"))], "non-finite weight"),
+    ], ids=["row_at_page_count", "descending_rows", "repeated_row", "nan_weight",
+            "infinite_weight"])
+    def test_page_vector_its_writer_never_produces_rejected(self, tmp_path, column, message):
+        # each edit puts an entry into some page's vector that the writer never does
         index = _sample_index()
-        index = _with_page_vector(index, 1, vector(index.vocabulary.size))
+        index = _with_column(index, 1, column(index.page_count))
         path = tmp_path / "lex.idx"
         save_lexical_index(index, path)
-        with pytest.raises(FormatError, match="page vector"):
+        with pytest.raises(FormatError, match=message):
             load_lexical_index(path)
 
-    @pytest.mark.parametrize("edit", [
-        lambda offsets, nnz: [0, offsets[2] + 1, *offsets[2:]],
-        lambda offsets, nnz: [*offsets[:-1], nnz - 1],
-        lambda offsets, nnz: [1, *offsets[1:]],
-    ], ids=["decreasing", "not_ending_at_nnz", "not_starting_at_zero"])
-    def test_page_offsets_its_writer_never_produces_rejected(self, tmp_path, edit):
-        with pytest.raises(FormatError, match="page offsets do not ascend from 0 to"):
-            _load_bytes(tmp_path, _with_page_offsets(edit))
+    def test_document_frequencies_not_adding_up_to_nnz_rejected(self, tmp_path):
+        index = _sample_index()
+        index.vocabulary.df[0] += 1
+        path = tmp_path / "lex.idx"
+        save_lexical_index(index, path)
+        with pytest.raises(FormatError, match=r"document frequencies add up to \d+, but"):
+            load_lexical_index(path)
+
+    def test_constructor_rejects_df_other_than_the_column_lengths(self):
+        index = _sample_index()
+        df = [*index.vocabulary.df[:-1], index.vocabulary.df[-1] + 1]
+        with pytest.raises(ValueError, match="document frequencies add up to"):
+            dataclasses.replace(index, vocabulary=Vocabulary(index.vocabulary.feature_ids, df))
+
+    def test_fingerprint_field_names_the_indexed_pages(self, tmp_path):
+        # any 32 bytes load; another corpus's fingerprint is rejected before use
+        corpus = _sample_corpus()
+        assert _load_bytes(tmp_path, _sample_file()).fingerprint == corpus.fingerprint
+        data = bytearray(_sample_file())
+        data[_FINGERPRINT_AT + 31] ^= 1
+        loaded = _load_bytes(tmp_path, bytes(data))
+        assert loaded.fingerprint == bytes(data[_FINGERPRINT_AT:_BLOB_AT])
+        with pytest.raises(FormatError, match="LexicalIndex lists other pages"):
+            check_same_pages(corpus.fingerprint, loaded)
 
     @pytest.mark.parametrize("edit", [
         lambda features: [f.replace("alpha", "al\nha") for f in features],

@@ -258,6 +258,18 @@ class TestBuildViaEndpoint:
             sent = [entry["payload"]["input"] for entry in server.request_log]
             assert sent == [["passage: page"], ["query: question"]]
 
+    def test_records_the_corpus_fingerprint_and_the_model(self, tmp_path):
+        corpus = Corpus.from_pages([Page.from_raw("d", 0, "page"), Page.from_raw("d", 1, "two")])
+        with MockModelServer(dim=8) as server:
+            index = build_semantic_index(corpus, server.make_client(model_name="embedder"), dim=8)
+        assert (index.fingerprint, index.model) == (corpus.fingerprint, "embedder")
+        save_semantic_index(index, tmp_path / "sem.idx")
+        loaded = load_semantic_index(tmp_path / "sem.idx")
+        assert (loaded.fingerprint, loaded.model) == (corpus.fingerprint, "embedder")
+        # a client without a config records no model
+        unnamed = build_semantic_index(corpus, FakeEmbedClient(hash_embedder(dim=8)), dim=8)
+        assert unnamed.model == ""
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -293,6 +305,14 @@ class TestPersistence:
         with pytest.raises(FormatError, match="version"):
             load_semantic_index(path)
 
+    def test_version_1_file_rejected_naming_its_version(self, tmp_path):
+        # version 1 held no fingerprint and no model name: dim, count, rows, refs
+        path = tmp_path / "sem.idx"
+        path.write_bytes(b"SEMV" + struct.pack("<IIIf", 1, 1, 1, 1.0) + struct.pack("<I", 1) + b"d"
+                         + struct.pack("<I", 0))
+        with pytest.raises(FormatError, match=r"version 1: rebuild it with `docqa build-index`"):
+            load_semantic_index(path)
+
     def test_truncation_rejected(self, tmp_path):
         rng = np.random.default_rng(5)
         index = _index(rng, n=6, dim=8)
@@ -326,6 +346,10 @@ def _sample_file() -> bytes:
         path = Path(tmp) / "sem.idx"
         save_semantic_index(index, path)
         return path.read_bytes()
+
+
+# the rows follow the magic, version, dim, count, fingerprint and the empty model name
+_ROWS_AT = 52
 
 
 def _load_bytes(tmp_path, data: bytes):
@@ -374,7 +398,7 @@ class TestCorruptFiles:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_component_rejected(self, tmp_path, bad):
         data = bytearray(_sample_file())
-        struct.pack_into("<f", data, 16 + 4 * 5, bad)  # row 1, column 1
+        struct.pack_into("<f", data, _ROWS_AT + 4 * 5, bad)  # row 1, column 1
         with pytest.raises(FormatError, match="non-finite"):
             _load_bytes(tmp_path, bytes(data))
 
