@@ -142,9 +142,11 @@ def select_pages(corpus: Corpus, quota: int, seed: int = 0) -> list[PageRef]:
     """Pick up to `quota` content pages, spread across document positions.
 
     Eligible pages are bucketed into STRATA bands by relative position
-    within their document and drained round-robin, best score first within
-    each band, so picks span the document rather than clustering. The seed
-    fixes the band visiting order; everything else is deterministic.
+    within their document and taken round-robin over the bands, best score
+    first within each band, so picks span the document rather than
+    clustering. That order is one sort by (rank within the band, the band's
+    place in the visiting order). The seed fixes the band visiting order;
+    everything else is deterministic.
     """
     if quota < 1:
         raise ValueError("quota must be at least 1")
@@ -157,8 +159,6 @@ def select_pages(corpus: Corpus, quota: int, seed: int = 0) -> list[PageRef]:
         relative = page.page_index / (pages_in_doc - 1) if pages_in_doc > 1 else 0.0
         bucket = min(int(relative * STRATA), STRATA - 1)
         buckets[bucket].append((-score_page(page, pages_in_doc), (page.doc_id, page.page_index)))
-    for bucket in buckets:
-        bucket.sort()  # best score first, ties by page ref
 
     eligible_total = sum(len(bucket) for bucket in buckets)
     if eligible_total == 0:
@@ -171,17 +171,10 @@ def select_pages(corpus: Corpus, quota: int, seed: int = 0) -> list[PageRef]:
 
     band_order = list(range(STRATA))
     random.Random(seed).shuffle(band_order)
-    target = min(quota, eligible_total)
-    cursors = [0] * STRATA
-    picked: list[PageRef] = []
-    while len(picked) < target:
-        for band in band_order:
-            if len(picked) >= target:
-                break
-            if cursors[band] < len(buckets[band]):
-                picked.append(buckets[band][cursors[band]][1])
-                cursors[band] += 1
-    return picked
+    # best score first within a band, ties by page ref; (rank, place) keys are distinct
+    picks = sorted((rank, place, ref) for place, band in enumerate(band_order)
+                   for rank, (_, ref) in enumerate(sorted(buckets[band])))
+    return [ref for _, _, ref in picks[:quota]]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .errors import (
 from .gateway import GatewayClient
 from .lexical import (DEFAULT_MAX_FEATURES, DEFAULT_N_MAX, DEFAULT_N_MIN, build_lexical_index,
                       load_lexical_index, save_lexical_index)
-from .retriever import FusionWeights, SelectionPolicy, check_same_pages, retrieval_record, retrieve
+from .retriever import FusionWeights, SelectionPolicy, check_indexes, retrieval_record, retrieve
 from .semantic import build_semantic_index, load_semantic_index, save_semantic_index
 
 logger = logging.getLogger(__name__)
@@ -126,12 +126,12 @@ def answer_questions(
     then running its ensemble on a worker thread; the client's own cap still
     bounds the requests in flight. Returns one serializable verdict record
     per question, in input order, identical to answering them one by one.
-    An index whose pages differ from the corpus fails before any request.
+    Indexes that ``check_indexes`` rejects fail before any request.
     """
     if use_retrieval:
         if lexical_index is None:
             raise ConfigError("retrieval requested but no lexical index supplied")
-        check_same_pages(corpus.fingerprint, lexical_index, semantic_index)
+        check_indexes(corpus.fingerprint, lexical_index, semantic_index, embed_client)
     if max_context_chars is not None and max_context_chars < 1:
         raise ValueError(f"max_context_chars must be at least 1, got {max_context_chars}")
     docs = corpus.doc_page_counts()
@@ -226,23 +226,22 @@ def _require_chat_client(config: PipelineConfig, args) -> GatewayClient:
     return GatewayClient(endpoint)
 
 
-def _embed_client(config: PipelineConfig, args) -> GatewayClient | None:
+def _semantic_side(config: PipelineConfig, args) -> tuple[GatewayClient | None, str | None]:
+    """The embed client and semantic index path; both None without an embedding endpoint."""
     endpoint = resolve_endpoint(config.embedding, args.embed_url, args.embed_model)
-    return None if endpoint is None else GatewayClient(endpoint)
+    if endpoint is None:
+        if args.semantic:
+            raise ConfigError("semantic index requested but no embedding endpoint configured; set "
+                              "the embedding section or pass --embed-url and --embed-model")
+        return None, None
+    return GatewayClient(endpoint), args.semantic or config.paths.semantic_index
 
 
 def _load_indexes(config: PipelineConfig, args):
-    """Both indexes and the embed client; no semantic index without both."""
+    """The lexical index, then the semantic index and embed client per `_semantic_side`."""
+    embed_client, semantic_path = _semantic_side(config, args)
     lexical_index = load_lexical_index(args.lexical or config.paths.lexical_index)
-    embed_client = _embed_client(config, args)
-    semantic_path = Path(args.semantic or config.paths.semantic_index)
-    semantic_index = None
-    if embed_client is not None and semantic_path.exists():
-        semantic_index = load_semantic_index(semantic_path)
-        if semantic_index.model != embed_client.config.model_name:
-            raise FormatError(f"semantic index was embedded by model {semantic_index.model!r}, "
-                              f"not by {embed_client.config.model_name!r}; rebuild it with "
-                              "`docqa build-index`")
+    semantic_index = None if semantic_path is None else load_semantic_index(semantic_path)
     return lexical_index, semantic_index, embed_client
 
 
@@ -255,6 +254,7 @@ def cmd_ingest(args, config: PipelineConfig) -> int:
 
 
 def cmd_build_index(args, config: PipelineConfig) -> int:
+    embed_client, semantic_out = _semantic_side(config, args)
     corpus = load_corpus(args.corpus or config.paths.corpus)
     lexical_out = args.lexical or config.paths.lexical_index
     index = build_lexical_index(
@@ -263,14 +263,8 @@ def cmd_build_index(args, config: PipelineConfig) -> int:
     save_lexical_index(index, lexical_out)
     print(f"lexical index: {index.page_count} pages, "
           f"{index.vocabulary.size} features -> {lexical_out}")
-    if args.semantic or args.embed_url:
-        client = _embed_client(config, args)
-        if client is None:
-            raise ConfigError(
-                "semantic index requested but no embedding endpoint configured"
-            )
-        semantic_out = args.semantic or config.paths.semantic_index
-        sem_index = build_semantic_index(corpus, client, dim=config.embed_dim)
+    if embed_client is not None:
+        sem_index = build_semantic_index(corpus, embed_client, dim=config.embed_dim)
         save_semantic_index(sem_index, semantic_out)
         print(f"semantic index: {len(sem_index.page_refs)} pages, "
               f"dim {sem_index.dim} -> {semantic_out}")
@@ -279,7 +273,7 @@ def cmd_build_index(args, config: PipelineConfig) -> int:
 
 def cmd_retrieve(args, config: PipelineConfig) -> int:
     lexical_index, semantic_index, embed_client = _load_indexes(config, args)
-    check_same_pages(lexical_index.fingerprint, semantic_index)
+    check_indexes(lexical_index.fingerprint, lexical_index, semantic_index, embed_client)
     weights = config.weights
     if args.alpha is not None:
         weights = FusionWeights(alpha=args.alpha, beta=1.0 - args.alpha)
@@ -374,11 +368,13 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
 # Parser
 
 
-def _add_endpoint_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--endpoint-url", help="chat endpoint base URL (overrides config)")
-    parser.add_argument("--model", help="chat model name (overrides config)")
-    parser.add_argument("--embed-url", help="embedding endpoint base URL (overrides config)")
-    parser.add_argument("--embed-model", help="embedding model name (overrides config)")
+def _add_endpoint_flags(parser: argparse.ArgumentParser, *, chat: bool, embed: bool) -> None:
+    if chat:
+        parser.add_argument("--endpoint-url", help="chat endpoint base URL (overrides config)")
+        parser.add_argument("--model", help="chat model name (overrides config)")
+    if embed:
+        parser.add_argument("--embed-url", help="embedding endpoint base URL (overrides config)")
+        parser.add_argument("--embed-model", help="embedding model name (overrides config)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,26 +392,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="corpus file to write")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("build-index", help="build lexical (and optionally semantic) indexes")
+    p = sub.add_parser("build-index", help="build the lexical index (and, given an embedding "
+                       "endpoint, the semantic one)")
     p.add_argument("--corpus", help="corpus file")
     p.add_argument("--lexical", help="lexical index output path")
-    p.add_argument("--semantic", help="semantic index output path (needs embedding endpoint)")
+    p.add_argument("--semantic", help="semantic index output path (needs an embedding endpoint)")
     p.add_argument("--max-features", type=int, default=DEFAULT_MAX_FEATURES)
     p.add_argument("--ngram-min", type=int, default=DEFAULT_N_MIN)
     p.add_argument("--ngram-max", type=int, default=DEFAULT_N_MAX)
-    _add_endpoint_flags(p)
+    _add_endpoint_flags(p, chat=False, embed=True)
     p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("retrieve", help="rank pages for a query")
     p.add_argument("query")
     p.add_argument("--lexical", help="lexical index path")
-    p.add_argument("--semantic", help="semantic index path")
+    p.add_argument("--semantic", help="semantic index path (needs an embedding endpoint)")
     p.add_argument("--alpha", type=float, help="lexical fusion weight (beta = 1 - alpha)")
     p.add_argument("--min-pages", type=int)
     p.add_argument("--max-pages", type=int)
     p.add_argument("--threshold", type=float)
     p.add_argument("--json", action="store_true", help="emit one JSON record")
-    _add_endpoint_flags(p)
+    _add_endpoint_flags(p, chat=False, embed=True)
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("augment", help="generate gated synthetic QA pairs")
@@ -426,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--no-feasibility", action="store_true",
                    help="skip the feasibility round-trip")
-    _add_endpoint_flags(p)
+    _add_endpoint_flags(p, chat=True, embed=False)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("infer", help="answer multiple-choice questions")
@@ -434,13 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="verdict JSONL path")
     p.add_argument("--corpus", help="corpus file")
     p.add_argument("--lexical", help="lexical index path")
-    p.add_argument("--semantic", help="semantic index path")
+    p.add_argument("--semantic", help="semantic index path (needs an embedding endpoint)")
     p.add_argument("--seed", type=int)
     p.add_argument("--no-retrieval", action="store_true",
                    help="use the raw corpus as context instead of retrieval")
     p.add_argument("--max-context-chars", type=int,
                    help="truncate no-retrieval context to this many chars")
-    _add_endpoint_flags(p)
+    _add_endpoint_flags(p, chat=True, embed=True)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("evaluate", help="score verdicts against gold answers")

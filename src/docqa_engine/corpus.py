@@ -262,18 +262,22 @@ def load_corpus(path: str | Path) -> Corpus:
 class ByteReader:
     """Bounds-checked little-endian reads over the bytes of one index file.
 
-    Every way the bytes can fall short (a wrong magic, truncation, a count
-    larger than the bytes left, an undecodable string, trailing bytes)
-    raises FormatError naming the file's kind.
+    Every way the bytes can fall short (a wrong magic, a u32 format version
+    other than ``version``, truncation, a count larger than the bytes left, an
+    undecodable string, trailing bytes) raises FormatError naming the file's kind.
     """
 
-    def __init__(self, path: str | Path, magic: bytes, kind: str):
+    def __init__(self, path: str | Path, magic: bytes, kind: str, version: int):
         data = Path(path).read_bytes()
         if data[: len(magic)] != magic:
             raise FormatError(f"not a {kind} file")
         self._view = memoryview(data)
         self._pos = len(magic)
         self._kind = kind
+        (found,) = self.unpack("<I")
+        if found != version:
+            raise FormatError(f"unsupported {kind} version {found}: "
+                              "rebuild it with `docqa build-index`")
 
     def take(self, size: int) -> memoryview:
         end = self._pos + size

@@ -165,7 +165,9 @@ def _choose(tok: np.ndarray, texts: list[str], starts: np.ndarray, lens: np.ndar
     Two grams' strings compare as their token lists do, each token as its
     text + NGRAM_SEP but the last as its bare text (no token holds the
     separator). Those units are distinct, so two grams differ by the shorter
-    one's last unit: what the columns past it hold never decides.
+    one's last unit: what the columns past it hold never decides. One rank
+    per text is not enough: a hand-edited corpus file's text can hold a
+    character below the separator, so "!" + NGRAM_SEP > "!\\x01" > "!".
     """
     units = [t + NGRAM_SEP for t in texts] + texts
     rank = np.empty(len(units), dtype=tok.dtype)
@@ -285,11 +287,7 @@ def save_lexical_index(index: LexicalIndex, path: str | Path) -> None:
 
 
 def load_lexical_index(path: str | Path) -> LexicalIndex:
-    reader = ByteReader(path, LEXICAL_MAGIC, "lexical index")
-    (version,) = reader.unpack("<I")
-    if version != LEXICAL_FORMAT_VERSION:
-        raise FormatError(f"unsupported lexical index version {version}: "
-                          "rebuild it with `docqa build-index`")
+    reader = ByteReader(path, LEXICAL_MAGIC, "lexical index", LEXICAL_FORMAT_VERSION)
     page_count, vocab_size, n_min, n_max, blob_size, nnz, fingerprint = reader.unpack(_HEADER)
     if not 1 <= n_min <= n_max:
         raise FormatError(f"lexical index n-gram range [{n_min}, {n_max}] is invalid")

@@ -13,9 +13,9 @@ import logging
 from dataclasses import dataclass
 
 from .corpus import PageRef
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .lexical import LexicalIndex, score_lexical
-from .semantic import SemanticIndex, embed_query, search_semantic
+from .semantic import SemanticIndex, embed_query, model_name, search_semantic
 
 logger = logging.getLogger(__name__)
 
@@ -127,18 +127,22 @@ def select_adaptive(ranked: list[ScoredPage], policy: SelectionPolicy) -> list[S
     return ranked[: min(take, len(ranked))]
 
 
-def check_same_pages(fingerprint: bytes, *indexes) -> None:
-    """Reject an index (None is skipped) built from other pages than those of
-    ``fingerprint`` (a ``corpus.page_fingerprint``).
-
-    An index built from another corpus, or from this one's refs with other
-    texts, would name pages the corpus lacks or score the wrong ones, so it
-    fails before any request with FormatError.
-    """
-    for index in indexes:
+def check_indexes(fingerprint: bytes, lexical_index: LexicalIndex,
+                  semantic_index: SemanticIndex | None = None, embed_client=None) -> None:
+    """Reject, before any request, indexes that cannot serve one retrieval: a
+    semantic index without an embed client or the reverse (ConfigError); an
+    index of other pages than those ``fingerprint`` (a ``corpus.page_fingerprint``)
+    hashes, or a semantic index of another model than the client's (FormatError)."""
+    if (semantic_index is None) != (embed_client is None):
+        raise ConfigError("the semantic side needs both a semantic index and an embed client; "
+                          f"got only the {'index' if embed_client is None else 'client'}")
+    for index in (lexical_index, semantic_index):
         if index is not None and index.fingerprint != fingerprint:
             raise FormatError(f"{type(index).__name__} lists other pages than the corpus "
                               "or the other index; rebuild the indexes")
+    if semantic_index is not None and semantic_index.model != (model := model_name(embed_client)):
+        raise FormatError(f"semantic index was embedded by model {semantic_index.model!r}, "
+                          f"not by {model!r}; rebuild it with `docqa build-index`")
 
 
 def retrieve(
@@ -153,15 +157,15 @@ def retrieve(
 ) -> list[ScoredPage]:
     """Full retrieval for one query: lexical + semantic -> fuse -> select.
 
-    Semantic scoring runs only when both a semantic index and an embedding
-    client are supplied; otherwise retrieval is lexical-only. With ``doc_id``
-    both candidate lists hold only that document's pages, so normalization,
-    fusion and selection all run within it. Deterministic given fixed
-    embeddings.
+    Semantic scoring runs exactly when a semantic index is given, with
+    ``client`` embedding the query (``check_indexes`` pairs the two); without
+    one retrieval is lexical-only. With ``doc_id`` both candidate lists hold
+    only that document's pages, so normalization, fusion and selection all
+    run within it. Deterministic given fixed embeddings.
     """
     lex = score_lexical(lexical_index, query_text, doc_id=doc_id)
     sem: list[tuple[PageRef, float]] = []
-    if semantic_index is not None and client is not None:
+    if semantic_index is not None:
         q_vec = embed_query(query_text, client, dim=semantic_index.dim)
         sem = search_semantic(semantic_index, q_vec, k=candidate_k, doc_id=doc_id)
     if not lex and not sem:

@@ -93,12 +93,16 @@ def _embed_batch(batch: list[str], client, dim: int) -> np.ndarray:
     return np.stack(rows)
 
 
+def model_name(client) -> str:
+    """The name of the model a client embeds with; "" for a client without a config."""
+    return getattr(getattr(client, "config", None), "model_name", "")
+
+
 def build_semantic_index(corpus: Corpus, client, dim: int = DEFAULT_DIM) -> SemanticIndex:
     texts = [PASSAGE_PREFIX + p.normalized_text for p in corpus.pages]
     vectors = embed(texts, client, dim=dim)
-    model = getattr(getattr(client, "config", None), "model_name", "")
     return SemanticIndex(vectors=vectors, page_refs=corpus.page_refs, dim=dim,
-                         fingerprint=corpus.fingerprint, model=model)
+                         fingerprint=corpus.fingerprint, model=model_name(client))
 
 
 def embed_query(query_text: str, client, dim: int = DEFAULT_DIM) -> np.ndarray:
@@ -139,11 +143,7 @@ def save_semantic_index(index: SemanticIndex, path: str | Path) -> None:
 
 
 def load_semantic_index(path: str | Path) -> SemanticIndex:
-    reader = ByteReader(path, SEMANTIC_MAGIC, "semantic index")
-    (version,) = reader.unpack("<I")
-    if version != SEMANTIC_FORMAT_VERSION:
-        raise FormatError(f"unsupported semantic index version {version}: "
-                          "rebuild it with `docqa build-index`")
+    reader = ByteReader(path, SEMANTIC_MAGIC, "semantic index", SEMANTIC_FORMAT_VERSION)
     dim, count, fingerprint = reader.unpack("<II32s")
     model = reader.text()
     raw = reader.array("<f4", count * dim)

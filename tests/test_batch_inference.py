@@ -27,9 +27,11 @@ from docqa_engine.cli import QuestionRecord, answer_questions
 from docqa_engine.config import PipelineConfig
 from docqa_engine.corpus import Corpus, Page
 from docqa_engine.ensemble import build_answer_prompt, make_schedule, run_ensemble
-from docqa_engine.errors import ConfigError, ParseError, TransportError
+from docqa_engine.errors import ConfigError, FormatError, ParseError, TransportError
+from docqa_engine.gateway import hash_embedder
 from docqa_engine.lexical import build_lexical_index
 from docqa_engine.retriever import retrieve
+from docqa_engine.semantic import build_semantic_index
 from mock_server import MockModelServer, MockReply
 
 _QUESTION_RE = re.compile(r"^Question: (.*)$", re.M)
@@ -196,6 +198,35 @@ def test_retrieval_without_index_is_a_config_error():
     with pytest.raises(ConfigError, match="no lexical index"):
         answer_questions(_questions([0]), corpus, _SeedKeyedChat(1, [0.0], 2),
                          PipelineConfig())
+
+
+def test_semantic_index_of_another_model_is_rejected_before_any_request():
+    corpus, index = _fixture()
+    with MockModelServer(chat="Answer: A", dim=16) as server:
+        semantic = build_semantic_index(corpus, server.make_client(model_name="model-x"), dim=16)
+        sent = len(server.request_log)
+        with pytest.raises(FormatError, match="semantic index was embedded by model 'model-x', "
+                                              "not by 'model-y'; rebuild"):
+            answer_questions(_questions([0, 1]), corpus, server.make_client(), PipelineConfig(),
+                             lexical_index=index, semantic_index=semantic,
+                             embed_client=server.make_client(model_name="model-y"))
+        assert len(server.request_log) == sent
+
+
+@pytest.mark.parametrize("given", ["semantic_index", "embed_client"])
+def test_one_semantic_side_without_the_other_is_a_config_error(given):
+    corpus, index = _fixture()
+    embed_client = SimpleNamespace(embed=hash_embedder(dim=16))
+    sides = {"semantic_index": build_semantic_index(corpus, embed_client, dim=16),
+             "embed_client": embed_client}
+
+    class Chat(_SeedKeyedChat):
+        def generate(self, request):
+            raise AssertionError("no request may be sent")
+
+    with pytest.raises(ConfigError, match="needs both a semantic index and an embed client"):
+        answer_questions(_questions([0]), corpus, Chat(1, [0.0], 2), PipelineConfig(),
+                         lexical_index=index, **{given: sides[given]})
 
 
 def test_doc_restricted_question_gets_its_document_pages():

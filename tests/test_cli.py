@@ -27,6 +27,7 @@ from docqa_engine.cli import (
 from docqa_engine.config import AUTH_TOKEN_ENV
 from docqa_engine.errors import ConfigError, ParseError
 from docqa_engine.gateway import EndpointConfig
+from docqa_engine.semantic import load_semantic_index
 from mock_server import MockModelServer
 from test_lexical_index import V1_FILE, V2_FILE
 
@@ -179,6 +180,22 @@ class TestBuildIndex:
         assert code == EXIT_CONFIG
         assert "no embedding endpoint" in capsys.readouterr().err
 
+    def test_config_embedding_endpoint_builds_the_semantic_index(self, tmp_path, artifacts,
+                                                                  capsys):
+        # an endpoint alone turns the semantic side on: no --semantic, no --embed-url
+        semantic = tmp_path / "semantic.idx"
+        config = tmp_path / "config.yaml"
+        with MockModelServer(dim=32) as server:
+            config.write_text(f"paths:\n  semantic_index: {json.dumps(str(semantic))}\n"
+                              f"embedding:\n  base_url: {server.base_url}\n"
+                              "  model_name: embedder\n  dim: 32\n", encoding="utf-8")
+            code = main(["--config", str(config), "build-index",
+                         "--corpus", str(artifacts["corpus"]),
+                         "--lexical", str(tmp_path / "lex8.idx")])
+        assert code == EXIT_OK
+        assert "semantic index: 7 pages, dim 32" in capsys.readouterr().out
+        assert load_semantic_index(semantic).model == "embedder"
+
     def test_unreachable_embed_endpoint_is_transport_error(self, tmp_path, artifacts):
         config = tmp_path / "config.yaml"
         config.write_text(
@@ -282,6 +299,21 @@ class TestRetrieve:
         corrupt.write_bytes(bytes(data))
         assert main(["retrieve", "q", "--lexical", str(corrupt)]) == EXIT_IO
         assert "i/o error: lexical index" in capsys.readouterr().err
+
+    def test_missing_semantic_index_is_io_error(self, tmp_path, artifacts, capsys):
+        with MockModelServer(dim=32) as server:
+            code = main(["retrieve", "売上高", "--lexical", str(artifacts["lexical"]),
+                         "--semantic", str(tmp_path / "missing.idx"),
+                         "--embed-url", server.base_url, "--embed-model", "m"])
+            assert server.request_log == []
+        assert code == EXIT_IO
+        assert "missing.idx" in capsys.readouterr().err
+
+    def test_semantic_without_endpoint_is_config_error(self, tmp_path, artifacts, capsys):
+        code = main(["retrieve", "売上高", "--lexical", str(artifacts["lexical"]),
+                     "--semantic", str(tmp_path / "semantic.idx")])
+        assert code == EXIT_CONFIG
+        assert "no embedding endpoint" in capsys.readouterr().err
 
     def test_huge_semantic_header_counts_are_io_error(self, tmp_path, artifacts, capsys):
         semantic = tmp_path / "semantic.idx"
@@ -564,6 +596,23 @@ class TestInfer:
         assert code == EXIT_IO
         assert "LexicalIndex lists other pages" in capsys.readouterr().err
 
+    def test_missing_configured_semantic_index_is_io_error(self, tmp_path, artifacts,
+                                                           questions_file, capsys):
+        config = tmp_path / "config.yaml"
+        with MockModelServer(chat="Answer: A", dim=32) as server:
+            config.write_text(f"paths:\n  semantic_index: {json.dumps(str(tmp_path / 'none.idx'))}\n"
+                              f"embedding:\n  base_url: {server.base_url}\n"
+                              "  model_name: embedder\n  dim: 32\n", encoding="utf-8")
+            code = main([
+                "--config", str(config),
+                "infer", "--questions", str(questions_file), "--output", str(tmp_path / "v.jsonl"),
+                "--corpus", str(artifacts["corpus"]), "--lexical", str(artifacts["lexical"]),
+                "--endpoint-url", server.base_url, "--model", "mock-model",
+            ])
+            assert server.request_log == []
+        assert code == EXIT_IO
+        assert "none.idx" in capsys.readouterr().err
+
     def test_missing_questions_file_is_io_error(self, tmp_path, artifacts):
         assert main([
             "infer", "--questions", str(tmp_path / "none.jsonl"),
@@ -747,6 +796,19 @@ class TestParserAndConfig:
                      "evaluate", "--verdicts", "x"])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["build-index", "--model", "m"],
+        ["retrieve", "q", "--endpoint-url", "http://x/v1"],
+        ["augment", "--quota", "1", "--output", "qa.jsonl", "--embed-url", "http://x/v1"],
+    ], ids=["build_index_model", "retrieve_endpoint_url", "augment_embed_url"])
+    def test_endpoint_flags_a_command_never_uses_are_rejected(self, tmp_path, monkeypatch,
+                                                             argv, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_config_policy_drives_retrieve(self, tmp_path, artifacts, capsys):
         config = tmp_path / "config.yaml"

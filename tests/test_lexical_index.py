@@ -43,7 +43,7 @@ from docqa_engine.lexical import (
     score_lexical,
     tfidf_weights,
 )
-from docqa_engine.retriever import check_same_pages
+from docqa_engine.retriever import check_indexes
 from docqa_engine.tokenizer import ngrams, tokenize
 
 
@@ -609,7 +609,7 @@ class TestCorruptFiles:
         loaded = _load_bytes(tmp_path, bytes(data))
         assert loaded.fingerprint == bytes(data[_FINGERPRINT_AT:_BLOB_AT])
         with pytest.raises(FormatError, match="LexicalIndex lists other pages"):
-            check_same_pages(corpus.fingerprint, loaded)
+            check_indexes(corpus.fingerprint, loaded)
 
     @pytest.mark.parametrize("edit", [
         lambda features: [f.replace("alpha", "al\nha") for f in features],
