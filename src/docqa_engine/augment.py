@@ -191,15 +191,20 @@ def _load_template(kind: str) -> Template:
         text = resource.read_text(encoding="utf-8")
     except (FileNotFoundError, OSError) as exc:
         raise ConfigError(f"prompt template not found: {kind}.txt") from exc
+    if kind.startswith("generate_"):  # a question type's paragraph, in the shared frame
+        text = _load_template("generate").template.replace("$instruction", text.rstrip("\n"))
     return Template(text)
 
 
 def build_prompt(kind: str, context: dict) -> str:
     """Instantiate the named prompt template with `context` values.
 
-    Same kind + context always yields identical bytes. Unknown kinds are a
-    caller bug (ValueError); a missing template file is an installation
-    problem (ConfigError).
+    A generation kind is ``templates/generate.txt``, the frame every question
+    type shares (header, page block, reply format), with the type's
+    instruction paragraph from ``generate_<qtype>.txt`` in its
+    ``$instruction`` slot. Same kind + context always yields identical bytes.
+    Unknown kinds are a caller bug (ValueError); a missing template file is
+    an installation problem (ConfigError).
     """
     if kind not in _PROMPT_KINDS:
         raise ValueError(f"unknown prompt kind: {kind!r}")
@@ -501,7 +506,11 @@ def augment(
         logger.warning("augmentation produced nothing: no eligible pages")
         return AugmentResult(accepted=[], audit=[], attempts=0)
 
+    # One (generation, feasibility) seed pair per attempt, drawn up front: a
+    # request then depends on the master seed, its attempt and its own reply
+    # only, not on how earlier attempts fared or on the feasibility switch.
     rng = random.Random(seed)
+    seeds = [(rng.randrange(2**31), rng.randrange(2**31)) for _ in range(quota)]
     accepted: list[QACandidate] = []
     audit: list[dict] = []
     # Uncommitted attempts in order: (attempt, candidate that passed the gates
@@ -566,7 +575,7 @@ def augment(
                 {"page_text": page.normalized_text, "doc_id": doc_id, "page_index": page_index},
             )
             request = chat_request(prompt, temperature=0.7, top_p=0.95, top_k=50,
-                                   seed=rng.randrange(2**31), max_tokens=512)
+                                   seed=seeds[attempt][0], max_tokens=512)
             try:
                 raw = client.generate(request)
             except (TransportError, EndpointError, ContractError) as exc:
@@ -607,7 +616,7 @@ def augment(
                     },
                 )
                 feas_request = chat_request(feas_prompt, temperature=0.0, top_p=1.0, top_k=1,
-                                            seed=rng.randrange(2**31), max_tokens=512)
+                                            seed=seeds[attempt][1], max_tokens=512)
                 outcome = lane.submit(
                     check_feasibility, feas_request, candidate, base, page.normalized_text)
             pending.append((attempt, candidate, outcome))

@@ -3,7 +3,8 @@ evaluate.
 
 Exit codes are stable so scripts can branch on failure class:
 0 success, 2 configuration, 3 file I/O or artifact format, 4 endpoint
-transport, 5 data validation.
+transport (from infer also when, after writing every verdict, some question
+got no successful response), 5 data validation.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from pathlib import Path
 from .augment import augment
 from .config import PipelineConfig, load_config, resolve_endpoint
 from .corpus import Corpus, ingest_path, iter_records, load_corpus, save_corpus, write_records
-from .ensemble import (
-    MAX_OPTIONS,
-    build_answer_prompt,
-    in_flight_limit,
-    make_schedule,
-    run_ensemble,
-)
+from .ensemble import MAX_OPTIONS, build_answer_prompt, make_schedule, run_ensemble
 from .errors import (
     ConfigError,
     ConflictError,
@@ -36,7 +31,7 @@ from .errors import (
     ParseError,
     TransportError,
 )
-from .gateway import GatewayClient
+from .gateway import GatewayClient, in_flight_limit
 from .lexical import (DEFAULT_MAX_FEATURES, DEFAULT_N_MAX, DEFAULT_N_MIN, build_lexical_index,
                       load_lexical_index, save_lexical_index)
 from .retriever import FusionWeights, SelectionPolicy, check_indexes, retrieval_record, retrieve
@@ -191,8 +186,14 @@ def answer_questions(
 
 
 def evaluate_verdicts(verdicts: list[dict]) -> dict:
-    """Overall and per-category accuracy; abstentions count as wrong."""
-    scored = [v for v in verdicts if v.get("gold_answer_index") is not None]
+    """Overall and per-category accuracy; abstentions count as wrong.
+
+    A failed verdict (no successful model response) says nothing about the
+    model, so it is counted under ``failed`` instead of being scored.
+    """
+    failed = sum(1 for v in verdicts if v.get("failed"))
+    scored = [v for v in verdicts
+              if v.get("gold_answer_index") is not None and not v.get("failed")]
     def bucket(records):
         correct = sum(
             1 for v in records if v.get("predicted_index") == v["gold_answer_index"]
@@ -208,7 +209,8 @@ def evaluate_verdicts(verdicts: list[dict]) -> dict:
     return {
         "overall": bucket(scored),
         "categories": {tag: bucket(records) for tag, records in sorted(categories.items())},
-        "unscored": len(verdicts) - len(scored),
+        "unscored": len(verdicts) - len(scored) - failed,
+        "failed": failed,
     }
 
 
@@ -322,6 +324,11 @@ def cmd_augment(args, config: PipelineConfig) -> int:
 
 
 def cmd_infer(args, config: PipelineConfig) -> int:
+    if args.no_retrieval:
+        for flag in ("lexical", "semantic", "embed_url", "embed_model"):
+            if getattr(args, flag):
+                raise ConfigError(f"--no-retrieval takes no --{flag.replace('_', '-')}: "
+                                  "the baseline reads no index and embeds nothing")
     questions = read_questions_jsonl(args.questions)
     corpus = load_corpus(args.corpus or config.paths.corpus)
     chat_client = _require_chat_client(config, args)
@@ -345,6 +352,11 @@ def cmd_infer(args, config: PipelineConfig) -> int:
     write_records(args.output, verdicts)
     answered = sum(1 for v in verdicts if v["predicted_index"] is not None)
     print(f"answered {answered}/{len(verdicts)} questions -> {args.output}")
+    failed = sum(1 for v in verdicts if v["failed"])
+    if failed:
+        print(f"endpoint error: {failed} of {len(verdicts)} questions got no successful "
+              "response", file=sys.stderr)
+        return EXIT_TRANSPORT
     return EXIT_OK
 
 
@@ -361,6 +373,8 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
             print(f"{tag}\t{bucket['accuracy']:.4f}\t({bucket['correct']}/{bucket['total']})")
         if report["unscored"]:
             print(f"unscored\t{report['unscored']} records without gold answers")
+        if report["failed"]:
+            print(f"failed\t{report['failed']} records without a successful model response")
     return EXIT_OK
 
 

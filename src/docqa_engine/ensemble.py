@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .corpus import normalize_text
 from .errors import ContractError, EndpointError, TransportError
-from .gateway import chat_request
+from .gateway import chat_request, in_flight_limit
 
 TEMPERATURE_RANGE = (0.1, 1.5)
 TOP_P_CYCLE = (0.7, 0.8, 0.9, 0.95)
@@ -61,12 +61,18 @@ class StopRule:
 
 @dataclass(frozen=True)
 class EnsembleVerdict:
-    chosen_option: str | None  # None only when abstaining
+    chosen_option: str | None  # None only when abstaining or failed
     confidence: float
     votes: dict[str, int]
     responses_used: int
     stopped_early: bool
     abstained: bool = False
+    failed_responses: int = 0  # tallied requests that failed after the gateway's retries
+
+    @property
+    def failed(self) -> bool:
+        """No tallied request got a response: an outage, not an abstention."""
+        return self.failed_responses == self.responses_used
 
     def to_record(self) -> dict:
         return {
@@ -76,6 +82,8 @@ class EnsembleVerdict:
             "responses_used": self.responses_used,
             "stopped_early": self.stopped_early,
             "abstained": self.abstained,
+            "failed_responses": self.failed_responses,
+            "failed": self.failed,
         }
 
 
@@ -242,11 +250,6 @@ def build_answer_prompt(question: str, option_texts: list[str]) -> str:
     ])
 
 
-def in_flight_limit(client) -> int:
-    """The client's concurrent-request cap, or 4 when it has none."""
-    return getattr(getattr(client, "config", None), "max_in_flight", 4)
-
-
 def run_ensemble(
     prompt: str,
     context_texts: list[str] | None,
@@ -263,10 +266,11 @@ def run_ensemble(
     the tallied prefix. Responses are tallied strictly in schedule order,
     which keeps verdicts reproducible. Once the stop rule holds (min
     responses AND confidence) the call returns at once: queued requests are
-    never sent and in-flight completions are discarded. A transport failure
-    after the gateway's retries counts as a completed but unextractable
-    response. If no response yields an option the verdict abstains rather
-    than guessing.
+    never sent and in-flight completions are discarded. A request that fails
+    after the gateway's retries counts toward ``responses_used`` and
+    ``failed_responses`` but casts no vote. If every tallied request failed
+    the verdict is failed; otherwise, if no response yields an option, it
+    abstains rather than guessing.
     """
     if not schedule:
         raise ValueError("schedule must not be empty")
@@ -278,16 +282,18 @@ def run_ensemble(
     window = max(1, min(in_flight_limit(client), len(schedule)))
     stopped = threading.Event()
 
-    def call(config: DecodingConfig) -> str:
+    def call(config: DecodingConfig) -> str | None:
+        """The reply's text, or None for a request that failed."""
         if stopped.is_set():  # the vote was decided while this one queued
-            return ""
+            return None
         try:
             return client.generate(chat_request(content, max_tokens=256, **config.to_request()))
         except (TransportError, EndpointError, ContractError):
-            return ""
+            return None
 
     votes: Counter = Counter()
     responses: list[tuple[int, str, str | None]] = []  # (config id, raw, extracted)
+    failures = 0
     confidence = 0.0
     futures = []
     pool = ThreadPoolExecutor(max_workers=window)
@@ -300,6 +306,9 @@ def run_ensemble(
                 horizon = min(len(schedule), max(stop.min_responses, i + window))
                 futures += [pool.submit(call, c) for c in schedule[len(futures):horizon]]
             raw = futures[i].result()
+            if raw is None:
+                failures += 1
+                raw = ""
             extracted = extract_option(raw, labels, option_texts)
             responses.append((config.id, raw, extracted))
             if extracted is not None:
@@ -319,5 +328,6 @@ def run_ensemble(
         votes=dict(votes),
         responses_used=len(responses),
         stopped_early=len(responses) < len(schedule),
-        abstained=not votes,
+        abstained=not votes and failures < len(responses),
+        failed_responses=failures,
     )

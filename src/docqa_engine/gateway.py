@@ -41,6 +41,12 @@ class EndpointConfig:
             raise ValueError("max_in_flight must be >= 1")
 
 
+def in_flight_limit(client) -> int:
+    """The client's concurrent-request cap, or EndpointConfig's default when it has none."""
+    config = getattr(client, "config", None)
+    return getattr(config, "max_in_flight", EndpointConfig.max_in_flight)
+
+
 def chat_request(content: str, *, temperature: float, top_p: float, top_k: int, seed: int,
                  max_tokens: int) -> dict:
     """One single-user-message request for GatewayClient.generate."""

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import ByteReader, Corpus, PageRef, check_corpus_order, doc_rows, pack_text, rank_rows
-from .ensemble import in_flight_limit
 from .errors import ContractError, FormatError
+from .gateway import in_flight_limit
 
 SEMANTIC_MAGIC = b"SEMV"
 SEMANTIC_FORMAT_VERSION = 2

@@ -9,6 +9,7 @@ attempt order while feasibility requests run on their own worker thread.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -16,11 +17,13 @@ import sys
 import threading
 import time
 from collections import Counter
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import docqa_engine.augment as augment_module
 from docqa_engine.augment import (
     QTYPES,
     AugmentResult,
@@ -41,8 +44,9 @@ from docqa_engine.augment import (
 )
 from docqa_engine.cli import QuestionRecord, read_questions_jsonl
 from docqa_engine.corpus import Corpus, Page, write_records
-from docqa_engine.ensemble import options_block
-from docqa_engine.errors import ContractError, EndpointError, ParseError, TransportError
+from docqa_engine.ensemble import build_answer_prompt, options_block
+from docqa_engine.errors import (ConfigError, ContractError, EndpointError, ParseError,
+                                 TransportError)
 from mock_server import MockModelServer, MockReply
 
 # ---------------------------------------------------------------------------
@@ -278,6 +282,17 @@ class TestSelectPages:
 # Prompt construction
 
 
+GOLDEN_PROMPT_SHA256 = {
+    "generate_comparative": "57dd1b6c39a098910a4b3e1cf7b33a3a249135ae06901c245aca636a5264715f",
+    "generate_computational": "065357431cc4c7235b6a2ef477f41b16b99141e8e1437b1070f9d5a9eaa51723",
+    "generate_conditional": "d4b733449b1714d7817c4f55428f5f507719bee2433aaa850ce949d7a63cf738",
+    "generate_causal": "c9f36a596a7376dcabe850c9c2bcb6fa8094bf837bdc06e7f634f91a1595c6a8",
+    "generate_comprehensive": "ebd060eabc1ff3479c0918d7aadbc365b366f575a1c04d26eafe41d3e7b045b4",
+    "feasibility": "38ce60a10f4e589620e2467094717e7f7f1c349df26ee108a508e03ebc9f9d23",
+    "answer": "395cfa045ae7feb06970c6af75b23f7987b962582d36366d3a392af8b29bf001",
+}
+
+
 class TestBuildPrompt:
     def test_generation_prompt_substitution(self):
         prompt = build_prompt(
@@ -306,6 +321,42 @@ class TestBuildPrompt:
         assert "ページ本文" in prompt
         assert "Question: 何ですか。" in prompt
         assert "A. 甲\nB. 乙" in prompt
+
+    def test_rendered_prompts_match_their_golden_digests(self):
+        # sha256 of each rendered prompt for one fixed context, fixed when the
+        # generation kinds got one shared frame: any drift in the text changes one
+        gen = {"page_text": "売上高は 4200 百万円。\nRevenue rose 12% in FY2023.",
+               "doc_id": "fin-2023", "page_index": 7}
+        options = ["4200 百万円", "310 百万円", "12%", "none"]
+        feas = {"page_text": gen["page_text"], "question": "What was revenue?",
+                "options_block": options_block(options)}
+        prompts = {f"generate_{q}": build_prompt(f"generate_{q}", gen) for q in QTYPES}
+        prompts["feasibility"] = build_prompt("feasibility", feas)
+        prompts["answer"] = build_answer_prompt("What was revenue?", options)
+        digests = {kind: hashlib.sha256(text.encode("utf-8")).hexdigest()
+                   for kind, text in prompts.items()}
+        assert digests == GOLDEN_PROMPT_SHA256
+
+    def test_generation_kinds_hold_only_their_instruction(self):
+        # the frame (header, page block, reply format) is written once
+        for qtype in QTYPES:
+            paragraph = resources.files("docqa_engine").joinpath(
+                f"templates/generate_{qtype}.txt").read_text(encoding="utf-8")
+            assert paragraph.startswith("Write one ")
+            assert "$page_text" not in paragraph
+            assert "Evidence:" not in paragraph
+
+    def test_missing_template_file_is_config_error(self, monkeypatch):
+        real = resources.files
+
+        class Missing:
+            def joinpath(self, name):
+                return real("docqa_engine").joinpath(name.replace(".txt", ".missing"))
+
+        monkeypatch.setattr(augment_module.resources, "files", lambda package: Missing())
+        augment_module._load_template.cache_clear()  # a failed load caches nothing
+        with pytest.raises(ConfigError, match="prompt template not found"):
+            build_prompt("generate_causal", {"page_text": "t", "doc_id": "d", "page_index": 1})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown prompt kind"):
@@ -806,6 +857,34 @@ class TestAugment:
         seeds_b = [r["seed"] for r in client_b.requests]
         assert seeds_a != seeds_b
 
+    def test_generation_requests_do_not_depend_on_later_stages(self, corpus):
+        # each attempt's seeds come from the master seed and its index alone,
+        # so an ablation of the feasibility check or a stricter gate leaves
+        # every generation request as it was
+        def generation_requests(**options):
+            client = RoutedClient(GEN_BLOCKS)
+            augment(corpus, client, quota=10, seed=4, **options)
+            return [r for r in client.requests
+                    if "auditing one multiple-choice" not in r["messages"][0]["content"]]
+
+        baseline = generation_requests()
+        assert generation_requests(feasibility_check=False) == baseline
+        strict = GateThresholds(question_max_chars=20)  # rejects every generated question
+        assert generation_requests(thresholds=strict) == baseline
+
+    def test_seed_pairs_are_drawn_per_attempt(self, corpus):
+        replies = list(GEN_BLOCKS)
+        replies[1] = "garbage"  # attempt 1 sends no feasibility request
+        client = RoutedClient(replies)
+        augment(corpus, client, quota=5, seed=6)
+        rng = random.Random(6)
+        pairs = [(rng.randrange(2**31), rng.randrange(2**31)) for _ in range(5)]
+        feas = [FEAS_MARKER in r["messages"][0]["content"] for r in client.requests]
+        assert [r["seed"] for r, f in zip(client.requests, feas) if not f] == [
+            gen for gen, _ in pairs]
+        assert [r["seed"] for r, f in zip(client.requests, feas) if f] == [
+            pairs[attempt][1] for attempt in (0, 2, 3, 4)]
+
     def test_empty_corpus_of_covers_short_circuits(self, caplog):
         corpus = Corpus.from_pages([Page.from_raw("d", 0, "表紙")])
         client = RoutedClient(GEN_BLOCKS)
@@ -844,6 +923,7 @@ def _serial_augment(corpus, client, quota, seed, thresholds=GateThresholds()):
     """The one-request-at-a-time loop the pipelined augment() must reproduce."""
     pages = select_pages(corpus, quota, seed=seed)
     rng = random.Random(seed)
+    seeds = [(rng.randrange(2**31), rng.randrange(2**31)) for _ in range(quota)]
     accepted, audit = [], []
     for attempt in range(quota):
         qtype = QTYPES[attempt % len(QTYPES)]
@@ -853,7 +933,7 @@ def _serial_augment(corpus, client, quota, seed, thresholds=GateThresholds()):
         prompt = build_prompt(f"generate_{qtype}", {
             "page_text": page.normalized_text, "doc_id": doc_id, "page_index": page_index})
         request = {"messages": [{"role": "user", "content": prompt}], "temperature": 0.7,
-                   "top_p": 0.95, "top_k": 50, "seed": rng.randrange(2**31), "max_tokens": 512}
+                   "top_p": 0.95, "top_k": 50, "seed": seeds[attempt][0], "max_tokens": 512}
         try:
             raw = client.generate(request)
         except (TransportError, EndpointError, ContractError) as exc:
@@ -875,7 +955,7 @@ def _serial_augment(corpus, client, quota, seed, thresholds=GateThresholds()):
             "options_block": options_block(candidate.options)})
         feas_request = {"messages": [{"role": "user", "content": feas_prompt}],
                         "temperature": 0.0, "top_p": 1.0, "top_k": 1,
-                        "seed": rng.randrange(2**31), "max_tokens": 512}
+                        "seed": seeds[attempt][1], "max_tokens": 512}
         try:
             feas_raw = client.generate(feas_request)
         except (TransportError, EndpointError, ContractError) as exc:

@@ -28,7 +28,7 @@ from docqa_engine.config import AUTH_TOKEN_ENV
 from docqa_engine.errors import ConfigError, ParseError
 from docqa_engine.gateway import EndpointConfig
 from docqa_engine.semantic import load_semantic_index
-from mock_server import MockModelServer
+from mock_server import MockModelServer, MockReply
 from test_lexical_index import V1_FILE, V2_FILE
 
 FIN_BODY = (
@@ -613,6 +613,54 @@ class TestInfer:
         assert code == EXIT_IO
         assert "none.idx" in capsys.readouterr().err
 
+    def test_every_verdict_is_written_then_an_all_failed_ensemble_exits_4(
+            self, tmp_path, artifacts, questions_file, capsys):
+        # the "fin" question is answered; every request for the "hr" one fails
+        def reply(payload, index):
+            if "新卒採用" in payload["messages"][0]["content"]:
+                return MockReply(status=503)
+            return "Answer: A"
+
+        output = tmp_path / "verdicts.jsonl"
+        with MockModelServer(chat=reply) as server:
+            config = tmp_path / "failing.yaml"
+            config.write_text("ensemble:\n  schedule_count: 2\n  min_responses: 1\n"
+                              f"endpoint:\n  base_url: {server.base_url}\n"
+                              "  model_name: mock-model\n  max_retries: 0\n", encoding="utf-8")
+            code = main([
+                "--config", str(config),
+                "infer", "--questions", str(questions_file), "--output", str(output),
+                "--corpus", str(artifacts["corpus"]), "--lexical", str(artifacts["lexical"]),
+            ])
+        assert code == EXIT_TRANSPORT
+        assert "1 of 2 questions got no successful response" in capsys.readouterr().err
+        first, second = [json.loads(line)
+                         for line in output.read_text(encoding="utf-8").splitlines()]
+        assert (first["chosen_option"], first["failed"], first["failed_responses"]) == (
+            "A", False, 0)
+        assert (second["chosen_option"], second["failed"], second["abstained"]) == (
+            None, True, False)
+        assert second["failed_responses"] == second["responses_used"] == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--lexical", "index.idx"],
+        ["--semantic", "semantic.idx"],
+        ["--embed-url", "http://x/v1"],
+        ["--embed-model", "embedder"],
+    ], ids=["lexical", "semantic", "embed_url", "embed_model"])
+    def test_no_retrieval_rejects_retrieval_flags(self, tmp_path, artifacts, questions_file,
+                                                  flags, capsys):
+        with MockModelServer(chat="Answer: A") as server:
+            code = main([
+                "infer", "--questions", str(questions_file), "--output", str(tmp_path / "v.jsonl"),
+                "--corpus", str(artifacts["corpus"]), "--no-retrieval", *flags,
+                "--endpoint-url", server.base_url, "--model", "mock-model",
+            ])
+            assert server.request_log == []
+        assert code == EXIT_CONFIG
+        assert f"--no-retrieval takes no {flags[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "v.jsonl").exists()
+
     def test_missing_questions_file_is_io_error(self, tmp_path, artifacts):
         assert main([
             "infer", "--questions", str(tmp_path / "none.jsonl"),
@@ -749,6 +797,21 @@ class TestEvaluate:
     def test_abstention_counts_as_wrong(self):
         report = evaluate_verdicts([_verdict(0, None)])
         assert report["overall"]["accuracy"] == 0.0
+
+    def test_failed_verdicts_are_reported_apart_from_accuracy(self):
+        failed = {**_verdict(1, None, "Num"), "failed": True}
+        report = evaluate_verdicts([_verdict(0, 0, "Num"), failed, {**failed, "category": "Y/N"}])
+        assert report["overall"] == {"correct": 1, "total": 1, "accuracy": 1.0}
+        assert report["categories"] == {"Num": {"correct": 1, "total": 1, "accuracy": 1.0}}
+        assert (report["failed"], report["unscored"]) == (2, 0)
+
+    def test_failed_verdicts_in_text_output(self, tmp_path, capsys):
+        path = tmp_path / "verdicts.jsonl"
+        _write_jsonl(path, [_verdict(0, 0), {**_verdict(1, None), "failed": True}])
+        assert main(["evaluate", "--verdicts", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "overall\t1.0000\t(1/1)" in out
+        assert "failed\t1 records without a successful model response" in out
 
     def test_text_output(self, tmp_path, capsys):
         path = tmp_path / "verdicts.jsonl"

@@ -30,6 +30,7 @@ from docqa_engine.ensemble import (
     tiebreak_structural,
 )
 from docqa_engine.errors import TransportError
+from mock_server import MockModelServer, MockReply
 
 
 class ScriptedClient:
@@ -69,7 +70,9 @@ def _serial_record(replies, schedule, stop: StopRule) -> dict:
     votes: Counter = Counter()
     responses = []
     confidence = 0.0
+    failures = 0
     for config, reply in zip(schedule, replies):
+        failures += isinstance(reply, Exception)
         raw = "" if isinstance(reply, Exception) else reply
         extracted = extract_option(raw, labels, _OPTION_TEXTS)
         responses.append((config.id, raw, extracted))
@@ -85,7 +88,9 @@ def _serial_record(replies, schedule, stop: StopRule) -> dict:
                                      responses, _OPTION_TEXTS)
     return {"chosen_option": chosen, "confidence": confidence,
             "votes": dict(sorted(votes.items())), "responses_used": len(responses),
-            "stopped_early": len(responses) < len(schedule), "abstained": not votes}
+            "stopped_early": len(responses) < len(schedule),
+            "abstained": not votes and failures < len(responses),
+            "failed_responses": failures, "failed": failures == len(responses)}
 
 
 class TestMakeSchedule:
@@ -426,6 +431,8 @@ class TestRunEnsemble:
             "responses_used": 4,
             "stopped_early": False,
             "abstained": False,
+            "failed_responses": 0,
+            "failed": False,
         }
 
 
@@ -444,6 +451,8 @@ class TestStopRule:
             "responses_used": 4,
             "stopped_early": True,
             "abstained": True,
+            "failed_responses": 0,
+            "failed": False,
         }
         assert len(client.calls) <= 4 - 1 + 4
 
@@ -479,3 +488,57 @@ class TestDecodingConfigRequest:
         assert config.to_request() == {
             "temperature": 0.9, "top_p": 0.8, "top_k": 40, "seed": 77,
         }
+
+
+class TestFailedResponses:
+    """Requests that fail after the gateway's retries, through a real endpoint."""
+
+    def test_a_5xx_after_retries_counts_as_failed(self):
+        schedule = make_schedule(4, seed=21)
+        failing = {schedule[0].seed, schedule[2].seed}
+
+        def reply(payload, index):
+            return MockReply(status=503) if payload["seed"] in failing else "Answer: B"
+
+        with MockModelServer(chat=reply) as server:
+            client = server.make_client(max_retries=1, backoff_base=0.001)
+            verdict = run_ensemble("Q", None, schedule, client,
+                                   stop=StopRule(min_responses=4))
+        assert verdict.failed_responses == 2
+        assert verdict.responses_used == 4
+        assert verdict.votes == {"B": 2}
+        assert verdict.chosen_option == "B"
+        assert verdict.failed is False
+
+    def test_every_request_failing_marks_the_verdict_failed(self):
+        schedule = make_schedule(3, seed=22)
+        with MockModelServer(chat=lambda payload, index: MockReply(status=500)) as server:
+            client = server.make_client(max_retries=1, backoff_base=0.001)
+            verdict = run_ensemble("Q", None, schedule, client)
+        assert verdict.to_record() == {
+            "chosen_option": None,
+            "confidence": 0.0,
+            "votes": {},
+            "responses_used": 3,
+            "stopped_early": False,
+            "abstained": False,
+            "failed_responses": 3,
+            "failed": True,
+        }
+
+    def test_a_timeout_counts_as_failed(self):
+        schedule = make_schedule(4, seed=23)
+        late = schedule[1].seed
+
+        def reply(payload, index):
+            if payload["seed"] == late:
+                return MockReply(text="Answer: D", delay=0.5)
+            return "Answer: A"
+
+        with MockModelServer(chat=reply) as server:
+            client = server.make_client(max_retries=0, timeout=0.1)
+            verdict = run_ensemble("Q", None, schedule, client,
+                                   stop=StopRule(min_responses=4))
+        assert verdict.failed_responses == 1
+        assert verdict.votes == {"A": 3}
+        assert verdict.failed is False

@@ -27,6 +27,7 @@ from docqa_engine.gateway import (
     GatewayClient,
     _retry_after_seconds,
     hash_embedder,
+    in_flight_limit,
 )
 from mock_server import MockModelServer, MockReply, _MockRequestHandler
 
@@ -62,6 +63,15 @@ class TestEndpointConfig:
         assert config.max_retries == 2
         assert config.max_in_flight == 4
         assert config.auth_token is None
+
+    def test_in_flight_limit_reads_the_client_config(self):
+        config = EndpointConfig(base_url="http://x", model_name="m", max_in_flight=7)
+        assert in_flight_limit(GatewayClient(config)) == 7
+
+    def test_in_flight_limit_without_a_config_is_the_endpoint_default(self):
+        default = EndpointConfig(base_url="http://x", model_name="m").max_in_flight
+        assert in_flight_limit(hash_embedder(8)) == default
+        assert in_flight_limit(object()) == default
 
     @pytest.mark.parametrize(
         "kwargs,match",
@@ -337,6 +347,15 @@ def test_cli_import_pulls_in_no_third_party_http_stack():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_retrieval_imports_no_inference_module():
+    # the in-flight cap lives beside the client, so retrieval needs no ensemble code
+    src = os.path.dirname(os.path.dirname(docqa_engine.__file__))
+    probe = "import sys, docqa_engine.retriever; print('docqa_engine.ensemble' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 class TestMakeClient:
