@@ -236,7 +236,8 @@ class TestScore:
             for fid, q_weight in zip(fids.tolist(), q_weights.tolist()):
                 for row, d_weight in postings.get(fid, ()):
                     acc[row] += q_weight * d_weight
-            for doc_id in (None, "doc2"):
+            # the first and last documents sit at the edges of the row slice
+            for doc_id in (None, "doc0", "doc2", "doc3", "absent"):
                 want = sorted(((ref, min(s, 1.0)) for ref, s in zip(index.page_refs, acc)
                                if s > 0.0 and doc_id in (None, ref[0])),
                               key=lambda hit: (-hit[1], hit[0]))
@@ -369,6 +370,16 @@ class TestBuildResources:
         calls.clear()
         copy = dataclasses.replace(index)
         assert len(calls) == 1 and copy.idf.tobytes() == want.tobytes()
+
+    def test_only_rows_and_weights_hold_an_entry_per_nonzero(self, tmp_path):
+        # 4 features, 9 nonzeros: any other per-nonzero array is derived state
+        index = build_lexical_index(_corpus(("d", ["a b c", "a b d", "a c d"])), n_max=1)
+        save_lexical_index(index, tmp_path / "lex.idx")
+        for each in (index, load_lexical_index(tmp_path / "lex.idx")):
+            arrays = {name: len(value) for name, value in vars(each).items()
+                      if isinstance(value, np.ndarray)}
+            assert (arrays.pop("rows"), arrays.pop("weights"), each.vocabulary.size) == (9, 9, 4)
+            assert {name: n for name, n in arrays.items() if n > 4 + 1} == {}
 
     def test_peak_traced_allocation_is_bounded(self):
         # 37.6 MB traced on numpy 2.4 and Python 3.11, bounded at 1.5 times
