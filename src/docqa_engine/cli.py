@@ -20,7 +20,7 @@ from pathlib import Path
 from .augment import augment
 from .config import PipelineConfig, load_config, resolve_endpoint
 from .corpus import Corpus, ingest_path, iter_records, load_corpus, save_corpus, write_records
-from .ensemble import MAX_OPTIONS, build_answer_prompt, make_schedule, run_ensemble
+from .ensemble import MAX_OPTIONS, EnsembleVerdict, build_answer_prompt, make_schedule, run_ensemble
 from .errors import (
     ConfigError,
     ConflictError,
@@ -121,11 +121,15 @@ def answer_questions(
     then running its ensemble on a worker thread; the client's own cap still
     bounds the requests in flight. Returns one serializable verdict record
     per question, in input order, identical to answering them one by one.
-    Indexes that ``check_indexes`` rejects fail before any request.
+    A question left with no context sends no request: its verdict abstains
+    with ``no_context`` set. Indexes that ``check_indexes`` rejects fail
+    before any request.
     """
     if use_retrieval:
         if lexical_index is None:
             raise ConfigError("retrieval requested but no lexical index supplied")
+        if max_context_chars is not None:
+            raise ConfigError("max_context_chars truncates only the no-retrieval baseline")
         check_indexes(corpus.fingerprint, lexical_index, semantic_index, embed_client)
     if max_context_chars is not None and max_context_chars < 1:
         raise ValueError(f"max_context_chars must be at least 1, got {max_context_chars}")
@@ -156,16 +160,12 @@ def answer_questions(
         else:
             contexts = baseline_contexts
 
-        prompt = build_answer_prompt(q.question, list(q.options))
-        schedule = make_schedule(config.schedule_count, seed=config.seed + qi)
-        verdict = run_ensemble(
-            prompt,
-            contexts,
-            schedule,
-            chat_client,
-            stop=config.stop,
-            option_texts=list(q.options),
-        )
+        if contexts:
+            verdict = run_ensemble(build_answer_prompt(q.question, list(q.options)), contexts,
+                                   make_schedule(config.schedule_count, seed=config.seed + qi),
+                                   chat_client, stop=config.stop, option_texts=list(q.options))
+        else:  # nothing to ground an answer on, so nothing is asked
+            verdict = EnsembleVerdict(None, 0.0, {}, 0, stopped_early=False, abstained=True)
         predicted = (
             None if verdict.chosen_option is None
             else ord(verdict.chosen_option) - ord("A")
@@ -177,6 +177,7 @@ def answer_questions(
             "gold_answer_index": q.answer_index,
             "predicted_index": predicted,
             "retrieved": [[doc, idx] for doc, idx in retrieved],
+            "no_context": not contexts,
             **verdict.to_record(),
         }
 
@@ -189,7 +190,9 @@ def evaluate_verdicts(verdicts: list[dict]) -> dict:
     """Overall and per-category accuracy; abstentions count as wrong.
 
     A failed verdict (no successful model response) says nothing about the
-    model, so it is counted under ``failed`` instead of being scored.
+    model, so it is counted under ``failed`` instead of being scored. A
+    ``no_context`` verdict is the system's own miss: it is scored, as wrong,
+    and also counted under ``no_context``.
     """
     failed = sum(1 for v in verdicts if v.get("failed"))
     scored = [v for v in verdicts
@@ -211,6 +214,7 @@ def evaluate_verdicts(verdicts: list[dict]) -> dict:
         "categories": {tag: bucket(records) for tag, records in sorted(categories.items())},
         "unscored": len(verdicts) - len(scored) - failed,
         "failed": failed,
+        "no_context": sum(1 for v in verdicts if v.get("no_context")),
     }
 
 
@@ -329,6 +333,9 @@ def cmd_infer(args, config: PipelineConfig) -> int:
             if getattr(args, flag):
                 raise ConfigError(f"--no-retrieval takes no --{flag.replace('_', '-')}: "
                                   "the baseline reads no index and embeds nothing")
+    elif args.max_context_chars is not None:
+        raise ConfigError("--max-context-chars needs --no-retrieval: it truncates only the "
+                          "baseline's context, and retrieval selects its own pages")
     questions = read_questions_jsonl(args.questions)
     corpus = load_corpus(args.corpus or config.paths.corpus)
     chat_client = _require_chat_client(config, args)
@@ -375,6 +382,8 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
             print(f"unscored\t{report['unscored']} records without gold answers")
         if report["failed"]:
             print(f"failed\t{report['failed']} records without a successful model response")
+        if report["no_context"]:
+            print(f"no_context\t{report['no_context']} records with no context, scored as wrong")
     return EXIT_OK
 
 

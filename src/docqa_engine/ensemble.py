@@ -71,8 +71,9 @@ class EnsembleVerdict:
 
     @property
     def failed(self) -> bool:
-        """No tallied request got a response: an outage, not an abstention."""
-        return self.failed_responses == self.responses_used
+        """Requests were tallied and none got a response: an outage, not an
+        abstention. A verdict that sent nothing has not failed."""
+        return 0 < self.responses_used == self.failed_responses
 
     def to_record(self) -> dict:
         return {

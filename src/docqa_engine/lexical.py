@@ -6,9 +6,10 @@ vectors. The vocabulary keeps the max_features features with the highest
 document frequency (ties broken lexicographically ascending).
 
 Page vectors are one feature-major (CSC) layout from build through the saved
-file to scoring: per feature, the rows of the pages that hold it and their
-weights. A column holds one entry per such page, so its length is the
-feature's document frequency and the column offsets are ``cumsum(df)``.
+file to scoring: per feature, the ascending rows of the pages holding it and
+their weights, so the column offsets are ``cumsum(df)``. A query gathers its
+features' columns through them, sums the products per page over all pages,
+and slices a document's rows out of the sums.
 """
 
 from __future__ import annotations
@@ -62,18 +63,17 @@ class LexicalIndex:
 
     def __post_init__(self, known_idf):
         check_corpus_order(self.page_refs)
-        self.idf = idf_table(self.vocabulary.df, self.page_count) if known_idf is None else known_idf
         df = np.asarray(self.vocabulary.df, dtype=np.int64)
-        if not df.sum() == len(self.rows) == len(self.weights):
+        if not ((df >= 0).all() and df.sum() == len(self.rows) == len(self.weights)):
             raise ValueError(f"document frequencies add up to {df.sum()}, but rows and weights "
                              f"hold {len(self.rows)} and {len(self.weights)} entries")
-        # keys fid * page_count + row ascend when rows ascend within each column,
-        # and one searchsorted then finds a column's entries in any row range
-        keys = np.repeat(np.arange(len(df), dtype=np.uint64) * np.uint64(self.page_count), df)
-        keys += self.rows
-        if not ((self.rows < self.page_count).all() and (keys[1:] > keys[:-1]).all()):
+        self.idf = idf_table(self.vocabulary.df, self.page_count) if known_idf is None else known_idf
+        self._col_offsets = np.concatenate([[0], np.cumsum(df)])  # column f is [f] to [f + 1]
+        col_start = np.zeros(len(self.rows), dtype=bool)  # a column's first row need not rise
+        col_start[self._col_offsets[:-1][df > 0]] = True
+        if not ((self.rows < self.page_count).all() and
+                ((self.rows[1:] > self.rows[:-1]) | col_start[1:]).all()):
             raise ValueError("column rows must ascend strictly and stay below the page count")
-        self._col_keys = keys
 
     @property
     def page_count(self) -> int:
@@ -227,7 +227,7 @@ def build_lexical_index(corpus: Corpus, max_features: int = DEFAULT_MAX_FEATURES
     weights = tfidf_weights(fids, tfs, idf, rows)
     # column-major: one sort of the pairs' distinct (feature id, row) keys
     by_column = np.argsort(fids.astype(np.int64) * corpus.page_count + rows)
-    del fids, tfs  # freed before the index derives its keys
+    del fids, tfs  # freed before the index checks its columns
     return LexicalIndex(vocabulary, corpus.page_refs, rows=rows[by_column].astype(np.uint32),
                         weights=weights[by_column], n_min=n_min, n_max=n_max,
                         fingerprint=corpus.fingerprint, known_idf=idf)
@@ -240,25 +240,23 @@ def score_lexical(index: LexicalIndex, query_text: str,
     The query is tokenized, gram-expanded, and weighted exactly like a
     document. Pages with score 0 are omitted; ties are broken by
     (doc_id, page_index) ascending. With ``doc_id`` only that document's
-    pages are scored and ranked.
+    pages are ranked.
     """
     grams = page_features(query_text, index.n_min, index.n_max)
-    rows = doc_rows(index.page_refs, doc_id)
     feature_ids = index.vocabulary.feature_ids
     hits = [(fid, tf) for gram, tf in grams.items() if (fid := feature_ids.get(gram)) is not None]
     fids, tfs = np.array(hits, dtype=np.int64).reshape(-1, 2).T
     weights = tfidf_weights(fids, tfs, index.idf, np.zeros(len(fids), dtype=np.intp))
-    # each query feature's column entries within the row range, in query-feature order
-    base = fids.astype(np.uint64) * index.page_count
-    starts, ends = np.searchsorted(index._col_keys, (base + rows.start, base + rows.stop))
-    counts = ends - starts
+    # each query feature's whole column, in query-feature order
+    starts = index._col_offsets[fids]
+    counts = index._col_offsets[fids + 1] - starts
     at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
     # bincount adds each page's products in that order, the order of a walk
     # over per-feature postings, so every score is the same float
-    acc = np.bincount((index._col_keys[at] - np.repeat(base, counts)).astype(np.intp) - rows.start,
-                      weights=np.repeat(weights, counts) * index.weights[at],
-                      minlength=len(rows))
-    scores = np.minimum(acc, 1.0)
+    acc = np.bincount(index.rows[at], weights=np.repeat(weights, counts) * index.weights[at],
+                      minlength=index.page_count)
+    rows = doc_rows(index.page_refs, doc_id)
+    scores = np.minimum(acc[rows.start:rows.stop], 1.0)
     hits = np.flatnonzero(scores > 0.0)
     ranked = hits[rank_rows(scores[hits])]
     return list(zip([index.page_refs[i] for i in (ranked + rows.start).tolist()],

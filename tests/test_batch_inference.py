@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from docqa_engine import cli
-from docqa_engine.cli import QuestionRecord, answer_questions
+from docqa_engine.cli import QuestionRecord, answer_questions, evaluate_verdicts
 from docqa_engine.config import PipelineConfig
 from docqa_engine.corpus import Corpus, Page
 from docqa_engine.ensemble import build_answer_prompt, make_schedule, run_ensemble
@@ -282,3 +282,38 @@ def test_no_retrieval_context_is_joined_once_per_call():
     assert page_reads == 1
     context = "\n\n".join(p.normalized_text for p in corpus.pages)[:50]
     assert seen and all(s.startswith(f"[Context 1]\n{context}\n\n") for s in seen)
+
+
+def test_a_question_without_context_sends_no_request():
+    # "zzz qqq?" shares no feature with either page, and without a semantic
+    # side nothing else retrieves a page for it
+    corpus = Corpus.from_pages([Page.from_raw("d", 0, "売上高は前年比で増加した。"),
+                                Page.from_raw("d", 1, "営業利益も改善した。")])
+    questions = [QuestionRecord(question="zzz qqq?", options=_OPTIONS, answer_index=0),
+                 QuestionRecord(question="売上高は増加したか", options=_OPTIONS, answer_index=0)]
+    with MockModelServer(chat="Answer: A") as server:
+        empty, grounded = answer_questions(questions, corpus, server.make_client(),
+                                           PipelineConfig(), lexical_index=build_lexical_index(corpus))
+        contents = [r["payload"]["messages"][-1]["content"] for r in server.request_log]
+    assert contents and not any("zzz qqq?" in content for content in contents)
+    assert {key: empty[key] for key in ("retrieved", "no_context", "chosen_option", "predicted_index",
+                                        "responses_used", "abstained", "failed")} == {
+        "retrieved": [], "no_context": True, "chosen_option": None, "predicted_index": None,
+        "responses_used": 0, "abstained": True, "failed": False}
+    assert grounded["no_context"] is False and grounded["retrieved"]
+    report = evaluate_verdicts([empty, grounded])
+    # a retrieval miss is the system's miss: scored as wrong, counted apart
+    assert report["overall"] == {"correct": 1, "total": 2, "accuracy": 0.5}
+    assert (report["no_context"], report["failed"]) == (1, 0)
+
+
+def test_retrieval_takes_no_max_context_chars():
+    corpus, index = _fixture()
+
+    class Chat(_SeedKeyedChat):
+        def generate(self, request):
+            raise AssertionError("no request may be sent")
+
+    with pytest.raises(ConfigError, match="max_context_chars"):
+        answer_questions(_questions([0]), corpus, Chat(1, [0.0], 2), PipelineConfig(),
+                         lexical_index=index, max_context_chars=50)

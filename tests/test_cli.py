@@ -661,6 +661,21 @@ class TestInfer:
         assert f"--no-retrieval takes no {flags[0]}" in capsys.readouterr().err
         assert not (tmp_path / "v.jsonl").exists()
 
+    def test_max_context_chars_with_retrieval_exits_2_before_any_file_is_read(
+            self, tmp_path, artifacts, capsys):
+        # the questions file does not exist, so reading any file first would exit 3
+        with MockModelServer(chat="Answer: A") as server:
+            code = main([
+                "infer", "--questions", str(tmp_path / "missing.jsonl"),
+                "--output", str(tmp_path / "v.jsonl"), "--corpus", str(artifacts["corpus"]),
+                "--lexical", str(artifacts["lexical"]), "--max-context-chars", "5",
+                "--endpoint-url", server.base_url, "--model", "mock-model",
+            ])
+            assert server.request_log == []
+        assert code == EXIT_CONFIG
+        assert "--max-context-chars needs --no-retrieval" in capsys.readouterr().err
+        assert not (tmp_path / "v.jsonl").exists()
+
     def test_missing_questions_file_is_io_error(self, tmp_path, artifacts):
         assert main([
             "infer", "--questions", str(tmp_path / "none.jsonl"),
@@ -812,6 +827,14 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "overall\t1.0000\t(1/1)" in out
         assert "failed\t1 records without a successful model response" in out
+
+    def test_no_context_verdicts_are_scored_as_wrong_and_counted(self, tmp_path, capsys):
+        path = tmp_path / "verdicts.jsonl"
+        _write_jsonl(path, [_verdict(0, 0), {**_verdict(1, None), "no_context": True}])
+        assert main(["evaluate", "--verdicts", str(path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "overall\t0.5000\t(1/2)" in out
+        assert "no_context\t1 records with no context, scored as wrong" in out
 
     def test_text_output(self, tmp_path, capsys):
         path = tmp_path / "verdicts.jsonl"

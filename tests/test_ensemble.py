@@ -355,6 +355,7 @@ class TestRunEnsemble:
 
     def test_early_stop_returns_while_a_request_is_in_flight(self):
         schedule = make_schedule(20, seed=11)
+        held_seed = schedule[7].seed
         slow_seed = schedule[10].seed  # sent once 7 positions are tallied
         slow_started = threading.Event()
 
@@ -362,6 +363,10 @@ class TestRunEnsemble:
             if request["seed"] == slow_seed:
                 slow_started.set()
                 time.sleep(1.0)
+            elif request["seed"] == held_seed:
+                # position 7 is still pending when the tally reaches it, so
+                # position 10 is always sent, however fast 0-9 complete
+                slow_started.wait(timeout=5.0)
             else:
                 time.sleep(0.02)
             return "Answer: A"

@@ -611,6 +611,13 @@ class TestCorruptFiles:
         with pytest.raises(ValueError, match="document frequencies add up to"):
             dataclasses.replace(index, vocabulary=Vocabulary(index.vocabulary.feature_ids, df))
 
+    def test_constructor_rejects_a_negative_column_length(self):
+        # the right total, so only the sign tells these lengths from real ones
+        index = _sample_index()
+        df = [*index.vocabulary.df[:-2], sum(index.vocabulary.df[-2:]) + 1, -1]
+        with pytest.raises(ValueError, match="document frequencies add up to"):
+            dataclasses.replace(index, vocabulary=Vocabulary(index.vocabulary.feature_ids, df))
+
     def test_fingerprint_field_names_the_indexed_pages(self, tmp_path):
         # any 32 bytes load; another corpus's fingerprint is rejected before use
         corpus = _sample_corpus()
