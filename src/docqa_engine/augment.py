@@ -14,9 +14,8 @@ from __future__ import annotations
 import logging
 import random
 import re
-import threading
 from collections import Counter, deque
-from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -38,6 +37,7 @@ TOC_DENSITY_MAX = 0.5            # max fraction of lines ending in a digit
 STRATA = 5                       # relative-position strata for sampling
 NUMERIC_RICHNESS_WEIGHT = 5.0    # numbers count this many chars toward richness
 MIDDLE_WEIGHT_DEPTH = 0.5        # edge pages keep 1 - depth of their score
+GENERATIONS_AHEAD = 4            # generation requests sent past the attempt being gated
 
 GATE_NAMES = ("length", "complexity", "answer_support", "option_quality", "dedup")
 
@@ -491,13 +491,12 @@ def augment(
     feasibility round-trip; the first failing stage rejects the candidate
     and writes one audit record, so attempts == accepted + rejections.
 
-    The caller's thread sends generation requests one at a time in attempt
-    order, parses and gates each reply, and hands the feasibility request
-    to a single worker thread, so at most two requests are in flight.
-    Outcomes are committed strictly in attempt order and a question that
-    nears an uncommitted one waits for its verdict first, so the accepted
-    set, the audit and every request are the same as one-at-a-time
-    processing gives for a fixed seed and model.
+    The caller's thread runs the attempts one at a time, feasibility
+    round-trip included. A generation request depends on no earlier
+    attempt's outcome, so a single worker thread sends them in attempt
+    order, up to GENERATIONS_AHEAD attempts ahead of the one being gated.
+    At most two requests are in flight, and the accepted set, the audit and
+    every request are those of a fully serial run for a fixed seed and model.
     """
     if quota < 1:
         raise ValueError("quota must be at least 1")
@@ -513,116 +512,84 @@ def augment(
     seeds = [(rng.randrange(2**31), rng.randrange(2**31)) for _ in range(quota)]
     accepted: list[QACandidate] = []
     audit: list[dict] = []
-    # Uncommitted attempts in order: (attempt, candidate that passed the gates
-    # or None, outcome). An outcome is an audit record, None for acceptance,
-    # or a feasibility-lane Future of either.
-    pending: deque[tuple[int, QACandidate | None, dict | None | Future]] = deque()
+    # attempts whose generation request is sent: (qtype, page, page text, reply)
+    sent: deque[tuple[str, PageRef, str, Future]] = deque()
 
-    def commit(through: int = -1) -> None:
-        """Commit outcomes in attempt order: every ready one, and every one up
-        to attempt `through`, waiting for its feasibility verdict."""
-        while pending:
-            attempt, candidate, outcome = pending[0]
-            if isinstance(outcome, Future):
-                if attempt > through and not outcome.done():
-                    return
-                outcome = outcome.result()
-            pending.popleft()
-            if outcome is None:
-                accepted.append(candidate)
-            else:
-                audit.append(outcome)
+    def send_generation(attempt: int) -> None:
+        qtype = QTYPES[attempt % len(QTYPES)]
+        doc_id, page_index = pages[attempt % len(pages)]
+        page_text = corpus.get(doc_id, page_index).normalized_text
+        prompt = build_prompt(
+            f"generate_{qtype}",
+            {"page_text": page_text, "doc_id": doc_id, "page_index": page_index},
+        )
+        request = chat_request(prompt, temperature=0.7, top_p=0.95, top_k=50,
+                               seed=seeds[attempt][0], max_tokens=512)
+        sent.append((qtype, (doc_id, page_index), page_text, lane.submit(client.generate, request)))
 
-    stop = threading.Event()
-
-    def check_feasibility(request: dict, candidate: QACandidate, base: dict,
-                          page_text: str) -> dict | None:
-        """One feasibility round-trip: None if the candidate passes, else its
-        audit record. Any other error stops every later check."""
-        if stop.is_set():  # an earlier check raised: send nothing more
-            raise CancelledError
+    def check_feasibility(candidate: QACandidate, page_text: str,
+                          request_seed: int) -> tuple[str, str] | None:
+        """One feasibility round-trip: None if the candidate passes, else the
+        (stage, reason) that rejects it."""
+        prompt = build_prompt(
+            "feasibility",
+            {
+                "page_text": page_text,
+                "question": candidate.question,
+                "options_block": options_block(candidate.options),
+            },
+        )
+        request = chat_request(prompt, temperature=0.0, top_p=1.0, top_k=1,
+                               seed=request_seed, max_tokens=512)
         try:
             raw = client.generate(request)
-            try:
-                verdict = parse_feasibility(raw)
-            except ParseError as exc:
-                stage, reason = "feasibility_parse", str(exc)
-            else:
-                if validate_feasibility(verdict, candidate, page_text, thresholds):
-                    return None
-                stage, reason = "feasibility", "feasibility validation failed"
         except (TransportError, EndpointError, ContractError) as exc:
-            stage, reason = "transport", str(exc)
-        except BaseException:
-            stop.set()
-            raise
-        return {**base, "stage": stage, "reason": reason, "question": candidate.question}
+            return "transport", str(exc)
+        try:
+            verdict = parse_feasibility(raw)
+        except ParseError as exc:
+            return "feasibility_parse", str(exc)
+        if validate_feasibility(verdict, candidate, page_text, thresholds):
+            return None
+        return "feasibility", "feasibility validation failed"
 
-    lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="augment-feasibility")
+    lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="augment-generation")
     try:
         for attempt in range(quota):
-            qtype = QTYPES[attempt % len(QTYPES)]
-            doc_id, page_index = pages[attempt % len(pages)]
-            page = corpus.get(doc_id, page_index)
+            while len(sent) <= GENERATIONS_AHEAD and attempt + len(sent) < quota:
+                send_generation(attempt + len(sent))
+            qtype, source_page, page_text, reply = sent.popleft()
             base = {
                 "attempt": attempt,
                 "qtype": qtype,
-                "doc_id": doc_id,
-                "page_index": page_index,
+                "doc_id": source_page[0],
+                "page_index": source_page[1],
             }
-            prompt = build_prompt(
-                f"generate_{qtype}",
-                {"page_text": page.normalized_text, "doc_id": doc_id, "page_index": page_index},
-            )
-            request = chat_request(prompt, temperature=0.7, top_p=0.95, top_k=50,
-                                   seed=seeds[attempt][0], max_tokens=512)
             try:
-                raw = client.generate(request)
+                raw = reply.result()
             except (TransportError, EndpointError, ContractError) as exc:
-                pending.append((attempt, None, {**base, "stage": "transport", "reason": str(exc)}))
+                audit.append({**base, "stage": "transport", "reason": str(exc)})
                 continue
             try:
-                candidate = parse_qa_candidate(raw, qtype, (doc_id, page_index))
+                candidate = parse_qa_candidate(raw, qtype, source_page)
             except ParseError as exc:
-                pending.append((attempt, None, {**base, "stage": "parse", "reason": str(exc)}))
+                audit.append({**base, "stage": "parse", "reason": str(exc)})
                 continue
 
-            # Dedup is monotone in the accepted set, so a question clear of
-            # every uncommitted candidate is judged exactly by the committed
-            # ones; otherwise commit through the last candidate it clashes with.
-            clashes = [
-                n for n, prior, _ in pending
-                if prior is not None and _near_duplicate(candidate, prior, thresholds)
-            ]
-            commit(through=max(clashes, default=-1))
-            failed = run_gates(candidate, accepted, page.normalized_text, thresholds)
+            failed = run_gates(candidate, accepted, page_text, thresholds)
             if failed:
-                pending.append((attempt, None, {
-                    **base,
-                    "stage": f"gate:{failed[0]}",
-                    "reason": "failed gates: " + ",".join(failed),
-                    "question": candidate.question,
-                }))
-                continue
-
-            outcome = None
-            if feasibility_check:
-                feas_prompt = build_prompt(
-                    "feasibility",
-                    {
-                        "page_text": page.normalized_text,
-                        "question": candidate.question,
-                        "options_block": options_block(candidate.options),
-                    },
-                )
-                feas_request = chat_request(feas_prompt, temperature=0.0, top_p=1.0, top_k=1,
-                                            seed=seeds[attempt][1], max_tokens=512)
-                outcome = lane.submit(
-                    check_feasibility, feas_request, candidate, base, page.normalized_text)
-            pending.append((attempt, candidate, outcome))
-        commit(through=quota)
+                rejection = f"gate:{failed[0]}", "failed gates: " + ",".join(failed)
+            elif feasibility_check:
+                rejection = check_feasibility(candidate, page_text, seeds[attempt][1])
+            else:
+                rejection = None
+            if rejection is None:
+                accepted.append(candidate)
+            else:
+                stage, reason = rejection
+                audit.append({**base, "stage": stage, "reason": reason,
+                              "question": candidate.question})
     finally:
-        stop.set()
+        # on an error, requests not yet sent are dropped; the one in flight is awaited
         lane.shutdown(wait=True, cancel_futures=True)
     return AugmentResult(accepted=accepted, audit=audit, attempts=quota)
-

@@ -124,11 +124,13 @@ def make_schedule(count: int = DEFAULT_SCHEDULE_COUNT, seed: int = 0) -> list[De
 
 # Marker words must be followed by a real separator so "answered" or
 # "answers" never match, and the captured letter must not continue into a
-# longer word.
+# longer word. A lowercase letter counts only where its clause ends, at a
+# line end or before punctuation, so "answer a question" is prose.
 _MARKER_RE = re.compile(
     r"(?:final\s+answer|answer|答え|回答|正解)"
     r"(?:\s+(?:is|was)\s+|\s*[:：]\s*|は\s*|\s+)"
-    r"[\(（\[]?([A-Ja-j])(?![0-9A-Za-z])",
+    r"[\(（\[]?((?-i:[A-J])(?![0-9A-Za-z])"
+    r"|(?-i:[a-j])(?=[ \t\r]*(?:\n|$)|[.,;:!?)\]）】」。、，．：；！？]))",
     re.IGNORECASE,
 )
 

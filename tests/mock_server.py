@@ -47,13 +47,17 @@ class _MockRequestHandler(BaseHTTPRequestHandler):
 
     def _send(self, status: int, body: dict, headers: dict[str, str] | None = None) -> None:
         data = json.dumps(body, ensure_ascii=False).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(data)))
+            for name, value in (headers or {}).items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(data)
+        except (BrokenPipeError, ConnectionResetError):
+            # the client hung up first (its timeout ran out): nobody to answer
+            self.close_connection = True
 
     def do_POST(self):
         owner: MockModelServer = self.server.owner  # type: ignore[attr-defined]

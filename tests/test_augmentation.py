@@ -3,8 +3,9 @@ parsing, quality gates, feasibility auditing, and the orchestration loop.
 
 The fake clients route on distinctive prompt phrases (generation vs
 feasibility) so scripted replies line up with attempts no matter how the
-two call kinds interleave: generation requests are sent one at a time in
-attempt order while feasibility requests run on their own worker thread.
+two call kinds interleave: a worker thread sends generation requests one at
+a time in attempt order, ahead of the caller's thread, which gates each
+reply and makes its feasibility request.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 import docqa_engine.augment as augment_module
 from docqa_engine.augment import (
+    GENERATIONS_AHEAD,
     QTYPES,
     AugmentResult,
     FeasibilityVerdict,
@@ -899,7 +901,7 @@ class TestAugment:
 
 
 # ---------------------------------------------------------------------------
-# Pipelined augmentation: one generation lane, one feasibility lane
+# Pipelined augmentation: generations fetched ahead, feasibility inline
 
 FEAS_MARKER = "auditing one multiple-choice question"
 PIPE_OPTIONS = ["4200 百万円", "310 百万円", "150 百万円", "90 百万円"]
@@ -1088,21 +1090,59 @@ class TestPipelinedAugment:
             sys.setswitchinterval(interval)
 
     def test_generation_requests_follow_attempt_order(self, corpus):
-        # slow verdicts keep several feasibility checks queued behind the
-        # generation lane; it must still ask in attempt order, one at a time
+        # slow verdicts let the generation lane run ahead of the gates; it
+        # must still ask in attempt order, one at a time
         script = [("clean", "yes", 0.02)] * 10
         serial_client = ScriptedLanesClient(script, sleep=False)
         _serial_augment(corpus, serial_client, 10, seed=3)
-        client = ScriptedLanesClient(script)
+        second_sent = threading.Event()
+        seen_during_first_verdict = []
+
+        class AheadClient(ScriptedLanesClient):
+            def _generation(self, attempt):
+                if attempt == 1:
+                    second_sent.set()
+                return super()._generation(attempt)
+
+            def _feasibility(self, prompt):
+                if not seen_during_first_verdict:
+                    seen_during_first_verdict.append(second_sent.wait(5))
+                return super()._feasibility(prompt)
+
+        client = AheadClient(script)
         result = augment(corpus, client, quota=10, seed=3)
         assert [r["seed"] for r in client.gen_requests] == [
             r["seed"] for r in serial_client.gen_requests]
         assert [r["messages"] for r in client.gen_requests] == [
             r["messages"] for r in serial_client.gen_requests]
         assert [c.question for c in result.accepted] == [_pipe_question(i) for i in range(10)]
-        # the generation lane ran ahead of the verdicts
-        kinds = [kind for kind, _ in client.events]
-        assert kinds.index("feas_end") > kinds.index("gen", 1) > kinds.index("feas_start")
+        # attempt 1's generation went out while attempt 0's verdict was held
+        assert seen_during_first_verdict == [True]
+
+    @pytest.mark.parametrize("quota", [3, 20])
+    def test_look_ahead_is_bounded_while_a_verdict_is_held(self, corpus, quota):
+        expected = min(quota, GENERATIONS_AHEAD + 1)
+        all_sent = threading.Event()
+        sent_during_first_verdict = []
+
+        class HoldingClient(ScriptedLanesClient):
+            def _generation(self, attempt):
+                if attempt + 1 == expected:
+                    all_sent.set()
+                return super()._generation(attempt)
+
+            def _feasibility(self, prompt):
+                if not sent_during_first_verdict:
+                    all_sent.wait(5)
+                    time.sleep(0.05)  # room for a request past the look-ahead to show
+                    sent_during_first_verdict.append(len(self.gen_requests))
+                return super()._feasibility(prompt)
+
+        client = HoldingClient([("clean", "yes", 0.0)] * quota)
+        result = augment(corpus, client, quota=quota, seed=0)
+        assert sent_during_first_verdict == [expected]
+        assert len(client.gen_requests) == quota
+        assert len(result.accepted) == quota
 
     def test_at_most_two_chat_requests_in_flight(self, corpus):
         def reply(payload, index):
@@ -1136,21 +1176,39 @@ class TestPipelinedAugment:
         assert [c.question for c in result.accepted] == [f"{_pipe_question(0)} again1"]
         assert [r["stage"] for r in result.audit] == ["feasibility"]
 
-    def test_feasibility_lane_error_propagates_and_stops_the_lane(self, corpus):
+    def test_feasibility_error_stops_the_generation_lane(self, corpus):
         class Boom(RuntimeError):
             pass
 
         class ExplodingClient(ScriptedLanesClient):
             def _feasibility(self, prompt):
-                time.sleep(0.1)  # let later checks queue up behind this one
+                time.sleep(0.1)  # let the generation lane fill its look-ahead
                 raise Boom("audit model crashed")
 
-        client = ExplodingClient([("clean", "yes", 0.0)] * 5)
+        client = ExplodingClient([("clean", "yes", 0.0)] * 20)
         with pytest.raises(Boom, match="audit model crashed"):
-            augment(corpus, client, quota=5, seed=0)
-        assert len(client.gen_requests) > 1
+            augment(corpus, client, quota=20, seed=0)
+        assert len(client.gen_requests) <= GENERATIONS_AHEAD + 1
         assert len(client.feas_requests) == 1
-        assert not any(t.name.startswith("augment-feasibility") for t in threading.enumerate())
+        assert not any(t.name.startswith("augment-generation") for t in threading.enumerate())
+
+    def test_generation_error_stops_the_generation_lane(self, corpus):
+        class Boom(RuntimeError):
+            pass
+
+        class ExplodingClient(ScriptedLanesClient):
+            def _generation(self, attempt):
+                if attempt == 2:
+                    raise Boom("generation model crashed")
+                return super()._generation(attempt)
+
+        client = ExplodingClient([("clean", "yes", 0.0)] * 20)
+        with pytest.raises(Boom, match="generation model crashed"):
+            augment(corpus, client, quota=20, seed=0)
+        # attempts before the failed one finished; nothing past the look-ahead was sent
+        assert len(client.feas_requests) == 2
+        assert len(client.gen_requests) <= 2 + GENERATIONS_AHEAD + 1
+        assert not any(t.name.startswith("augment-generation") for t in threading.enumerate())
 
 
 # ---------------------------------------------------------------------------

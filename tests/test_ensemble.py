@@ -186,6 +186,23 @@ class TestExtractOption:
     def test_extraction_table(self, raw, expected):
         assert extract_option(raw, LABELS) == expected
 
+    @pytest.mark.parametrize(
+        "raw,expected",
+        [
+            # a word such as "a" after a marker is prose, not a chosen option
+            ("I cannot answer a question without the context.", None),
+            ("The answer is a matter of interpretation.", None),
+            # a lowercase letter that ends its clause is still a vote
+            ("The answer is b.", "B"),
+            ("answer: (d) since revenue fell", "D"),
+            ("My answer is a\nbecause revenue rose", "A"),
+            ("正解はc。", "C"),
+            ("answer: a, as the table shows", "A"),
+        ],
+    )
+    def test_lowercase_letter_votes_only_where_its_clause_ends(self, raw, expected):
+        assert extract_option(raw, LABELS) == expected
+
     def test_unique_option_text_match(self):
         options = ["increase of 12.5%", "flat year over year", "decline of 3%"]
         raw = "The filing shows a decline of 3% in segment revenue."
@@ -531,12 +548,14 @@ class TestFailedResponses:
             "failed": True,
         }
 
-    def test_a_timeout_counts_as_failed(self):
+    def test_a_timeout_counts_as_failed(self, capfd):
         schedule = make_schedule(4, seed=23)
         late = schedule[1].seed
+        late_handler = []
 
         def reply(payload, index):
             if payload["seed"] == late:
+                late_handler.append(threading.current_thread())
                 return MockReply(text="Answer: D", delay=0.5)
             return "Answer: A"
 
@@ -547,3 +566,7 @@ class TestFailedResponses:
         assert verdict.failed_responses == 1
         assert verdict.votes == {"A": 3}
         assert verdict.failed is False
+        # the late reply finds its client gone; the server must not report that
+        late_handler[0].join(5)
+        assert not late_handler[0].is_alive()
+        assert "Traceback" not in capfd.readouterr().err
