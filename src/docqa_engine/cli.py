@@ -47,6 +47,12 @@ EXIT_VALIDATION = 5
 
 KNOWN_CATEGORIES = ("Y/N", "Fact.", "Num")
 
+# Question threads per chat connection. Each holds at most one request, so a
+# second thread per connection sends while another question retrieves,
+# tallies or sleeps through a retry backoff; with one, the connection idles
+# through each of those steps.
+QUESTIONS_PER_SLOT = 2
+
 
 @dataclass(frozen=True)
 class QuestionRecord:
@@ -116,11 +122,13 @@ def answer_questions(
     """Answer each question with retrieval-grounded ensemble inference.
 
     With retrieval disabled the context is the whole corpus in page order
-    (optionally truncated), the naive long-context baseline. Up to the chat
-    client's ``max_in_flight`` questions run at once, each retrieving and
-    then running its ensemble on a worker thread; the client's own cap still
-    bounds the requests in flight. Returns one serializable verdict record
-    per question, in input order, identical to answering them one by one.
+    (optionally truncated), the naive long-context baseline. Up to
+    ``QUESTIONS_PER_SLOT`` times the chat client's ``max_in_flight``
+    questions run at once, each on a worker thread that retrieves and then
+    runs its ensemble, one chat request at a time; the client's own
+    connection pool still bounds the requests in flight. Returns one
+    serializable verdict record per question, in input order, identical to
+    answering them one by one.
     A question left with no context sends no request: its verdict abstains
     with ``no_context`` set. Indexes that ``check_indexes`` rejects fail
     before any request.
@@ -181,7 +189,7 @@ def answer_questions(
             **verdict.to_record(),
         }
 
-    workers = max(1, min(in_flight_limit(chat_client), len(questions)))
+    workers = max(1, min(QUESTIONS_PER_SLOT * in_flight_limit(chat_client), len(questions)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(answer, range(len(questions)), questions))
 

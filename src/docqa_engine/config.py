@@ -13,8 +13,6 @@ import os
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
-import yaml
-
 from .augment import GateThresholds
 from .ensemble import DEFAULT_SCHEDULE_COUNT, StopRule
 from .errors import ConfigError
@@ -144,6 +142,8 @@ def _read_mapping(path: str | Path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    import yaml  # here, so a run without a config file never loads PyYAML
+
     try:
         loaded = yaml.safe_load(text)
     except yaml.YAMLError as exc:

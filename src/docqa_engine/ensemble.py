@@ -1,25 +1,24 @@
-"""Ensemble multiple-choice inference: decoding-config schedules, fan-out
-with early stopping, answer extraction, and majority voting.
+"""Ensemble multiple-choice inference: decoding-config schedules, requests
+sent one at a time with early stopping, answer extraction, and majority
+voting.
 
 A schedule is one greedy configuration plus samplers whose temperatures
-are evenly spaced over [0.1, 1.5] with cycling top-p/top-k. Responses are
-tallied strictly in schedule order; the run stops early once the leading
+are evenly spaced over [0.1, 1.5] with cycling top-p/top-k. Requests are
+sent and tallied in schedule order; the run stops once the leading
 option's vote share reaches the confidence threshold with the minimum
-response count satisfied.
+response count satisfied, so no request goes out after the vote is decided.
 """
 
 from __future__ import annotations
 
 import random
 import re
-import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .corpus import normalize_text
 from .errors import ContractError, EndpointError, TransportError
-from .gateway import chat_request, in_flight_limit
+from .gateway import chat_request
 
 TEMPERATURE_RANGE = (0.1, 1.5)
 TOP_P_CYCLE = (0.7, 0.8, 0.9, 0.95)
@@ -261,16 +260,15 @@ def run_ensemble(
     stop: StopRule = StopRule(),
     option_texts: list[str] | None = None,
 ) -> EnsembleVerdict:
-    """Fan out the schedule, tally votes, and resolve the final answer.
+    """Send the schedule one request at a time, tally votes, and resolve the
+    final answer.
 
-    Requests are dispatched in schedule order, the next one whenever any
-    request completes, at most the client's ``max_in_flight`` at a time;
-    beyond ``min_responses`` they run at most that many positions ahead of
-    the tallied prefix. Responses are tallied strictly in schedule order,
-    which keeps verdicts reproducible. Once the stop rule holds (min
-    responses AND confidence) the call returns at once: queued requests are
-    never sent and in-flight completions are discarded. A request that fails
-    after the gateway's retries counts toward ``responses_used`` and
+    Each request is sent on the caller's thread, in schedule order, and
+    tallied before the next one goes out, which keeps verdicts reproducible.
+    Once the stop rule holds (min responses AND confidence) the call returns,
+    so every request sent is tallied. Concurrency comes from the caller
+    running several ensembles at once. A request that fails after the
+    gateway's retries counts toward ``responses_used`` and
     ``failed_responses`` but casts no vote. If every tallied request failed
     the verdict is failed; otherwise, if no response yields an option, it
     abstains rather than guessing.
@@ -282,46 +280,23 @@ def run_ensemble(
 
     content = compose_user_message(prompt, context_texts)
 
-    window = max(1, min(in_flight_limit(client), len(schedule)))
-    stopped = threading.Event()
-
-    def call(config: DecodingConfig) -> str | None:
-        """The reply's text, or None for a request that failed."""
-        if stopped.is_set():  # the vote was decided while this one queued
-            return None
-        try:
-            return client.generate(chat_request(content, max_tokens=256, **config.to_request()))
-        except (TransportError, EndpointError, ContractError):
-            return None
-
     votes: Counter = Counter()
     responses: list[tuple[int, str, str | None]] = []  # (config id, raw, extracted)
     failures = 0
     confidence = 0.0
-    futures = []
-    pool = ThreadPoolExecutor(max_workers=window)
-    try:
-        for i, config in enumerate(schedule):
-            if i == len(futures) or not futures[i].done():
-                # Positions below min_responses are always sent; past them,
-                # stay at most one window ahead of the tallied prefix. The
-                # pool sends each queued position as soon as a worker frees.
-                horizon = min(len(schedule), max(stop.min_responses, i + window))
-                futures += [pool.submit(call, c) for c in schedule[len(futures):horizon]]
-            raw = futures[i].result()
-            if raw is None:
-                failures += 1
-                raw = ""
-            extracted = extract_option(raw, labels, option_texts)
-            responses.append((config.id, raw, extracted))
-            if extracted is not None:
-                votes[extracted] += 1
-            confidence = max(votes.values()) / sum(votes.values()) if votes else 0.0
-            if len(responses) >= stop.min_responses and confidence >= stop.confidence_threshold:
-                break
-    finally:
-        stopped.set()
-        pool.shutdown(wait=False, cancel_futures=True)
+    for config in schedule:
+        try:
+            raw = client.generate(chat_request(content, max_tokens=256, **config.to_request()))
+        except (TransportError, EndpointError, ContractError):
+            failures += 1
+            raw = ""
+        extracted = extract_option(raw, labels, option_texts)
+        responses.append((config.id, raw, extracted))
+        if extracted is not None:
+            votes[extracted] += 1
+        confidence = max(votes.values()) / sum(votes.values()) if votes else 0.0
+        if len(responses) >= stop.min_responses and confidence >= stop.confidence_threshold:
+            break
 
     top = max(votes.values(), default=0)
     tied = sorted(option for option, count in votes.items() if count == top)

@@ -1,10 +1,9 @@
 """Batch inference: overlapping questions in answer_questions.
 
-Questions run concurrently, up to the chat client's max_in_flight, yet the
-verdict records must equal, byte for byte, those of answering each
-question alone with a one-request window. The chat doubles here key every
-reply and latency on (question, request seed), so any arrival order gives
-the same responses.
+Questions run concurrently, up to twice the chat client's max_in_flight,
+yet the verdict records must equal, byte for byte, those of answering each
+question alone. The chat doubles here key every reply and latency on
+(question, request seed), so any arrival order gives the same responses.
 """
 
 from __future__ import annotations
@@ -176,7 +175,23 @@ def test_questions_overlap_within_the_client_cap(monkeypatch):
                                    PipelineConfig(), lexical_index=index)
         assert server.max_in_flight_observed <= 2
     assert len(records) == 12 and all(r["chosen_option"] == "A" for r in records)
-    assert peak == 2
+    assert peak == 4
+
+
+def test_every_chat_request_sent_is_tallied():
+    corpus, index = _fixture()
+
+    def reply(payload, index):
+        # latencies vary by seed, so an ensemble that sent ahead of its tally
+        # would often have a request out when it reached its stop point
+        return MockReply("Answer: A", delay=0.001 * (payload["seed"] % 7))
+
+    with MockModelServer(chat=reply) as server:
+        records = answer_questions(_questions([0, 1, 2, 3, 4, 5] * 2), corpus,
+                                   server.make_client(max_in_flight=4), PipelineConfig(),
+                                   lexical_index=index)
+        sent = sum(entry["kind"] == "chat" for entry in server.request_log)
+    assert sent == sum(r["responses_used"] for r in records) == 12 * 10
 
 
 def test_error_in_one_question_surfaces():

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import docqa_engine
 from docqa_engine.config import AUTH_TOKEN_ENV, PipelineConfig, load_config
 from docqa_engine.errors import ConfigError
 
@@ -33,6 +38,18 @@ class TestDefaults:
 
     def test_empty_file_equals_defaults(self, tmp_path):
         assert load_config(_write(tmp_path, "")) == load_config(None)
+
+    def test_a_run_without_a_config_file_never_imports_yaml(self):
+        # PyYAML is read only for a config file; a fresh interpreter shows it
+        src = str(Path(docqa_engine.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, docqa_engine.cli as cli; cli.load_config(None); "
+                "print('yaml' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestOverrides:
