@@ -32,12 +32,9 @@ from .errors import (
     TransportError,
 )
 from .gateway import GatewayClient, in_flight_limit
-from .lexical import (DEFAULT_MAX_FEATURES, DEFAULT_N_MAX, DEFAULT_N_MIN, build_lexical_index,
-                      load_lexical_index, save_lexical_index)
-from .retriever import FusionWeights, SelectionPolicy, check_indexes, retrieval_record, retrieve
+from .lexical import build_lexical_index, load_lexical_index, save_lexical_index
+from .retriever import check_indexes, retrieval_record, retrieve
 from .semantic import build_semantic_index, load_semantic_index, save_semantic_index
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,46 +62,65 @@ class QuestionRecord:
     category: str | None = None
 
 
-def read_questions_jsonl(path: str | Path) -> list[QuestionRecord]:
-    """Question records from JSONL; the QA records `augment` writes read as-is."""
+def _index_field(record: dict, key: str) -> int | None:
+    """record[key], which must be an integer or null (or absent)."""
+    value = record.get(key)
+    # bool is an int subclass; JSON true must not read as index 1
+    if value is not None and type(value) is not int:
+        raise ValueError(f"{key} must be an integer or null")
+    return value
+
+
+def _read_records(path: str | Path, kind: str, checked) -> list:
+    """`checked(record)` for each JSONL record of the file. A record it rejects
+    (KeyError, TypeError or ValueError), or a file with no record, is a
+    ParseError."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in iter_records(fh):
             try:
-                if not isinstance(raw["question"], str):
-                    raise ValueError("question must be a string")
-                if not isinstance(raw["options"], list):
-                    raise ValueError("options must be a list")
-                if not all(isinstance(o, str) for o in raw["options"]):
-                    raise ValueError("options must be strings")
-                for key in ("doc_id", "category"):
-                    if not isinstance(raw.get(key), (str, type(None))):
-                        raise ValueError(f"{key} must be a string")
-                options = tuple(raw["options"])
-                answer_index = raw.get("answer_index")
-                # bool is an int subclass; JSON true must not read as index 1
-                if answer_index is not None and type(answer_index) is not int:
-                    raise ValueError("answer_index must be an integer")
-                if not 2 <= len(options) <= MAX_OPTIONS:
-                    raise ValueError(
-                        f"{len(options)} options; a question needs 2 to {MAX_OPTIONS}")
-                if answer_index is not None and not 0 <= answer_index < len(options):
-                    raise ValueError(
-                        f"answer_index {answer_index} out of range for {len(options)} options")
-                records.append(
-                    QuestionRecord(
-                        question=raw["question"],
-                        options=options,
-                        answer_index=answer_index,
-                        doc_id=raw.get("doc_id"),
-                        category=raw.get("category"),
-                    )
-                )
+                records.append(checked(raw))
             except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad question record: {exc}", line_no=line_no) from exc
+                raise ParseError(f"bad {kind} record: {exc}", line_no=line_no) from exc
     if not records:
-        raise ParseError(f"no question records in {path}")
+        raise ParseError(f"no {kind} records in {path}")
     return records
+
+
+def _question_record(raw: dict) -> QuestionRecord:
+    if not isinstance(raw["question"], str):
+        raise ValueError("question must be a string")
+    if not isinstance(raw["options"], list):
+        raise ValueError("options must be a list")
+    if not all(isinstance(o, str) for o in raw["options"]):
+        raise ValueError("options must be strings")
+    for key in ("doc_id", "category"):
+        if not isinstance(raw.get(key), (str, type(None))):
+            raise ValueError(f"{key} must be a string")
+    options = tuple(raw["options"])
+    answer_index = _index_field(raw, "answer_index")
+    if not 2 <= len(options) <= MAX_OPTIONS:
+        raise ValueError(f"{len(options)} options; a question needs 2 to {MAX_OPTIONS}")
+    if answer_index is not None and not 0 <= answer_index < len(options):
+        raise ValueError(f"answer_index {answer_index} out of range for {len(options)} options")
+    return QuestionRecord(
+        question=raw["question"],
+        options=options,
+        answer_index=answer_index,
+        doc_id=raw.get("doc_id"),
+        category=raw.get("category"),
+    )
+
+
+def _verdict_record(raw: dict) -> dict:
+    for key in ("gold_answer_index", "predicted_index"):
+        _index_field(raw, key)
+    return raw
+
+
+def read_questions_jsonl(path: str | Path) -> list[QuestionRecord]:
+    """Question records from JSONL; the QA records `augment` writes read as-is."""
+    return _read_records(path, "question", _question_record)
 
 
 def answer_questions(
@@ -271,9 +287,7 @@ def cmd_build_index(args, config: PipelineConfig) -> int:
     embed_client, semantic_out = _semantic_side(config, args)
     corpus = load_corpus(args.corpus or config.paths.corpus)
     lexical_out = args.lexical or config.paths.lexical_index
-    index = build_lexical_index(
-        corpus, max_features=args.max_features, n_min=args.ngram_min, n_max=args.ngram_max
-    )
+    index = build_lexical_index(corpus)
     save_lexical_index(index, lexical_out)
     print(f"lexical index: {index.page_count} pages, "
           f"{index.vocabulary.size} features -> {lexical_out}")
@@ -288,27 +302,17 @@ def cmd_build_index(args, config: PipelineConfig) -> int:
 def cmd_retrieve(args, config: PipelineConfig) -> int:
     lexical_index, semantic_index, embed_client = _load_indexes(config, args)
     check_indexes(lexical_index.fingerprint, lexical_index, semantic_index, embed_client)
-    weights = config.weights
-    if args.alpha is not None:
-        weights = FusionWeights(alpha=args.alpha, beta=1.0 - args.alpha)
-    policy = config.policy
-    if args.min_pages is not None or args.max_pages is not None or args.threshold is not None:
-        policy = SelectionPolicy(
-            top_m=args.min_pages if args.min_pages is not None else policy.top_m,
-            top_n=args.max_pages if args.max_pages is not None else policy.top_n,
-            threshold=args.threshold if args.threshold is not None else policy.threshold,
-        )
     results = retrieve(
         args.query,
         lexical_index,
         semantic_index,
-        weights,
-        policy,
+        config.weights,
+        config.policy,
         client=embed_client,
         candidate_k=config.candidate_k,
     )
     if args.json:
-        print(json.dumps(retrieval_record(args.query, results, weights, policy),
+        print(json.dumps(retrieval_record(args.query, results, config.weights, config.policy),
                          ensure_ascii=False))
     else:
         for rank, r in enumerate(results, start=1):
@@ -376,9 +380,7 @@ def cmd_infer(args, config: PipelineConfig) -> int:
 
 
 def cmd_evaluate(args, config: PipelineConfig) -> int:
-    with open(args.verdicts, encoding="utf-8") as fh:
-        verdicts = [record for _, record in iter_records(fh)]
-    report = evaluate_verdicts(verdicts)
+    report = evaluate_verdicts(_read_records(args.verdicts, "verdict", _verdict_record))
     if args.json:
         print(json.dumps(report, ensure_ascii=False))
     else:
@@ -428,20 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="corpus file")
     p.add_argument("--lexical", help="lexical index output path")
     p.add_argument("--semantic", help="semantic index output path (needs an embedding endpoint)")
-    p.add_argument("--max-features", type=int, default=DEFAULT_MAX_FEATURES)
-    p.add_argument("--ngram-min", type=int, default=DEFAULT_N_MIN)
-    p.add_argument("--ngram-max", type=int, default=DEFAULT_N_MAX)
     _add_endpoint_flags(p, chat=False, embed=True)
     p.set_defaults(func=cmd_build_index)
 
-    p = sub.add_parser("retrieve", help="rank pages for a query")
+    p = sub.add_parser("retrieve", help="rank pages for a query by the config's retrieval section")
     p.add_argument("query")
     p.add_argument("--lexical", help="lexical index path")
     p.add_argument("--semantic", help="semantic index path (needs an embedding endpoint)")
-    p.add_argument("--alpha", type=float, help="lexical fusion weight (beta = 1 - alpha)")
-    p.add_argument("--min-pages", type=int)
-    p.add_argument("--max-pages", type=int)
-    p.add_argument("--threshold", type=float)
     p.add_argument("--json", action="store_true", help="emit one JSON record")
     _add_endpoint_flags(p, chat=False, embed=True)
     p.set_defaults(func=cmd_retrieve)

@@ -27,14 +27,15 @@ SHORT_RUN_MAX = 4
 # token produced from normalized text.
 NGRAM_SEP = "\x1f"
 
+_NUMBER = r"\d+(?:\.\d+)?%?(?![0-9A-Za-z])"
+_NUMBER_RE = re.compile(_NUMBER)
+
 _TOKEN_RE = re.compile(
-    rf"(?P<number>\d+(?:\.\d+)?%?(?![0-9A-Za-z]))"
+    rf"(?P<number>{_NUMBER})"
     rf"|(?P<latin>[0-9A-Za-z]+)"
     rf"|(?P<cjk>[{_CJK_CLASS}]+)"
     rf"|(?P<symbol>[^\s0-9A-Za-z{_CJK_CLASS}]+)"
 )
-
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?%?(?![0-9A-Za-z])")
 
 TOKEN_KINDS = ("cjk_gram", "latin_word", "number", "symbol")
 

@@ -245,15 +245,20 @@ class TestRetrieve:
         assert (rank, doc) == ("1", "fin")
         assert 0.0 <= float(score) <= 1.0
 
-    def test_policy_flags(self, artifacts, capsys):
-        code = main(["retrieve", "売上高", "--lexical", str(artifacts["lexical"]),
-                     "--min-pages", "1", "--max-pages", "1", "--threshold", "0.9"])
+    def test_config_policy(self, tmp_path, artifacts, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("retrieval:\n  min_pages: 1\n  max_pages: 1\n  threshold: 0.9\n",
+                          encoding="utf-8")
+        code = main(["--config", str(config), "retrieve", "売上高",
+                     "--lexical", str(artifacts["lexical"])])
         assert code == EXIT_OK
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
 
-    def test_json_record(self, artifacts, capsys):
-        code = main(["retrieve", "売上高", "--lexical", str(artifacts["lexical"]),
-                     "--alpha", "1.0", "--json"])
+    def test_json_record(self, tmp_path, artifacts, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("retrieval:\n  alpha: 1.0\n  beta: 0.0\n", encoding="utf-8")
+        code = main(["--config", str(config), "retrieve", "売上高",
+                     "--lexical", str(artifacts["lexical"]), "--json"])
         assert code == EXIT_OK
         record = json.loads(capsys.readouterr().out)
         assert record["query"] == "売上高"
@@ -283,11 +288,30 @@ class TestRetrieve:
         record = json.loads(capsys.readouterr().out)
         assert any(r["s_semantic"] > 0.0 for r in record["results"])
 
-    def test_invalid_alpha_is_validation_error(self, artifacts, capsys):
-        code = main(["retrieve", "q", "--lexical", str(artifacts["lexical"]),
-                     "--alpha", "1.5"])
-        assert code == EXIT_VALIDATION
-        assert "validation error" in capsys.readouterr().err
+    def test_invalid_alpha_is_config_error(self, tmp_path, artifacts, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("retrieval:\n  alpha: 1.5\n  beta: -0.5\n", encoding="utf-8")
+        code = main(["--config", str(config), "retrieve", "q",
+                     "--lexical", str(artifacts["lexical"])])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["retrieve", "q", "--alpha", "0.5"],
+        ["retrieve", "q", "--min-pages", "1"],
+        ["retrieve", "q", "--max-pages", "1"],
+        ["retrieve", "q", "--threshold", "0.5"],
+        ["build-index", "--max-features", "10"],
+        ["build-index", "--ngram-min", "1"],
+        ["build-index", "--ngram-max", "3"],
+    ], ids=lambda argv: argv[-2])
+    def test_retrieval_and_build_settings_come_only_from_the_config(self, tmp_path,
+                                                                   monkeypatch, argv, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
     def test_missing_index_is_io_error(self, tmp_path):
         assert main(["retrieve", "q", "--lexical", str(tmp_path / "none.idx")]) == EXIT_IO
@@ -870,6 +894,25 @@ class TestEvaluate:
         path.write_text(json.dumps(_verdict(0, 0)) + "\n[1]\n", encoding="utf-8")
         assert main(["evaluate", "--verdicts", str(path)]) == EXIT_VALIDATION
         assert "line 2: record is not an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank_lines"])
+    def test_file_without_verdicts_is_validation_error(self, tmp_path, text, capsys):
+        path = tmp_path / "verdicts.jsonl"
+        path.write_text(text, encoding="utf-8")
+        assert main(["evaluate", "--verdicts", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "no verdict records" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("key", ["gold_answer_index", "predicted_index"])
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1", [1]],
+                             ids=["true", "false", "float", "str", "list"])
+    def test_non_integer_index_is_validation_error(self, tmp_path, key, value, capsys):
+        path = tmp_path / "verdicts.jsonl"
+        _write_jsonl(path, [_verdict(1, 1), {**_verdict(1, 1), key: value}])
+        assert main(["evaluate", "--verdicts", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"line 2: bad verdict record: {key} must be an integer or null" in err
 
 
 class TestParserAndConfig:
