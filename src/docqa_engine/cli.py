@@ -19,7 +19,8 @@ from pathlib import Path
 
 from .augment import augment
 from .config import PipelineConfig, load_config, resolve_endpoint
-from .corpus import Corpus, ingest_path, iter_records, load_corpus, save_corpus, write_records
+from .corpus import (Corpus, ingest_path, iter_records, load_corpus, read_records, save_corpus,
+                     write_records)
 from .ensemble import MAX_OPTIONS, EnsembleVerdict, build_answer_prompt, make_schedule, run_ensemble
 from .errors import (
     ConfigError,
@@ -71,56 +72,47 @@ def _index_field(record: dict, key: str) -> int | None:
     return value
 
 
-def _read_records(path: str | Path, kind: str, checked) -> list:
-    """`checked(record)` for each JSONL record of the file. A record it rejects
-    (KeyError, TypeError or ValueError), or a file with no record, is a
-    ParseError."""
-    records = []
+def _read_jsonl(path: str | Path, kind: str, checked) -> list:
+    """`read_records` over a JSONL file, where a file with no record is a ParseError."""
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw in iter_records(fh):
-            try:
-                records.append(checked(raw))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad {kind} record: {exc}", line_no=line_no) from exc
+        records = read_records(iter_records(fh), kind, checked)
     if not records:
         raise ParseError(f"no {kind} records in {path}")
     return records
 
 
 def _question_record(raw: dict) -> QuestionRecord:
-    if not isinstance(raw["question"], str):
+    question, options = raw["question"], raw["options"]
+    if not isinstance(question, str):
         raise ValueError("question must be a string")
-    if not isinstance(raw["options"], list):
+    if not isinstance(options, list):
         raise ValueError("options must be a list")
-    if not all(isinstance(o, str) for o in raw["options"]):
+    if not all(isinstance(o, str) for o in options):
         raise ValueError("options must be strings")
     for key in ("doc_id", "category"):
         if not isinstance(raw.get(key), (str, type(None))):
             raise ValueError(f"{key} must be a string")
-    options = tuple(raw["options"])
     answer_index = _index_field(raw, "answer_index")
     if not 2 <= len(options) <= MAX_OPTIONS:
         raise ValueError(f"{len(options)} options; a question needs 2 to {MAX_OPTIONS}")
     if answer_index is not None and not 0 <= answer_index < len(options):
         raise ValueError(f"answer_index {answer_index} out of range for {len(options)} options")
-    return QuestionRecord(
-        question=raw["question"],
-        options=options,
-        answer_index=answer_index,
-        doc_id=raw.get("doc_id"),
-        category=raw.get("category"),
-    )
+    return QuestionRecord(question, tuple(options), answer_index,
+                          doc_id=raw.get("doc_id"), category=raw.get("category"))
 
 
 def _verdict_record(raw: dict) -> dict:
     for key in ("gold_answer_index", "predicted_index"):
         _index_field(raw, key)
+    for key in ("failed", "no_context"):  # either may be absent, as in older files
+        if type(raw.get(key, False)) is not bool:
+            raise ValueError(f"{key} must be a boolean")
     return raw
 
 
 def read_questions_jsonl(path: str | Path) -> list[QuestionRecord]:
     """Question records from JSONL; the QA records `augment` writes read as-is."""
-    return _read_records(path, "question", _question_record)
+    return _read_jsonl(path, "question", _question_record)
 
 
 def answer_questions(
@@ -380,7 +372,7 @@ def cmd_infer(args, config: PipelineConfig) -> int:
 
 
 def cmd_evaluate(args, config: PipelineConfig) -> int:
-    report = evaluate_verdicts(_read_records(args.verdicts, "verdict", _verdict_record))
+    report = evaluate_verdicts(_read_jsonl(args.verdicts, "verdict", _verdict_record))
     if args.json:
         print(json.dumps(report, ensure_ascii=False))
     else:

@@ -2,8 +2,8 @@
 
 One record per page, line-delimited JSON on the wire. Pages of a document
 must be contiguous starting at page 0; the corpus is immutable once built.
-Also here: the engine's reader and writer for line-delimited JSON
-(iter_records, write_records), for the binary index files (ByteReader,
+Also here: the engine's readers and writer for line-delimited JSON
+(iter_records, read_records, write_records), for the binary index files (ByteReader,
 pack_text), and the page-order and fingerprint rules every index shares.
 """
 
@@ -119,10 +119,20 @@ class Corpus:
 
     @classmethod
     def from_pages(cls, pages: Iterable[Page]) -> "Corpus":
+        """The pages in ref order: distinct refs (else ConflictError), each
+        document's pages running from 0 without a gap (else IntegrityError)."""
         ordered = sorted(pages, key=lambda p: (p.doc_id, p.page_index))
         if not ordered:
             raise IntegrityError("corpus has no pages")
-        _check_contiguous(ordered)
+        prev = (None, -1)
+        for p in ordered:
+            if (p.doc_id, p.page_index) == prev:
+                raise ConflictError(f"duplicate page {prev}")
+            want = prev[1] + 1 if p.doc_id == prev[0] else 0
+            if p.page_index != want:
+                raise IntegrityError(
+                    f"doc {p.doc_id!r}: expected page_index {want}, got {p.page_index}")
+            prev = (p.doc_id, p.page_index)
         doc_ids = {p.doc_id for p in ordered}
         return cls(pages=tuple(ordered), doc_count=len(doc_ids), page_count=len(ordered))
 
@@ -131,10 +141,8 @@ class Corpus:
         return [(p.doc_id, p.page_index) for p in self.pages]
 
     def doc_page_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for p in self.pages:
-            counts[p.doc_id] = counts.get(p.doc_id, 0) + 1
-        return counts
+        """Pages per document: one more than its last page's index, as pages run from 0."""
+        return {p.doc_id: p.page_index + 1 for p in self.pages}
 
     @cached_property
     def _by_ref(self) -> dict[PageRef, Page]:
@@ -147,17 +155,6 @@ class Corpus:
     @cached_property
     def fingerprint(self) -> bytes:
         return page_fingerprint(self.pages)
-
-
-def _check_contiguous(ordered_pages: list[Page]) -> None:
-    expected: dict[str, int] = {}
-    for p in ordered_pages:
-        want = expected.get(p.doc_id, 0)
-        if p.page_index != want:
-            raise IntegrityError(
-                f"doc {p.doc_id!r}: expected page_index {want}, got {p.page_index}"
-            )
-        expected[p.doc_id] = want + 1
 
 
 def iter_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
@@ -185,32 +182,29 @@ def write_records(path: str | Path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def ingest(source: Iterable[str] | IO[str]) -> Corpus:
-    """Build a corpus from line-delimited JSON records.
+def read_records(numbered: Iterable[tuple[int, dict]], kind: str, checked) -> list:
+    """`checked(record)` per iter_records pair, in order, possibly none; a record it
+    rejects (KeyError, TypeError, ValueError) is a ParseError with its line number."""
+    out = []
+    for line_no, record in numbered:
+        try:
+            out.append(checked(record))
+        except (KeyError, TypeError, ValueError) as exc:
+            why = f"missing field {exc.args[0]!r}" if type(exc) is KeyError else exc
+            raise ParseError(f"bad {kind} record: {why}", line_no) from exc
+    return out
 
-    Each record must supply doc_id, page_index, and text. Duplicate
-    (doc_id, page_index) pairs are rejected, pages of a document must end
-    up contiguous from 0, and an empty stream is an error.
-    """
-    pages: dict[PageRef, Page] = {}
-    for line_no, record in iter_records(source):
-        try:
-            doc_id, page_index, text = record["doc_id"], record["page_index"], record["text"]
-        except KeyError as exc:
-            raise ParseError(f"missing field {exc.args[0]!r}", line_no) from exc
-        if not isinstance(text, str):
-            raise ParseError("text must be a string", line_no)
-        try:
-            page = Page.from_raw(doc_id, page_index, text)
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no) from exc
-        key = (doc_id, page_index)
-        if key in pages:
-            raise ConflictError(f"duplicate page {key}")
-        pages[key] = page
-    if not pages:
-        raise IntegrityError("input stream contains no page records")
-    return Corpus.from_pages(pages.values())
+
+def _raw_page(record: dict) -> Page:
+    if not isinstance(record["text"], str):
+        raise ValueError("text must be a string")
+    return Page.from_raw(record["doc_id"], record["page_index"], record["text"])
+
+
+def ingest(source: Iterable[str] | IO[str]) -> Corpus:
+    """Build a corpus from line-delimited JSON records of doc_id, page_index
+    and text, under Corpus.from_pages' rules for the page set."""
+    return Corpus.from_pages(read_records(iter_records(source), "page", _raw_page))
 
 
 def ingest_path(path: str | Path) -> Corpus:
@@ -229,7 +223,8 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Load a corpus written by save_corpus; field-for-field inverse."""
+    """Load a corpus written by save_corpus; field-for-field inverse. A file
+    that is not one, its page set included, is a FormatError."""
     with Path(path).open("r", encoding="utf-8") as fh:
         records = iter_records(fh)
         try:
@@ -245,18 +240,13 @@ def load_corpus(path: str | Path) -> Corpus:
             if type(expected) is not int or expected < 0:  # bool is an int subclass
                 raise FormatError(
                     f"corpus header page_count must be a non-negative integer, got {expected!r}")
-            pages = []
-            for line_no, record in records:
-                try:
-                    pages.append(Page(**record))
-                except (ValueError, TypeError) as exc:
-                    raise FormatError(f"corrupt corpus record at line {line_no}: {exc}") from exc
-        except ParseError as exc:
+            pages = read_records(records, "page", lambda record: Page(**record))
+            if len(pages) != expected:
+                raise FormatError(
+                    f"corpus file truncated: header says {expected} pages, found {len(pages)}")
+            return Corpus.from_pages(pages)
+        except (ParseError, ConflictError, IntegrityError, UnicodeDecodeError) as exc:
             raise FormatError(f"corrupt corpus file: {exc}") from exc
-    if len(pages) != expected:
-        raise FormatError(
-            f"corpus file truncated: header says {expected} pages, found {len(pages)}")
-    return Corpus.from_pages(pages)
 
 
 class ByteReader:

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ByteReader, Corpus, Page, PageRef, check_corpus_order, doc_rows, pack_text, rank_rows
+from .corpus import (ByteReader, Corpus, Page, PageRef, check_corpus_order, doc_rows,
+                     normalize_text, pack_text, rank_rows)
 from .errors import FormatError
 # perfbench's tracer wraps ``tokenize`` and ``ngrams`` by these names
 from .tokenizer import NGRAM_SEP, gram_texts, ngrams, token_texts, tokenize  # noqa: F401
@@ -237,12 +238,12 @@ def score_lexical(index: LexicalIndex, query_text: str,
                   doc_id: str | None = None) -> list[tuple[PageRef, float]]:
     """Cosine scores of all pages against the query, descending.
 
-    The query is tokenized, gram-expanded, and weighted exactly like a
-    document. Pages with score 0 are omitted; ties are broken by
+    The query is normalized, tokenized, gram-expanded, and weighted exactly
+    like a page. Pages with score 0 are omitted; ties are broken by
     (doc_id, page_index) ascending. With ``doc_id`` only that document's
     pages are ranked.
     """
-    grams = page_features(query_text, index.n_min, index.n_max)
+    grams = page_features(normalize_text(query_text), index.n_min, index.n_max)
     feature_ids = index.vocabulary.feature_ids
     hits = [(fid, tf) for gram, tf in grams.items() if (fid := feature_ids.get(gram)) is not None]
     fids, tfs = np.array(hits, dtype=np.int64).reshape(-1, 2).T

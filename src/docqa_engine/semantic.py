@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ByteReader, Corpus, PageRef, check_corpus_order, doc_rows, pack_text, rank_rows
+from .corpus import (ByteReader, Corpus, PageRef, check_corpus_order, doc_rows, normalize_text,
+                     pack_text, rank_rows)
 from .errors import ContractError, FormatError
 from .gateway import in_flight_limit
 
@@ -106,7 +107,8 @@ def build_semantic_index(corpus: Corpus, client, dim: int = DEFAULT_DIM) -> Sema
 
 
 def embed_query(query_text: str, client, dim: int = DEFAULT_DIM) -> np.ndarray:
-    return embed([QUERY_PREFIX + query_text], client, dim=dim)[0]
+    """The query's vector, embedded from its normalize_text form as pages are."""
+    return embed([QUERY_PREFIX + normalize_text(query_text)], client, dim=dim)[0]
 
 
 def search_semantic(

@@ -231,7 +231,23 @@ class TestBuildIndex:
         capsys.readouterr()
         code = main(["build-index", "--corpus", str(corpus), "--lexical", str(tmp_path / "l.idx")])
         assert code == EXIT_IO
-        assert f"corrupt corpus record at line 3: {field} must be" in capsys.readouterr().err
+        assert f"corrupt corpus file: line 3: bad page record: {field} must be" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("page_index", [2, 0], ids=["gap", "duplicate"])
+    def test_page_set_a_corpus_cannot_have_is_io_error(self, tmp_path, artifacts, page_index,
+                                                       capsys):
+        # line 3 holds fin's page 1: as page 2 it leaves a gap, as page 0 a duplicate
+        lines = artifacts["corpus"].read_text(encoding="utf-8").splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "page_index": page_index},
+                              ensure_ascii=False)
+        corpus = tmp_path / "hostile.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["build-index", "--corpus", str(corpus), "--lexical", str(tmp_path / "l.idx")])
+        assert code == EXIT_IO
+        assert "i/o error: corrupt corpus file: " in capsys.readouterr().err
+        assert not (tmp_path / "l.idx").exists()
 
 
 class TestRetrieve:
@@ -913,6 +929,27 @@ class TestEvaluate:
         assert main(["evaluate", "--verdicts", str(path)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert f"line 2: bad verdict record: {key} must be an integer or null" in err
+
+    @pytest.mark.parametrize("key", ["failed", "no_context"])
+    @pytest.mark.parametrize("value", ["false", 0, None], ids=["str", "int", "null"])
+    def test_non_boolean_flag_is_validation_error(self, tmp_path, key, value, capsys):
+        path = tmp_path / "verdicts.jsonl"
+        _write_jsonl(path, [_verdict(1, 1), {**_verdict(1, 1), key: value}])
+        assert main(["evaluate", "--verdicts", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"line 2: bad verdict record: {key} must be a boolean" in captured.err
+        assert captured.out == ""
+
+    def test_boolean_flags_and_absent_flags_are_read(self, tmp_path, capsys):
+        # files written before no_context was recorded carry neither flag
+        path = tmp_path / "verdicts.jsonl"
+        _write_jsonl(path, [_verdict(1, 1),
+                            {**_verdict(1, 1), "failed": False, "no_context": False},
+                            {**_verdict(0, None), "failed": True, "no_context": False}])
+        assert main(["evaluate", "--verdicts", str(path), "--json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["overall"] == {"correct": 2, "total": 2, "accuracy": 1.0}
+        assert (report["failed"], report["no_context"]) == (1, 0)
 
 
 class TestParserAndConfig:

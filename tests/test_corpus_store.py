@@ -1,10 +1,13 @@
 """Corpus ingestion, integrity checks, and file round-trips."""
 
+import functools
 import json
+import tempfile
 import unicodedata
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from docqa_engine.corpus import (
@@ -145,6 +148,18 @@ class TestCorpusModel:
         with pytest.raises(IntegrityError):
             Corpus.from_pages([])
 
+    def test_duplicate_page_is_a_conflict(self):
+        pages = [Page.from_raw("a", 0, "x"), Page.from_raw("a", 1, "y"), Page.from_raw("a", 0, "z")]
+        with pytest.raises(ConflictError, match=r"duplicate page \('a', 0\)"):
+            Corpus.from_pages(pages)
+
+    def test_counts_documents_and_pages(self):
+        pages = [Page.from_raw(doc, i, "x") for doc, n in (("b", 2), ("a", 1), ("c", 3))
+                 for i in range(n)]
+        corpus = Corpus.from_pages(pages)
+        assert (corpus.doc_count, corpus.page_count) == (3, 6)
+        assert corpus.doc_page_counts() == {"a": 1, "b": 2, "c": 3}
+
     def test_fingerprint_follows_every_ref_and_text(self):
         pages = [Page.from_raw("a", 0, "alpha"), Page.from_raw("a", 1, "beta")]
         corpus = Corpus.from_pages(pages)
@@ -241,3 +256,79 @@ class TestSaveLoad:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(FormatError, match="corrupt"):
             load_corpus(path)
+
+    def test_undecodable_bytes_are_format_error(self, tmp_path):
+        corpus = ingest(_lines(_record("a", 0, "本文")))
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, path)
+        path.write_bytes(path.read_bytes().replace("本文".encode("utf-8"), b"\xe6\x9c"))
+        with pytest.raises(FormatError, match="corrupt corpus file: 'utf-8' codec"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        ({"page_index": 2}, "doc 'a': expected page_index 1, got 2"),
+        ({"page_index": 0}, r"duplicate page \('a', 0\)"),
+    ], ids=["gap", "duplicate"])
+    def test_page_set_a_corpus_cannot_have_is_format_error(self, tmp_path, edit, match):
+        corpus = ingest(_lines(_record("a", 0, "x"), _record("a", 1, "y")))
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), **edit})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"corrupt corpus file: {match}"):
+            load_corpus(path)
+
+
+# ---------------------------------------------------------------------------
+# Hostile corpus files: each one loads as the saved corpus or raises FormatError
+
+
+@functools.cache
+def _saved_corpus() -> tuple[Corpus, bytes]:
+    corpus = ingest(_lines(*(_record("a", i, f"page {i} の本文") for i in range(3)),
+                           *(_record("報告書", i, f"売上高 {i}00 百万円") for i in range(2))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        save_corpus(corpus, path)
+        return corpus, path.read_bytes()
+
+
+_MUTATIONS = ("drop", "duplicate", "reorder", "page_index", "remove_key", "add_key", "cut")
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_hostile_corpus_file_loads_equal_or_raises_format_error(tmp_path, data):
+    corpus, saved = _saved_corpus()
+    header, *pages = saved.decode("utf-8").splitlines()
+    kind = data.draw(st.sampled_from(_MUTATIONS), label="mutation")
+    at = data.draw(st.integers(0, len(pages) - 1), label="record")
+    if kind == "drop":  # the header still counts the dropped page
+        del pages[at]
+    elif kind == "duplicate":  # the header counts the copy, so the page set is what fails
+        pages.insert(data.draw(st.integers(0, len(pages)), label="to"), pages[at])
+        header = json.dumps({**json.loads(header), "page_count": len(pages)})
+    elif kind == "reorder":
+        pages = data.draw(st.permutations(pages), label="order")
+    elif kind != "cut":
+        record = json.loads(pages[at])
+        if kind == "page_index":
+            record["page_index"] = data.draw(st.integers(-1, 4), label="page_index")
+        elif kind == "remove_key":
+            del record[data.draw(st.sampled_from(sorted(record)), label="key")]
+        else:
+            key = data.draw(st.text(max_size=8).filter(lambda k: k not in record), label="key")
+            record[key] = data.draw(st.sampled_from([0, "", None]), label="value")
+        pages[at] = json.dumps(record, ensure_ascii=False)
+    blob = "".join(line + "\n" for line in [header, *pages]).encode("utf-8")
+    if kind == "cut":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    path = tmp_path / "hostile.jsonl"
+    path.write_bytes(blob)
+    try:
+        loaded = load_corpus(path)
+    except FormatError:
+        return
+    assert loaded == corpus

@@ -182,6 +182,14 @@ class TestScore:
         assert all(0.0 <= s <= 1.0 for _, s in ranked)
         assert [s for _, s in ranked] == sorted((s for _, s in ranked), reverse=True)
 
+    def test_full_width_query_scores_like_its_normalized_form(self):
+        # pages are indexed from normalize_text output, so the query is normalized too
+        corpus = _corpus(("d", ["FY2023 2023年 売上高", "人事 制度"]))
+        index = build_lexical_index(corpus)
+        half = score_lexical(index, "FY2023 2023年")
+        assert half and half[0][0] == ("d", 0)
+        assert score_lexical(index, "ＦＹ２０２３　２０２３年") == half
+
     def test_tie_break_by_page_ref(self):
         # two identical pages in different docs tie exactly; doc_id decides
         corpus = _corpus(("a", ["same text"]), ("b", ["same text"]))

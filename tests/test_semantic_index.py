@@ -258,6 +258,12 @@ class TestBuildViaEndpoint:
             sent = [entry["payload"]["input"] for entry in server.request_log]
             assert sent == [["passage: page"], ["query: question"]]
 
+    def test_query_is_embedded_in_its_normalized_form(self):
+        client = FakeEmbedClient(hash_embedder(dim=16))
+        full = embed_query("ＦＹ２０２３　２０２３年", client, dim=16)
+        assert client.calls == [["query: FY2023 2023年"]]
+        assert np.array_equal(full, embed_query("FY2023 2023年", client, dim=16))
+
     def test_records_the_corpus_fingerprint_and_the_model(self, tmp_path):
         corpus = Corpus.from_pages([Page.from_raw("d", 0, "page"), Page.from_raw("d", 1, "two")])
         with MockModelServer(dim=8) as server:
