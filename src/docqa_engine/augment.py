@@ -37,7 +37,7 @@ TOC_DENSITY_MAX = 0.5            # max fraction of lines ending in a digit
 STRATA = 5                       # relative-position strata for sampling
 NUMERIC_RICHNESS_WEIGHT = 5.0    # numbers count this many chars toward richness
 MIDDLE_WEIGHT_DEPTH = 0.5        # edge pages keep 1 - depth of their score
-GENERATIONS_AHEAD = 4            # generation requests sent past the attempt being gated
+GENERATIONS_AHEAD = 8            # generation requests sent past the attempt being gated
 
 GATE_NAMES = ("length", "complexity", "answer_support", "option_quality", "dedup")
 
@@ -219,95 +219,73 @@ def build_prompt(kind: str, context: dict) -> str:
 # Structured-output parsing
 
 
-_QUESTION_LABEL_RE = re.compile(r"^[ \t>*#-]*question\s*[:：]\s*(.*)$", re.IGNORECASE)
-_OPTIONS_HEADER_RE = re.compile(r"^[ \t>*#-]*options\s*[:：]?\s*$", re.IGNORECASE)
-_OPTION_LINE_RE = re.compile(r"^[ \t>*-]*[\(（]?([A-J])[\)）\.．。:：]\s*(.*)$")
-_ANSWER_LABEL_RE = re.compile(
-    r"^[ \t>*#-]*answer\s*[:：]\s*[\(（]?([A-Ja-j])\b", re.IGNORECASE
+# One pattern per reply format. A match of a named group starts a section under
+# that name (`letter`: an option); a match of none only ends the section before it.
+_QA_LABEL_RE = re.compile(
+    r"^(?:[ \t>*#-]*(?i:(?:(?P<question>question)|(?P<evidence>evidence))[^\S\n]*[:：]"
+    r"|options[^\S\n]*[:：]?[^\S\n]*$"
+    r"|(?P<answer>answer)[^\S\n]*[:：][^\S\n]*[\(（]?(?=[a-j]\b))"  # a letterless Answer: is text
+    r"|[ \t>*-]*[\(（]?(?P<letter>[A-J])[\)）\.．。:：]"
+    r"|[^\S\n]*$)",
+    re.MULTILINE,
 )
-_EVIDENCE_LABEL_RE = re.compile(r"^[ \t>*#-]*evidence\s*[:：]\s*(.*)$", re.IGNORECASE)
+_FEAS_LABEL_RE = re.compile(
+    r"^[ \t>*#-]*(?:(?P<reasoning>reasoning)|(?P<answerable>answerable)"
+    r"|(?P<answer>answer(?!able))|(?P<evidence>evidence))\s*[:：]",
+    re.IGNORECASE | re.MULTILINE,
+)
+_FEAS_SECTIONS = ("reasoning", "answerable", "answer", "evidence")
+
+
+def _label_sections(reply: str, labels: re.Pattern) -> tuple[dict[str, str], list[tuple[str, str]]]:
+    """Cut `reply` at each match of `labels`; a section runs to the next match.
+
+    Returns the first section under each named label, by name, and the
+    (letter, section) of every lettered option in order.
+    """
+    sections: dict[str, str] = {}
+    options: list[tuple[str, str]] = []
+    matches = list(labels.finditer(reply))
+    for m, end in zip(matches, [n.start() for n in matches[1:]] + [len(reply)]):
+        if m.lastgroup == "letter":
+            options.append((m["letter"], reply[m.end():end]))
+        elif m.lastgroup:
+            sections.setdefault(m.lastgroup, reply[m.end():end])
+    return sections, options
 
 
 def parse_qa_candidate(model_output: str, qtype: str, source_page: PageRef) -> QACandidate:
     """Parse one generated QA candidate from labeled model output.
 
     Expects Question/Options/Answer/Evidence labels with options lettered
-    consecutively from A; tolerates list markers, blank lines, and
-    wrapped continuation lines.
+    consecutively from A; tolerates list markers and wrapped continuation
+    lines. A blank line ends a section.
     """
-    question: str | None = None
-    options: list[str] = []
-    letters: list[str] = []
-    answer_letter: str | None = None
-    evidence: str | None = None
-    collecting: str | None = None
-
-    for line in model_output.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            collecting = None
-            continue
-        m = _QUESTION_LABEL_RE.match(line)
-        if m and question is None:
-            question = m.group(1).strip()
-            collecting = "question"
-            continue
-        if _OPTIONS_HEADER_RE.match(line):
-            collecting = None
-            continue
-        m = _ANSWER_LABEL_RE.match(line)
-        if m and answer_letter is None:
-            answer_letter = m.group(1).upper()
-            collecting = None
-            continue
-        m = _EVIDENCE_LABEL_RE.match(line)
-        if m and evidence is None:
-            evidence = m.group(1).strip()
-            collecting = "evidence"
-            continue
-        m = _OPTION_LINE_RE.match(line)
-        if m:
-            letters.append(m.group(1))
-            options.append(m.group(2).strip())
-            collecting = "option"
-            continue
-        if collecting == "question" and question is not None:
-            question = f"{question} {stripped}".strip()
-        elif collecting == "evidence" and evidence is not None:
-            evidence = f"{evidence} {stripped}".strip()
-        elif collecting == "option" and options:
-            options[-1] = f"{options[-1]} {stripped}".strip()
-
-    if not question:
+    # one line break per line, as str.splitlines finds them
+    sections, options = _label_sections("\n".join(model_output.splitlines()), _QA_LABEL_RE)
+    if not sections.get("question", "").strip():
         raise ParseError("generation output missing question")
     if len(options) < 2:
         raise ParseError("generation output needs at least two options")
-    expected = [chr(ord("A") + i) for i in range(len(options))]
-    if letters != expected:
+    if [letter for letter, _ in options] != [chr(ord("A") + i) for i in range(len(options))]:
         raise ParseError("option labels must run A, B, C, ... without gaps")
-    if answer_letter is None:
+    if "answer" not in sections:
         raise ParseError("generation output missing answer letter")
+    answer_letter = sections["answer"][0].upper()
     answer_index = ord(answer_letter) - ord("A")
     if answer_index >= len(options):
         raise ParseError(f"answer letter {answer_letter} has no matching option")
-    if evidence is None:
+    if "evidence" not in sections:
         raise ParseError("generation output missing evidence")
-
     return QACandidate(
-        question=normalize_text(question),
-        options=tuple(normalize_text(o) for o in options),
+        question=normalize_text(sections["question"]),
+        options=tuple(normalize_text(text) for _, text in options),
         answer_index=answer_index,
         qtype=qtype,
         source_page=source_page,
-        evidence=normalize_text(evidence),
+        evidence=normalize_text(sections["evidence"]),
     )
 
-
-_FEAS_LABEL_RE = re.compile(
-    r"^[ \t>*#-]*(reasoning|answerable|answer(?!able)|evidence)\s*[:：]",
-    re.IGNORECASE | re.MULTILINE,
-)
-_FEAS_SECTIONS = ("reasoning", "answerable", "answer", "evidence")
 
 _YES_TOKENS = {"yes", "y", "true", "はい", "可能"}
 _NO_TOKENS = {"no", "n", "false", "いいえ", "不可", "不可能"}
@@ -330,13 +308,7 @@ def parse_feasibility(model_output: str) -> FeasibilityVerdict:
     Any missing section is a parse error, as is an answerable verdict with
     an empty answer.
     """
-    sections: dict[str, str] = {}
-    matches = list(_FEAS_LABEL_RE.finditer(model_output))
-    for i, m in enumerate(matches):
-        label = m.group(1).lower()
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(model_output)
-        if label not in sections:
-            sections[label] = model_output[m.end():end].strip()
+    sections, _ = _label_sections(model_output, _FEAS_LABEL_RE)
     for name in _FEAS_SECTIONS:
         if name not in sections:
             raise ParseError(f"feasibility output missing section: {name}")
@@ -345,7 +317,7 @@ def parse_feasibility(model_output: str) -> FeasibilityVerdict:
     if answerable and not answer:
         raise ParseError("feasibility output marked answerable but gave no answer")
     return FeasibilityVerdict(
-        reasoning=sections["reasoning"],
+        reasoning=sections["reasoning"].strip(),
         answerable=answerable,
         answer=answer,
         evidence=normalize_text(sections["evidence"]),

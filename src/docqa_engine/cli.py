@@ -74,7 +74,7 @@ def _index_field(record: dict, key: str) -> int | None:
 
 def _read_jsonl(path: str | Path, kind: str, checked) -> list:
     """`read_records` over a JSONL file, where a file with no record is a ParseError."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         records = read_records(iter_records(fh), kind, checked)
     if not records:
         raise ParseError(f"no {kind} records in {path}")

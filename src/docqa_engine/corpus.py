@@ -157,13 +157,18 @@ class Corpus:
         return page_fingerprint(self.pages)
 
 
-def iter_records(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+def iter_records(lines: Iterable[str | bytes]) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each non-blank line of JSON objects.
 
-    A line that is not valid JSON, or holds anything but an object, raises
-    ParseError carrying its line number.
+    Lines of bytes are decoded as UTF-8 one at a time. A line that is not
+    UTF-8 or valid JSON, or holds anything but an object, raises ParseError
+    carrying its line number.
     """
     for line_no, line in enumerate(lines, start=1):
+        try:
+            line = line.decode("utf-8") if isinstance(line, bytes) else line
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}", line_no) from exc
         if not line.strip():
             continue
         try:
@@ -201,14 +206,14 @@ def _raw_page(record: dict) -> Page:
     return Page.from_raw(record["doc_id"], record["page_index"], record["text"])
 
 
-def ingest(source: Iterable[str] | IO[str]) -> Corpus:
+def ingest(source: Iterable[str | bytes] | IO) -> Corpus:
     """Build a corpus from line-delimited JSON records of doc_id, page_index
     and text, under Corpus.from_pages' rules for the page set."""
     return Corpus.from_pages(read_records(iter_records(source), "page", _raw_page))
 
 
 def ingest_path(path: str | Path) -> Corpus:
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("rb") as fh:
         return ingest(fh)
 
 
@@ -225,7 +230,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus written by save_corpus; field-for-field inverse. A file
     that is not one, its page set included, is a FormatError."""
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("rb") as fh:
         records = iter_records(fh)
         try:
             _, header = next(records, (0, None))
@@ -242,10 +247,11 @@ def load_corpus(path: str | Path) -> Corpus:
                     f"corpus header page_count must be a non-negative integer, got {expected!r}")
             pages = read_records(records, "page", lambda record: Page(**record))
             if len(pages) != expected:
+                state = "truncated" if len(pages) < expected else "has extra records"
                 raise FormatError(
-                    f"corpus file truncated: header says {expected} pages, found {len(pages)}")
+                    f"corpus file {state}: header says {expected} pages, found {len(pages)}")
             return Corpus.from_pages(pages)
-        except (ParseError, ConflictError, IntegrityError, UnicodeDecodeError) as exc:
+        except (ParseError, ConflictError, IntegrityError) as exc:
             raise FormatError(f"corrupt corpus file: {exc}") from exc
 
 

@@ -523,6 +523,60 @@ class TestParseFeasibility:
             parse_feasibility(raw)
 
 
+class TestLabelSectionEdges:
+    """Where a section of each reply format starts and stops."""
+
+    def test_letterless_answer_line_stays_option_text(self):
+        raw = ("Question: どちらですか、売上と利益では。\nA. 売上 4200\nB. 利益 310\n"
+               "Answer: not sure yet\n* Answer: (b)\nEvidence: 利益 310\n")
+        candidate = parse_qa_candidate(raw, "comparative", ("d", 1))
+        assert candidate.options == ("売上 4200", "利益 310 Answer: not sure yet")
+        assert candidate.answer_index == 1
+
+    def test_chatter_after_a_blank_line_is_not_evidence(self):
+        raw = ("Question: どちらですか、売上と利益では。\nOptions:\nA. 売上\nB. 利益\n"
+               "Answer: A\nEvidence: 売上高は 4200\n営業利益は 310\n\nHope this helps!\n")
+        candidate = parse_qa_candidate(raw, "comparative", ("d", 1))
+        assert candidate.evidence == "売上高は 4200 営業利益は 310"
+
+    def test_options_without_a_header_parse(self):
+        raw = "Question: q, r?\n- (A) x\n- (B) y\nAnswer: B\nEvidence: e"
+        candidate = parse_qa_candidate(raw, "comparative", ("d", 1))
+        assert (candidate.options, candidate.answer_index) == (("x", "y"), 1)
+
+    def test_feasibility_option_line_stays_in_the_reasoning(self):
+        raw = ("Reasoning: 選択肢を検討した。\nA. 4200 百万円 がページにある。\n"
+               "Answerable: yes\nAnswer: 4200 百万円\nEvidence: 売上高は 4200 百万円\n")
+        verdict = parse_feasibility(raw)
+        assert verdict.reasoning == "選択肢を検討した。\nA. 4200 百万円 がページにある。"
+
+
+_REPLY_LINES = st.one_of(
+    st.tuples(st.sampled_from(["", "> ", "- ", "* ", "## ", "\t"]),
+              st.sampled_from(["Question", "OPTIONS", "answer", "Evidence", "Reasoning",
+                               "Answerable", "Answer"]),
+              st.sampled_from([":", "：", " :", ""]),
+              st.sampled_from(["", " B", " (c)", " yes", " no", " 4200 百万円", " x"])
+              ).map("".join),
+    st.tuples(st.sampled_from(["", "- ", "(", "（", "# "]), st.sampled_from("ABCDJKab"),
+              st.sampled_from([".", ")", "）", ":", "。", ""]), st.text(max_size=8)
+              ).map("".join),
+    st.sampled_from(["", "  ", "　"]),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lines=st.lists(_REPLY_LINES, max_size=14), newline=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_any_labeled_text_parses_or_raises_parse_error(lines, newline):
+    raw = newline.join(lines)
+    for parse in (lambda text: parse_qa_candidate(text, "causal", ("d", 1)), parse_feasibility):
+        try:
+            parse(raw)
+        except ParseError:
+            pass
+
+
 # ---------------------------------------------------------------------------
 # Quality gates
 

@@ -119,6 +119,25 @@ class TestIngest:
             == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command, flag, records", [
+    ("ingest", "--input", [{"doc_id": "d", "page_index": i, "text": "本文"} for i in (0, 1)]),
+    ("infer", "--questions", [{"question": "本文", "options": ["a", "b"]}] * 2),
+    ("evaluate", "--verdicts", [{"gold_answer_index": 0, "predicted_index": 0,
+                                 "category": "本文"}] * 2),
+])
+def test_undecodable_input_line_is_named(tmp_path, capsys, command, flag, records):
+    # "本" cut to its first two bytes on line 2: the byte offset of a decoder
+    # buffer says nothing of where in the file the bad bytes are
+    path = tmp_path / "input.jsonl"
+    _write_jsonl(path, records)
+    first, second = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(first + second.replace("本".encode("utf-8"), b"\xe6\x9c", 1))
+    output = [] if command == "evaluate" else ["--output", str(tmp_path / "out.jsonl")]
+    code = main([command, flag, str(path), *output])
+    assert code == EXIT_VALIDATION
+    assert "validation error: line 2: invalid UTF-8" in capsys.readouterr().err
+
+
 class TestBuildIndex:
     def test_lexical_summary_line(self, tmp_path, raw_pages, capsys):
         corpus = tmp_path / "corpus.jsonl"

@@ -247,6 +247,15 @@ class TestSaveLoad:
         with pytest.raises(FormatError, match="truncated"):
             load_corpus(path)
 
+    def test_extra_records_are_not_called_truncated(self, tmp_path):
+        corpus = ingest(_lines(_record("a", 0, "x"), _record("a", 1, "y")))
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, path)
+        path.write_bytes(path.read_bytes() + path.read_bytes().splitlines(keepends=True)[-1])
+        with pytest.raises(FormatError, match="corpus file has extra records: "
+                                              "header says 2 pages, found 3"):
+            load_corpus(path)
+
     def test_corrupt_record_rejected(self, tmp_path):
         corpus = ingest(_lines(_record("a", 0, "x")))
         path = tmp_path / "corpus.jsonl"
@@ -262,7 +271,7 @@ class TestSaveLoad:
         path = tmp_path / "corpus.jsonl"
         save_corpus(corpus, path)
         path.write_bytes(path.read_bytes().replace("本文".encode("utf-8"), b"\xe6\x9c"))
-        with pytest.raises(FormatError, match="corrupt corpus file: 'utf-8' codec"):
+        with pytest.raises(FormatError, match="corrupt corpus file: line 2: invalid UTF-8"):
             load_corpus(path)
 
     @pytest.mark.parametrize("edit, match", [
