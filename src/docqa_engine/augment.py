@@ -96,7 +96,10 @@ class GateThresholds:
 class AugmentResult:
     accepted: list[QACandidate]
     audit: list[dict]
-    attempts: int
+
+    @property
+    def attempts(self) -> int:
+        return len(self.accepted) + len(self.audit)
 
     def summary(self) -> dict:
         stages = Counter(record["stage"] for record in self.audit)
@@ -114,7 +117,7 @@ class AugmentResult:
 
 def score_page(page: Page, pages_in_doc: int) -> float:
     """Content richness damped toward 1x at the middle, 0.5x at the edges."""
-    richness = page.char_count + NUMERIC_RICHNESS_WEIGHT * page.numeric_token_count
+    richness = page.char_count + NUMERIC_RICHNESS_WEIGHT * count_numeric_tokens(page.normalized_text)
     middle_weight = 1.0
     if pages_in_doc > 1:
         middle_weight -= abs(2 * page.page_index / (pages_in_doc - 1) - 1) * MIDDLE_WEIGHT_DEPTH
@@ -131,11 +134,9 @@ def toc_density(raw_text: str) -> float:
 
 
 def is_content_page(page: Page) -> bool:
-    if page.page_index == 0:  # covers never carry answerable content
-        return False
-    if page.char_count < CONTENT_FLOOR:
-        return False
-    return toc_density(page.raw_text) <= TOC_DENSITY_MAX
+    return (page.page_index > 0  # covers never carry answerable content
+            and page.char_count >= CONTENT_FLOOR
+            and toc_density(page.raw_text) <= TOC_DENSITY_MAX)
 
 
 def select_pages(corpus: Corpus, quota: int, seed: int = 0) -> list[PageRef]:
@@ -475,7 +476,7 @@ def augment(
     pages = select_pages(corpus, quota, seed=seed)
     if not pages:
         logger.warning("augmentation produced nothing: no eligible pages")
-        return AugmentResult(accepted=[], audit=[], attempts=0)
+        return AugmentResult(accepted=[], audit=[])
 
     # One (generation, feasibility) seed pair per attempt, drawn up front: a
     # request then depends on the master seed, its attempt and its own reply
@@ -564,4 +565,4 @@ def augment(
     finally:
         # on an error, requests not yet sent are dropped; the one in flight is awaited
         lane.shutdown(wait=True, cancel_futures=True)
-    return AugmentResult(accepted=accepted, audit=audit, attempts=quota)
+    return AugmentResult(accepted=accepted, audit=audit)

@@ -23,9 +23,8 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from .errors import ConflictError, FormatError, IntegrityError, ParseError
-from .tokenizer import count_numeric_tokens
 
-CORPUS_FORMAT_VERSION = 1
+CORPUS_FORMAT_VERSION = 2
 
 # Every index lists the corpus's pages in corpus order: PageRefs strictly
 # ascending, as Corpus.from_pages sorts them. Row order is then ref order,
@@ -84,8 +83,6 @@ class Page:
     page_index: int
     raw_text: str
     normalized_text: str
-    char_count: int
-    numeric_token_count: int
 
     def __post_init__(self):
         if not isinstance(self.doc_id, str) or not self.doc_id:
@@ -93,29 +90,21 @@ class Page:
         for name in ("raw_text", "normalized_text"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string")
-        for name in ("page_index", "char_count", "numeric_token_count"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 0:  # bool is an int subclass: true is not 1
-                raise ValueError(f"{name} must be a non-negative integer")
+        if type(self.page_index) is not int or self.page_index < 0:  # bool is an int subclass
+            raise ValueError("page_index must be a non-negative integer")
+
+    @property
+    def char_count(self) -> int:
+        return len(self.normalized_text)
 
     @classmethod
     def from_raw(cls, doc_id: str, page_index: int, raw_text: str) -> "Page":
-        normalized = normalize_text(raw_text)
-        return cls(
-            doc_id=doc_id,
-            page_index=page_index,
-            raw_text=raw_text,
-            normalized_text=normalized,
-            char_count=len(normalized),
-            numeric_token_count=count_numeric_tokens(normalized),
-        )
+        return cls(doc_id, page_index, raw_text, normalize_text(raw_text))
 
 
 @dataclass(frozen=True)
 class Corpus:
     pages: tuple[Page, ...]
-    doc_count: int
-    page_count: int
 
     @classmethod
     def from_pages(cls, pages: Iterable[Page]) -> "Corpus":
@@ -133,8 +122,15 @@ class Corpus:
                 raise IntegrityError(
                     f"doc {p.doc_id!r}: expected page_index {want}, got {p.page_index}")
             prev = (p.doc_id, p.page_index)
-        doc_ids = {p.doc_id for p in ordered}
-        return cls(pages=tuple(ordered), doc_count=len(doc_ids), page_count=len(ordered))
+        return cls(pages=tuple(ordered))
+
+    @property
+    def page_count(self) -> int:
+        return len(self.pages)
+
+    @property
+    def doc_count(self) -> int:
+        return len(self.doc_page_counts())
 
     @property
     def page_refs(self) -> list[PageRef]:
@@ -160,21 +156,26 @@ class Corpus:
 def iter_records(lines: Iterable[str | bytes]) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each non-blank line of JSON objects.
 
-    Lines of bytes are decoded as UTF-8 one at a time. A line that is not
-    UTF-8 or valid JSON, or holds anything but an object, raises ParseError
-    carrying its line number.
+    Lines of bytes are decoded as UTF-8 one at a time. A line that is not UTF-8
+    or valid JSON, holds a lone surrogate (which UTF-8 cannot encode) in a string
+    or holds anything but an object raises ParseError carrying its line number.
     """
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, raw in enumerate(lines, start=1):
         try:
-            line = line.decode("utf-8") if isinstance(line, bytes) else line
+            line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
         except UnicodeDecodeError as exc:
             raise ParseError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}", line_no) from exc
         if not line.strip():
             continue
         try:
             record = json.loads(line)
+            # bytes decoded as UTF-8 hold no surrogate: only a \u escape makes one
+            if "\\u" in line or not isinstance(raw, bytes):
+                json.dumps(record, ensure_ascii=False).encode("utf-8")
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
+        except UnicodeEncodeError as exc:
+            raise ParseError("a string holds a lone surrogate", line_no) from exc
         if not isinstance(record, dict):
             raise ParseError("record is not an object", line_no)
         yield line_no, record
@@ -240,7 +241,7 @@ def load_corpus(path: str | Path) -> Corpus:
                 raise FormatError("not a corpus file")
             version = header.get("version")
             if version != CORPUS_FORMAT_VERSION:
-                raise FormatError(f"unsupported corpus version {version!r}")
+                raise FormatError(f"unsupported corpus version {version!r}: re-run `docqa ingest`")
             expected = header.get("page_count")
             if type(expected) is not int or expected < 0:  # bool is an int subclass
                 raise FormatError(

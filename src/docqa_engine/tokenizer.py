@@ -27,11 +27,8 @@ SHORT_RUN_MAX = 4
 # token produced from normalized text.
 NGRAM_SEP = "\x1f"
 
-_NUMBER = r"\d+(?:\.\d+)?%?(?![0-9A-Za-z])"
-_NUMBER_RE = re.compile(_NUMBER)
-
 _TOKEN_RE = re.compile(
-    rf"(?P<number>{_NUMBER})"
+    r"(?P<number>\d+(?:\.\d+)?%?(?![0-9A-Za-z]))"
     rf"|(?P<latin>[0-9A-Za-z]+)"
     rf"|(?P<cjk>[{_CJK_CLASS}]+)"
     rf"|(?P<symbol>[^\s0-9A-Za-z{_CJK_CLASS}]+)"
@@ -106,8 +103,8 @@ def ngrams(tokens: list[Token], n_min: int = 1, n_max: int = 5) -> list[str]:
 
 
 def count_numeric_tokens(text: str) -> int:
-    """Number of numeric tokens in the text (decimal/percent forms included)."""
-    return sum(1 for _ in _NUMBER_RE.finditer(text))
+    """Number of tokens of kind number in ``tokenize(text)``."""
+    return sum(1 for number, *_ in _TOKEN_RE.findall(text) if number)
 
 
 def token_set(text: str) -> set[str]:

@@ -946,7 +946,7 @@ class TestAugment:
         client = RoutedClient(GEN_BLOCKS)
         with caplog.at_level("WARNING", logger="docqa_engine.augment"):
             result = augment(corpus, client, quota=3, seed=0)
-        assert result == AugmentResult(accepted=[], audit=[], attempts=0)
+        assert result == AugmentResult(accepted=[], audit=[])
         assert client.requests == []
 
     def test_quota_validation(self, corpus):
@@ -1030,7 +1030,7 @@ def _serial_augment(corpus, client, quota, seed, thresholds=GateThresholds()):
                           "question": candidate.question})
             continue
         accepted.append(candidate)
-    return AugmentResult(accepted=accepted, audit=audit, attempts=quota)
+    return AugmentResult(accepted=accepted, audit=audit)
 
 
 class ScriptedLanesClient:

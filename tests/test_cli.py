@@ -138,6 +138,18 @@ def test_undecodable_input_line_is_named(tmp_path, capsys, command, flag, record
     assert "validation error: line 2: invalid UTF-8" in capsys.readouterr().err
 
 
+def test_lone_surrogate_in_ingest_input_leaves_output_untouched(tmp_path, capsys):
+    # UTF-8 cannot hold "\ud800", so the corpus file could not be written whole
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text('{"doc_id": "d", "page_index": 0, "text": "x"}\n'
+                   '{"doc_id": "d", "page_index": 1, "text": "a\\ud800b"}\n', encoding="utf-8")
+    output = tmp_path / "corpus.jsonl"
+    output.write_bytes(b"an earlier corpus\n")
+    assert main(["ingest", "--input", str(raw), "--output", str(output)]) == EXIT_VALIDATION
+    assert re.search(r"validation error: line 2: .*surrogate", capsys.readouterr().err)
+    assert output.read_bytes() == b"an earlier corpus\n"
+
+
 class TestBuildIndex:
     def test_lexical_summary_line(self, tmp_path, raw_pages, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -149,6 +161,18 @@ class TestBuildIndex:
         out = capsys.readouterr().out
         assert re.search(r"lexical index: 7 pages, \d+ features", out)
         assert lexical.exists()
+
+    def test_version_1_corpus_names_the_fix(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            '{"format": "corpus", "version": 1, "page_count": 1}\n'
+            '{"doc_id": "d", "page_index": 0, "raw_text": "x", "normalized_text": "x", '
+            '"char_count": 1, "numeric_token_count": 0}\n', encoding="utf-8")
+        code = main(["build-index", "--corpus", str(corpus),
+                     "--lexical", str(tmp_path / "lexical.idx")])
+        assert code == EXIT_IO
+        assert ("i/o error: unsupported corpus version 1: re-run `docqa ingest`"
+                in capsys.readouterr().err)
 
     def test_semantic_build_via_flags(self, tmp_path, artifacts, capsys):
         config = tmp_path / "config.yaml"
@@ -580,6 +604,21 @@ class TestInfer:
             assert server.request_log == []
         assert code == EXIT_VALIDATION
         assert "max_context_chars" in capsys.readouterr().err
+
+    def test_lone_surrogate_question_sends_no_request(self, tmp_path, artifacts, capsys):
+        questions = tmp_path / "q.jsonl"
+        questions.write_text('{"question": "売上高は", "options": ["a", "b"]}\n'
+                             '{"question": "\\udc00", "options": ["a", "b"]}\n',
+                             encoding="utf-8")
+        with MockModelServer(chat="Answer: A") as server:
+            code = main([
+                "infer", "--questions", str(questions), "--output", str(tmp_path / "v.jsonl"),
+                "--corpus", str(artifacts["corpus"]), "--lexical", str(artifacts["lexical"]),
+                "--endpoint-url", server.base_url, "--model", "mock-model",
+            ])
+            assert server.request_log == []
+        assert code == EXIT_VALIDATION
+        assert re.search(r"validation error: line 2: .*surrogate", capsys.readouterr().err)
 
     def test_unknown_doc_id_is_validation_error(self, tmp_path, artifacts, capsys):
         questions = tmp_path / "q.jsonl"

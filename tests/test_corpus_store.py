@@ -21,6 +21,7 @@ from docqa_engine.corpus import (
     save_corpus,
 )
 from docqa_engine.errors import ConflictError, FormatError, IntegrityError, ParseError
+from docqa_engine.tokenizer import count_numeric_tokens
 
 
 def _lines(*records):
@@ -97,6 +98,15 @@ class TestIngest:
         with pytest.raises(ParseError, match="missing field"):
             ingest(['{"doc_id": "a", "page_index": 0}'])
 
+    @pytest.mark.parametrize("line", [
+        '{"doc_id": "a", "page_index": 0, "text": "x\\ud800y"}',
+        b'{"doc_id": "a", "page_index": 0, "text": "x\\ud800y"}',
+        '{"doc_id": "a", "page_index": 0, "text": "x\ud800y"}',  # a str line may hold it as is
+    ], ids=["escape", "escape_in_bytes", "str_line"])
+    def test_lone_surrogate_rejected(self, line):
+        with pytest.raises(ParseError, match="line 1: a string holds a lone surrogate"):
+            ingest([line])
+
     def test_bool_page_index_rejected(self):
         with pytest.raises(ParseError, match="page_index"):
             ingest(['{"doc_id": "a", "page_index": true, "text": "x"}'])
@@ -126,7 +136,7 @@ class TestCorpusModel:
     def test_page_from_raw_counts(self):
         page = Page.from_raw("d", 0, "総額は12.5%増の 1200 円")
         assert page.char_count == len(page.normalized_text)
-        assert page.numeric_token_count == 2
+        assert count_numeric_tokens(page.normalized_text) == 2
 
     def test_get_unknown_page_raises(self):
         corpus = Corpus.from_pages([Page.from_raw("d", 0, "x")])
@@ -189,7 +199,7 @@ class TestSaveLoad:
         path = tmp_path / "corpus.jsonl"
         save_corpus(corpus, path)
         header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
-        assert header == {"format": "corpus", "version": 1, "page_count": 1}
+        assert header == {"format": "corpus", "version": 2, "page_count": 1}
 
     def test_ingest_path(self, tmp_path):
         raw = tmp_path / "raw.jsonl"
@@ -222,7 +232,7 @@ class TestSaveLoad:
         path = tmp_path / "corpus.jsonl"
         save_corpus(corpus, path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        lines[0] = json.dumps({"format": "corpus", "version": 1, "page_count": page_count})
+        lines[0] = json.dumps({"format": "corpus", "version": 2, "page_count": page_count})
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(FormatError, match="page_count must be a non-negative integer"):
             load_corpus(path)
@@ -303,7 +313,8 @@ def _saved_corpus() -> tuple[Corpus, bytes]:
         return corpus, path.read_bytes()
 
 
-_MUTATIONS = ("drop", "duplicate", "reorder", "page_index", "remove_key", "add_key", "cut")
+_MUTATIONS = ("drop", "duplicate", "reorder", "page_index", "remove_key", "add_key",
+              "surrogate", "cut")
 
 
 @settings(max_examples=400, deadline=None,
@@ -327,10 +338,15 @@ def test_hostile_corpus_file_loads_equal_or_raises_format_error(tmp_path, data):
             record["page_index"] = data.draw(st.integers(-1, 4), label="page_index")
         elif kind == "remove_key":
             del record[data.draw(st.sampled_from(sorted(record)), label="key")]
+        elif kind == "surrogate":  # UTF-8 JSON can hold a lone surrogate only as an escape
+            key = data.draw(st.sampled_from(["doc_id", "raw_text", "normalized_text"]), label="key")
+            cut = data.draw(st.integers(0, len(record[key])), label="at")
+            lone = chr(data.draw(st.integers(0xD800, 0xDFFF), label="surrogate"))
+            record[key] = record[key][:cut] + lone + record[key][cut:]
         else:
             key = data.draw(st.text(max_size=8).filter(lambda k: k not in record), label="key")
             record[key] = data.draw(st.sampled_from([0, "", None]), label="value")
-        pages[at] = json.dumps(record, ensure_ascii=False)
+        pages[at] = json.dumps(record, ensure_ascii=kind == "surrogate")
     blob = "".join(line + "\n" for line in [header, *pages]).encode("utf-8")
     if kind == "cut":
         blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")]

@@ -150,7 +150,7 @@ class TestBuild:
         assert all(1 <= df <= corpus.page_count for df in index.vocabulary.df)
 
     def test_empty_corpus_rejected(self):
-        hollow = Corpus(pages=(), doc_count=0, page_count=0)
+        hollow = Corpus(pages=())
         with pytest.raises(ValueError):
             build_lexical_index(hollow)
 
@@ -302,7 +302,7 @@ class TestArrayBuild:
     @example(docs=[["! !\x01 !a"]], max_features=40, n_min=1, extra=1)
     def test_saved_bytes_equal_the_plain_python_build(self, docs, max_features, n_min, extra):
         corpus = Corpus.from_pages(
-            Page(f"d{d}", i, text, text, len(text), 0)
+            Page(f"d{d}", i, text, text)
             for d, texts in enumerate(docs) for i, text in enumerate(texts))
         args = (corpus, max_features, n_min, n_min + extra)
         assert _saved_bytes(build_lexical_index(*args)) == _saved_bytes(_plain_python_build(*args))

@@ -1,7 +1,7 @@
 """Tokenizer and normalization behavior, frozen against hand-worked examples."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from docqa_engine.corpus import normalize_text
@@ -187,6 +187,14 @@ class TestNumericCounting:
 
     def test_zero_when_no_numbers(self):
         assert count_numeric_tokens("数字なしの文") == 0
+
+    @settings(max_examples=300)
+    @given(st.one_of(_MIXED_TEXT, st.text(max_size=200)))
+    @example("FY2023")  # a digit run inside a Latin word is no number
+    @example("a١")  # an Arabic-Indic digit after a Latin letter is one
+    def test_counts_the_number_tokens_of_tokenize(self, raw):
+        text = normalize_text(raw)
+        assert count_numeric_tokens(text) == sum(t.kind == "number" for t in tokenize(text))
 
 
 class TestTokenSet:
