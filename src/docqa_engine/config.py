@@ -10,6 +10,7 @@ file, which keeps tokens out of checked-in configs.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -79,12 +80,14 @@ _BLANK_ENDPOINT = EndpointConfig(base_url="", model_name="")
 
 def _typed(key: str, value, annotation: str):
     """`value` checked against a field annotated `annotation` ("int", "float",
-    "str", optionally "| None"); an int is taken as a float. Annotations are
-    strings because each config dataclass's module defers them."""
+    "str", optionally "| None"); a float key takes a finite int or float.
+    Annotations are strings because each config dataclass's module defers them."""
     if value is None and annotation.endswith("| None"):
         return None
     kind = annotation.split(" |")[0]
-    if kind == "float" and type(value) is int:
+    if kind == "float" and type(value) in (int, float):
+        if not abs(value) <= sys.float_info.max:  # NaN compares false
+            raise ConfigError(f"config key {key} must be a finite number, got {value!r}")
         return float(value)
     if type(value) is not _TYPES[kind]:
         raise ConfigError(f"config key {key} must be {kind}, got {value!r}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConflictError, FormatError, IntegrityError, ParseError
 
-CORPUS_FORMAT_VERSION = 2
+CORPUS_FORMAT_VERSION = 3
 
 # Every index lists the corpus's pages in corpus order: PageRefs strictly
 # ascending, as Corpus.from_pages sorts them. Row order is then ref order,
@@ -82,16 +82,18 @@ class Page:
     doc_id: str
     page_index: int
     raw_text: str
-    normalized_text: str
 
     def __post_init__(self):
         if not isinstance(self.doc_id, str) or not self.doc_id:
             raise ValueError("doc_id must be a non-empty string")
-        for name in ("raw_text", "normalized_text"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a string")
+        if not isinstance(self.raw_text, str):
+            raise ValueError("raw_text must be a string")
         if type(self.page_index) is not int or self.page_index < 0:  # bool is an int subclass
             raise ValueError("page_index must be a non-negative integer")
+
+    @cached_property
+    def normalized_text(self) -> str:
+        return normalize_text(self.raw_text)
 
     @property
     def char_count(self) -> int:
@@ -99,7 +101,7 @@ class Page:
 
     @classmethod
     def from_raw(cls, doc_id: str, page_index: int, raw_text: str) -> "Page":
-        return cls(doc_id, page_index, raw_text, normalize_text(raw_text))
+        return cls(doc_id, page_index, raw_text)
 
 
 @dataclass(frozen=True)
@@ -197,14 +199,15 @@ def read_records(numbered: Iterable[tuple[int, dict]], kind: str, checked) -> li
             out.append(checked(record))
         except (KeyError, TypeError, ValueError) as exc:
             why = f"missing field {exc.args[0]!r}" if type(exc) is KeyError else exc
-            raise ParseError(f"bad {kind} record: {why}", line_no) from exc
+            # a field name in a TypeError can hold a newline; the message keeps to one line
+            raise ParseError(f"bad {kind} record: {why}".replace("\n", "\\n"), line_no) from exc
     return out
 
 
 def _raw_page(record: dict) -> Page:
     if not isinstance(record["text"], str):
         raise ValueError("text must be a string")
-    return Page.from_raw(record["doc_id"], record["page_index"], record["text"])
+    return Page(record["doc_id"], record["page_index"], record["text"])
 
 
 def ingest(source: Iterable[str | bytes] | IO) -> Corpus:

@@ -163,20 +163,17 @@ def _choose(tok: np.ndarray, texts: list[str], starts: np.ndarray, lens: np.ndar
     Highest-df features first, ties in ascending feature string order.
     Taking a prefix of this fixed order keeps the vocabulary monotone in
     max_features, and the key decides every tie, so no dict order leaks in.
-    Two grams' strings compare as their token lists do, each token as its
-    text + NGRAM_SEP but the last as its bare text (no token holds the
-    separator). Those units are distinct, so two grams differ by the shorter
-    one's last unit: what the columns past it hold never decides. One rank
-    per text is not enough: a hand-edited corpus file's text can hold a
-    character below the separator, so "!" + NGRAM_SEP > "!\\x01" > "!".
+    Two grams' strings compare as their token lists do, since no token of
+    normalized text holds a character at or below NGRAM_SEP. A column holds
+    its token's text rank, or -1 past the gram's end, which sorts a gram
+    before the longer grams it begins.
     """
-    units = [t + NGRAM_SEP for t in texts] + texts
-    rank = np.empty(len(units), dtype=tok.dtype)
-    rank[sorted(range(len(units)), key=units.__getitem__)] = np.arange(len(units))
+    rank = np.empty(len(texts), dtype=tok.dtype)
+    rank[sorted(range(len(texts)), key=texts.__getitem__)] = np.arange(len(texts))
     cut = -np.partition(-df, max_features - 1)[max_features - 1] if len(df) > max_features else 0
     candidates = np.flatnonzero(df >= cut)
     at, n, last = starts[candidates], lens[candidates], len(tok) - 1
-    ranks = [rank[tok[np.minimum(at + k, last)] + len(texts) * (n == k + 1)]
+    ranks = [np.where(n > k, rank[tok[np.minimum(at + k, last)]], -1)
              for k in range(int(n.max(initial=0)))]
     picked = np.lexsort((*ranks[::-1], -df[candidates]))[:max_features]
     at, n, words = at[picked], n[picked], np.array(texts, dtype=object)

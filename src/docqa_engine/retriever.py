@@ -120,11 +120,8 @@ def select_adaptive(ranked: list[ScoredPage], policy: SelectionPolicy) -> list[S
     min(top_n, max(top_m, #entries with s_final >= threshold)) entries,
     clamped to the input length.
     """
-    if not ranked:
-        return []
     above = sum(1 for sp in ranked if sp.s_final >= policy.threshold)
-    take = min(policy.top_n, max(policy.top_m, above))
-    return ranked[: min(take, len(ranked))]
+    return ranked[: min(policy.top_n, max(policy.top_m, above))]
 
 
 def check_indexes(fingerprint: bytes, lexical_index: LexicalIndex,

@@ -52,12 +52,12 @@ class SemanticIndex:
 def embed(texts: list[str], client, dim: int = DEFAULT_DIM) -> np.ndarray:
     """Fetch one L2-normalized vector per text, in order.
 
-    Batching is transparent: ceil(len(texts)/BATCH_SIZE) endpoint calls, up
-    to the client's in-flight limit of them at a time (one batch stays on the
-    caller's thread). When several batches fail, the earliest one's error is
-    raised. A response vector that is not a list of numbers, of the wrong
-    dimension, with a non-finite component or of zero norm violates the
-    wire contract.
+    Batching is transparent: ceil(len(texts)/BATCH_SIZE) endpoint calls. A
+    single batch is sent from the caller's thread; more are each sent from a
+    pool thread, up to the client's in-flight limit at a time. When several
+    batches fail, the earliest one's error is raised. A response vector that
+    is not a list of numbers, of the wrong dimension, with a non-finite
+    component or of zero norm violates the wire contract.
     """
     if not texts:
         raise ValueError("embed requires at least one text")

@@ -7,11 +7,16 @@ printed output without spawning subprocesses.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from docqa_engine import cli
 from docqa_engine.cli import (
@@ -25,6 +30,7 @@ from docqa_engine.cli import (
     read_questions_jsonl,
 )
 from docqa_engine.config import AUTH_TOKEN_ENV
+from docqa_engine.corpus import ingest, normalize_text, save_corpus
 from docqa_engine.errors import ConfigError, ParseError
 from docqa_engine.gateway import EndpointConfig
 from docqa_engine.semantic import load_semantic_index
@@ -174,6 +180,25 @@ class TestBuildIndex:
         assert ("i/o error: unsupported corpus version 1: re-run `docqa ingest`"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("version, message", [
+        (2, "unsupported corpus version 2: re-run `docqa ingest`"),
+        (3, "unexpected keyword argument 'normalized_text'"),  # Python words the rest
+    ], ids=["version_2", "stored_normalized_text"])
+    def test_corpus_storing_normalized_text_is_io_error(self, tmp_path, capsys, version,
+                                                        message):
+        # a page's normalized text is derived from its raw text, never read from the file
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            f'{{"format": "corpus", "version": {version}, "page_count": 1}}\n'
+            '{"doc_id": "d", "page_index": 0, "raw_text": "x", "normalized_text": "x"}\n',
+            encoding="utf-8")
+        code = main(["build-index", "--corpus", str(corpus),
+                     "--lexical", str(tmp_path / "lexical.idx")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.endswith(f"{message}\n")
+        assert err.count("\n") == 1
+
     def test_semantic_build_via_flags(self, tmp_path, artifacts, capsys):
         config = tmp_path / "config.yaml"
         config.write_text("embedding:\n  dim: 32\n", encoding="utf-8")
@@ -263,7 +288,7 @@ class TestBuildIndex:
         assert main(["build-index", "--corpus", str(tmp_path / "nope"),
                      "--lexical", str(tmp_path / "l.idx")]) == EXIT_IO
 
-    @pytest.mark.parametrize("field, value", [("page_index", "1"), ("normalized_text", 7)])
+    @pytest.mark.parametrize("field, value", [("page_index", "1"), ("raw_text", 7)])
     def test_mistyped_corpus_record_is_io_error(self, tmp_path, artifacts, field, value, capsys):
         lines = artifacts["corpus"].read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[2])
@@ -354,6 +379,18 @@ class TestRetrieve:
                      "--lexical", str(artifacts["lexical"])])
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    def test_non_finite_weights_are_config_error(self, tmp_path, artifacts, capsys):
+        # accepted, NaN weights would print a bare NaN, which is not JSON, and exit 0
+        config = tmp_path / "config.yaml"
+        config.write_text("retrieval:\n  alpha: .nan\n  beta: .nan\n", encoding="utf-8")
+        code = main(["--config", str(config), "retrieve", "売上高", "--json",
+                     "--lexical", str(artifacts["lexical"])])
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("config error: config key retrieval.alpha must be a finite number, "
+                       "got nan\n")
 
     @pytest.mark.parametrize("argv", [
         ["retrieve", "q", "--alpha", "0.5"],
@@ -759,6 +796,21 @@ class TestInfer:
         assert f"--no-retrieval takes no {flags[0]}" in capsys.readouterr().err
         assert not (tmp_path / "v.jsonl").exists()
 
+    def test_infinite_timeout_exits_2_before_any_request(self, tmp_path, artifacts, capsys):
+        # the questions file does not exist, so reading any file first would exit 3;
+        # accepted, an infinite timeout would die in the HTTP client on an OverflowError
+        config = tmp_path / "config.yaml"
+        with MockModelServer(chat="Answer: A") as server:
+            config.write_text(f"endpoint:\n  base_url: {server.base_url}\n  model_name: m\n"
+                              "  timeout: .inf\n", encoding="utf-8")
+            code = main(["--config", str(config), "infer",
+                         "--questions", str(tmp_path / "missing.jsonl"),
+                         "--output", str(tmp_path / "v.jsonl"),
+                         "--corpus", str(artifacts["corpus"]), "--no-retrieval"])
+            assert server.request_log == []
+        assert code == EXIT_CONFIG
+        assert "endpoint.timeout must be a finite number, got inf" in capsys.readouterr().err
+
     def test_max_context_chars_with_retrieval_exits_2_before_any_file_is_read(
             self, tmp_path, artifacts, capsys):
         # the questions file does not exist, so reading any file first would exit 3
@@ -1115,3 +1167,94 @@ class TestEndpointFlags:
         (endpoint,) = endpoints
         assert (endpoint.base_url, endpoint.model_name) == ("http://embed/v1", "cfg-model")
         assert (endpoint.auth_token, endpoint.max_in_flight) == ("s3cret", 8)
+
+
+# ---------------------------------------------------------------------------
+# Hostile corpus files through the command line: each exits 3 with one stderr line
+
+
+@functools.cache
+def _saved_corpus_records() -> tuple[dict, ...]:
+    pages = [("fin", i, f"第{i}期 売上高 {i}00 百万円") for i in range(3)]
+    pages += [("hr", i, f"採用 {i} 人") for i in range(2)]
+    corpus = ingest(json.dumps({"doc_id": doc_id, "page_index": i, "text": text},
+                               ensure_ascii=False) for doc_id, i, text in pages)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_corpus(corpus, Path(tmp) / "corpus.jsonl")
+        lines = (Path(tmp) / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    return tuple(map(json.loads, lines))
+
+
+def _record_bytes(record: dict) -> bytes:
+    return json.dumps(record, ensure_ascii=False).encode("utf-8") + b"\n"
+
+
+def _structural_offsets(records: list[dict]) -> list[int]:
+    """Byte offsets of the file outside the page ids' and texts' values: a flipped bit
+    there always breaks the file, where inside a value it can give another valid page."""
+    offsets, start = [], 0
+    for record in records:
+        line = _record_bytes(record)
+        values = set()
+        for key in ("doc_id", "raw_text"):
+            if isinstance(record.get(key), str):
+                head = f'"{key}": "'.encode()
+                at = line.index(head) + len(head)
+                values.update(range(at, at + len(json.dumps(record[key], ensure_ascii=False)
+                                                  .encode("utf-8")) - 2))
+        offsets += [start + i for i in range(len(line)) if i not in values]
+        start += len(line)
+    return offsets
+
+
+_HOSTILE_KINDS = ("cut", "flip", "not_utf8", "mistyped", "missing", "extra", "duplicate",
+                  "reorder", "version_2")
+# per page field, values of the wrong type or out of range
+_MISTYPED = {"doc_id": [None, 7, "", ["fin"]], "page_index": [None, "0", 1.0, True, -1],
+             "raw_text": [None, 7, [], {"text": "x"}]}
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_hostile_corpus_file_exits_3_with_one_line(tmp_path, capsys, data):
+    records = [dict(record) for record in _saved_corpus_records()]
+    kind = data.draw(st.sampled_from(_HOSTILE_KINDS), label="kind")
+    page = data.draw(st.integers(1, len(records) - 1), label="page")
+    if kind == "version_2":
+        records[0]["version"] = 2
+    elif kind == "mistyped":
+        field = data.draw(st.sampled_from(sorted(_MISTYPED)), label="field")
+        records[page][field] = data.draw(st.sampled_from(_MISTYPED[field]), label="value")
+    elif kind == "missing":
+        del records[page][data.draw(st.sampled_from(sorted(records[page])), label="field")]
+    elif kind == "extra":  # a stored normalized text, as version 2 kept it, included
+        field = data.draw(st.just("normalized_text") | st.text("a_\n\r\x00報", max_size=4)
+                          | st.text(max_size=8), label="field")
+        assume(field not in records[page])
+        records[page][field] = data.draw(st.sampled_from(
+            [normalize_text(records[page]["raw_text"]), 0, None]), label="value")
+    elif kind == "duplicate":  # a page's copy is counted, so the page set is what fails
+        at = data.draw(st.integers(0, len(records) - 1), label="record")
+        if at:
+            records[0]["page_count"] += 1
+        records.insert(data.draw(st.integers(0, len(records)), label="to"), dict(records[at]))
+    elif kind == "reorder":  # page records load in any order, but the header comes first
+        records.insert(data.draw(st.integers(1, len(records) - 1), label="to"), records.pop(0))
+    blob = bytearray(b"".join(map(_record_bytes, records)))
+    if kind == "cut":  # losing only the final newline leaves every record whole
+        del blob[data.draw(st.integers(0, len(blob) - 2), label="length"):]
+    elif kind == "flip":
+        at = data.draw(st.sampled_from(_structural_offsets(records)), label="offset")
+        blob[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+    elif kind == "not_utf8":
+        at = data.draw(st.integers(0, len(blob)), label="offset")
+        blob[at:at] = data.draw(st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"]),
+                                label="bytes")
+    path = tmp_path / "hostile.jsonl"
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    code = main(["build-index", "--corpus", str(path), "--lexical", str(tmp_path / "l.idx")])
+    err = capsys.readouterr().err
+    assert code == EXIT_IO, err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1 and err.endswith("\n"), err

@@ -202,6 +202,18 @@ _WRONG_TYPES = [
     ("embedding.dim", "embedding:\n  dim: 256.0\n"),
 ]
 
+# (key, YAML holding a float that is not a finite number for it)
+_NON_FINITE = [
+    ("retrieval.alpha", "retrieval:\n  alpha: .nan\n  beta: .nan\n"),
+    ("retrieval.threshold", "retrieval:\n  threshold: -.inf\n"),
+    ("ensemble.confidence_threshold", "ensemble:\n  confidence_threshold: .NaN\n"),
+    ("gates.option_length_ratio", "gates:\n  option_length_ratio: .inf\n"),
+    ("endpoint.timeout", "endpoint:\n" + _ENDPOINT + "  timeout: .inf\n"),
+    ("endpoint.timeout", "endpoint:\n" + _ENDPOINT + "  timeout: .nan\n"),
+    ("endpoint.backoff_base", "endpoint:\n" + _ENDPOINT + "  backoff_base: .nan\n"),
+    ("embedding.timeout", "embedding:\n" + _ENDPOINT + "  timeout: .Inf\n"),
+]
+
 
 class TestTypes:
     @pytest.mark.parametrize("key, text", _WRONG_TYPES, ids=[key for key, _ in _WRONG_TYPES])
@@ -217,6 +229,16 @@ class TestTypes:
         assert (config.weights.alpha, config.weights.beta) == (1.0, 0.0)
         assert isinstance(config.weights.alpha, float)
         assert config.endpoint.backoff_base == 2.0
+
+    @pytest.mark.parametrize("key, text", _NON_FINITE, ids=[key for key, _ in _NON_FINITE])
+    def test_non_finite_float_is_rejected_naming_the_key(self, tmp_path, key, text):
+        with pytest.raises(ConfigError, match=re.escape(key) + " must be a finite number"):
+            load_config(_write(tmp_path, text))
+
+    def test_int_too_large_for_a_float_is_rejected_naming_the_key(self, tmp_path):
+        text = "endpoint:\n" + _ENDPOINT + f"  timeout: {10 ** 400}\n"
+        with pytest.raises(ConfigError, match=re.escape("endpoint.timeout")):
+            load_config(_write(tmp_path, text))
 
     def test_field_names_are_not_config_keys(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key.*top_m"):

@@ -194,12 +194,26 @@ class TestSaveLoad:
         loaded = load_corpus(path)
         assert loaded == corpus
 
+    def test_hand_written_version_3_file_loads_with_derived_text(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            '{"format": "corpus", "version": 3, "page_count": 2}\n'
+            '{"doc_id": "a", "page_index": 1, "raw_text": "ＦＹ２０２３\\tの\\u0001　売上"}\n'
+            '{"doc_id": "a", "page_index": 0, "raw_text": "表紙"}\n', encoding="utf-8")
+        corpus = load_corpus(path)
+        assert corpus == Corpus((Page("a", 0, "表紙"), Page("a", 1, "ＦＹ２０２３\tの\x01　売上")))
+        page = corpus.get("a", 1)
+        assert page.normalized_text == normalize_text(page.raw_text) == "FY2023 の 売上"
+        save_corpus(corpus, path)
+        stored = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [sorted(record) for record in stored] == [["doc_id", "page_index", "raw_text"]] * 2
+
     def test_header_first_line(self, tmp_path):
         corpus = ingest(_lines(_record("a", 0, "x")))
         path = tmp_path / "corpus.jsonl"
         save_corpus(corpus, path)
         header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
-        assert header == {"format": "corpus", "version": 2, "page_count": 1}
+        assert header == {"format": "corpus", "version": 3, "page_count": 1}
 
     def test_ingest_path(self, tmp_path):
         raw = tmp_path / "raw.jsonl"
@@ -232,7 +246,7 @@ class TestSaveLoad:
         path = tmp_path / "corpus.jsonl"
         save_corpus(corpus, path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        lines[0] = json.dumps({"format": "corpus", "version": 2, "page_count": page_count})
+        lines[0] = json.dumps({"format": "corpus", "version": 3, "page_count": page_count})
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(FormatError, match="page_count must be a non-negative integer"):
             load_corpus(path)
@@ -339,7 +353,7 @@ def test_hostile_corpus_file_loads_equal_or_raises_format_error(tmp_path, data):
         elif kind == "remove_key":
             del record[data.draw(st.sampled_from(sorted(record)), label="key")]
         elif kind == "surrogate":  # UTF-8 JSON can hold a lone surrogate only as an escape
-            key = data.draw(st.sampled_from(["doc_id", "raw_text", "normalized_text"]), label="key")
+            key = data.draw(st.sampled_from(["doc_id", "raw_text"]), label="key")
             cut = data.draw(st.integers(0, len(record[key])), label="at")
             lone = chr(data.draw(st.integers(0xD800, 0xDFFF), label="surrogate"))
             record[key] = record[key][:cut] + lone + record[key][cut:]

@@ -285,9 +285,8 @@ def _saved_bytes(index) -> bytes:
 
 
 # Latin, number, CJK and symbol tokens. U+0001 stands for a control
-# character a hand-edited corpus file can carry in a page's normalized text:
-# it sorts below the n-gram separator, so "!" < "!\x01" as tokens while
-# "!\x1fa" > "!\x01" as joined grams.
+# character a page's raw text can carry: normalization strips it, so no token
+# the build ranks holds a character at or below the n-gram separator.
 _PAGE_TEXTS = st.text(alphabet="ab z1.%!報告書年\x01", max_size=24)
 
 
@@ -302,7 +301,7 @@ class TestArrayBuild:
     @example(docs=[["! !\x01 !a"]], max_features=40, n_min=1, extra=1)
     def test_saved_bytes_equal_the_plain_python_build(self, docs, max_features, n_min, extra):
         corpus = Corpus.from_pages(
-            Page(f"d{d}", i, text, text)
+            Page(f"d{d}", i, text)
             for d, texts in enumerate(docs) for i, text in enumerate(texts))
         args = (corpus, max_features, n_min, n_min + extra)
         assert _saved_bytes(build_lexical_index(*args)) == _saved_bytes(_plain_python_build(*args))

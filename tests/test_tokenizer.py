@@ -148,6 +148,15 @@ class TestTokenTexts:
         assert gram_texts(token_texts(text), n_min, n_min + extra) == ngrams(
             tokenize(text), n_min, n_min + extra)
 
+    @settings(max_examples=300)
+    @given(st.one_of(_MIXED_TEXT, st.text(max_size=200)))
+    @example("!\x01 !a")
+    @example("a\x1cb\x1fc\x7f\x85d")
+    def test_every_token_character_sorts_above_the_gram_separator(self, raw):
+        # the lexical build ranks each token text once on this invariant
+        texts = token_texts(normalize_text(raw))
+        assert all(ch > NGRAM_SEP for text in texts for ch in text)
+
     def test_digit_run_into_letters_is_one_word(self):
         assert token_texts("12ab 3.5% 2024年") == ["12ab", "3.5%", "2024", "年"]
 
