@@ -12,6 +12,7 @@ stage that killed it, so attempts = accepted + audited rejections.
 from __future__ import annotations
 
 import logging
+import math
 import random
 import re
 from collections import Counter, deque
@@ -24,7 +25,7 @@ from typing import Iterable
 
 from .corpus import Corpus, Page, PageRef, normalize_text
 from .ensemble import options_block
-from .errors import ConfigError, ContractError, EndpointError, ParseError, TransportError
+from .errors import ConfigError, ContractError, ParseError, TransportError
 from .gateway import chat_request
 from .tokenizer import count_numeric_tokens, token_set, tokenize
 
@@ -90,6 +91,20 @@ class GateThresholds:
     dedup_jaccard: float = 0.8
     min_reasoning_chars: int = 30
     evidence_overlap: float = 0.5
+
+    def __post_init__(self):  # each check is written so that NaN fails it
+        if not 0 <= self.question_min_chars <= self.question_max_chars:
+            raise ValueError("require 0 <= question_min_chars <= question_max_chars")
+        for name in ("min_clauses", "min_reasoning_chars"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        for name in ("support_jaccard", "evidence_overlap"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1]")
+        if not 0 < self.dedup_jaccard <= 1:
+            raise ValueError("dedup_jaccard must lie in (0, 1]")
+        if not 1 <= self.option_length_ratio < math.inf:
+            raise ValueError("option_length_ratio must be a finite number >= 1")
 
 
 @dataclass
@@ -516,7 +531,7 @@ def augment(
                                seed=request_seed, max_tokens=512)
         try:
             raw = client.generate(request)
-        except (TransportError, EndpointError, ContractError) as exc:
+        except (TransportError, ContractError) as exc:
             return "transport", str(exc)
         try:
             verdict = parse_feasibility(raw)
@@ -540,7 +555,7 @@ def augment(
             }
             try:
                 raw = reply.result()
-            except (TransportError, EndpointError, ContractError) as exc:
+            except (TransportError, ContractError) as exc:
                 audit.append({**base, "stage": "transport", "reason": str(exc)})
                 continue
             try:

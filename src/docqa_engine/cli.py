@@ -24,9 +24,7 @@ from .corpus import (Corpus, ingest_path, iter_records, load_corpus, read_record
 from .ensemble import MAX_OPTIONS, EnsembleVerdict, build_answer_prompt, make_schedule, run_ensemble
 from .errors import (
     ConfigError,
-    ConflictError,
     ContractError,
-    EndpointError,
     FormatError,
     IntegrityError,
     ParseError,
@@ -481,10 +479,10 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (TransportError, EndpointError) as exc:
+    except TransportError as exc:
         print(f"endpoint error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
-    except (ParseError, ConflictError, IntegrityError, ContractError, ValueError) as exc:
+    except (ParseError, IntegrityError, ContractError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -149,7 +149,7 @@ def _read_mapping(path: str | Path) -> dict:
 
     try:
         loaded = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past Python's digit limit
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if loaded is None:
         return {}

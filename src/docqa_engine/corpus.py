@@ -22,7 +22,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConflictError, FormatError, IntegrityError, ParseError
+from .errors import FormatError, IntegrityError, ParseError
 
 CORPUS_FORMAT_VERSION = 3
 
@@ -110,15 +110,15 @@ class Corpus:
 
     @classmethod
     def from_pages(cls, pages: Iterable[Page]) -> "Corpus":
-        """The pages in ref order: distinct refs (else ConflictError), each
-        document's pages running from 0 without a gap (else IntegrityError)."""
+        """The pages in ref order: distinct refs, each document's pages
+        running from 0 without a gap (else IntegrityError)."""
         ordered = sorted(pages, key=lambda p: (p.doc_id, p.page_index))
         if not ordered:
             raise IntegrityError("corpus has no pages")
         prev = (None, -1)
         for p in ordered:
             if (p.doc_id, p.page_index) == prev:
-                raise ConflictError(f"duplicate page {prev}")
+                raise IntegrityError(f"duplicate page {prev}")
             want = prev[1] + 1 if p.doc_id == prev[0] else 0
             if p.page_index != want:
                 raise IntegrityError(
@@ -178,6 +178,8 @@ def iter_records(lines: Iterable[str | bytes]) -> Iterator[tuple[int, dict]]:
             raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
         except UnicodeEncodeError as exc:
             raise ParseError("a string holds a lone surrogate", line_no) from exc
+        except ValueError as exc:  # an integer past Python's int-to-string digit limit
+            raise ParseError(f"invalid JSON: {exc}", line_no) from exc
         if not isinstance(record, dict):
             raise ParseError("record is not an object", line_no)
         yield line_no, record
@@ -255,7 +257,7 @@ def load_corpus(path: str | Path) -> Corpus:
                 raise FormatError(
                     f"corpus file {state}: header says {expected} pages, found {len(pages)}")
             return Corpus.from_pages(pages)
-        except (ParseError, ConflictError, IntegrityError) as exc:
+        except (ParseError, IntegrityError) as exc:
             raise FormatError(f"corrupt corpus file: {exc}") from exc
 
 

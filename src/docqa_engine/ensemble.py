@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import normalize_text
-from .errors import ContractError, EndpointError, TransportError
+from .errors import ContractError, TransportError
 from .gateway import chat_request
 
 TEMPERATURE_RANGE = (0.1, 1.5)
@@ -287,7 +287,7 @@ def run_ensemble(
     for config in schedule:
         try:
             raw = client.generate(chat_request(content, max_tokens=256, **config.to_request()))
-        except (TransportError, EndpointError, ContractError):
+        except (TransportError, ContractError):
             failures += 1
             raw = ""
         extracted = extract_option(raw, labels, option_texts)

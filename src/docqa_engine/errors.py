@@ -25,12 +25,8 @@ class ParseError(EngineError):
         self.line_no = line_no
 
 
-class ConflictError(EngineError):
-    """Duplicate key where uniqueness is required."""
-
-
 class IntegrityError(EngineError):
-    """Structural invariant violated (page gaps, empty corpus, ...)."""
+    """Structural invariant violated (duplicate or missing pages, empty corpus)."""
 
 
 class FormatError(EngineError):
@@ -38,11 +34,11 @@ class FormatError(EngineError):
 
 
 class TransportError(EngineError):
-    """Network-level failure talking to a model endpoint, retries exhausted."""
+    """A model endpoint call failed after the gateway's retries."""
 
 
-class EndpointError(EngineError):
-    """Endpoint answered with a non-2xx status."""
+class EndpointError(TransportError):
+    """Endpoint answered with a non-2xx status, kept in `status`."""
 
     def __init__(self, message: str, status: int):
         super().__init__(f"{message} (status {status})")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import math
 import queue
 import time
 import weakref
@@ -33,8 +34,10 @@ class EndpointConfig:
     backoff_base: float = 0.5  # first retry delay; doubles per attempt
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout < math.inf:  # NaN fails every comparison
+            raise ValueError("timeout must be a positive finite number")
+        if not 0 <= self.backoff_base < math.inf:
+            raise ValueError("backoff_base must be a finite number >= 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.max_in_flight < 1:

@@ -28,9 +28,9 @@ class FusionWeights:
     beta: float  # semantic weight
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):  # NaN fails every comparison
             raise ValueError("fusion weights must be non-negative")
-        if abs(self.alpha + self.beta - 1.0) > 1e-12:
+        if not abs(self.alpha + self.beta - 1.0) <= 1e-12:
             raise ValueError("fusion weights must sum to 1")
 
 

@@ -8,6 +8,7 @@ printed output without spawning subprocesses.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import re
 import struct
@@ -301,6 +302,19 @@ class TestBuildIndex:
         assert code == EXIT_IO
         assert f"corrupt corpus file: line 3: bad page record: {field} must be" \
             in capsys.readouterr().err
+
+    def test_corpus_record_with_an_unconvertible_integer_is_io_error(self, tmp_path, artifacts,
+                                                                     capsys):
+        lines = artifacts["corpus"].read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].replace('"page_index": 1', '"page_index": ' + "1" * 5000)
+        corpus = tmp_path / "huge.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main(["build-index", "--corpus", str(corpus), "--lexical", str(tmp_path / "l.idx")])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO, err
+        assert err.startswith("i/o error: corrupt corpus file: line 3: invalid JSON: ")
+        assert err.count("\n") == 1, err
 
     @pytest.mark.parametrize("page_index", [2, 0], ids=["gap", "duplicate"])
     def test_page_set_a_corpus_cannot_have_is_io_error(self, tmp_path, artifacts, page_index,
@@ -1109,6 +1123,35 @@ class TestParserAndConfig:
         assert code == EXIT_CONFIG
         assert "endpoint.max_retries must be int" in capsys.readouterr().err
 
+    def test_config_pyyaml_cannot_read_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text(f"endpoint:\n  timeout: {'9' * 5000}\n", encoding="utf-8")
+        code = main(["--config", str(config), "evaluate", "--verdicts", str(tmp_path / "v")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert "is not valid YAML" in err
+
+    @pytest.mark.parametrize("section, text", [
+        ("endpoint", "endpoint:\n  base_url: {url}\n  model_name: m\n  backoff_base: -1\n"),
+        # a floor above the ceiling, or a dedup ceiling below 0, rejects every candidate
+        ("gates", "gates:\n  question_min_chars: 500\n  dedup_jaccard: -1.0\n"
+                  "  support_jaccard: 7.0\nendpoint:\n  base_url: {url}\n  model_name: m\n"),
+    ], ids=["negative_backoff_base", "gates_that_reject_everything"])
+    def test_out_of_range_config_exits_2_before_any_request(self, tmp_path, artifacts,
+                                                            section, text, capsys):
+        config = tmp_path / "config.yaml"
+        with MockModelServer(chat="Answer: A") as server:
+            config.write_text(text.format(url=server.base_url), encoding="utf-8")
+            code = main(["--config", str(config), "augment", "--no-feasibility",
+                         "--corpus", str(artifacts["corpus"]), "--quota", "1",
+                         "--output", str(tmp_path / "qa.jsonl")])
+            assert server.request_log == []
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: invalid {section} config: "), err
+        assert err.count("\n") == 1, err
+
 
 class TestEndpointFlags:
     """Endpoint flags replace only the fields they name."""
@@ -1258,3 +1301,135 @@ def test_hostile_corpus_file_exits_3_with_one_line(tmp_path, capsys, data):
     err = capsys.readouterr().err
     assert code == EXIT_IO, err
     assert err.startswith("i/o error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# ---------------------------------------------------------------------------
+# Hostile question and verdict files through the command line: a run exits 0 on a
+# file that is still valid, else 5 with one stderr line, and infer then sends nothing
+
+_FILE_RECORDS = {
+    "questions": (
+        {"question": "当期の売上高はいくらですか。", "options": ["4200 百万円", "310 百万円"],
+         "answer_index": 0, "doc_id": "fin", "category": "Num"},
+        {"question": "新卒採用は何人を見込んでいますか。", "options": ["80 人", "45 人"],
+         "answer_index": 1, "doc_id": "hr", "category": "Fact."},
+    ),
+    "verdicts": (
+        {"question": "当期の売上高はいくらですか。", "options": ["4200 百万円", "310 百万円"],
+         "category": "Num", "gold_answer_index": 0, "predicted_index": 0,
+         "retrieved": [["fin", 1]], "no_context": False, "chosen_option": "A",
+         "confidence": 1.0, "votes": {"A": 1}, "responses_used": 1, "stopped_early": True,
+         "abstained": False, "failed_responses": 0, "failed": False},
+        {"question": "新卒採用は何人を見込んでいますか。", "options": ["80 人", "45 人"],
+         "category": "Fact.", "gold_answer_index": 1, "predicted_index": None,
+         "retrieved": [], "no_context": True, "chosen_option": None, "confidence": 0.0,
+         "votes": {}, "responses_used": 0, "stopped_early": False, "abstained": True,
+         "failed_responses": 0, "failed": False},
+    ),
+}
+# written as a bare number of 5,000 digits, past what json.loads converts to an int
+_HUGE_INT = "9" * 5000
+# per file kind, field -> values its reader rejects
+_REJECTED_VALUES = {
+    "questions": {"question": [None, 7, ["q"]],
+                  "options": [None, "ab", [], ["a"], ["a", None], list("abcdefghijk")],
+                  "answer_index": [True, 1.0, "0", -1, 2, _HUGE_INT],
+                  "doc_id": [7, ["fin"], "nope"], "category": [7, ["Num"]]},
+    "verdicts": {"gold_answer_index": [True, 0.0, "0", [0], _HUGE_INT],
+                 "predicted_index": [False, 1.5, "1", {}],
+                 "failed": ["false", 0, None], "no_context": ["true", 1, None]},
+}
+# per file kind, the fields a record may lack
+_OPTIONAL_FIELDS = {"questions": {"answer_index", "doc_id", "category"},
+                    "verdicts": set(_FILE_RECORDS["verdicts"][0])}
+
+
+def _hostile_file(data, kind: str) -> tuple[bytes, bool | None]:
+    """A mutant of the valid two-record file of `kind`, and whether it is still
+    valid (None where the mutation can give either)."""
+    records = [dict(record) for record in _FILE_RECORDS[kind]]
+    mutation = data.draw(st.sampled_from(
+        ["cut", "flip", "not_utf8", "mistyped", "missing", "duplicate"]), label="mutation")
+    at = data.draw(st.integers(0, len(records) - 1), label="record")
+    valid = True
+    if mutation == "mistyped":
+        field = data.draw(st.sampled_from(sorted(_REJECTED_VALUES[kind])), label="field")
+        records[at][field] = data.draw(st.sampled_from(_REJECTED_VALUES[kind][field]),
+                                       label="value")
+        valid = False
+    elif mutation == "missing":
+        field = data.draw(st.sampled_from(sorted(records[at])), label="field")
+        del records[at][field]
+        valid = field in _OPTIONAL_FIELDS[kind]
+    elif mutation == "duplicate":
+        records.insert(data.draw(st.integers(0, len(records)), label="to"), dict(records[at]))
+    lines = [_record_bytes(record).replace(f'"{_HUGE_INT}"'.encode(), _HUGE_INT.encode())
+             for record in records]
+    blob = bytearray(b"".join(lines))
+    if mutation == "cut":  # whole records survive only a cut at a record's end
+        length = data.draw(st.integers(0, len(blob) - 1), label="length")
+        valid = length > 0 and any(length in (end - 1, end)
+                                   for end in itertools.accumulate(map(len, lines)))
+        del blob[length:]
+    elif mutation == "flip":  # a flipped bit inside a value can leave a valid record
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        blob[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        valid = None
+    elif mutation == "not_utf8":
+        at = data.draw(st.integers(0, len(blob)), label="offset")
+        blob[at:at] = data.draw(st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"]),
+                                label="bytes")
+        valid = False
+    return bytes(blob), valid
+
+
+def _check_exit(code: int, valid: bool | None, out: str, err: str) -> None:
+    if valid is not None:
+        assert code == (EXIT_OK if valid else EXIT_VALIDATION), err
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        assert code == EXIT_VALIDATION, err
+        assert err.startswith("validation error: ") and err.count("\n") == 1, err
+        assert out == ""
+
+
+@pytest.fixture(scope="module")
+def answering_server():
+    with MockModelServer(chat="Answer: A") as server:
+        yield server
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_hostile_question_file_exits_0_or_5_with_one_line(tmp_path, capsys, artifacts,
+                                                          fast_config, answering_server, data):
+    blob, valid = _hostile_file(data, "questions")
+    path = tmp_path / "hostile.jsonl"
+    path.write_bytes(blob)
+    answering_server.request_log.clear()
+    capsys.readouterr()
+    code = main(["--config", str(fast_config), "infer", "--questions", str(path),
+                 "--output", str(tmp_path / "v.jsonl"), "--corpus", str(artifacts["corpus"]),
+                 "--no-retrieval", "--endpoint-url", answering_server.base_url,
+                 "--model", "mock-model"])
+    out, err = capsys.readouterr()
+    _check_exit(code, valid, out, err)
+    if code == EXIT_OK:
+        assert answering_server.request_log
+    else:
+        assert answering_server.request_log == []
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_hostile_verdict_file_exits_0_or_5_with_one_line(tmp_path, capsys, data):
+    blob, valid = _hostile_file(data, "verdicts")
+    path = tmp_path / "hostile.jsonl"
+    path.write_bytes(blob)
+    capsys.readouterr()
+    code = main(["evaluate", "--verdicts", str(path)])
+    out, err = capsys.readouterr()
+    _check_exit(code, valid, out, err)

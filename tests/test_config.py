@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 import docqa_engine
+from docqa_engine.augment import GateThresholds
 from docqa_engine.config import AUTH_TOKEN_ENV, PipelineConfig, load_config
 from docqa_engine.errors import ConfigError
+from docqa_engine.gateway import EndpointConfig
+from docqa_engine.retriever import FusionWeights
 
 
 def _write(tmp_path, text: str):
@@ -130,6 +133,12 @@ class TestRejection:
         with pytest.raises(ConfigError, match="not valid YAML"):
             load_config(_write(tmp_path, "retrieval: [unclosed\n"))
 
+    def test_integer_pyyaml_cannot_convert_is_not_valid_yaml(self, tmp_path):
+        # past Python's int-to-string digit limit PyYAML raises ValueError, not YAMLError
+        text = "endpoint:\n" + _ENDPOINT + f"  timeout: {'9' * 5000}\n"
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            load_config(_write(tmp_path, text))
+
     def test_non_mapping_top_level(self, tmp_path):
         with pytest.raises(ConfigError, match="top-level mapping"):
             load_config(_write(tmp_path, "- just\n- a list\n"))
@@ -215,6 +224,29 @@ _NON_FINITE = [
 ]
 
 
+# (section, YAML holding a value of the right type that the section rejects)
+_OUT_OF_RANGE = [
+    ("endpoint", "endpoint:\n" + _ENDPOINT + "  backoff_base: -1\n"),
+    ("embedding", "embedding:\n" + _ENDPOINT + "  backoff_base: -0.5\n"),
+    ("gates", "gates:\n  question_min_chars: 500\n"),
+    ("gates", "gates:\n  question_min_chars: -1\n"),
+    ("gates", "gates:\n  dedup_jaccard: -1.0\n"),
+    ("gates", "gates:\n  dedup_jaccard: 0\n"),
+    ("gates", "gates:\n  support_jaccard: 7.0\n"),
+    ("gates", "gates:\n  evidence_overlap: -0.1\n"),
+    ("gates", "gates:\n  option_length_ratio: 0.5\n"),
+    ("gates", "gates:\n  min_clauses: -1\n"),
+    ("gates", "gates:\n  min_reasoning_chars: -1\n"),
+]
+
+
+@pytest.mark.parametrize("section, text", _OUT_OF_RANGE,
+                         ids=[text.splitlines()[-1].strip() for _, text in _OUT_OF_RANGE])
+def test_out_of_range_value_is_rejected_naming_the_section(tmp_path, section, text):
+    with pytest.raises(ConfigError, match=f"invalid {section} config: "):
+        load_config(_write(tmp_path, text))
+
+
 class TestTypes:
     @pytest.mark.parametrize("key, text", _WRONG_TYPES, ids=[key for key, _ in _WRONG_TYPES])
     def test_wrong_type_is_rejected_naming_the_key(self, tmp_path, key, text):
@@ -253,3 +285,65 @@ class TestTypes:
         config = load_config(_write(tmp_path, "embedding:\n  dim: 64\n"))
         assert config.embed_dim == 64
         assert config.embedding is None
+
+
+# ---------------------------------------------------------------------------
+# Library constructors reject what a config file rejects, NaN included
+
+NAN, INF = float("nan"), float("inf")
+_NAMES = {"base_url": "http://llm/v1", "model_name": "m"}
+
+# (class, keyword arguments it rejects, what the message names)
+_REJECTED = [
+    (FusionWeights, {"alpha": NAN, "beta": NAN}, "non-negative"),
+    (FusionWeights, {"alpha": NAN, "beta": 1.0}, "non-negative"),
+    (FusionWeights, {"alpha": INF, "beta": 0.0}, "sum to 1"),
+    (EndpointConfig, {**_NAMES, "timeout": NAN}, "timeout"),
+    (EndpointConfig, {**_NAMES, "timeout": INF}, "timeout"),
+    (EndpointConfig, {**_NAMES, "backoff_base": -3.0}, "backoff_base"),
+    (EndpointConfig, {**_NAMES, "backoff_base": NAN}, "backoff_base"),
+    (EndpointConfig, {**_NAMES, "backoff_base": INF}, "backoff_base"),
+    (GateThresholds, {"question_min_chars": 500}, "question_min_chars"),
+    (GateThresholds, {"question_min_chars": -1}, "question_min_chars"),
+    (GateThresholds, {"question_max_chars": 5}, "question_max_chars"),
+    (GateThresholds, {"min_clauses": -1}, "min_clauses"),
+    (GateThresholds, {"min_reasoning_chars": -1}, "min_reasoning_chars"),
+    (GateThresholds, {"support_jaccard": 7.0}, "support_jaccard"),
+    (GateThresholds, {"support_jaccard": NAN}, "support_jaccard"),
+    (GateThresholds, {"evidence_overlap": -0.1}, "evidence_overlap"),
+    (GateThresholds, {"dedup_jaccard": -1.0}, "dedup_jaccard"),
+    (GateThresholds, {"dedup_jaccard": 0.0}, "dedup_jaccard"),
+    (GateThresholds, {"dedup_jaccard": 1.5}, "dedup_jaccard"),
+    (GateThresholds, {"option_length_ratio": 0.5}, "option_length_ratio"),
+    (GateThresholds, {"option_length_ratio": INF}, "option_length_ratio"),
+    (GateThresholds, {"option_length_ratio": NAN}, "option_length_ratio"),
+]
+
+# (class, keyword arguments at the edge of each range, all accepted)
+_ACCEPTED = [
+    (EndpointConfig, {**_NAMES, "backoff_base": 0.0, "timeout": 1e-3}),
+    (GateThresholds, {"question_max_chars": 20}),
+    (GateThresholds, {"question_min_chars": 0, "question_max_chars": 0, "min_clauses": 0,
+                      "min_reasoning_chars": 0, "support_jaccard": 0.0,
+                      "evidence_overlap": 1.0, "dedup_jaccard": 1.0,
+                      "option_length_ratio": 1.0}),
+    (GateThresholds, {"support_jaccard": 1.0, "evidence_overlap": 0.0, "dedup_jaccard": 1e-9}),
+]
+
+
+def _case_id(cls, kwargs) -> str:
+    return cls.__name__ + "-" + ",".join(f"{k}={v}" for k, v in kwargs.items()
+                                         if k not in _NAMES)
+
+
+class TestConstructors:
+    @pytest.mark.parametrize("cls, kwargs, match", _REJECTED,
+                             ids=[_case_id(cls, kwargs) for cls, kwargs, _ in _REJECTED])
+    def test_out_of_range_value_is_rejected(self, cls, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            cls(**kwargs)
+
+    @pytest.mark.parametrize("cls, kwargs", _ACCEPTED,
+                             ids=[_case_id(cls, kwargs) for cls, kwargs in _ACCEPTED])
+    def test_range_edges_are_accepted(self, cls, kwargs):
+        assert cls(**kwargs) == cls(**kwargs)

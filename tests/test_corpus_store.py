@@ -20,7 +20,7 @@ from docqa_engine.corpus import (
     page_fingerprint,
     save_corpus,
 )
-from docqa_engine.errors import ConflictError, FormatError, IntegrityError, ParseError
+from docqa_engine.errors import FormatError, IntegrityError, ParseError
 from docqa_engine.tokenizer import count_numeric_tokens
 
 
@@ -94,6 +94,12 @@ class TestIngest:
         with pytest.raises(ParseError, match=r"line 2"):
             ingest(lines)
 
+    def test_integer_json_cannot_convert_reports_line_number(self):
+        # json.loads raises a bare ValueError past Python's int-to-string digit limit
+        lines = _lines(_record("a", 0, "x")) + ['{"doc_id": "a", "page_index": ' + "1" * 5000 + "}"]
+        with pytest.raises(ParseError, match=r"line 2: invalid JSON: Exceeds the limit"):
+            ingest(lines)
+
     def test_missing_field(self):
         with pytest.raises(ParseError, match="missing field"):
             ingest(['{"doc_id": "a", "page_index": 0}'])
@@ -116,7 +122,7 @@ class TestIngest:
             ingest(_lines(_record("a", -1, "x")))
 
     def test_duplicate_page_conflict(self):
-        with pytest.raises(ConflictError):
+        with pytest.raises(IntegrityError):
             ingest(_lines(_record("a", 0, "x"), _record("a", 0, "y")))
 
     def test_gap_in_pages_rejected(self):
@@ -160,7 +166,7 @@ class TestCorpusModel:
 
     def test_duplicate_page_is_a_conflict(self):
         pages = [Page.from_raw("a", 0, "x"), Page.from_raw("a", 1, "y"), Page.from_raw("a", 0, "z")]
-        with pytest.raises(ConflictError, match=r"duplicate page \('a', 0\)"):
+        with pytest.raises(IntegrityError, match=r"duplicate page \('a', 0\)"):
             Corpus.from_pages(pages)
 
     def test_counts_documents_and_pages(self):

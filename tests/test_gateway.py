@@ -169,6 +169,16 @@ class TestRetryBehavior:
             assert excinfo.value.status == 502
             assert len(server.request_log) == 2
 
+    @pytest.mark.parametrize("script", [[MockReply(status=400)], [MockReply(status=503)] * 2],
+                             ids=["client_error", "retries_exhausted"])
+    def test_a_status_failure_is_a_transport_error_with_its_status(self, script):
+        # a caller that catches TransportError alone catches every failed call
+        with MockModelServer(chat=script) as server:
+            client = server.make_client(max_retries=1)
+            with pytest.raises(TransportError) as excinfo:
+                client.generate({"messages": [{"role": "user", "content": "q"}]})
+        assert excinfo.value.status == script[-1].status
+
     def test_429_then_success_is_retried(self):
         with MockModelServer(chat=[MockReply(status=429), "recovered"]) as server:
             client = server.make_client(max_retries=2)
