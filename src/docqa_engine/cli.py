@@ -61,13 +61,30 @@ class QuestionRecord:
     category: str | None = None
 
 
-def _index_field(record: dict, key: str) -> int | None:
-    """record[key], which must be an integer or null (or absent)."""
+def _index_field(record: dict, key: str, options: list[str] | None = None) -> int | None:
+    """record[key], which must be an integer or null (or absent), and given
+    ``options`` the index of one of them."""
     value = record.get(key)
     # bool is an int subclass; JSON true must not read as index 1
     if value is not None and type(value) is not int:
         raise ValueError(f"{key} must be an integer or null")
+    if value is not None and options is not None and not 0 <= value < len(options):
+        raise ValueError(f"{key} {value} out of range for {len(options)} options")
     return value
+
+
+def _options(record: dict) -> list[str]:
+    """record["options"] and its category, checked as a question's."""
+    options = record["options"]
+    if not isinstance(options, list):
+        raise ValueError("options must be a list")
+    if not all(isinstance(o, str) for o in options):
+        raise ValueError("options must be strings")
+    if not isinstance(record.get("category"), (str, type(None))):
+        raise ValueError("category must be a string")
+    if not 2 <= len(options) <= MAX_OPTIONS:
+        raise ValueError(f"{len(options)} options; a question needs 2 to {MAX_OPTIONS}")
+    return options
 
 
 def _read_jsonl(path: str | Path, kind: str, checked) -> list:
@@ -80,28 +97,20 @@ def _read_jsonl(path: str | Path, kind: str, checked) -> list:
 
 
 def _question_record(raw: dict) -> QuestionRecord:
-    question, options = raw["question"], raw["options"]
+    question = raw["question"]
     if not isinstance(question, str):
         raise ValueError("question must be a string")
-    if not isinstance(options, list):
-        raise ValueError("options must be a list")
-    if not all(isinstance(o, str) for o in options):
-        raise ValueError("options must be strings")
-    for key in ("doc_id", "category"):
-        if not isinstance(raw.get(key), (str, type(None))):
-            raise ValueError(f"{key} must be a string")
-    answer_index = _index_field(raw, "answer_index")
-    if not 2 <= len(options) <= MAX_OPTIONS:
-        raise ValueError(f"{len(options)} options; a question needs 2 to {MAX_OPTIONS}")
-    if answer_index is not None and not 0 <= answer_index < len(options):
-        raise ValueError(f"answer_index {answer_index} out of range for {len(options)} options")
-    return QuestionRecord(question, tuple(options), answer_index,
+    options = _options(raw)
+    if not isinstance(raw.get("doc_id"), (str, type(None))):
+        raise ValueError("doc_id must be a string")
+    return QuestionRecord(question, tuple(options), _index_field(raw, "answer_index", options),
                           doc_id=raw.get("doc_id"), category=raw.get("category"))
 
 
 def _verdict_record(raw: dict) -> dict:
+    options = _options(raw) if "options" in raw else None  # older files hold none
     for key in ("gold_answer_index", "predicted_index"):
-        _index_field(raw, key)
+        _index_field(raw, key, options)
     for key in ("failed", "no_context"):  # either may be absent, as in older files
         if type(raw.get(key, False)) is not bool:
             raise ValueError(f"{key} must be a boolean")
@@ -136,8 +145,9 @@ def answer_questions(
     serializable verdict record per question, in input order, identical to
     answering them one by one.
     A question left with no context sends no request: its verdict abstains
-    with ``no_context`` set. Indexes that ``check_indexes`` rejects fail
-    before any request.
+    with ``no_context`` set. A question whose query embedding fails after the
+    gateway's retries sends no request either: its verdict is ``failed``.
+    Indexes that ``check_indexes`` rejects fail before any request.
     """
     if use_retrieval:
         if lexical_index is None:
@@ -157,18 +167,21 @@ def answer_questions(
         baseline_contexts = [joined] if joined else []
 
     def answer(qi: int, q: QuestionRecord) -> dict:
-        retrieved = []
+        retrieved, embedded = [], True
         if use_retrieval:
-            results = retrieve(
-                q.question,
-                lexical_index,
-                semantic_index,
-                config.weights,
-                config.policy,
-                client=embed_client,
-                candidate_k=config.candidate_k,
-                doc_id=q.doc_id,
-            )
+            try:
+                results = retrieve(
+                    q.question,
+                    lexical_index,
+                    semantic_index,
+                    config.weights,
+                    config.policy,
+                    client=embed_client,
+                    candidate_k=config.candidate_k,
+                    doc_id=q.doc_id,
+                )
+            except (TransportError, ContractError):  # the query embedding failed: ask nothing
+                results, embedded = [], False
             retrieved = [r.page_ref for r in results]
             contexts = [corpus.get(*ref).normalized_text for ref in retrieved]
         else:
@@ -179,7 +192,7 @@ def answer_questions(
                                    make_schedule(config.schedule_count, seed=config.seed + qi),
                                    chat_client, stop=config.stop, option_texts=list(q.options))
         else:  # nothing to ground an answer on, so nothing is asked
-            verdict = EnsembleVerdict(None, 0.0, {}, 0, stopped_early=False, abstained=True)
+            verdict = EnsembleVerdict(None, 0.0, {}, 0, stopped_early=False, abstained=embedded)
         predicted = (
             None if verdict.chosen_option is None
             else ord(verdict.chosen_option) - ord("A")
@@ -191,8 +204,9 @@ def answer_questions(
             "gold_answer_index": q.answer_index,
             "predicted_index": predicted,
             "retrieved": [[doc, idx] for doc, idx in retrieved],
-            "no_context": not contexts,
+            "no_context": embedded and not contexts,
             **verdict.to_record(),
+            "failed": verdict.failed or not embedded,
         }
 
     workers = max(1, min(QUESTIONS_PER_SLOT * in_flight_limit(chat_client), len(questions)))

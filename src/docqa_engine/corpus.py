@@ -297,13 +297,10 @@ class ByteReader:
         dtype = np.dtype(dtype)
         return np.frombuffer(self.take(count * dtype.itemsize), dtype)
 
-    def text(self, length: int | None = None) -> str:
-        """One UTF-8 string of ``length`` bytes or, by default, as pack_text stores
-        it: its u32 byte length, then its bytes."""
-        if length is None:
-            (length,) = self.unpack("<I")
+    def text(self) -> str:
+        """One UTF-8 string as pack_text stores it: its u32 byte length, then its bytes."""
         try:
-            return str(self.take(length), "utf-8")
+            return str(self.take(*self.unpack("<I")), "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{self._kind} file holds a string that is not UTF-8") from exc
 

@@ -14,6 +14,7 @@ and slices a document's rows out of the sums.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from collections import Counter
@@ -38,14 +39,72 @@ DEFAULT_N_MIN, DEFAULT_N_MAX = 1, 5
 _HEADER = "<IIIIQQ32s"  # page_count, vocab_size, n_min, n_max, vocabulary bytes, nnz, fingerprint
 
 
+_KEY_BASE = 0x100000001B3  # odd, so it has an inverse mod 2**64
+
+
+def _powers(count: int) -> np.ndarray:
+    """_KEY_BASE ** (j + 1) and its inverse mod 2**64, for j below ``count``."""
+    base = np.array([[_KEY_BASE], [pow(_KEY_BASE, -1, 2**64)]], np.uint64)
+    return np.cumprod(np.repeat(base, count, axis=1), axis=1)
+
+
+_POWERS = _powers(4096)  # enough for most queries
+
+
+def _span_keys(data: bytes | memoryview, spans: np.ndarray, powers: np.ndarray = _POWERS) -> np.ndarray:
+    """Per [start, end) byte span of ``data``, the sum of its bytes b_k * _KEY_BASE ** k
+    mod 2**64, k counted from the span's start: equal bytes anywhere have equal keys.
+    ``powers`` serves data shorter than it; longer data gets its own."""
+    up, down = powers if len(data) < powers.shape[1] else _powers(len(data) + 1)
+    sums = np.zeros(len(data) + 1, np.uint64)
+    np.cumsum(np.frombuffer(data, np.uint8) * up[:len(data)], out=sums[1:])
+    return (sums[spans[:, 1]] - sums[spans[:, 0]]) * down[spans[:, 0]]
+
+
 @dataclass
 class Vocabulary:
-    feature_ids: dict[str, int]  # feature -> dense id in [0, size)
-    df: list[int]  # document frequency, indexed by feature id
+    """The features in id order as the index file holds them: one UTF-8 blob joined
+    with "\\n" (tokens never hold whitespace). A lookup finds a byte span's key among
+    the features' sorted keys and confirms the hit on the blob's bytes."""
+
+    features: bytes | memoryview
+    df: np.ndarray  # u4 document frequency, indexed by feature id
+
+    def __post_init__(self):
+        str(self.features, "utf-8")  # else UnicodeDecodeError, a ValueError
+        cuts = np.flatnonzero(np.frombuffer(self.features, np.uint8) == ord("\n"))
+        spans = np.stack([np.append(0, cuts + 1), np.append(cuts, len(self.features))], 1)[
+            :len(cuts) + bool(self.features)]  # none in an empty blob
+        blocks = [block for block in np.split(spans, range(1024, len(spans), 1024)) if len(block)]
+        powers = _powers(max((block[-1, 1] - block[0, 0] for block in blocks), default=0) + 1)
+        keys = np.concatenate([np.zeros(0, np.uint64), *(  # a block at a time bounds the temporaries
+            _span_keys(self.features[b[0, 0]:b[-1, 1]], b - b[0, 0], powers) for b in blocks)])
+        order = np.argsort(keys)  # and per key, its feature's id and [start, end) in the blob
+        self._keys = keys[order]
+        self._slots = np.column_stack([order, spans[order]]).astype(np.min_scalar_type(len(self.features)))
+        same = np.append(self._keys[1:] == self._keys[:-1], False)  # as the next key
+        tied = self._slots[np.flatnonzero(same | np.roll(same, 1))].tolist()
+        self._tied = {bytes(self.features[s:e]): fid for fid, s, e in tied}
+        if not len(keys) == len(keys) - len(tied) + len(self._tied) == len(self.df):
+            raise ValueError(f"vocabulary holds {len(keys)} features, {len(keys) - len(tied) + len(self._tied)} "
+                             f"of them distinct; header says {len(self.df)}")
 
     @property
     def size(self) -> int:
-        return len(self.feature_ids)
+        return len(self.df)
+
+    @property
+    def feature_ids(self) -> dict[str, int]:
+        """feature -> id, made on each call; lookups go through ``find``."""
+        return dict(zip(str(self.features, "utf-8").split("\n"), range(self.size)))
+
+    def find(self, data: bytes, spans: np.ndarray) -> list[int]:
+        """The ids of the features that the [start, end) byte ``spans`` of ``data`` hold, in span order."""
+        keys = _span_keys(data, spans)
+        at = self._keys.searchsorted(keys)
+        hit = np.flatnonzero(self._keys.take(at, mode="clip") == keys) if self.size else at[:0]
+        return [fid for (candidate, fs, fe), (s, e) in zip(self._slots[at[hit]].tolist(), spans[hit].tolist())
+                if (fid := candidate if self.features[fs:fe] == data[s:e] else self._tied.get(data[s:e], -1)) >= 0]
 
 
 @dataclass
@@ -157,8 +216,9 @@ def _gram_pairs(tok: np.ndarray, lengths: np.ndarray, n_min: int, n_max: int) ->
 
 
 def _choose(tok: np.ndarray, texts: list[str], starts: np.ndarray, lens: np.ndarray,
-            df: np.ndarray, max_features: int) -> tuple[np.ndarray, list[str]]:
-    """The vocabulary's gram ids in feature id order, and its features.
+            df: np.ndarray, max_features: int) -> tuple[np.ndarray, bytes]:
+    """The vocabulary's gram ids in feature id order, and its features as
+    ``Vocabulary`` holds them, gathered from the token texts' bytes.
 
     Highest-df features first, ties in ascending feature string order.
     Taking a prefix of this fixed order keeps the vocabulary monotone in
@@ -176,13 +236,20 @@ def _choose(tok: np.ndarray, texts: list[str], starts: np.ndarray, lens: np.ndar
     ranks = [np.where(n > k, rank[tok[np.minimum(at + k, last)]], -1)
              for k in range(int(n.max(initial=0)))]
     picked = np.lexsort((*ranks[::-1], -df[candidates]))[:max_features]
-    at, n, words = at[picked], n[picked], np.array(texts, dtype=object)
-    features = np.empty(len(picked), dtype=object)
-    for k in range(1, int(n.max(initial=0)) + 1):  # the k-token features, a column at a time
-        rows = np.flatnonzero(n == k)
-        columns = (words[tok[at[rows] + j]].tolist() for j in range(k))
-        features[rows] = list(map(NGRAM_SEP.join, zip(*columns)))
-    return candidates[picked], features.tolist()
+    text = np.frombuffer((NGRAM_SEP.join(texts) + NGRAM_SEP).encode(), np.uint8)
+    ends = np.flatnonzero(text == ord(NGRAM_SEP)) + 1  # of each token's text and separator
+    size, blocks = np.diff(ends, prepend=0), []
+    for block in np.split(picked, range(1024, len(picked), 1024)):  # bounds the temporaries
+        pieces = tok[_ranges(at[block], n[block])]  # the block's features' tokens, in turn
+        blob = text[_ranges(ends[pieces] - size[pieces], size[pieces])]
+        blob[np.cumsum(size[pieces])[np.cumsum(n[block]) - 1] - 1] = ord("\n")  # after each feature
+        blocks.append(blob)
+    return candidates[picked], np.concatenate(blocks)[:-1].tobytes()
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [start, start + count), one after another."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
 def _page_pairs(pages: tuple[Page, ...], max_features: int, n_min: int, n_max: int) -> tuple:
@@ -207,8 +274,7 @@ def _page_pairs(pages: tuple[Page, ...], max_features: int, n_min: int, n_max: i
     fid_of[chosen] = np.arange(len(chosen))
     keep = [fid_of[grams] >= 0 for grams, _, _ in pairs]
     grams, tfs, rows = (np.concatenate([a[k] for a, k in zip(arrays, keep)]) for arrays in zip(*pairs))
-    return (Vocabulary(dict(zip(features, range(len(features)))), df[chosen].tolist()),
-            fid_of[grams], tfs, rows)
+    return Vocabulary(features, df[chosen].astype(np.uint32)), fid_of[grams], tfs, rows
 
 
 def build_lexical_index(corpus: Corpus, max_features: int = DEFAULT_MAX_FEATURES,
@@ -231,6 +297,15 @@ def build_lexical_index(corpus: Corpus, max_features: int = DEFAULT_MAX_FEATURES
                         fingerprint=corpus.fingerprint, known_idf=idf)
 
 
+@functools.lru_cache(maxsize=64)
+def _gram_edges(tokens: int, n_min: int, n_max: int) -> np.ndarray:
+    """Per gram of ``page_features``, in its order, the indexes of the token
+    edges around it: the same for every query of ``tokens`` tokens."""
+    edge, ns = np.arange(tokens + 1), range(n_min, min(n_max, tokens) + 1)
+    return np.stack([np.concatenate([edge[:tokens - n + 1] for n in ns] or [edge[:0]]),
+                     np.concatenate([edge[n:] for n in ns] or [edge[:0]])], 1)
+
+
 def score_lexical(index: LexicalIndex, query_text: str,
                   doc_id: str | None = None) -> list[tuple[PageRef, float]]:
     """Cosine scores of all pages against the query, descending.
@@ -240,15 +315,17 @@ def score_lexical(index: LexicalIndex, query_text: str,
     (doc_id, page_index) ascending. With ``doc_id`` only that document's
     pages are ranked.
     """
-    grams = page_features(normalize_text(query_text), index.n_min, index.n_max)
-    feature_ids = index.vocabulary.feature_ids
-    hits = [(fid, tf) for gram, tf in grams.items() if (fid := feature_ids.get(gram)) is not None]
-    fids, tfs = np.array(hits, dtype=np.int64).reshape(-1, 2).T
+    texts = token_texts(normalize_text(query_text))
+    data = NGRAM_SEP.join(["", *texts, ""]).encode()
+    edges = np.flatnonzero(np.frombuffer(data, np.uint8) == ord(NGRAM_SEP))  # around each token
+    spans = edges[_gram_edges(len(texts), index.n_min, index.n_max)] + (1, 0)
+    tf = Counter(index.vocabulary.find(data, spans))  # feature id -> tf, in order of first occurrence
+    fids, tfs = np.fromiter(tf, np.int64, len(tf)), np.fromiter(tf.values(), np.int64, len(tf))
     weights = tfidf_weights(fids, tfs, index.idf, np.zeros(len(fids), dtype=np.intp))
     # each query feature's whole column, in query-feature order
     starts = index._col_offsets[fids]
     counts = index._col_offsets[fids + 1] - starts
-    at = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    at = _ranges(starts, counts)
     # bincount adds each page's products in that order, the order of a walk
     # over per-feature postings, so every score is the same float
     acc = np.bincount(index.rows[at], weights=np.repeat(weights, counts) * index.weights[at],
@@ -268,8 +345,7 @@ def save_lexical_index(index: LexicalIndex, path: str | Path) -> None:
     per feature, which are also the column lengths; each page ref as a string
     and a u32 page index; then the CSC arrays: u32 rows, f64 weights.
     """
-    feature_ids = index.vocabulary.feature_ids
-    blob = "\n".join(sorted(feature_ids, key=feature_ids.get)).encode("utf-8")
+    blob = index.vocabulary.features
     with Path(path).open("wb") as fh:
         fh.write(LEXICAL_MAGIC + struct.pack("<I", LEXICAL_FORMAT_VERSION))
         fh.write(struct.pack(_HEADER, index.page_count, index.vocabulary.size, index.n_min,
@@ -287,22 +363,18 @@ def load_lexical_index(path: str | Path) -> LexicalIndex:
     page_count, vocab_size, n_min, n_max, blob_size, nnz, fingerprint = reader.unpack(_HEADER)
     if not 1 <= n_min <= n_max:
         raise FormatError(f"lexical index n-gram range [{n_min}, {n_max}] is invalid")
-    features = reader.text(blob_size).split("\n") if blob_size else []
+    features = reader.take(blob_size)
     df = reader.array("<u4", vocab_size)
     page_refs = [(reader.text(), reader.unpack("<I")[0]) for _ in range(page_count)]
     rows = reader.array("<u4", nnz)
     weights = reader.array("<f8", nnz)
     reader.finish()
-    feature_ids = dict(zip(features, range(len(features))))
-    if not len(features) == len(feature_ids) == vocab_size:
-        raise FormatError(f"lexical index vocabulary holds {len(features)} features, "
-                          f"{len(feature_ids)} of them distinct; header says {vocab_size}")
     if not ((df >= 1) & (df <= page_count)).all():
         raise FormatError(f"lexical index holds a document frequency outside 1..{page_count}")
     if not np.isfinite(weights).all():
         raise FormatError("lexical index holds a non-finite weight")
     try:
-        return LexicalIndex(Vocabulary(feature_ids, df.tolist()), page_refs, rows=rows,
+        return LexicalIndex(Vocabulary(features, df), page_refs, rows=rows,
                             weights=weights, n_min=n_min, n_max=n_max, fingerprint=fingerprint)
     except ValueError as exc:
         raise FormatError(f"lexical index {exc}") from exc

@@ -78,7 +78,10 @@ class _MockRequestHandler(BaseHTTPRequestHandler):
                 self._send(reply.status, body, reply.headers)
             elif self.path.endswith("/embeddings"):
                 vectors = owner._embed_reply(payload)
-                self._send(200, {"data": [{"embedding": v} for v in vectors]})
+                if isinstance(vectors, MockReply):  # a scripted failure
+                    self._send(vectors.status, {"error": f"scripted status {vectors.status}"})
+                else:
+                    self._send(200, {"data": [{"embedding": v} for v in vectors]})
             else:
                 self._send(404, {"error": f"unknown path {self.path}"})
         finally:
@@ -91,13 +94,13 @@ class MockModelServer:
     Chat behavior comes from ``chat``: a fixed string, a list consumed in
     arrival order, or a callable (payload, call_index) -> str | MockReply.
     An unscripted request fails with 404. Embeddings come from ``embed``
-    (callable texts -> vectors), defaulting to the deterministic hash
-    embedder. Every request is appended to ``request_log``; peak handler
+    (callable texts -> vectors, or a MockReply whose status the request
+    fails with), defaulting to the deterministic hash embedder. Every request is appended to ``request_log``; peak handler
     concurrency is tracked in ``max_in_flight_observed``.
     """
 
     def __init__(self, chat=None,
-                 embed: Callable[[list[str]], list[list[float]]] | None = None,
+                 embed: Callable[[list[str]], list[list[float]] | MockReply] | None = None,
                  dim: int = 1024):
         self._chat = chat
         self._embed_fn = embed or hash_embedder(dim)
@@ -155,7 +158,7 @@ class MockModelServer:
             return _as_reply(script(payload, index))
         return UNSCRIPTED
 
-    def _embed_reply(self, payload: dict) -> list[list[float]]:
+    def _embed_reply(self, payload: dict) -> list[list[float]] | MockReply:
         with self._lock:
             self.request_log.append({"kind": "embed", "payload": payload})
         return self._embed_fn(list(payload.get("input") or []))

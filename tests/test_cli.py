@@ -33,8 +33,8 @@ from docqa_engine.cli import (
 from docqa_engine.config import AUTH_TOKEN_ENV
 from docqa_engine.corpus import ingest, normalize_text, save_corpus
 from docqa_engine.errors import ConfigError, ParseError
-from docqa_engine.gateway import EndpointConfig
-from docqa_engine.semantic import load_semantic_index
+from docqa_engine.gateway import EndpointConfig, hash_embedder
+from docqa_engine.semantic import QUERY_PREFIX, load_semantic_index
 from mock_server import MockModelServer, MockReply
 from test_lexical_index import V1_FILE, V2_FILE
 
@@ -791,6 +791,47 @@ class TestInfer:
             None, True, False)
         assert second["failed_responses"] == second["responses_used"] == 2
 
+    def test_a_failed_query_embedding_fails_its_question_alone(self, tmp_path, artifacts,
+                                                               questions_file, capsys):
+        # the "hr" question's query embedding fails; the "fin" one is answered
+        embedder = hash_embedder(32)
+
+        def embed(texts):
+            if any(t.startswith(QUERY_PREFIX) and "新卒採用" in t for t in texts):
+                return MockReply(status=503)
+            return embedder(texts)
+
+        output, semantic = tmp_path / "verdicts.jsonl", tmp_path / "semantic.idx"
+        with MockModelServer(chat="Answer: A", embed=embed) as server:
+            config = tmp_path / "config.yaml"
+            config.write_text("ensemble:\n  schedule_count: 2\n  min_responses: 1\n"
+                              f"endpoint:\n  base_url: {server.base_url}\n"
+                              "  model_name: mock-model\n  max_retries: 0\n"
+                              f"embedding:\n  base_url: {server.base_url}\n"
+                              "  model_name: embedder\n  dim: 32\n  max_retries: 0\n",
+                              encoding="utf-8")
+            assert main(["--config", str(config), "build-index", "--corpus", str(artifacts["corpus"]),
+                         "--lexical", str(tmp_path / "lex.idx"), "--semantic", str(semantic)]) == EXIT_OK
+            server.request_log.clear()
+            code = main([
+                "--config", str(config),
+                "infer", "--questions", str(questions_file), "--output", str(output),
+                "--corpus", str(artifacts["corpus"]), "--lexical", str(tmp_path / "lex.idx"),
+                "--semantic", str(semantic),
+            ])
+            asked = [r["payload"]["messages"][-1]["content"] for r in server.request_log
+                     if r["kind"] == "chat"]
+        assert code == EXIT_TRANSPORT
+        assert "1 of 2 questions got no successful response" in capsys.readouterr().err
+        first, second = [json.loads(line)
+                         for line in output.read_text(encoding="utf-8").splitlines()]
+        assert (first["chosen_option"], first["failed"], first["retrieved"] != []) == ("A", False, True)
+        assert asked and not any("新卒採用" in content for content in asked)
+        assert {key: second[key] for key in ("chosen_option", "retrieved", "responses_used",
+                                             "failed", "abstained", "no_context")} == {
+            "chosen_option": None, "retrieved": [], "responses_used": 0, "failed": True,
+            "abstained": False, "no_context": False}
+
     @pytest.mark.parametrize("flags", [
         ["--lexical", "index.idx"],
         ["--semantic", "semantic.idx"],
@@ -1053,6 +1094,40 @@ class TestEvaluate:
         assert main(["evaluate", "--verdicts", str(path)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert f"line 2: bad verdict record: {key} must be an integer or null" in err
+
+    def test_indexes_past_the_options_are_validation_error(self, tmp_path, capsys):
+        # both indexes 9 on two options would score as correct, under "other"
+        path = tmp_path / "verdicts.jsonl"
+        answered = {**_verdict(0, 0, "Num"), "options": ["4200 百万円", "310 百万円"]}
+        _write_jsonl(path, [answered, {**answered, "gold_answer_index": 9,
+                                       "predicted_index": 9, "category": ["Num"]}])
+        assert main(["evaluate", "--verdicts", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("validation error: line 2: bad verdict record: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"gold_answer_index": 2}, "gold_answer_index 2 out of range for 2 options"),
+        ({"predicted_index": -1}, "predicted_index -1 out of range for 2 options"),
+        ({"category": ["Num"]}, "category must be a string"),
+        ({"options": "ab"}, "options must be a list"),
+        ({"options": ["a", 1]}, "options must be strings"),
+        ({"options": ["a"]}, "1 options; a question needs 2 to"),
+    ], ids=["gold", "predicted", "category", "options_str", "option_int", "one_option"])
+    def test_verdict_with_options_is_checked_as_its_question(self, tmp_path, edit, message,
+                                                            capsys):
+        path = tmp_path / "verdicts.jsonl"
+        answered = {**_verdict(1, 0, "Y/N"), "options": ["はい", "いいえ"]}
+        _write_jsonl(path, [answered, {**answered, **edit}])
+        assert main(["evaluate", "--verdicts", str(path)]) == EXIT_VALIDATION
+        assert f"line 2: bad verdict record: {message}" in capsys.readouterr().err
+
+    def test_verdicts_without_options_load_as_before(self, tmp_path, capsys):
+        # older files carry no options, so their indexes have no range to keep to
+        path = tmp_path / "verdicts.jsonl"
+        _write_jsonl(path, [_verdict(9, 9, "Num")])
+        assert main(["evaluate", "--verdicts", str(path)]) == EXIT_OK
+        assert "overall\t1.0000\t(1/1)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("key", ["failed", "no_context"])
     @pytest.mark.parametrize("value", ["false", 0, None], ids=["str", "int", "null"])
@@ -1335,8 +1410,9 @@ _REJECTED_VALUES = {
                   "options": [None, "ab", [], ["a"], ["a", None], list("abcdefghijk")],
                   "answer_index": [True, 1.0, "0", -1, 2, _HUGE_INT],
                   "doc_id": [7, ["fin"], "nope"], "category": [7, ["Num"]]},
-    "verdicts": {"gold_answer_index": [True, 0.0, "0", [0], _HUGE_INT],
-                 "predicted_index": [False, 1.5, "1", {}],
+    "verdicts": {"gold_answer_index": [True, 0.0, "0", [0], _HUGE_INT, -1, 2],
+                 "predicted_index": [False, 1.5, "1", {}, 2],
+                 "options": [None, "ab", [], ["a"], ["a", None]], "category": [7, ["Num"]],
                  "failed": ["false", 0, None], "no_context": ["true", 1, None]},
 }
 # per file kind, the fields a record may lack

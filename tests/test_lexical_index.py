@@ -18,8 +18,10 @@ import tempfile
 import threading
 import tracemalloc
 from collections import Counter
+from contextlib import nullcontext
 from itertools import chain
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -260,7 +262,7 @@ def _plain_python_build(corpus, max_features=DEFAULT_MAX_FEATURES, n_min=1, n_ma
     df_counts = Counter(chain.from_iterable(page_grams))
     selection = sorted(df_counts.items(), key=lambda item: (-item[1], item[0]))[:max_features]
     feature_ids = {feature: fid for fid, (feature, _) in enumerate(selection)}
-    df = [count for _, count in selection]
+    df = np.array([count for _, count in selection], dtype=np.uint32)
     n = corpus.page_count
     entries = []  # (feature id, row, weight)
     for row, grams in enumerate(page_grams):
@@ -271,7 +273,7 @@ def _plain_python_build(corpus, max_features=DEFAULT_MAX_FEATURES, n_min=1, n_ma
             norm += w * w
         entries.extend((fid, row, w / math.sqrt(norm)) for fid, w in pairs)
     entries.sort()  # column-major: by feature id, then row
-    return LexicalIndex(Vocabulary(feature_ids, df), corpus.page_refs,
+    return LexicalIndex(Vocabulary("\n".join(feature_ids).encode(), df), corpus.page_refs,
                         rows=np.array([row for _, row, _ in entries], dtype=np.uint32),
                         weights=np.array([w for _, _, w in entries], dtype=np.float64),
                         n_min=n_min, n_max=n_max, fingerprint=corpus.fingerprint)
@@ -403,6 +405,78 @@ class TestBuildResources:
             tracemalloc.stop()
         assert peak - held < 56 * 2**20
 
+    def test_an_index_holds_its_file_and_a_few_arrays_per_feature(self, tmp_path):
+        # 36.5 bytes per feature past the file's size on numpy 2.4 and Python 3.11:
+        # the sorted keys, the slots in key order, the idf and the column offsets.
+        # The vocabulary that held a dict of feature strings took 179.5.
+        corpus = _report_pages()
+        path = tmp_path / "lex.idx"
+        save_lexical_index(build_lexical_index(corpus), path)
+        for make in (functools.partial(build_lexical_index, corpus),
+                     functools.partial(load_lexical_index, path)):
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                index = make()
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert index.vocabulary.size == DEFAULT_MAX_FEATURES
+            assert held <= path.stat().st_size + 48 * index.vocabulary.size
+
+
+def _find(vocabulary, grams):
+    """``vocabulary.find`` over the grams laid end to end, each after a separator byte."""
+    encoded = [gram.encode() for gram in grams]
+    ends = np.cumsum([1 + len(gram) for gram in encoded], dtype=np.int64)
+    lengths = np.array([len(gram) for gram in encoded], dtype=np.int64)
+    return vocabulary.find(b"".join(b"\x1f" + gram for gram in encoded),
+                           np.stack([ends - lengths, ends], axis=1))
+
+
+def _colliding_keys(data, spans, *_):
+    return np.zeros(len(spans), dtype=np.uint64)
+
+
+# no feature holds "\n", the vocabulary's separator, nor is empty
+_FEATURES = st.text(st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)),
+                    min_size=1, max_size=12)
+
+
+class TestVocabularyLookup:
+    @settings(max_examples=300, deadline=None)
+    @given(features=st.lists(_FEATURES, unique=True, max_size=40),
+           absent=st.lists(_FEATURES, max_size=10), picks=st.lists(st.integers(0, 99), max_size=30),
+           collide=st.booleans())
+    @example(features=["a", "ab", "報告"], absent=["b", "報"], picks=[0, 1, 2, 3, 4, 2],
+             collide=False)  # grams that begin a feature or are part of one, non-ASCII
+    def test_find_agrees_with_a_dict(self, features, absent, picks, collide):
+        oracle = {feature: fid for fid, feature in enumerate(features)}
+        pool = features + absent
+        grams = [pool[i % len(pool)] for i in picks] if pool else []
+        with mock.patch.object(lexical, "_span_keys", _colliding_keys) if collide else nullcontext():
+            vocabulary = Vocabulary("\n".join(features).encode(), np.ones(len(features), np.uint32))
+            assert _find(vocabulary, grams) == [oracle[g] for g in grams if g in oracle]
+        assert vocabulary.feature_ids == oracle
+
+    def test_find_stays_exact_when_every_key_collides(self, monkeypatch):
+        monkeypatch.setattr(lexical, "_span_keys", _colliding_keys)
+        vocabulary = Vocabulary("alpha\nbeta\n日本語\nalpha\x1fbeta".encode(), np.ones(4, np.uint32))
+        grams = ["beta", "gamma", "alpha\x1fbeta", "日本", "日本語", "alpha", "alph"]
+        assert _find(vocabulary, grams) == [1, 3, 2, 0]
+        with pytest.raises(ValueError, match="3 features, 2 of them distinct"):
+            Vocabulary(b"a\nb\na", np.ones(3, np.uint32))
+
+    def test_scores_do_not_change_when_every_key_collides(self, monkeypatch):
+        index = _sample_index()
+        queries = ["alpha beta gamma", "日本語のテキスト 12%", "beta 3", "delta"]
+        want = [score_lexical(index, q) for q in queries]
+        monkeypatch.setattr(lexical, "_span_keys", _colliding_keys)
+        vocabulary = Vocabulary(index.vocabulary.features, index.vocabulary.df)
+        collided = dataclasses.replace(index, vocabulary=vocabulary)
+        assert [score_lexical(collided, q) for q in queries] == want
+        assert any(want)
+
 
 class TestPersistence:
     def test_round_trip_exact(self, tmp_path):
@@ -412,7 +486,7 @@ class TestPersistence:
         save_lexical_index(index, path)
         loaded = load_lexical_index(path)
         assert loaded.vocabulary.feature_ids == index.vocabulary.feature_ids
-        assert loaded.vocabulary.df == index.vocabulary.df
+        assert loaded.vocabulary.df.tolist() == index.vocabulary.df.tolist()
         assert loaded.page_refs == index.page_refs
         assert loaded.doc_vectors == index.doc_vectors  # bit-exact weights
         assert (loaded.n_min, loaded.n_max) == (index.n_min, index.n_max)
@@ -616,14 +690,14 @@ class TestCorruptFiles:
         index = _sample_index()
         df = [*index.vocabulary.df[:-1], index.vocabulary.df[-1] + 1]
         with pytest.raises(ValueError, match="document frequencies add up to"):
-            dataclasses.replace(index, vocabulary=Vocabulary(index.vocabulary.feature_ids, df))
+            dataclasses.replace(index, vocabulary=Vocabulary(index.vocabulary.features, df))
 
     def test_constructor_rejects_a_negative_column_length(self):
         # the right total, so only the sign tells these lengths from real ones
         index = _sample_index()
         df = [*index.vocabulary.df[:-2], sum(index.vocabulary.df[-2:]) + 1, -1]
         with pytest.raises(ValueError, match="document frequencies add up to"):
-            dataclasses.replace(index, vocabulary=Vocabulary(index.vocabulary.feature_ids, df))
+            dataclasses.replace(index, vocabulary=Vocabulary(index.vocabulary.features, df))
 
     def test_fingerprint_field_names_the_indexed_pages(self, tmp_path):
         # any 32 bytes load; another corpus's fingerprint is rejected before use
