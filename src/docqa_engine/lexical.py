@@ -79,12 +79,13 @@ class Vocabulary:
         powers = _powers(max((block[-1, 1] - block[0, 0] for block in blocks), default=0) + 1)
         keys = np.concatenate([np.zeros(0, np.uint64), *(  # a block at a time bounds the temporaries
             _span_keys(self.features[b[0, 0]:b[-1, 1]], b - b[0, 0], powers) for b in blocks)])
-        order = np.argsort(keys)  # and per key, its feature's id and [start, end) in the blob
+        # the features in key order: their keys, and their ids and [start, end) in the blob
+        order = np.argsort(keys)
         self._keys = keys[order]
         self._slots = np.column_stack([order, spans[order]]).astype(np.min_scalar_type(len(self.features)))
-        same = np.append(self._keys[1:] == self._keys[:-1], False)  # as the next key
+        same = np.append(self._keys[1:] == self._keys[:-1], False)  # key equals the next one
         tied = self._slots[np.flatnonzero(same | np.roll(same, 1))].tolist()
-        self._tied = {bytes(self.features[s:e]): fid for fid, s, e in tied}
+        self._tied = {bytes(self.features[s:e]): fid for fid, s, e in tied}  # rare: keys are 64-bit
         if not len(keys) == len(keys) - len(tied) + len(self._tied) == len(self.df):
             raise ValueError(f"vocabulary holds {len(keys)} features, {len(keys) - len(tied) + len(self._tied)} "
                              f"of them distinct; header says {len(self.df)}")
@@ -103,7 +104,8 @@ class Vocabulary:
         keys = _span_keys(data, spans)
         at = self._keys.searchsorted(keys)
         hit = np.flatnonzero(self._keys.take(at, mode="clip") == keys) if self.size else at[:0]
-        return [fid for (candidate, fs, fe), (s, e) in zip(self._slots[at[hit]].tolist(), spans[hit].tolist())
+        (candidates, fss, fes), (ss, es) = self._slots[at[hit]].T.tolist(), spans[hit].T.tolist()
+        return [fid for candidate, fs, fe, s, e in zip(candidates, fss, fes, ss, es)
                 if (fid := candidate if self.features[fs:fe] == data[s:e] else self._tied.get(data[s:e], -1)) >= 0]
 
 
@@ -255,7 +257,7 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _page_pairs(pages: tuple[Page, ...], max_features: int, n_min: int, n_max: int) -> tuple:
     """The vocabulary of the pages' ``page_features`` and their (feature id, term count,
     row) pairs, each page's in gram order (n, then position), counted on integer gram
-    ids: only the chosen features are ever joined into strings. Frees the rest on return."""
+    ids: only the chosen features' bytes are ever gathered. Frees the rest on return."""
     ids: dict[str, int] = {}  # token text -> id, by first appearance
     lengths = np.zeros(len(pages), dtype=np.int64)
 
