@@ -238,13 +238,15 @@ def _choose(tok: np.ndarray, texts: list[str], starts: np.ndarray, lens: np.ndar
     ranks = [np.where(n > k, rank[tok[np.minimum(at + k, last)]], -1)
              for k in range(int(n.max(initial=0)))]
     picked = np.lexsort((*ranks[::-1], -df[candidates]))[:max_features]
+    # each token's text and then a separator: a feature is its tokens' pieces in
+    # turn, with its last separator made the "\n" that ends it in the blob
     text = np.frombuffer((NGRAM_SEP.join(texts) + NGRAM_SEP).encode(), np.uint8)
-    ends = np.flatnonzero(text == ord(NGRAM_SEP)) + 1  # of each token's text and separator
+    ends = np.flatnonzero(text == ord(NGRAM_SEP)) + 1
     size, blocks = np.diff(ends, prepend=0), []
     for block in np.split(picked, range(1024, len(picked), 1024)):  # bounds the temporaries
-        pieces = tok[_ranges(at[block], n[block])]  # the block's features' tokens, in turn
+        pieces = tok[_ranges(at[block], n[block])]
         blob = text[_ranges(ends[pieces] - size[pieces], size[pieces])]
-        blob[np.cumsum(size[pieces])[np.cumsum(n[block]) - 1] - 1] = ord("\n")  # after each feature
+        blob[np.cumsum(size[pieces])[np.cumsum(n[block]) - 1] - 1] = ord("\n")
         blocks.append(blob)
     return candidates[picked], np.concatenate(blocks)[:-1].tobytes()
 
