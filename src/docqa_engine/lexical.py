@@ -301,7 +301,7 @@ def build_lexical_index(corpus: Corpus, max_features: int = DEFAULT_MAX_FEATURES
                         fingerprint=corpus.fingerprint, known_idf=idf)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64)  # each entry holds at most 80 bytes per token
 def _gram_edges(tokens: int, n_min: int, n_max: int) -> np.ndarray:
     """Per gram of ``page_features``, in its order, the indexes of the token
     edges around it: the same for every query of ``tokens`` tokens."""
