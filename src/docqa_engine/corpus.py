@@ -4,16 +4,20 @@ One record per page, line-delimited JSON on the wire. Pages of a document
 must be contiguous starting at page 0; the corpus is immutable once built.
 Also here: the engine's readers and writer for line-delimited JSON
 (iter_records, read_records, write_records), for the binary index files (ByteReader,
-pack_text), and the page-order and fingerprint rules every index shares.
+pack_text), the one way every artifact is written (write_atomically), and the
+page-order and fingerprint rules every index shares.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import unicodedata
+import uuid
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -185,11 +189,36 @@ def iter_records(lines: Iterable[str | bytes]) -> Iterator[tuple[int, dict]]:
         yield line_no, record
 
 
+@contextmanager
+def write_atomically(path: str | Path) -> Iterator[IO[bytes]]:
+    """A binary file for ``path``'s new bytes: a temporary file in its directory that
+    replaces ``path`` when the block ends, or is removed if the block raises, so
+    ``path`` holds either all of its old bytes or all of the new ones. A path that
+    exists but is no regular file (a device such as /dev/null, a pipe) is written
+    in place: replacing it would put a regular file where it was."""
+    target = Path(os.path.realpath(path))  # a symlink stays one: its target is replaced
+    if target.exists() and not target.is_file():
+        with Path(path).open("wb") as fh:
+            yield fh
+        return
+    tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with tmp.open("xb") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except OSError as exc:
+        if exc.filename != str(tmp):
+            raise
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc  # name the caller's file
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already once it replaced the target
+
+
 def write_records(path: str | Path, records: Iterable[dict]) -> None:
     """Write one JSON object per line, as iter_records reads them back."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomically(path) as fh:
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write((json.dumps(record, ensure_ascii=False) + "\n").encode())
 
 
 def read_records(numbered: Iterable[tuple[int, dict]], kind: str, checked) -> list:

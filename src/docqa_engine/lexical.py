@@ -14,7 +14,6 @@ and slices a document's rows out of the sums.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from collections import Counter
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (ByteReader, Corpus, Page, PageRef, check_corpus_order, doc_rows,
-                     normalize_text, pack_text, rank_rows)
+                     normalize_text, pack_text, rank_rows, write_atomically)
 from .errors import FormatError
 # perfbench's tracer wraps ``tokenize`` and ``ngrams`` by these names
 from .tokenizer import NGRAM_SEP, gram_texts, ngrams, token_texts, tokenize  # noqa: F401
@@ -39,33 +38,15 @@ DEFAULT_N_MIN, DEFAULT_N_MAX = 1, 5
 _HEADER = "<IIIIQQ32s"  # page_count, vocab_size, n_min, n_max, vocabulary bytes, nnz, fingerprint
 
 
-_KEY_BASE = 0x100000001B3  # odd, so it has an inverse mod 2**64
-
-
-def _powers(count: int) -> np.ndarray:
-    """_KEY_BASE ** (j + 1) and its inverse mod 2**64, for j below ``count``."""
-    base = np.array([[_KEY_BASE], [pow(_KEY_BASE, -1, 2**64)]], np.uint64)
-    return np.cumprod(np.repeat(base, count, axis=1), axis=1)
-
-
-_POWERS = _powers(4096)  # enough for most queries
-
-
-def _span_keys(data: bytes | memoryview, spans: np.ndarray, powers: np.ndarray = _POWERS) -> np.ndarray:
-    """Per [start, end) byte span of ``data``, the sum of its bytes b_k * _KEY_BASE ** k
-    mod 2**64, k counted from the span's start: equal bytes anywhere have equal keys.
-    ``powers`` serves data shorter than it; longer data gets its own."""
-    up, down = powers if len(data) < powers.shape[1] else _powers(len(data) + 1)
-    sums = np.zeros(len(data) + 1, np.uint64)
-    np.cumsum(np.frombuffer(data, np.uint8) * up[:len(data)], out=sums[1:])
-    return (sums[spans[:, 1]] - sums[spans[:, 0]]) * down[spans[:, 0]]
+_gram_key = hash  # a feature's key: Python's hash of its bytes
 
 
 @dataclass
 class Vocabulary:
     """The features in id order as the index file holds them: one UTF-8 blob joined
-    with "\\n" (tokens never hold whitespace). A lookup finds a byte span's key among
-    the features' sorted keys and confirms the hit on the blob's bytes."""
+    with "\\n" (tokens never hold whitespace). A lookup finds a gram's key among the
+    features' sorted keys and confirms the hit on the blob's bytes. The keys, and so
+    their order, differ from process to process (``PYTHONHASHSEED``); lookups do not."""
 
     features: bytes | memoryview
     df: np.ndarray  # u4 document frequency, indexed by feature id
@@ -75,10 +56,9 @@ class Vocabulary:
         cuts = np.flatnonzero(np.frombuffer(self.features, np.uint8) == ord("\n"))
         spans = np.stack([np.append(0, cuts + 1), np.append(cuts, len(self.features))], 1)[
             :len(cuts) + bool(self.features)]  # none in an empty blob
-        blocks = [block for block in np.split(spans, range(1024, len(spans), 1024)) if len(block)]
-        powers = _powers(max((block[-1, 1] - block[0, 0] for block in blocks), default=0) + 1)
-        keys = np.concatenate([np.zeros(0, np.uint64), *(  # a block at a time bounds the temporaries
-            _span_keys(self.features[b[0, 0]:b[-1, 1]], b - b[0, 0], powers) for b in blocks)])
+        # one feature at a time, with no list of them: a memoryview's hash is its bytes'
+        keys = np.fromiter(map(_gram_key, map(self.features.__getitem__, map(slice, *spans.T))),
+                           np.int64, len(spans))
         # the features in key order: their keys, and their ids and [start, end) in the blob
         order = np.argsort(keys)
         self._keys = keys[order]
@@ -99,14 +79,13 @@ class Vocabulary:
         """feature -> id, made on each call; lookups go through ``find``."""
         return dict(zip(str(self.features, "utf-8").split("\n"), range(self.size)))
 
-    def find(self, data: bytes, spans: np.ndarray) -> list[int]:
-        """The ids of the features that the [start, end) byte ``spans`` of ``data`` hold, in span order."""
-        keys = _span_keys(data, spans)
+    def find(self, grams: list[bytes]) -> list[int]:
+        """The ids of the features among the UTF-8 ``grams``, in gram order."""
+        keys = np.fromiter(map(_gram_key, grams), np.int64, len(grams))
         at = self._keys.searchsorted(keys)
         hit = np.flatnonzero(self._keys.take(at, mode="clip") == keys) if self.size else at[:0]
-        (candidates, fss, fes), (ss, es) = self._slots[at[hit]].T.tolist(), spans[hit].T.tolist()
-        return [fid for candidate, fs, fe, s, e in zip(candidates, fss, fes, ss, es)
-                if (fid := candidate if self.features[fs:fe] == data[s:e] else self._tied.get(data[s:e], -1)) >= 0]
+        return [fid for (candidate, s, e), i in zip(self._slots[at[hit]].tolist(), hit.tolist())
+                if (fid := candidate if self.features[s:e] == grams[i] else self._tied.get(grams[i], -1)) >= 0]
 
 
 @dataclass
@@ -301,29 +280,19 @@ def build_lexical_index(corpus: Corpus, max_features: int = DEFAULT_MAX_FEATURES
                         fingerprint=corpus.fingerprint, known_idf=idf)
 
 
-@functools.lru_cache(maxsize=64)  # each entry holds at most 80 bytes per token
-def _gram_edges(tokens: int, n_min: int, n_max: int) -> np.ndarray:
-    """Per gram of ``page_features``, in its order, the indexes of the token
-    edges around it: the same for every query of ``tokens`` tokens."""
-    edge, ns = np.arange(tokens + 1), range(n_min, min(n_max, tokens) + 1)
-    return np.stack([np.concatenate([edge[:tokens - n + 1] for n in ns] or [edge[:0]]),
-                     np.concatenate([edge[n:] for n in ns] or [edge[:0]])], 1)
-
-
 def score_lexical(index: LexicalIndex, query_text: str,
                   doc_id: str | None = None) -> list[tuple[PageRef, float]]:
     """Cosine scores of all pages against the query, descending.
 
     The query is normalized, tokenized, gram-expanded, and weighted exactly
-    like a page. Pages with score 0 are omitted; ties are broken by
-    (doc_id, page_index) ascending. With ``doc_id`` only that document's
-    pages are ranked.
+    like a page. ``Vocabulary.find`` confirms each gram's hit on its bytes, so
+    no score depends on the process's hash salt. Pages with score 0 are
+    omitted; ties are broken by (doc_id, page_index) ascending. With
+    ``doc_id`` only that document's pages are ranked.
     """
-    texts = token_texts(normalize_text(query_text))
-    data = NGRAM_SEP.join(["", *texts, ""]).encode()
-    edges = np.flatnonzero(np.frombuffer(data, np.uint8) == ord(NGRAM_SEP))  # around each token
-    spans = edges[_gram_edges(len(texts), index.n_min, index.n_max)] + (1, 0)
-    tf = Counter(index.vocabulary.find(data, spans))  # feature id -> tf, in order of first occurrence
+    grams = gram_texts(token_texts(normalize_text(query_text)), index.n_min, index.n_max)
+    # feature id -> tf, in order of first occurrence
+    tf = Counter(index.vocabulary.find([gram.encode() for gram in grams]))
     fids, tfs = np.fromiter(tf, np.int64, len(tf)), np.fromiter(tf.values(), np.int64, len(tf))
     weights = tfidf_weights(fids, tfs, index.idf, np.zeros(len(fids), dtype=np.intp))
     # each query feature's whole column, in query-feature order
@@ -350,7 +319,7 @@ def save_lexical_index(index: LexicalIndex, path: str | Path) -> None:
     and a u32 page index; then the CSC arrays: u32 rows, f64 weights.
     """
     blob = index.vocabulary.features
-    with Path(path).open("wb") as fh:
+    with write_atomically(path) as fh:
         fh.write(LEXICAL_MAGIC + struct.pack("<I", LEXICAL_FORMAT_VERSION))
         fh.write(struct.pack(_HEADER, index.page_count, index.vocabulary.size, index.n_min,
                              index.n_max, len(blob), len(index.rows), index.fingerprint))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (ByteReader, Corpus, PageRef, check_corpus_order, doc_rows, normalize_text,
-                     pack_text, rank_rows)
+                     pack_text, rank_rows, write_atomically)
 from .errors import ContractError, FormatError
 from .gateway import in_flight_limit
 
@@ -135,7 +135,7 @@ def save_semantic_index(index: SemanticIndex, path: str | Path) -> None:
     """Format v2, little-endian: the magic; u32 version, dim and count; the
     32-byte corpus fingerprint and the model name as a string; the rows as
     row-major f32; each page ref as a string and a u32 page index."""
-    with Path(path).open("wb") as fh:
+    with write_atomically(path) as fh:
         fh.write(SEMANTIC_MAGIC + struct.pack("<III32s", SEMANTIC_FORMAT_VERSION, index.dim,
                                               len(index.page_refs), index.fingerprint))
         fh.write(pack_text(index.model))
@@ -152,7 +152,7 @@ def load_semantic_index(path: str | Path) -> SemanticIndex:
     # reading the refs first bounds count by the file size, even for dim 0
     page_refs = [(reader.text(), reader.unpack("<I")[0]) for _ in range(count)]
     reader.finish()
-    vectors = raw.reshape(count, dim).copy()
+    vectors = raw.reshape(count, dim)  # a read-only view of the file's bytes
     # one pass rejects non-finite components (their norm is inf or nan) and non-unit rows
     norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64))
     if not (np.abs(norms - 1.0) <= UNIT_NORM_TOL).all():

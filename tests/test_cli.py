@@ -109,6 +109,11 @@ class TestIngest:
         assert code == EXIT_IO
         assert "i/o error" in capsys.readouterr().err
 
+    def test_output_in_a_missing_directory_is_io_error_naming_it(self, tmp_path, raw_pages, capsys):
+        out = tmp_path / "missing" / "corpus.jsonl"
+        assert main(["ingest", "--input", str(raw_pages), "--output", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
+
     def test_corrupt_record_is_validation_error(self, tmp_path, capsys):
         raw = tmp_path / "raw.jsonl"
         raw.write_text('{"doc_id": "d"}\n', encoding="utf-8")

@@ -2,7 +2,9 @@
 
 import functools
 import json
+import os
 import tempfile
+import threading
 import unicodedata
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from docqa_engine.corpus import (
     normalize_text,
     page_fingerprint,
     save_corpus,
+    write_records,
 )
 from docqa_engine.errors import FormatError, IntegrityError, ParseError
 from docqa_engine.tokenizer import count_numeric_tokens
@@ -220,6 +223,38 @@ class TestSaveLoad:
         save_corpus(corpus, path)
         header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
         assert header == {"format": "corpus", "version": 3, "page_count": 1}
+
+    def test_a_record_source_that_fails_midway_leaves_the_old_file_whole(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(ingest(_lines(_record("a", 0, "x"))), path)
+        old = path.read_bytes()
+
+        def records():
+            yield {"format": "corpus"}
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_records(path, records())
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+    def test_a_write_through_a_symlink_replaces_its_target(self, tmp_path):
+        target = tmp_path / "real.jsonl"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        write_records(link, [{"a": 1}])
+        assert link.is_symlink() and target.read_text(encoding="utf-8") == '{"a": 1}\n'
+
+    def test_a_pipe_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "records.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_records(fifo, [{"a": 1}])
+        reader.join(timeout=10)
+        assert not reader.is_alive() and got == [b'{"a": 1}\n'] and fifo.is_fifo()
 
     def test_ingest_path(self, tmp_path):
         raw = tmp_path / "raw.jsonl"

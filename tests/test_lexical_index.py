@@ -424,18 +424,27 @@ class TestBuildResources:
             assert index.vocabulary.size == DEFAULT_MAX_FEATURES
             assert held <= path.stat().st_size + 48 * index.vocabulary.size
 
+    def test_vocabulary_construction_peak_is_bounded(self):
+        # 88.0 traced bytes per feature at the peak on numpy 2.4 and Python 3.11: the
+        # spans, the keys, their order and the slots. Keying a Python list per feature
+        # (``spans.tolist()``) took 175.9.
+        vocabulary = build_lexical_index(_report_pages()).vocabulary
+        tracemalloc.start()
+        try:
+            Vocabulary(vocabulary.features, vocabulary.df)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vocabulary.size == DEFAULT_MAX_FEATURES
+        assert peak <= 120 * vocabulary.size
+
 
 def _find(vocabulary, grams):
-    """``vocabulary.find`` over the grams laid end to end, each after a separator byte."""
-    encoded = [gram.encode() for gram in grams]
-    ends = np.cumsum([1 + len(gram) for gram in encoded], dtype=np.int64)
-    lengths = np.array([len(gram) for gram in encoded], dtype=np.int64)
-    return vocabulary.find(b"".join(b"\x1f" + gram for gram in encoded),
-                           np.stack([ends - lengths, ends], axis=1))
+    return vocabulary.find([gram.encode() for gram in grams])
 
 
-def _colliding_keys(data, spans, *_):
-    return np.zeros(len(spans), dtype=np.uint64)
+def _colliding_key(gram):
+    return 0
 
 
 # no feature holds "\n", the vocabulary's separator, nor is empty
@@ -454,13 +463,13 @@ class TestVocabularyLookup:
         oracle = {feature: fid for fid, feature in enumerate(features)}
         pool = features + absent
         grams = [pool[i % len(pool)] for i in picks] if pool else []
-        with mock.patch.object(lexical, "_span_keys", _colliding_keys) if collide else nullcontext():
+        with mock.patch.object(lexical, "_gram_key", _colliding_key) if collide else nullcontext():
             vocabulary = Vocabulary("\n".join(features).encode(), np.ones(len(features), np.uint32))
             assert _find(vocabulary, grams) == [oracle[g] for g in grams if g in oracle]
         assert vocabulary.feature_ids == oracle
 
     def test_find_stays_exact_when_every_key_collides(self, monkeypatch):
-        monkeypatch.setattr(lexical, "_span_keys", _colliding_keys)
+        monkeypatch.setattr(lexical, "_gram_key", _colliding_key)
         vocabulary = Vocabulary("alpha\nbeta\n日本語\nalpha\x1fbeta".encode(), np.ones(4, np.uint32))
         grams = ["beta", "gamma", "alpha\x1fbeta", "日本", "日本語", "alpha", "alph"]
         assert _find(vocabulary, grams) == [1, 3, 2, 0]
@@ -471,7 +480,7 @@ class TestVocabularyLookup:
         index = _sample_index()
         queries = ["alpha beta gamma", "日本語のテキスト 12%", "beta 3", "delta"]
         want = [score_lexical(index, q) for q in queries]
-        monkeypatch.setattr(lexical, "_span_keys", _colliding_keys)
+        monkeypatch.setattr(lexical, "_gram_key", _colliding_key)
         vocabulary = Vocabulary(index.vocabulary.features, index.vocabulary.df)
         collided = dataclasses.replace(index, vocabulary=vocabulary)
         assert [score_lexical(collided, q) for q in queries] == want
@@ -490,6 +499,18 @@ class TestPersistence:
         assert loaded.page_refs == index.page_refs
         assert loaded.doc_vectors == index.doc_vectors  # bit-exact weights
         assert (loaded.n_min, loaded.n_max) == (index.n_min, index.n_max)
+
+    def test_a_failed_save_leaves_the_old_file_whole(self, tmp_path):
+        index = _sample_index()
+        path = tmp_path / "lex.idx"
+        save_lexical_index(index, path)
+        old = path.read_bytes()
+        # a page ref that is no string fails after the header and the features are written
+        bad = dataclasses.replace(index, page_refs=[(i, 0) for i in range(index.page_count)])
+        with pytest.raises(AttributeError):
+            save_lexical_index(bad, path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["lex.idx"]
 
     def test_scores_survive_round_trip(self, tmp_path):
         corpus = _corpus(("d", ["alpha beta gamma", "beta delta"]))
