@@ -24,7 +24,7 @@ from string import Template
 from typing import Iterable
 
 from .corpus import Corpus, Page, PageRef, normalize_text
-from .ensemble import options_block
+from .ensemble import OPTION_LABELS, options_block
 from .errors import ConfigError, ContractError, ParseError, TransportError
 from .gateway import chat_request
 from .tokenizer import count_numeric_tokens, token_set, tokenize
@@ -283,13 +283,13 @@ def parse_qa_candidate(model_output: str, qtype: str, source_page: PageRef) -> Q
         raise ParseError("generation output missing question")
     if len(options) < 2:
         raise ParseError("generation output needs at least two options")
-    if [letter for letter, _ in options] != [chr(ord("A") + i) for i in range(len(options))]:
+    if "".join(letter for letter, _ in options) != OPTION_LABELS[:len(options)]:
         raise ParseError("option labels must run A, B, C, ... without gaps")
     if "answer" not in sections:
         raise ParseError("generation output missing answer letter")
     answer_letter = sections["answer"][0].upper()
-    answer_index = ord(answer_letter) - ord("A")
-    if answer_index >= len(options):
+    answer_index = OPTION_LABELS.find(answer_letter)  # -1 for a letter outside the alphabet
+    if not 0 <= answer_index < len(options):
         raise ParseError(f"answer letter {answer_letter} has no matching option")
     if "evidence" not in sections:
         raise ParseError("generation output missing evidence")

@@ -21,7 +21,8 @@ from .augment import augment
 from .config import PipelineConfig, load_config, resolve_endpoint
 from .corpus import (Corpus, ingest_path, iter_records, load_corpus, read_records, save_corpus,
                      write_records)
-from .ensemble import MAX_OPTIONS, EnsembleVerdict, build_answer_prompt, make_schedule, run_ensemble
+from .ensemble import (MAX_OPTIONS, OPTION_LABELS, EnsembleVerdict, build_answer_prompt,
+                       make_schedule, run_ensemble)
 from .errors import (
     ConfigError,
     ContractError,
@@ -193,16 +194,13 @@ def answer_questions(
                                    chat_client, stop=config.stop, option_texts=list(q.options))
         else:  # nothing to ground an answer on, so nothing is asked
             verdict = EnsembleVerdict(None, 0.0, {}, 0, stopped_early=False, abstained=embedded)
-        predicted = (
-            None if verdict.chosen_option is None
-            else ord(verdict.chosen_option) - ord("A")
-        )
         return {
             "question": q.question,
             "options": list(q.options),
             "category": q.category,
             "gold_answer_index": q.answer_index,
-            "predicted_index": predicted,
+            "predicted_index": (None if verdict.chosen_option is None
+                                else OPTION_LABELS.index(verdict.chosen_option)),
             "retrieved": [[doc, idx] for doc, idx in retrieved],
             "no_context": embedded and not contexts,
             **verdict.to_record(),

@@ -119,9 +119,12 @@ def resolve_endpoint(section: EndpointConfig | None, base_url: str | None = None
             raise ConfigError("an endpoint without a config section needs both "
                               "a base URL and a model name")
         section = _BLANK_ENDPOINT
-    endpoint = replace(section, **names)
-    if endpoint.auth_token is None:
-        endpoint = replace(endpoint, auth_token=os.environ.get(AUTH_TOKEN_ENV) or None)
+    try:
+        endpoint = replace(section, **names)
+        if endpoint.auth_token is None:
+            endpoint = replace(endpoint, auth_token=os.environ.get(AUTH_TOKEN_ENV) or None)
+    except ValueError as exc:  # a token from the environment gets checked here
+        raise ConfigError(f"invalid endpoint: {exc}") from exc
     return endpoint
 
 
@@ -145,10 +148,17 @@ def _read_mapping(path: str | Path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: byte {exc.start} "
+                          f"({exc.object[exc.start]:#04x}) {exc.reason}") from exc
     import yaml  # here, so a run without a config file never loads PyYAML
 
     try:
         loaded = yaml.safe_load(text)
+    except yaml.MarkedYAMLError as exc:  # str(exc) spans lines, quoting the source
+        mark = exc.problem_mark
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ConfigError(f"config file {path} is not valid YAML: {exc.problem}{where}") from exc
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past Python's digit limit
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if loaded is None:

@@ -2,7 +2,7 @@
 sent one at a time with early stopping, answer extraction, and majority
 voting.
 
-A schedule is one greedy configuration plus samplers whose temperatures
+A schedule is one temperature-0, top-k 1 head plus samplers whose temperatures
 are evenly spaced over [0.1, 1.5] with cycling top-p/top-k. Requests are
 sent and tallied in schedule order; the run stops once the leading
 option's vote share reaches the confidence threshold with the minimum
@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .corpus import normalize_text
 from .errors import ContractError, TransportError
@@ -25,25 +25,19 @@ TOP_P_CYCLE = (0.7, 0.8, 0.9, 0.95)
 TOP_K_CYCLE = (20, 40, 50)
 
 DEFAULT_SCHEDULE_COUNT = 20
-MAX_OPTIONS = 10  # labels A-J, the letters extract_option recognizes
+OPTION_LABELS = "ABCDEFGHIJ"  # the letters extract_option recognizes, in option order
+MAX_OPTIONS = len(OPTION_LABELS)
 
 
 @dataclass(frozen=True)
 class DecodingConfig:
+    """One request's sampling values; ``id`` is its place in the schedule."""
+
     id: int
-    greedy: bool
-    temperature: float  # ignored when greedy
+    temperature: float
     top_p: float
     top_k: int
     seed: int
-
-    def to_request(self) -> dict:
-        return {
-            "temperature": 0.0 if self.greedy else self.temperature,
-            "top_p": self.top_p,
-            "top_k": self.top_k,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,7 @@ class StopRule:
 class EnsembleVerdict:
     chosen_option: str | None  # None only when abstaining or failed
     confidence: float
-    votes: dict[str, int]
+    votes: dict[str, int]  # in label order, as the record lists them
     responses_used: int
     stopped_early: bool
     abstained: bool = False
@@ -75,32 +69,21 @@ class EnsembleVerdict:
         return 0 < self.responses_used == self.failed_responses
 
     def to_record(self) -> dict:
-        return {
-            "chosen_option": self.chosen_option,
-            "confidence": self.confidence,
-            "votes": dict(sorted(self.votes.items())),
-            "responses_used": self.responses_used,
-            "stopped_early": self.stopped_early,
-            "abstained": self.abstained,
-            "failed_responses": self.failed_responses,
-            "failed": self.failed,
-        }
+        return {**asdict(self), "failed": self.failed}
 
 
 def make_schedule(count: int = DEFAULT_SCHEDULE_COUNT, seed: int = 0) -> list[DecodingConfig]:
-    """Deterministic decoding schedule: greedy first, then count-1 samplers.
+    """Deterministic decoding schedule: a temperature-0 head, then count-1 samplers.
 
     Sampler temperatures are evenly spaced over [0.1, 1.5]; top-p and
     top-k cycle through fixed value sets; per-config seeds derive from the
     master seed. Pure function of (count, seed).
     """
     if count < 2:
-        raise ValueError("schedule needs at least a greedy config and one sampler")
+        raise ValueError("schedule needs at least a temperature-0 head and one sampler")
     rng = random.Random(seed)
     seeds = [rng.randrange(2**31) for _ in range(count)]
-    configs = [
-        DecodingConfig(id=0, greedy=True, temperature=1.0, top_p=1.0, top_k=1, seed=seeds[0])
-    ]
+    configs = [DecodingConfig(id=0, temperature=0.0, top_p=1.0, top_k=1, seed=seeds[0])]
     lo, hi = TEMPERATURE_RANGE
     samplers = count - 1
     for i in range(1, count):
@@ -108,16 +91,9 @@ def make_schedule(count: int = DEFAULT_SCHEDULE_COUNT, seed: int = 0) -> list[De
             temperature = lo
         else:
             temperature = lo + (i - 1) * ((hi - lo) / (samplers - 1))
-        configs.append(
-            DecodingConfig(
-                id=i,
-                greedy=False,
-                temperature=temperature,
-                top_p=TOP_P_CYCLE[(i - 1) % len(TOP_P_CYCLE)],
-                top_k=TOP_K_CYCLE[(i - 1) % len(TOP_K_CYCLE)],
-                seed=seeds[i],
-            )
-        )
+        configs.append(DecodingConfig(
+            id=i, temperature=temperature, top_p=TOP_P_CYCLE[(i - 1) % len(TOP_P_CYCLE)],
+            top_k=TOP_K_CYCLE[(i - 1) % len(TOP_K_CYCLE)], seed=seeds[i]))
     return configs
 
 
@@ -139,7 +115,7 @@ _LEADING_LETTER_RE = re.compile(r"^\s*[\(（]?([A-Ja-j])[\)）\.。:：]")
 
 def extract_option(
     raw: str,
-    option_labels: list[str],
+    labels: list[str],
     option_texts: list[str] | None = None,
 ) -> str | None:
     """Extract the chosen option letter from a model response.
@@ -150,11 +126,11 @@ def extract_option(
     match when option strings are supplied. Returns None when nothing
     matches.
     """
-    labels = {label.upper() for label in option_labels}
+    allowed = {label.upper() for label in labels}
 
     marker_hits = [
         m.group(1).upper() for m in _MARKER_RE.finditer(raw)
-        if m.group(1).upper() in labels
+        if m.group(1).upper() in allowed
     ]
     if marker_hits:
         return marker_hits[-1]  # the final stated answer wins
@@ -162,24 +138,27 @@ def extract_option(
     line_hits = []
     for line in raw.splitlines():
         m = _STANDALONE_LINE_RE.match(line.strip())
-        if m and m.group(1).upper() in labels:
+        if m and m.group(1).upper() in allowed:
             line_hits.append(m.group(1).upper())
     if line_hits:
         return line_hits[-1]
     m = _LEADING_LETTER_RE.match(raw)
-    if m and m.group(1).upper() in labels:
+    if m and m.group(1).upper() in allowed:
         return m.group(1).upper()
 
     if option_texts:
-        raw_norm = normalize_text(raw).casefold()
-        matches = [
-            option_labels[i].upper()
-            for i, text in enumerate(option_texts)
-            if text and normalize_text(text).casefold() in raw_norm
-        ]
+        matches = _mentioned(raw, option_texts)
         if len(matches) == 1:
-            return matches[0]
+            return labels[matches[0]].upper()
     return None
+
+
+def _mentioned(raw: str, option_texts: list[str]) -> list[int]:
+    """The indexes of the options whose text, normalized and casefolded,
+    appears in the response; an empty option text is never mentioned."""
+    raw_norm = normalize_text(raw).casefold()
+    return [i for i, text in enumerate(option_texts)
+            if text and normalize_text(text).casefold() in raw_norm]
 
 
 def _structure_score(raw: str, option_texts: list[str] | None) -> int:
@@ -188,13 +167,8 @@ def _structure_score(raw: str, option_texts: list[str] | None) -> int:
         score += 2
     if len(raw.strip()) >= 50:
         score += 1
-    if option_texts:
-        raw_norm = normalize_text(raw).casefold()
-        if any(
-            text and normalize_text(text).casefold() in raw_norm
-            for text in option_texts
-        ):
-            score += 1
+    if option_texts and _mentioned(raw, option_texts):
+        score += 1
     return score
 
 
@@ -231,14 +205,18 @@ def compose_user_message(prompt: str, context_texts: list[str] | None) -> str:
     return "\n\n".join(blocks) + "\n\n" + prompt
 
 
-def _labels(count: int) -> list[str]:
-    return [chr(ord("A") + i) for i in range(count)]
+def _label_prefix(count: int) -> str:
+    """The first `count` option labels; more options than labels is a ValueError,
+    since a label past J could never be extracted."""
+    if count > MAX_OPTIONS:
+        raise ValueError(f"{count} options; at most {MAX_OPTIONS} can be labelled")
+    return OPTION_LABELS[:count]
 
 
 def options_block(option_texts: list[str] | tuple[str, ...]) -> str:
     """One "A. text" line per option, labelled in order."""
     return "\n".join(f"{label}. {text}"
-                     for label, text in zip(_labels(len(option_texts)), option_texts))
+                     for label, text in zip(_label_prefix(len(option_texts)), option_texts))
 
 
 def build_answer_prompt(question: str, option_texts: list[str]) -> str:
@@ -276,7 +254,7 @@ def run_ensemble(
     if not schedule:
         raise ValueError("schedule must not be empty")
     # labels A.. follow the option count; without option texts, A-D
-    labels = _labels(len(option_texts) if option_texts else 4)
+    labels = list(_label_prefix(len(option_texts) if option_texts else 4))
 
     content = compose_user_message(prompt, context_texts)
 
@@ -286,7 +264,9 @@ def run_ensemble(
     confidence = 0.0
     for config in schedule:
         try:
-            raw = client.generate(chat_request(content, max_tokens=256, **config.to_request()))
+            raw = client.generate(chat_request(
+                content, temperature=config.temperature, top_p=config.top_p,
+                top_k=config.top_k, seed=config.seed, max_tokens=256))
         except (TransportError, ContractError):
             failures += 1
             raw = ""
@@ -303,7 +283,7 @@ def run_ensemble(
     return EnsembleVerdict(
         chosen_option=tiebreak_structural(tied, responses, option_texts) if votes else None,
         confidence=confidence,
-        votes=dict(votes),
+        votes=dict(sorted(votes.items())),
         responses_used=len(responses),
         stopped_early=len(responses) < len(schedule),
         abstained=not votes and failures < len(responses),

@@ -10,8 +10,9 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
-import math
 import queue
+import re
+import threading
 import time
 import weakref
 from dataclasses import dataclass
@@ -21,6 +22,9 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .errors import ConfigError, ContractError, EndpointError, TransportError
+
+# what http.client cannot send in a header: a control character, or one past Latin-1
+_UNSENDABLE_RE = re.compile(r"[^\x20-\x7e\xa0-\xff]")
 
 
 @dataclass(frozen=True)
@@ -34,10 +38,14 @@ class EndpointConfig:
     backoff_base: float = 0.5  # first retry delay; doubles per attempt
 
     def __post_init__(self):
-        if not 0 < self.timeout < math.inf:  # NaN fails every comparison
-            raise ValueError("timeout must be a positive finite number")
-        if not 0 <= self.backoff_base < math.inf:
-            raise ValueError("backoff_base must be a finite number >= 0")
+        # a socket timeout or sleep past TIMEOUT_MAX raises OverflowError; NaN fails both checks
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"timeout must lie in (0, {threading.TIMEOUT_MAX:.0f}] seconds")
+        if not 0 <= self.backoff_base <= threading.TIMEOUT_MAX:
+            raise ValueError(f"backoff_base must lie in [0, {threading.TIMEOUT_MAX:.0f}] seconds")
+        if self.auth_token is not None and _UNSENDABLE_RE.search(self.auth_token):
+            # the message names the key only: the token is a secret
+            raise ValueError("auth_token must hold only printable Latin-1 characters")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.max_in_flight < 1:

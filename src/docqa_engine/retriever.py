@@ -10,7 +10,7 @@ extend with above-threshold entries up to the maximum.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .corpus import PageRef
 from .errors import ConfigError, FormatError
@@ -176,11 +176,7 @@ def retrieval_record(query_text: str, results: list[ScoredPage],
     """Serializable record of one retrieval call, for audit and CLI output."""
     return {
         "query": query_text,
-        "weights": {"alpha": weights.alpha, "beta": weights.beta},
-        "policy": {
-            "top_m": policy.top_m,
-            "top_n": policy.top_n,
-            "threshold": policy.threshold,
-        },
+        "weights": asdict(weights),
+        "policy": asdict(policy),
         "results": [sp.to_record() for sp in results],
     }

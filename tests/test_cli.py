@@ -871,6 +871,61 @@ class TestInfer:
         assert code == EXIT_CONFIG
         assert "endpoint.timeout must be a finite number, got inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["timeout", "backoff_base"])
+    def test_seconds_past_timeout_max_exit_2_before_any_request(self, tmp_path, artifacts,
+                                                                questions_file, key, capsys):
+        # accepted, either would die on an OverflowError in the socket or in time.sleep
+        config = tmp_path / "config.yaml"
+        with MockModelServer(chat="Answer: A") as server:
+            config.write_text(f"endpoint:\n  base_url: {server.base_url}\n  model_name: m\n"
+                              f"  {key}: 1000000000000\n", encoding="utf-8")
+            code = main(["--config", str(config), "infer", "--questions", str(questions_file),
+                         "--output", str(tmp_path / "v.jsonl"),
+                         "--corpus", str(artifacts["corpus"]), "--no-retrieval"])
+            assert server.request_log == []
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert err.startswith(f"config error: invalid endpoint config: {key} must lie in ")
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "v.jsonl").exists()
+
+    @pytest.mark.parametrize("token", ["sec\nret", "sec\x1bret", "sec\x7fret", "sec☃ret"],
+                             ids=["line_break", "escape", "delete", "past_latin_1"])
+    @pytest.mark.parametrize("source", ["config", "environment"])
+    def test_token_http_cannot_send_exits_2_unprinted(self, tmp_path, artifacts, questions_file,
+                                                      monkeypatch, source, token, capsys):
+        config = tmp_path / "config.yaml"
+        with MockModelServer(chat="Answer: A") as server:
+            section = f"endpoint:\n  base_url: {server.base_url}\n  model_name: m\n"
+            if source == "config":
+                section += f"  auth_token: {json.dumps(token)}\n"
+            else:
+                monkeypatch.setenv(AUTH_TOKEN_ENV, token)
+            config.write_text(section, encoding="utf-8")
+            code = main(["--config", str(config), "infer", "--questions", str(questions_file),
+                         "--output", str(tmp_path / "v.jsonl"),
+                         "--corpus", str(artifacts["corpus"]), "--no-retrieval"])
+            assert server.request_log == []
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert "auth_token must hold only printable Latin-1 characters" in err
+        assert "sec" not in err and "ret" not in err, err
+        assert err.count("\n") == 1, err
+
+    def test_env_token_http_cannot_send_exits_2_for_a_flags_only_endpoint(
+            self, tmp_path, artifacts, questions_file, monkeypatch, capsys):
+        monkeypatch.setenv(AUTH_TOKEN_ENV, "sec\r\nret")
+        with MockModelServer(chat="Answer: A") as server:
+            code = main(["infer", "--questions", str(questions_file),
+                         "--output", str(tmp_path / "v.jsonl"),
+                         "--corpus", str(artifacts["corpus"]), "--no-retrieval",
+                         "--endpoint-url", server.base_url, "--model", "m"])
+            assert server.request_log == []
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert err == ("config error: invalid endpoint: auth_token must hold only printable "
+                       "Latin-1 characters\n")
+
     def test_max_context_chars_with_retrieval_exits_2_before_any_file_is_read(
             self, tmp_path, artifacts, capsys):
         # the questions file does not exist, so reading any file first would exit 3
@@ -1212,6 +1267,31 @@ class TestParserAndConfig:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert "is not valid YAML" in err
 
+    def test_config_that_is_not_utf8_exits_2_with_one_line(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_bytes(b"retrieval:\n  alpha: 0.6\n\xff\n")
+        code = main(["--config", str(config), "evaluate", "--verdicts", str(tmp_path / "v")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: config file {config} is not UTF-8: byte 24 (0xff) invalid start byte\n")
+
+    def test_yaml_syntax_error_is_one_line_naming_where(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("retrieval: [\n", encoding="utf-8")
+        code = main(["--config", str(config), "evaluate", "--verdicts", str(tmp_path / "v")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: config file {config} is not valid YAML: expected the node content, "
+            "but found '<stream end>' at line 2, column 1\n")
+
+    def test_unknown_key_holding_a_line_break_is_one_line(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text('retrieval:\n  "al\\npha": 0.6\n', encoding="utf-8")
+        code = main(["--config", str(config), "evaluate", "--verdicts", str(tmp_path / "v")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: unknown key(s) in config section 'retrieval': al\\npha\n")
+
     @pytest.mark.parametrize("section, text", [
         ("endpoint", "endpoint:\n  base_url: {url}\n  model_name: m\n  backoff_base: -1\n"),
         # a floor above the ceiling, or a dedup ceiling below 0, rejects every candidate
@@ -1514,3 +1594,94 @@ def test_hostile_verdict_file_exits_0_or_5_with_one_line(tmp_path, capsys, data)
     code = main(["evaluate", "--verdicts", str(path)])
     out, err = capsys.readouterr()
     _check_exit(code, valid, out, err)
+
+
+# ---------------------------------------------------------------------------
+# Hostile config files through the command line: a run exits 0 on a config that is
+# still valid, else 2 with one stderr line. evaluate builds no client, so no drawn
+# value opens a connection.
+
+# section -> (key, value as written); every value is valid, one path is not ASCII
+_CONFIG_SECTIONS = {
+    "paths": [("corpus", "コーパス.jsonl"), ("lexical_index", "lexical.idx"),
+              ("semantic_index", "semantic.idx")],
+    "retrieval": [("alpha", "0.6"), ("beta", "0.4"), ("min_pages", "3"), ("max_pages", "7"),
+                  ("threshold", "0.3"), ("candidate_k", "50")],
+    "ensemble": [("schedule_count", "20"), ("seed", "0"), ("min_responses", "10"),
+                 ("confidence_threshold", "0.8")],
+    "gates": [("question_min_chars", "10"), ("question_max_chars", "300"),
+              ("min_clauses", "2"), ("support_jaccard", "0.2"), ("option_length_ratio", "5.0"),
+              ("dedup_jaccard", "0.8"), ("min_reasoning_chars", "30"),
+              ("evidence_overlap", "0.5")],
+    "endpoint": [("base_url", "http://127.0.0.1:9/v1"), ("model_name", "chat-model"),
+                 ("timeout", "30.0"), ("max_retries", "2"), ("max_in_flight", "4"),
+                 ("auth_token", "s3cret"), ("backoff_base", "0.5")],
+    "embedding": [("dim", "64"), ("base_url", "http://127.0.0.1:9/v1"),
+                  ("model_name", "embed-model"), ("auth_token", "s3cret")],
+}
+# per kind of valid value, values of another type
+_WRONG_TYPES = {"int": ["1.5", "'3'", "true", "[3]", "null"],
+                "float": ["'0.5'", "true", "[0.5]", "{a: 1}", "null"],
+                "str": ["7", "2.5", "true", "[a]", "{a: b}"]}
+
+
+def _value_kind(value: str) -> str:
+    return "int" if value.isdigit() else "float" if value[0].isdigit() else "str"
+
+
+def _config_text(sections: dict) -> str:
+    return "".join(f"{section}:\n" + "".join(f"  {key}: {value}\n" for key, value in pairs)
+                   for section, pairs in sections.items())
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_hostile_config_file_exits_0_or_2_with_one_line(tmp_path, capsys, monkeypatch, data):
+    monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
+    sections = {section: list(pairs) for section, pairs in _CONFIG_SECTIONS.items()}
+    mutation = data.draw(st.sampled_from(
+        ["cut", "flip", "not_utf8", "mistyped", "duplicate_key", "duplicate_section"]),
+        label="mutation")
+    section = data.draw(st.sampled_from(sorted(sections)), label="section")
+    at = data.draw(st.integers(0, len(sections[section]) - 1), label="key")
+    valid = True
+    if mutation == "mistyped":
+        key, value = sections[section][at]
+        sections[section][at] = (key, data.draw(st.sampled_from(_WRONG_TYPES[_value_kind(value)]),
+                                                label="value"))
+        valid = False
+    elif mutation == "duplicate_key":  # the later of two equal keys wins
+        sections[section].insert(at, sections[section][at])
+    text = _config_text(sections)
+    if mutation == "duplicate_section":
+        text += _config_text({section: sections[section]})
+    blob = bytearray(text.encode("utf-8"))
+    if mutation == "cut":
+        del blob[data.draw(st.integers(0, len(blob) - 1), label="length"):]
+        valid = None
+    elif mutation == "flip":
+        at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        blob[at] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        valid = None
+    elif mutation == "not_utf8":
+        at = data.draw(st.integers(0, len(blob)), label="offset")
+        blob[at:at] = data.draw(st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80"]),
+                                label="bytes")
+        valid = False
+    config = tmp_path / "hostile.yaml"
+    config.write_bytes(bytes(blob))
+    verdicts = tmp_path / "verdicts.jsonl"
+    verdicts.write_bytes(b"".join(map(_record_bytes, _FILE_RECORDS["verdicts"])))
+    capsys.readouterr()
+    code = main(["--config", str(config), "evaluate", "--verdicts", str(verdicts)])
+    out, err = capsys.readouterr()
+    if valid is not None:
+        assert code == (EXIT_OK if valid else EXIT_CONFIG), err
+    if code == EXIT_OK:
+        assert err == "" and out.startswith("overall\t")
+    else:
+        assert code == EXIT_CONFIG, err
+        assert err.startswith("config error: ") and err.endswith("\n"), err
+        assert len(err.splitlines()) == 1, err
+        assert out == ""

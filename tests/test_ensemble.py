@@ -101,11 +101,7 @@ class TestMakeSchedule:
 
     def test_greedy_head(self):
         head = make_schedule(20, seed=0)[0]
-        assert head.greedy
-        request = head.to_request()
-        assert request["temperature"] == 0.0
-        assert request["top_p"] == 1.0
-        assert request["top_k"] == 1
+        assert (head.temperature, head.top_p, head.top_k) == (0.0, 1.0, 1)
 
     def test_default_temperature_ladder(self):
         schedule = make_schedule(DEFAULT_SCHEDULE_COUNT, seed=0)
@@ -460,12 +456,22 @@ class TestStopRule:
 
 
 class TestDecodingConfigRequest:
-    def test_sampler_passthrough(self):
-        config = DecodingConfig(id=3, greedy=False, temperature=0.9, top_p=0.8,
-                                top_k=40, seed=77)
-        assert config.to_request() == {
-            "temperature": 0.9, "top_p": 0.8, "top_k": 40, "seed": 77,
-        }
+    def test_each_request_carries_its_config_in_schedule_order(self):
+        schedule = [*make_schedule(6, seed=24),
+                    DecodingConfig(id=6, temperature=0.9, top_p=0.8, top_k=40, seed=77)]
+        client = ScriptedClient(lambda request: "no idea")
+        run_ensemble("Q", None, schedule, client)
+        sent = [(c["temperature"], c["top_p"], c["top_k"], c["seed"]) for c in client.calls]
+        assert sent == [(c.temperature, c.top_p, c.top_k, c.seed) for c in schedule]
+
+    def test_more_options_than_labels_raise_before_any_request(self):
+        options = [f"option {i}" for i in range(11)]
+        with pytest.raises(ValueError, match="11 options"):
+            build_answer_prompt("Q", options)
+        client = ScriptedClient(lambda request: "Answer: K")
+        with pytest.raises(ValueError, match="11 options"):
+            run_ensemble("Q", None, make_schedule(4, seed=25), client, option_texts=options)
+        assert client.calls == []
 
 
 class TestFailedResponses:

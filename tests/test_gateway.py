@@ -85,12 +85,31 @@ class TestEndpointConfig:
         with pytest.raises(ValueError, match=match):
             EndpointConfig(base_url="http://x", model_name="m", **kwargs)
 
+    @pytest.mark.parametrize("key", ["timeout", "backoff_base"])
+    def test_seconds_are_bounded_by_timeout_max(self, key):
+        EndpointConfig(base_url="http://x", model_name="m", **{key: threading.TIMEOUT_MAX})
+        with pytest.raises(ValueError, match=f"{key} must lie in "):
+            EndpointConfig(base_url="http://x", model_name="m",
+                           **{key: threading.TIMEOUT_MAX * 1.5})
+
+    @pytest.mark.parametrize("token", ["a\nb", "a\rb", "a\tb", "a\x85b", "a\u20acb"])
+    def test_token_http_cannot_send_is_rejected_without_its_value(self, token):
+        with pytest.raises(ValueError, match="auth_token must") as exc:
+            EndpointConfig(base_url="http://x", model_name="m", auth_token=token)
+        assert token not in str(exc.value)
+
     def test_auth_token_becomes_bearer_header(self, seen):
         with MockModelServer(chat="ok") as server:
             client = server.make_client(auth_token="tok")
             client.generate(QUESTION)
             client.embed(["page"])
         assert [auth for _, auth, _ in seen] == ["Bearer tok", "Bearer tok"]
+
+    def test_printable_latin_1_token_is_sent(self, seen):
+        token = "tök en~\xff"
+        with MockModelServer(chat="ok") as server:
+            server.make_client(auth_token=token).generate(QUESTION)
+        assert [auth for _, auth, _ in seen] == [f"Bearer {token}"]
 
     def test_no_token_no_header(self, seen):
         with MockModelServer(chat="ok") as server:
