@@ -17,7 +17,7 @@ import random
 import re
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from string import Template
@@ -53,7 +53,8 @@ class QACandidate:
     options: tuple[str, ...]
     answer_index: int
     qtype: str
-    source_page: PageRef
+    doc_id: str
+    page_index: int
     evidence: str
 
     @cached_property
@@ -62,15 +63,7 @@ class QACandidate:
         return token_set(self.question)
 
     def to_record(self) -> dict:
-        return {
-            "question": self.question,
-            "options": list(self.options),
-            "answer_index": self.answer_index,
-            "qtype": self.qtype,
-            "doc_id": self.source_page[0],
-            "page_index": self.source_page[1],
-            "evidence": self.evidence,
-        }
+        return {**asdict(self), "options": list(self.options)}
 
 
 @dataclass(frozen=True)
@@ -298,7 +291,8 @@ def parse_qa_candidate(model_output: str, qtype: str, source_page: PageRef) -> Q
         options=tuple(normalize_text(text) for _, text in options),
         answer_index=answer_index,
         qtype=qtype,
-        source_page=source_page,
+        doc_id=source_page[0],
+        page_index=source_page[1],
         evidence=normalize_text(sections["evidence"]),
     )
 
@@ -349,12 +343,6 @@ def _jaccard(a: set[str], b: set[str]) -> float:
     if not union:
         return 1.0  # two empty texts are identical
     return len(a & b) / len(union)
-
-
-def _near_duplicate(
-    candidate: QACandidate, prior: QACandidate, thresholds: GateThresholds
-) -> bool:
-    return _jaccard(candidate.question_tokens, prior.question_tokens) >= thresholds.dedup_jaccard
 
 
 def _matching_option_count(answer: str, options: Iterable[str]) -> int:
@@ -453,7 +441,8 @@ def run_gates(
         ratio_ok = False
     option_quality_ok = distinct_ok and ratio_ok and index_ok
 
-    dedup_ok = not any(_near_duplicate(candidate, prior, thresholds) for prior in accepted)
+    dedup_ok = all(_jaccard(candidate.question_tokens, prior.question_tokens)
+                   < thresholds.dedup_jaccard for prior in accepted)
 
     passed = (length_ok, complexity_ok, support_ok, option_quality_ok, dedup_ok)
     return [name for name, ok in zip(GATE_NAMES, passed) if not ok]
@@ -546,37 +535,30 @@ def augment(
         for attempt in range(quota):
             while len(sent) <= GENERATIONS_AHEAD and attempt + len(sent) < quota:
                 send_generation(attempt + len(sent))
-            qtype, source_page, page_text, reply = sent.popleft()
-            base = {
-                "attempt": attempt,
-                "qtype": qtype,
-                "doc_id": source_page[0],
-                "page_index": source_page[1],
-            }
+            qtype, (doc_id, page_index), page_text, reply = sent.popleft()
+            candidate = None
             try:
-                raw = reply.result()
+                candidate = parse_qa_candidate(reply.result(), qtype, (doc_id, page_index))
             except (TransportError, ContractError) as exc:
-                audit.append({**base, "stage": "transport", "reason": str(exc)})
-                continue
-            try:
-                candidate = parse_qa_candidate(raw, qtype, source_page)
+                rejection = "transport", str(exc)
             except ParseError as exc:
-                audit.append({**base, "stage": "parse", "reason": str(exc)})
-                continue
-
-            failed = run_gates(candidate, accepted, page_text, thresholds)
-            if failed:
-                rejection = f"gate:{failed[0]}", "failed gates: " + ",".join(failed)
-            elif feasibility_check:
-                rejection = check_feasibility(candidate, page_text, seeds[attempt][1])
+                rejection = "parse", str(exc)
             else:
-                rejection = None
+                failed = run_gates(candidate, accepted, page_text, thresholds)
+                if failed:
+                    rejection = f"gate:{failed[0]}", "failed gates: " + ",".join(failed)
+                elif feasibility_check:
+                    rejection = check_feasibility(candidate, page_text, seeds[attempt][1])
+                else:
+                    rejection = None
             if rejection is None:
                 accepted.append(candidate)
-            else:
-                stage, reason = rejection
-                audit.append({**base, "stage": stage, "reason": reason,
-                              "question": candidate.question})
+                continue
+            record = dict(attempt=attempt, qtype=qtype, doc_id=doc_id, page_index=page_index,
+                          stage=rejection[0], reason=rejection[1])
+            if candidate is not None:  # parsed, then rejected by a gate or feasibility
+                record["question"] = candidate.question
+            audit.append(record)
     finally:
         # on an error, requests not yet sent are dropped; the one in flight is awaited
         lane.shutdown(wait=True, cancel_futures=True)

@@ -25,6 +25,8 @@ from .errors import ConfigError, ContractError, EndpointError, TransportError
 
 # what http.client cannot send in a header: a control character, or one past Latin-1
 _UNSENDABLE_RE = re.compile(r"[^\x20-\x7e\xa0-\xff]")
+# a client opens max_in_flight connections up front; infer starts two threads per connection
+MAX_IN_FLIGHT_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,8 @@ class EndpointConfig:
             raise ValueError("auth_token must hold only printable Latin-1 characters")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
+        if not 1 <= self.max_in_flight <= MAX_IN_FLIGHT_CAP:
+            raise ValueError(f"max_in_flight must lie in [1, {MAX_IN_FLIGHT_CAP}]")
 
 
 def in_flight_limit(client) -> int:

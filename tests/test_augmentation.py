@@ -18,6 +18,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import fields
 from importlib import resources
 
 import pytest
@@ -391,7 +392,7 @@ class TestParseQACandidate:
         assert candidate.options == ("4200 百万円", "310 百万円", "150 百万円", "90 百万円")
         assert candidate.answer_index == 1
         assert candidate.qtype == "comparative"
-        assert candidate.source_page == ("fin", 2)
+        assert (candidate.doc_id, candidate.page_index) == ("fin", 2)
         assert candidate.evidence.startswith("営業利益は")
 
     def test_normalization_applied(self):
@@ -597,7 +598,8 @@ def _candidate(
         options=tuple(options),
         answer_index=answer_index,
         qtype="comparative",
-        source_page=("fin", 1),
+        doc_id="fin",
+        page_index=1,
         evidence="当期の売上高は 4200 百万円",
     )
 
@@ -892,7 +894,7 @@ class TestAugment:
     def test_pages_cycle_when_quota_exceeds_them(self, corpus):
         client = RoutedClient(GEN_BLOCKS)
         result = augment(corpus, client, quota=5, seed=0)
-        used = [c.source_page for c in result.accepted]
+        used = [(c.doc_id, c.page_index) for c in result.accepted]
         # three eligible pages for five attempts: wrap-around reuses pages
         assert len(set(used)) == 3
 
@@ -1279,7 +1281,7 @@ class TestJsonlIO:
         write_records(path, [c.to_record() for c in candidates])
         assert read_questions_jsonl(path) == [
             QuestionRecord(question=c.question, options=c.options,
-                           answer_index=c.answer_index, doc_id=c.source_page[0])
+                           answer_index=c.answer_index, doc_id=c.doc_id)
             for c in candidates
         ]
 
@@ -1291,6 +1293,11 @@ class TestJsonlIO:
             "question", "options", "answer_index", "qtype",
             "doc_id", "page_index", "evidence",
         }
+
+    def test_record_is_the_fields_in_order(self):
+        record = _candidate().to_record()
+        assert list(record) == [f.name for f in fields(QACandidate)]
+        assert record["options"] == ["4200 百万円", "310 百万円", "150 百万円"]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "qa.jsonl"

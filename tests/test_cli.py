@@ -31,9 +31,9 @@ from docqa_engine.cli import (
     read_questions_jsonl,
 )
 from docqa_engine.config import AUTH_TOKEN_ENV
-from docqa_engine.corpus import ingest, normalize_text, save_corpus
+from docqa_engine.corpus import ingest, load_corpus, normalize_text, save_corpus
 from docqa_engine.errors import ConfigError, ParseError
-from docqa_engine.gateway import EndpointConfig, hash_embedder
+from docqa_engine.gateway import MAX_IN_FLIGHT_CAP, EndpointConfig, hash_embedder
 from docqa_engine.semantic import QUERY_PREFIX, load_semantic_index
 from mock_server import MockModelServer, MockReply
 from test_lexical_index import V1_FILE, V2_FILE
@@ -889,6 +889,23 @@ class TestInfer:
         assert err.count("\n") == 1, err
         assert not (tmp_path / "v.jsonl").exists()
 
+    def test_max_in_flight_past_its_cap_exits_2_before_any_request(self, tmp_path, artifacts,
+                                                                    questions_file, capsys):
+        # past the cap by one: were it accepted, the client would open only 257 connections
+        config = tmp_path / "config.yaml"
+        with MockModelServer(chat="Answer: A") as server:
+            config.write_text(f"endpoint:\n  base_url: {server.base_url}\n  model_name: m\n"
+                              f"  max_in_flight: {MAX_IN_FLIGHT_CAP + 1}\n", encoding="utf-8")
+            code = main(["--config", str(config), "infer", "--questions", str(questions_file),
+                         "--output", str(tmp_path / "v.jsonl"),
+                         "--corpus", str(artifacts["corpus"]), "--no-retrieval"])
+            assert server.request_log == []
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert err == ("config error: invalid endpoint config: "
+                       f"max_in_flight must lie in [1, {MAX_IN_FLIGHT_CAP}]\n")
+        assert not (tmp_path / "v.jsonl").exists()
+
     @pytest.mark.parametrize("token", ["sec\nret", "sec\x1bret", "sec\x7fret", "sec☃ret"],
                              ids=["line_break", "escape", "delete", "past_latin_1"])
     @pytest.mark.parametrize("source", ["config", "environment"])
@@ -1464,10 +1481,16 @@ def test_hostile_corpus_file_exits_3_with_one_line(tmp_path, capsys, data):
 
 
 # ---------------------------------------------------------------------------
-# Hostile question and verdict files through the command line: a run exits 0 on a
-# file that is still valid, else 5 with one stderr line, and infer then sends nothing
+# Hostile raw page, question and verdict files through the command line: a run exits
+# 0 on a file that is still valid, else 5 with one stderr line, and infer then sends
+# nothing
 
 _FILE_RECORDS = {
+    "pages": (  # each prefix of the records is a corpus of its own
+        {"doc_id": "fin", "page_index": 0, "text": "年次報告書 2023"},
+        {"doc_id": "fin", "page_index": 1, "text": "当期の売上高は 4200 百万円 に達した。"},
+        {"doc_id": "hr", "page_index": 0, "text": "新卒採用は 80 人 を見込む。"},
+    ),
     "questions": (
         {"question": "当期の売上高はいくらですか。", "options": ["4200 百万円", "310 百万円"],
          "answer_index": 0, "doc_id": "fin", "category": "Num"},
@@ -1491,6 +1514,9 @@ _FILE_RECORDS = {
 _HUGE_INT = "9" * 5000
 # per file kind, field -> values its reader rejects
 _REJECTED_VALUES = {
+    "pages": {"doc_id": [None, 7, "", ["fin"]],
+              "page_index": [None, "0", 1.0, True, -1, 5, _HUGE_INT],
+              "text": [None, 7, [], {"text": "x"}]},
     "questions": {"question": [None, 7, ["q"]],
                   "options": [None, "ab", [], ["a"], ["a", None], list("abcdefghijk")],
                   "answer_index": [True, 1.0, "0", -1, 2, _HUGE_INT],
@@ -1501,13 +1527,13 @@ _REJECTED_VALUES = {
                  "failed": ["false", 0, None], "no_context": ["true", 1, None]},
 }
 # per file kind, the fields a record may lack
-_OPTIONAL_FIELDS = {"questions": {"answer_index", "doc_id", "category"},
+_OPTIONAL_FIELDS = {"pages": set(), "questions": {"answer_index", "doc_id", "category"},
                     "verdicts": set(_FILE_RECORDS["verdicts"][0])}
 
 
 def _hostile_file(data, kind: str) -> tuple[bytes, bool | None]:
-    """A mutant of the valid two-record file of `kind`, and whether it is still
-    valid (None where the mutation can give either)."""
+    """A mutant of the valid file of `kind`, and whether it is still valid (None
+    where the mutation can give either)."""
     records = [dict(record) for record in _FILE_RECORDS[kind]]
     mutation = data.draw(st.sampled_from(
         ["cut", "flip", "not_utf8", "mistyped", "missing", "duplicate"]), label="mutation")
@@ -1524,6 +1550,7 @@ def _hostile_file(data, kind: str) -> tuple[bytes, bool | None]:
         valid = field in _OPTIONAL_FIELDS[kind]
     elif mutation == "duplicate":
         records.insert(data.draw(st.integers(0, len(records)), label="to"), dict(records[at]))
+        valid = kind != "pages"  # a corpus holds each page once
     lines = [_record_bytes(record).replace(f'"{_HUGE_INT}"'.encode(), _HUGE_INT.encode())
              for record in records]
     blob = bytearray(b"".join(lines))
@@ -1581,6 +1608,26 @@ def test_hostile_question_file_exits_0_or_5_with_one_line(tmp_path, capsys, arti
         assert answering_server.request_log
     else:
         assert answering_server.request_log == []
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_hostile_raw_pages_exit_0_or_5_with_one_line(tmp_path, capsys, data):
+    blob, valid = _hostile_file(data, "pages")
+    path = tmp_path / "hostile.jsonl"
+    path.write_bytes(blob)
+    output = tmp_path / "corpus.jsonl"
+    save_corpus(ingest(map(_record_bytes, _FILE_RECORDS["pages"])), output)
+    old = output.read_bytes()
+    capsys.readouterr()
+    code = main(["ingest", "--input", str(path), "--output", str(output)])
+    out, err = capsys.readouterr()
+    _check_exit(code, valid, out, err)
+    if code == EXIT_OK:
+        assert load_corpus(output).pages
+    else:  # the old corpus is left as it was
+        assert output.read_bytes() == old
 
 
 @settings(max_examples=400, deadline=None,

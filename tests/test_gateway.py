@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import docqa_engine
 from docqa_engine.errors import ConfigError, ContractError, EndpointError, TransportError
 from docqa_engine.gateway import (
+    MAX_IN_FLIGHT_CAP,
     EndpointConfig,
     GatewayClient,
     _retry_after_seconds,
@@ -91,6 +92,15 @@ class TestEndpointConfig:
         with pytest.raises(ValueError, match=f"{key} must lie in "):
             EndpointConfig(base_url="http://x", model_name="m",
                            **{key: threading.TIMEOUT_MAX * 1.5})
+
+    def test_max_in_flight_is_capped(self):
+        # configs only: a client of the values rejected here opens every connection up front
+        config = EndpointConfig(base_url="http://x", model_name="m",
+                                max_in_flight=MAX_IN_FLIGHT_CAP)
+        assert config.max_in_flight == 256
+        for value in (MAX_IN_FLIGHT_CAP + 1, 1_000_000_000):
+            with pytest.raises(ValueError, match=r"max_in_flight must lie in \[1, 256\]"):
+                EndpointConfig(base_url="http://x", model_name="m", max_in_flight=value)
 
     @pytest.mark.parametrize("token", ["a\nb", "a\rb", "a\tb", "a\x85b", "a\u20acb"])
     def test_token_http_cannot_send_is_rejected_without_its_value(self, token):
