@@ -14,11 +14,11 @@ import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .augment import augment
-from .config import PipelineConfig, load_config, resolve_endpoint
+from .config import PipelineConfig, load_config
 from .corpus import (Corpus, ingest_path, iter_records, load_corpus, read_records, save_corpus,
                      write_records)
 from .ensemble import (MAX_OPTIONS, OPTION_LABELS, EnsembleVerdict, build_answer_prompt,
@@ -43,6 +43,11 @@ EXIT_TRANSPORT = 4
 EXIT_VALIDATION = 5
 
 KNOWN_CATEGORIES = ("Y/N", "Fact.", "Num")
+
+# the artifact paths a command reads or writes when its flag is not given
+CORPUS_PATH = "corpus.jsonl"
+LEXICAL_PATH = "lexical.idx"
+SEMANTIC_PATH = "semantic.idx"
 
 # Question threads per chat connection. Each holds at most one request, so a
 # second thread per connection sends while another question retrieves,
@@ -248,38 +253,34 @@ def evaluate_verdicts(verdicts: list[dict]) -> dict:
 # Commands
 
 
-def _require_chat_client(config: PipelineConfig, args) -> GatewayClient:
-    endpoint = resolve_endpoint(config.endpoint, args.endpoint_url, args.model)
-    if endpoint is None:
-        raise ConfigError(
-            "no model endpoint configured; set the endpoint section in the "
-            "config file or pass --endpoint-url and --model"
-        )
-    return GatewayClient(endpoint)
+def _require_chat_client(config: PipelineConfig) -> GatewayClient:
+    if config.endpoint is None:
+        raise ConfigError("no model endpoint configured; set the endpoint section in the "
+                          "config file")
+    return GatewayClient(config.endpoint)
 
 
 def _semantic_side(config: PipelineConfig, args) -> tuple[GatewayClient | None, str | None]:
     """The embed client and semantic index path; both None without an embedding endpoint."""
-    endpoint = resolve_endpoint(config.embedding, args.embed_url, args.embed_model)
-    if endpoint is None:
+    if config.embedding is None:
         if args.semantic:
             raise ConfigError("semantic index requested but no embedding endpoint configured; set "
-                              "the embedding section or pass --embed-url and --embed-model")
+                              "the embedding section in the config file")
         return None, None
-    return GatewayClient(endpoint), args.semantic or config.paths.semantic_index
+    return GatewayClient(config.embedding), args.semantic or SEMANTIC_PATH
 
 
 def _load_indexes(config: PipelineConfig, args):
     """The lexical index, then the semantic index and embed client per `_semantic_side`."""
     embed_client, semantic_path = _semantic_side(config, args)
-    lexical_index = load_lexical_index(args.lexical or config.paths.lexical_index)
+    lexical_index = load_lexical_index(args.lexical or LEXICAL_PATH)
     semantic_index = None if semantic_path is None else load_semantic_index(semantic_path)
     return lexical_index, semantic_index, embed_client
 
 
 def cmd_ingest(args, config: PipelineConfig) -> int:
     corpus = ingest_path(args.input)
-    out = args.output or config.paths.corpus
+    out = args.output or CORPUS_PATH
     save_corpus(corpus, out)
     print(f"ingested {corpus.page_count} pages across {corpus.doc_count} documents -> {out}")
     return EXIT_OK
@@ -287,8 +288,8 @@ def cmd_ingest(args, config: PipelineConfig) -> int:
 
 def cmd_build_index(args, config: PipelineConfig) -> int:
     embed_client, semantic_out = _semantic_side(config, args)
-    corpus = load_corpus(args.corpus or config.paths.corpus)
-    lexical_out = args.lexical or config.paths.lexical_index
+    corpus = load_corpus(args.corpus or CORPUS_PATH)
+    lexical_out = args.lexical or LEXICAL_PATH
     index = build_lexical_index(corpus)
     save_lexical_index(index, lexical_out)
     print(f"lexical index: {index.page_count} pages, "
@@ -324,14 +325,13 @@ def cmd_retrieve(args, config: PipelineConfig) -> int:
 
 
 def cmd_augment(args, config: PipelineConfig) -> int:
-    corpus = load_corpus(args.corpus or config.paths.corpus)
-    client = _require_chat_client(config, args)
+    client = _require_chat_client(config)
     result = augment(
-        corpus,
+        load_corpus(args.corpus or CORPUS_PATH),
         client,
         quota=args.quota,
         thresholds=config.thresholds,
-        seed=args.seed if args.seed is not None else config.seed,
+        seed=config.seed,
         feasibility_check=not args.no_feasibility,
     )
     write_records(args.output, (c.to_record() for c in result.accepted))
@@ -343,27 +343,24 @@ def cmd_augment(args, config: PipelineConfig) -> int:
 
 def cmd_infer(args, config: PipelineConfig) -> int:
     if args.no_retrieval:
-        for flag in ("lexical", "semantic", "embed_url", "embed_model"):
+        for flag in ("lexical", "semantic"):
             if getattr(args, flag):
-                raise ConfigError(f"--no-retrieval takes no --{flag.replace('_', '-')}: "
+                raise ConfigError(f"--no-retrieval takes no --{flag}: "
                                   "the baseline reads no index and embeds nothing")
     elif args.max_context_chars is not None:
         raise ConfigError("--max-context-chars needs --no-retrieval: it truncates only the "
                           "baseline's context, and retrieval selects its own pages")
+    chat_client = _require_chat_client(config)
     questions = read_questions_jsonl(args.questions)
-    corpus = load_corpus(args.corpus or config.paths.corpus)
-    chat_client = _require_chat_client(config, args)
+    corpus = load_corpus(args.corpus or CORPUS_PATH)
     lexical_index = semantic_index = embed_client = None
     if not args.no_retrieval:
         lexical_index, semantic_index, embed_client = _load_indexes(config, args)
-    run_config = config
-    if args.seed is not None:
-        run_config = replace(config, seed=args.seed)
     verdicts = answer_questions(
         questions,
         corpus,
         chat_client,
-        run_config,
+        config,
         lexical_index=lexical_index,
         semantic_index=semantic_index,
         embed_client=embed_client,
@@ -403,15 +400,6 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
 # Parser
 
 
-def _add_endpoint_flags(parser: argparse.ArgumentParser, *, chat: bool, embed: bool) -> None:
-    if chat:
-        parser.add_argument("--endpoint-url", help="chat endpoint base URL (overrides config)")
-        parser.add_argument("--model", help="chat model name (overrides config)")
-    if embed:
-        parser.add_argument("--embed-url", help="embedding endpoint base URL (overrides config)")
-        parser.add_argument("--embed-model", help="embedding model name (overrides config)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="docqa",
@@ -424,48 +412,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse raw page records into a corpus file")
     p.add_argument("--input", required=True, help="raw JSONL with doc_id/page_index/text")
-    p.add_argument("--output", help="corpus file to write")
+    p.add_argument("--output", help=f"corpus file to write (default {CORPUS_PATH})")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("build-index", help="build the lexical index (and, given an embedding "
                        "endpoint, the semantic one)")
-    p.add_argument("--corpus", help="corpus file")
-    p.add_argument("--lexical", help="lexical index output path")
-    p.add_argument("--semantic", help="semantic index output path (needs an embedding endpoint)")
-    _add_endpoint_flags(p, chat=False, embed=True)
+    p.add_argument("--corpus", help=f"corpus file (default {CORPUS_PATH})")
+    p.add_argument("--lexical", help=f"lexical index output path (default {LEXICAL_PATH})")
+    p.add_argument("--semantic", help=f"semantic index output path (default {SEMANTIC_PATH})")
     p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("retrieve", help="rank pages for a query by the config's retrieval section")
     p.add_argument("query")
-    p.add_argument("--lexical", help="lexical index path")
-    p.add_argument("--semantic", help="semantic index path (needs an embedding endpoint)")
+    p.add_argument("--lexical", help=f"lexical index path (default {LEXICAL_PATH})")
+    p.add_argument("--semantic", help=f"semantic index path (default {SEMANTIC_PATH})")
     p.add_argument("--json", action="store_true", help="emit one JSON record")
-    _add_endpoint_flags(p, chat=False, embed=True)
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("augment", help="generate gated synthetic QA pairs")
-    p.add_argument("--corpus", help="corpus file")
+    p.add_argument("--corpus", help=f"corpus file (default {CORPUS_PATH})")
     p.add_argument("--quota", type=int, required=True, help="generation attempts")
     p.add_argument("--output", required=True, help="accepted QA JSONL path")
     p.add_argument("--audit", help="rejection audit JSONL path")
-    p.add_argument("--seed", type=int)
     p.add_argument("--no-feasibility", action="store_true",
                    help="skip the feasibility round-trip")
-    _add_endpoint_flags(p, chat=True, embed=False)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("infer", help="answer multiple-choice questions")
     p.add_argument("--questions", required=True, help="question JSONL path")
     p.add_argument("--output", required=True, help="verdict JSONL path")
-    p.add_argument("--corpus", help="corpus file")
-    p.add_argument("--lexical", help="lexical index path")
-    p.add_argument("--semantic", help="semantic index path (needs an embedding endpoint)")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--corpus", help=f"corpus file (default {CORPUS_PATH})")
+    p.add_argument("--lexical", help=f"lexical index path (default {LEXICAL_PATH})")
+    p.add_argument("--semantic", help=f"semantic index path (default {SEMANTIC_PATH})")
     p.add_argument("--no-retrieval", action="store_true",
                    help="use the raw corpus as context instead of retrieval")
     p.add_argument("--max-context-chars", type=int,
                    help="truncate no-retrieval context to this many chars")
-    _add_endpoint_flags(p, chat=True, embed=True)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("evaluate", help="score verdicts against gold answers")

@@ -3,8 +3,9 @@
 The defaults carry the engine's shipped operating point (fusion weights
 0.6/0.4, 3-7 adaptive pages at threshold 0.3, 20-config ensemble stopping
 at 10 responses / 0.8 confidence) so a config file only needs to name
-what differs. Endpoint auth can come from the environment instead of the
-file, which keeps tokens out of checked-in configs.
+what differs. The file is the only source of the endpoints and the seed;
+artifact paths are command-line flags. Endpoint auth can come from the
+environment instead of the file, which keeps tokens out of checked-in configs.
 """
 
 from __future__ import annotations
@@ -31,15 +32,7 @@ AUTH_TOKEN_ENV = "DOCQA_AUTH_TOKEN"
 
 
 @dataclass(frozen=True)
-class PathsConfig:
-    corpus: str = "corpus.jsonl"
-    lexical_index: str = "lexical.idx"
-    semantic_index: str = "semantic.idx"
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
-    paths: PathsConfig = PathsConfig()
     weights: FusionWeights = DEFAULT_WEIGHTS
     policy: SelectionPolicy = DEFAULT_POLICY
     candidate_k: int = DEFAULT_CANDIDATE_K
@@ -64,7 +57,6 @@ class PipelineConfig:
 # dataclass field takes the keys named after its own fields; any other field
 # takes the key of its own name.
 _SECTIONS = {
-    "paths": ("paths",),
     "retrieval": ("weights", "policy", "candidate_k"),
     "ensemble": ("schedule_count", "seed", "stop"),
     "gates": ("thresholds",),
@@ -104,37 +96,15 @@ def _take(section: str, values: dict, targets) -> dict:
     return taken
 
 
-def resolve_endpoint(section: EndpointConfig | None, base_url: str | None = None,
-                     model_name: str | None = None) -> EndpointConfig | None:
-    """The endpoint a run talks to: the config section, with each of
-    `base_url` and `model_name` that is given replacing that field. Without
-    a section both are needed. A token-less endpoint takes its bearer token
-    from $DOCQA_AUTH_TOKEN. None when there is neither section nor name."""
-    names = {key: value for key, value in (("base_url", base_url), ("model_name", model_name))
-             if value}
-    if section is None:
-        if not names:
-            return None
-        if len(names) < 2:
-            raise ConfigError("an endpoint without a config section needs both "
-                              "a base URL and a model name")
-        section = _BLANK_ENDPOINT
-    try:
-        endpoint = replace(section, **names)
-        if endpoint.auth_token is None:
-            endpoint = replace(endpoint, auth_token=os.environ.get(AUTH_TOKEN_ENV) or None)
-    except ValueError as exc:  # a token from the environment gets checked here
-        raise ConfigError(f"invalid endpoint: {exc}") from exc
-    return endpoint
-
-
 def _endpoint(section: str, values: dict) -> EndpointConfig | None:
     if not values:
         return None
     endpoint = replace(_BLANK_ENDPOINT, **_take(section, values, fields(EndpointConfig)))
     if not endpoint.base_url or not endpoint.model_name:
         raise ConfigError(f"config section {section!r} needs both base_url and model_name")
-    return resolve_endpoint(endpoint)
+    if endpoint.auth_token is None:  # EndpointConfig checks the environment's token too
+        endpoint = replace(endpoint, auth_token=os.environ.get(AUTH_TOKEN_ENV) or None)
+    return endpoint
 
 
 def _reject_unknown(section_name: str, leftovers) -> None:

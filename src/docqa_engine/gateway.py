@@ -27,6 +27,8 @@ from .errors import ConfigError, ContractError, EndpointError, TransportError
 _UNSENDABLE_RE = re.compile(r"[^\x20-\x7e\xa0-\xff]")
 # a client opens max_in_flight connections up front; infer starts two threads per connection
 MAX_IN_FLIGHT_CAP = 256
+# a call waits out at most this many sleeps, each at most the timeout, between its attempts
+MAX_RETRIES_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,8 @@ class EndpointConfig:
         if self.auth_token is not None and _UNSENDABLE_RE.search(self.auth_token):
             # the message names the key only: the token is a secret
             raise ValueError("auth_token must hold only printable Latin-1 characters")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        if not 0 <= self.max_retries <= MAX_RETRIES_CAP:
+            raise ValueError(f"max_retries must lie in [0, {MAX_RETRIES_CAP}]")
         if not 1 <= self.max_in_flight <= MAX_IN_FLIGHT_CAP:
             raise ValueError(f"max_in_flight must lie in [1, {MAX_IN_FLIGHT_CAP}]")
 
@@ -144,8 +146,8 @@ class GatewayClient:
         Transport failures, 429 and 5xx responses are retried; other non-2xx
         statuses fail immediately with the endpoint's status code. A
         seconds-valued Retry-After header lengthens the next delay to
-        max(backoff, Retry-After), with Retry-After capped at the request
-        timeout so one header cannot stall the caller indefinitely.
+        max(backoff, Retry-After). Every delay is capped at the request
+        timeout, so neither a header nor the doubling stalls the caller for long.
         """
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
         delay = self.config.backoff_base
@@ -155,7 +157,7 @@ class GatewayClient:
         retry_after = 0.0
         for attempt in range(attempts):
             if attempt:
-                time.sleep(max(delay, retry_after))
+                time.sleep(min(max(delay, retry_after), self.config.timeout))
                 delay *= 2
                 retry_after = 0.0
             conn = self._pool.get()
@@ -174,7 +176,7 @@ class GatewayClient:
                     raise ContractError("endpoint returned non-JSON body") from exc
             if status == 429 or status >= 500:
                 last_status = status
-                retry_after = min(_retry_after_seconds(retry_after_header), self.config.timeout)
+                retry_after = _retry_after_seconds(retry_after_header)
                 continue
             raise EndpointError(data.decode("utf-8", "replace")[:200], status)
         if last_status is not None:

@@ -1,16 +1,18 @@
 """Command-line tests: every subcommand end to end plus the exit-code map.
 
 These drive main(argv) directly against temp files and the in-process
-mock endpoint, so they cover argument wiring, config merging, and the
+mock endpoint, so they cover argument wiring, config loading, and the
 printed output without spawning subprocesses.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import itertools
 import json
 import re
+import shlex
 import struct
 import tempfile
 from pathlib import Path
@@ -33,7 +35,8 @@ from docqa_engine.cli import (
 from docqa_engine.config import AUTH_TOKEN_ENV
 from docqa_engine.corpus import ingest, load_corpus, normalize_text, save_corpus
 from docqa_engine.errors import ConfigError, ParseError
-from docqa_engine.gateway import MAX_IN_FLIGHT_CAP, EndpointConfig, hash_embedder
+from docqa_engine.gateway import (MAX_IN_FLIGHT_CAP, MAX_RETRIES_CAP, EndpointConfig,
+                                  hash_embedder)
 from docqa_engine.semantic import QUERY_PREFIX, load_semantic_index
 from mock_server import MockModelServer, MockReply
 from test_lexical_index import V1_FILE, V2_FILE
@@ -61,6 +64,21 @@ def _write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def _endpoints(tmp_path, *, chat: str | None = None, embed: str | None = None,
+               embed_model: str = "embedder", dim: int | None = None, text: str = "") -> str:
+    """The path of a config file holding `text`, then an `endpoint` section for
+    the chat base URL `chat` and an `embedding` section for the embedding base
+    URL `embed` (of `dim` when given), each when given."""
+    if chat:
+        text += f"endpoint:\n  base_url: {chat}\n  model_name: mock-model\n"
+    if embed:
+        text += f"embedding:\n  base_url: {embed}\n  model_name: {embed_model}\n"
+        text += f"  dim: {dim}\n" if dim else ""
+    path = tmp_path / "endpoints.yaml"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
 
 
 @pytest.fixture()
@@ -145,7 +163,8 @@ def test_undecodable_input_line_is_named(tmp_path, capsys, command, flag, record
     first, second = path.read_bytes().splitlines(keepends=True)
     path.write_bytes(first + second.replace("本".encode("utf-8"), b"\xe6\x9c", 1))
     output = [] if command == "evaluate" else ["--output", str(tmp_path / "out.jsonl")]
-    code = main([command, flag, str(path), *output])
+    config = ["--config", _endpoints(tmp_path, chat="http://x/v1")] if command == "infer" else []
+    code = main([*config, command, flag, str(path), *output])
     assert code == EXIT_VALIDATION
     assert "validation error: line 2: invalid UTF-8" in capsys.readouterr().err
 
@@ -206,18 +225,14 @@ class TestBuildIndex:
         assert err.count("\n") == 1
 
     def test_semantic_build_via_flags(self, tmp_path, artifacts, capsys):
-        config = tmp_path / "config.yaml"
-        config.write_text("embedding:\n  dim: 32\n", encoding="utf-8")
         semantic = tmp_path / "semantic.idx"
         with MockModelServer(dim=32) as server:
             code = main([
-                "--config", str(config),
+                "--config", _endpoints(tmp_path, embed=server.base_url, dim=32),
                 "build-index",
                 "--corpus", str(artifacts["corpus"]),
                 "--lexical", str(tmp_path / "lex2.idx"),
                 "--semantic", str(semantic),
-                "--embed-url", server.base_url,
-                "--embed-model", "embedder",
             ])
         assert code == EXIT_OK
         assert semantic.exists()
@@ -226,9 +241,9 @@ class TestBuildIndex:
     def test_scalar_embedding_is_validation_error(self, tmp_path, artifacts, capsys):
         with MockModelServer(embed=lambda texts: [5 for _ in texts]) as server:
             code = main([
+                "--config", _endpoints(tmp_path, embed=server.base_url),
                 "build-index", "--corpus", str(artifacts["corpus"]),
                 "--lexical", str(tmp_path / "lex4.idx"), "--semantic", str(tmp_path / "sem.idx"),
-                "--embed-url", server.base_url, "--embed-model", "embedder",
             ])
         assert code == EXIT_VALIDATION
         assert "not a list of numbers" in capsys.readouterr().err
@@ -237,9 +252,9 @@ class TestBuildIndex:
         # JSON true is not a number, even beside numbers that numpy would promote it to
         with MockModelServer(embed=lambda texts: [[True] + [1.0] * 1023 for _ in texts]) as server:
             code = main([
+                "--config", _endpoints(tmp_path, embed=server.base_url),
                 "build-index", "--corpus", str(artifacts["corpus"]),
                 "--lexical", str(tmp_path / "lex7.idx"), "--semantic", str(tmp_path / "sem.idx"),
-                "--embed-url", server.base_url, "--embed-model", "embedder",
             ])
         assert code == EXIT_VALIDATION
         assert "not a list of numbers" in capsys.readouterr().err
@@ -255,20 +270,16 @@ class TestBuildIndex:
         assert "no embedding endpoint" in capsys.readouterr().err
 
     def test_config_embedding_endpoint_builds_the_semantic_index(self, tmp_path, artifacts,
-                                                                  capsys):
-        # an endpoint alone turns the semantic side on: no --semantic, no --embed-url
-        semantic = tmp_path / "semantic.idx"
-        config = tmp_path / "config.yaml"
+                                                                  monkeypatch, capsys):
+        # an endpoint alone turns the semantic side on, written to its default path
+        monkeypatch.chdir(tmp_path)
         with MockModelServer(dim=32) as server:
-            config.write_text(f"paths:\n  semantic_index: {json.dumps(str(semantic))}\n"
-                              f"embedding:\n  base_url: {server.base_url}\n"
-                              "  model_name: embedder\n  dim: 32\n", encoding="utf-8")
-            code = main(["--config", str(config), "build-index",
-                         "--corpus", str(artifacts["corpus"]),
+            code = main(["--config", _endpoints(tmp_path, embed=server.base_url, dim=32),
+                         "build-index", "--corpus", str(artifacts["corpus"]),
                          "--lexical", str(tmp_path / "lex8.idx")])
         assert code == EXIT_OK
-        assert "semantic index: 7 pages, dim 32" in capsys.readouterr().out
-        assert load_semantic_index(semantic).model == "embedder"
+        assert "semantic index: 7 pages, dim 32 -> semantic.idx" in capsys.readouterr().out
+        assert load_semantic_index(tmp_path / "semantic.idx").model == "embedder"
 
     def test_unreachable_embed_endpoint_is_transport_error(self, tmp_path, artifacts):
         config = tmp_path / "config.yaml"
@@ -370,22 +381,19 @@ class TestRetrieve:
         assert all(r["s_semantic"] == 0.0 for r in record["results"])
 
     def test_hybrid_with_semantic_index(self, tmp_path, artifacts, capsys):
-        config = tmp_path / "config.yaml"
-        config.write_text("embedding:\n  dim: 32\n", encoding="utf-8")
         semantic = tmp_path / "semantic.idx"
         with MockModelServer(dim=32) as server:
+            config = _endpoints(tmp_path, embed=server.base_url, dim=32)
             main([
-                "--config", str(config),
+                "--config", config,
                 "build-index", "--corpus", str(artifacts["corpus"]),
                 "--lexical", str(tmp_path / "lex5.idx"), "--semantic", str(semantic),
-                "--embed-url", server.base_url, "--embed-model", "embedder",
             ])
             capsys.readouterr()
             code = main([
-                "--config", str(config),
+                "--config", config,
                 "retrieve", "売上高はいくらか", "--json",
                 "--lexical", str(artifacts["lexical"]), "--semantic", str(semantic),
-                "--embed-url", server.base_url, "--embed-model", "embedder",
             ])
         assert code == EXIT_OK
         record = json.loads(capsys.readouterr().out)
@@ -441,9 +449,9 @@ class TestRetrieve:
 
     def test_missing_semantic_index_is_io_error(self, tmp_path, artifacts, capsys):
         with MockModelServer(dim=32) as server:
-            code = main(["retrieve", "売上高", "--lexical", str(artifacts["lexical"]),
-                         "--semantic", str(tmp_path / "missing.idx"),
-                         "--embed-url", server.base_url, "--embed-model", "m"])
+            code = main(["--config", _endpoints(tmp_path, embed=server.base_url),
+                         "retrieve", "売上高", "--lexical", str(artifacts["lexical"]),
+                         "--semantic", str(tmp_path / "missing.idx")])
             assert server.request_log == []
         assert code == EXIT_IO
         assert "missing.idx" in capsys.readouterr().err
@@ -457,46 +465,42 @@ class TestRetrieve:
     def test_huge_semantic_header_counts_are_io_error(self, tmp_path, artifacts, capsys):
         semantic = tmp_path / "semantic.idx"
         semantic.write_bytes(b"SEMV" + struct.pack("<III32sI", 2, 0xFFFFFFFF, 0xFFFFFFFF, b"", 0))
-        code = main(["retrieve", "q", "--lexical", str(artifacts["lexical"]),
-                     "--semantic", str(semantic),
-                     "--embed-url", "http://127.0.0.1:9/v1", "--embed-model", "m"])
+        code = main(["--config", _endpoints(tmp_path, embed="http://127.0.0.1:9/v1"),
+                     "retrieve", "q", "--lexical", str(artifacts["lexical"]),
+                     "--semantic", str(semantic)])
         assert code == EXIT_IO
         assert "semantic index file truncated" in capsys.readouterr().err
 
     def test_semantic_index_of_another_corpus_is_io_error(self, tmp_path, artifacts,
                                                           other_artifacts, capsys):
-        config = tmp_path / "config.yaml"
-        config.write_text("embedding:\n  dim: 32\n", encoding="utf-8")
         semantic = tmp_path / "semantic.idx"
         with MockModelServer(dim=32) as server:
-            embed_flags = ["--embed-url", server.base_url, "--embed-model", "embedder"]
-            assert main(["--config", str(config), "build-index",
+            config = _endpoints(tmp_path, embed=server.base_url, dim=32)
+            assert main(["--config", config, "build-index",
                          "--corpus", str(other_artifacts["corpus"]),
-                         "--lexical", str(tmp_path / "lex6.idx"), "--semantic", str(semantic),
-                         *embed_flags]) == EXIT_OK
+                         "--lexical", str(tmp_path / "lex6.idx"),
+                         "--semantic", str(semantic)]) == EXIT_OK
             sent = len(server.request_log)
             capsys.readouterr()
-            code = main(["--config", str(config), "retrieve", "売上高",
-                         "--lexical", str(artifacts["lexical"]), "--semantic", str(semantic),
-                         *embed_flags])
+            code = main(["--config", config, "retrieve", "売上高",
+                         "--lexical", str(artifacts["lexical"]), "--semantic", str(semantic)])
             assert len(server.request_log) == sent  # no query embedding was requested
         assert code == EXIT_IO
         assert "SemanticIndex lists other pages" in capsys.readouterr().err
 
     def test_semantic_index_of_another_model_is_io_error(self, tmp_path, artifacts, capsys):
-        config = tmp_path / "config.yaml"
-        config.write_text("embedding:\n  dim: 32\n", encoding="utf-8")
         semantic = tmp_path / "semantic.idx"
         with MockModelServer(dim=32) as server:
-            assert main(["--config", str(config), "build-index",
-                         "--corpus", str(artifacts["corpus"]),
-                         "--lexical", str(tmp_path / "lex7.idx"), "--semantic", str(semantic),
-                         "--embed-url", server.base_url, "--embed-model", "embedder"]) == EXIT_OK
+            assert main(["--config", _endpoints(tmp_path, embed=server.base_url, dim=32),
+                         "build-index", "--corpus", str(artifacts["corpus"]),
+                         "--lexical", str(tmp_path / "lex7.idx"),
+                         "--semantic", str(semantic)]) == EXIT_OK
             sent = len(server.request_log)
             capsys.readouterr()
-            code = main(["--config", str(config), "retrieve", "売上高",
-                         "--lexical", str(artifacts["lexical"]), "--semantic", str(semantic),
-                         "--embed-url", server.base_url, "--embed-model", "other-embedder"])
+            other = _endpoints(tmp_path, embed=server.base_url, embed_model="other-embedder",
+                               dim=32)
+            code = main(["--config", other, "retrieve", "売上高",
+                         "--lexical", str(artifacts["lexical"]), "--semantic", str(semantic)])
             assert len(server.request_log) == sent  # no query embedding was requested
         assert code == EXIT_IO
         assert ("semantic index was embedded by model 'embedder', not by 'other-embedder'"
@@ -506,9 +510,9 @@ class TestRetrieve:
         semantic = tmp_path / "semantic.idx"
         semantic.write_bytes(b"SEMV" + struct.pack("<IIIf", 1, 1, 1, 1.0) + struct.pack("<I", 3)
                              + b"fin" + struct.pack("<I", 0))
-        code = main(["retrieve", "q", "--lexical", str(artifacts["lexical"]),
-                     "--semantic", str(semantic),
-                     "--embed-url", "http://127.0.0.1:9/v1", "--embed-model", "m"])
+        code = main(["--config", _endpoints(tmp_path, embed="http://127.0.0.1:9/v1"),
+                     "retrieve", "q", "--lexical", str(artifacts["lexical"]),
+                     "--semantic", str(semantic)])
         assert code == EXIT_IO
         assert "unsupported semantic index version 1: rebuild it" in capsys.readouterr().err
 
@@ -517,9 +521,9 @@ class TestRetrieve:
         semantic.write_bytes(b"SEMV" + struct.pack("<III32sI", 2, 1, 1, b"", 1) + b"m"
                              + struct.pack("<f", float("nan")) + struct.pack("<I", 3) + b"fin"
                              + struct.pack("<I", 1))
-        code = main(["retrieve", "q", "--json", "--lexical", str(artifacts["lexical"]),
-                     "--semantic", str(semantic),
-                     "--embed-url", "http://127.0.0.1:9/v1", "--embed-model", "m"])
+        code = main(["--config", _endpoints(tmp_path, embed="http://127.0.0.1:9/v1"),
+                     "retrieve", "q", "--json", "--lexical", str(artifacts["lexical"]),
+                     "--semantic", str(semantic)])
         assert code == EXIT_IO
         assert "non-finite" in capsys.readouterr().err
 
@@ -553,16 +557,20 @@ def _augment_chat_script():
     return script
 
 
+NO_ENDPOINT = ("config error: no model endpoint configured; set the endpoint section in the "
+               "config file\n")
+
+
 class TestAugmentCommand:
     def test_writes_accepted_and_audit(self, tmp_path, artifacts, capsys):
         output = tmp_path / "qa.jsonl"
         audit = tmp_path / "audit.jsonl"
         with MockModelServer(chat=_augment_chat_script()) as server:
             code = main([
+                "--config", _endpoints(tmp_path, chat=server.base_url,
+                                       text="ensemble:\n  seed: 13\n"),
                 "augment", "--corpus", str(artifacts["corpus"]),
                 "--quota", "2", "--output", str(output), "--audit", str(audit),
-                "--seed", "13",
-                "--endpoint-url", server.base_url, "--model", "mock-model",
             ])
         assert code == EXIT_OK
         summary = json.loads(capsys.readouterr().out)
@@ -572,17 +580,12 @@ class TestAugmentCommand:
         assert len(lines) == 2
         assert audit.exists() and audit.read_text(encoding="utf-8") == ""
 
-    def test_no_endpoint_is_config_error(self, tmp_path, artifacts, capsys):
-        code = main(["augment", "--corpus", str(artifacts["corpus"]),
+    def test_no_endpoint_exits_2_before_any_file_is_read(self, tmp_path, capsys):
+        # the corpus does not exist, so reading it first would exit 3
+        code = main(["augment", "--corpus", str(tmp_path / "missing.jsonl"),
                      "--quota", "1", "--output", str(tmp_path / "qa.jsonl")])
         assert code == EXIT_CONFIG
-        assert "no model endpoint" in capsys.readouterr().err
-
-    def test_partial_endpoint_flags_are_config_error(self, tmp_path, artifacts):
-        code = main(["augment", "--corpus", str(artifacts["corpus"]),
-                     "--quota", "1", "--output", str(tmp_path / "qa.jsonl"),
-                     "--endpoint-url", "http://somewhere/v1"])
-        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == NO_ENDPOINT
 
 
 @pytest.fixture()
@@ -597,25 +600,17 @@ def questions_file(tmp_path):
     return path
 
 
-@pytest.fixture()
-def fast_config(tmp_path):
-    path = tmp_path / "infer.yaml"
-    path.write_text(
-        "ensemble:\n  schedule_count: 2\n  min_responses: 1\n", encoding="utf-8"
-    )
-    return path
+FAST_ENSEMBLE = "ensemble:\n  schedule_count: 2\n  min_responses: 1\n"
 
 
 class TestInfer:
-    def test_retrieval_inference_round_trip(self, tmp_path, artifacts,
-                                            questions_file, fast_config, capsys):
+    def test_retrieval_inference_round_trip(self, tmp_path, artifacts, questions_file, capsys):
         output = tmp_path / "verdicts.jsonl"
         with MockModelServer(chat="Answer: A") as server:
             code = main([
-                "--config", str(fast_config),
+                "--config", _endpoints(tmp_path, chat=server.base_url, text=FAST_ENSEMBLE),
                 "infer", "--questions", str(questions_file), "--output", str(output),
                 "--corpus", str(artifacts["corpus"]), "--lexical", str(artifacts["lexical"]),
-                "--endpoint-url", server.base_url, "--model", "mock-model",
             ])
         assert code == EXIT_OK
         assert "answered 2/2 questions" in capsys.readouterr().out
@@ -631,16 +626,14 @@ class TestInfer:
         assert first["chosen_option"] == "A"
         assert first["stopped_early"] is True  # unanimous pair of configs
 
-    def test_no_retrieval_baseline(self, tmp_path, artifacts, questions_file,
-                                   fast_config):
+    def test_no_retrieval_baseline(self, tmp_path, artifacts, questions_file):
         output = tmp_path / "verdicts.jsonl"
         with MockModelServer(chat="Answer: B") as server:
             code = main([
-                "--config", str(fast_config),
+                "--config", _endpoints(tmp_path, chat=server.base_url, text=FAST_ENSEMBLE),
                 "infer", "--questions", str(questions_file), "--output", str(output),
                 "--corpus", str(artifacts["corpus"]),
                 "--no-retrieval", "--max-context-chars", "120",
-                "--endpoint-url", server.base_url, "--model", "mock-model",
             ])
         assert code == EXIT_OK
         records = [json.loads(line) for line in output.read_text(encoding="utf-8").splitlines()]
@@ -652,10 +645,10 @@ class TestInfer:
                                                             questions_file, chars, capsys):
         with MockModelServer(chat="Answer: A") as server:
             code = main([
+                "--config", _endpoints(tmp_path, chat=server.base_url),
                 "infer", "--questions", str(questions_file), "--output", str(tmp_path / "v.jsonl"),
                 "--corpus", str(artifacts["corpus"]),
                 "--no-retrieval", "--max-context-chars", chars,
-                "--endpoint-url", server.base_url, "--model", "mock-model",
             ])
             assert server.request_log == []
         assert code == EXIT_VALIDATION
@@ -668,9 +661,9 @@ class TestInfer:
                              encoding="utf-8")
         with MockModelServer(chat="Answer: A") as server:
             code = main([
+                "--config", _endpoints(tmp_path, chat=server.base_url),
                 "infer", "--questions", str(questions), "--output", str(tmp_path / "v.jsonl"),
                 "--corpus", str(artifacts["corpus"]), "--lexical", str(artifacts["lexical"]),
-                "--endpoint-url", server.base_url, "--model", "mock-model",
             ])
             assert server.request_log == []
         assert code == EXIT_VALIDATION
@@ -682,9 +675,9 @@ class TestInfer:
                                   "doc_id": "nope"}])
         with MockModelServer(chat="Answer: A") as server:
             code = main([
+                "--config", _endpoints(tmp_path, chat=server.base_url),
                 "infer", "--questions", str(questions), "--output", str(tmp_path / "v.jsonl"),
                 "--corpus", str(artifacts["corpus"]), "--lexical", str(artifacts["lexical"]),
-                "--endpoint-url", server.base_url, "--model", "mock-model",
             ])
             assert server.request_log == []
         assert code == EXIT_VALIDATION
@@ -695,9 +688,9 @@ class TestInfer:
                                                          capsys):
         with MockModelServer(chat="Answer: A") as server:
             code = main([
+                "--config", _endpoints(tmp_path, chat=server.base_url),
                 "infer", "--questions", str(questions_file), "--output", str(tmp_path / "v.jsonl"),
                 "--corpus", str(artifacts["corpus"]), "--lexical", str(other_artifacts["lexical"]),
-                "--endpoint-url", server.base_url, "--model", "mock-model",
             ])
             assert server.request_log == []
         assert code == EXIT_IO
@@ -709,9 +702,9 @@ class TestInfer:
         v1.write_bytes(V1_FILE)
         with MockModelServer(chat="Answer: A") as server:
             code = main([
+                "--config", _endpoints(tmp_path, chat=server.base_url),
                 "infer", "--questions", str(questions_file), "--output", str(tmp_path / "v.jsonl"),
                 "--corpus", str(artifacts["corpus"]), "--lexical", str(v1),
-                "--endpoint-url", server.base_url, "--model", "mock-model",
             ])
             assert server.request_log == []
         assert code == EXIT_IO
@@ -723,9 +716,9 @@ class TestInfer:
         v2.write_bytes(V2_FILE)
         with MockModelServer(chat="Answer: A") as server:
             code = main([
+                "--config", _endpoints(tmp_path, chat=server.base_url),
                 "infer", "--questions", str(questions_file), "--output", str(tmp_path / "v.jsonl"),
                 "--corpus", str(artifacts["corpus"]), "--lexical", str(v2),
-                "--endpoint-url", server.base_url, "--model", "mock-model",
             ])
             assert server.request_log == []
         assert code == EXIT_IO
@@ -742,30 +735,27 @@ class TestInfer:
         capsys.readouterr()
         with MockModelServer(chat="Answer: A") as server:
             code = main([
+                "--config", _endpoints(tmp_path, chat=server.base_url),
                 "infer", "--questions", str(questions_file), "--output", str(tmp_path / "v.jsonl"),
                 "--corpus", str(swapped), "--lexical", str(artifacts["lexical"]),
-                "--endpoint-url", server.base_url, "--model", "mock-model",
             ])
             assert server.request_log == []
         assert code == EXIT_IO
         assert "LexicalIndex lists other pages" in capsys.readouterr().err
 
-    def test_missing_configured_semantic_index_is_io_error(self, tmp_path, artifacts,
-                                                           questions_file, capsys):
-        config = tmp_path / "config.yaml"
+    def test_missing_default_semantic_index_is_io_error(self, tmp_path, artifacts,
+                                                        questions_file, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # which holds no semantic.idx
         with MockModelServer(chat="Answer: A", dim=32) as server:
-            config.write_text(f"paths:\n  semantic_index: {json.dumps(str(tmp_path / 'none.idx'))}\n"
-                              f"embedding:\n  base_url: {server.base_url}\n"
-                              "  model_name: embedder\n  dim: 32\n", encoding="utf-8")
             code = main([
-                "--config", str(config),
+                "--config", _endpoints(tmp_path, chat=server.base_url, embed=server.base_url,
+                                       dim=32),
                 "infer", "--questions", str(questions_file), "--output", str(tmp_path / "v.jsonl"),
                 "--corpus", str(artifacts["corpus"]), "--lexical", str(artifacts["lexical"]),
-                "--endpoint-url", server.base_url, "--model", "mock-model",
             ])
             assert server.request_log == []
         assert code == EXIT_IO
-        assert "none.idx" in capsys.readouterr().err
+        assert "semantic.idx" in capsys.readouterr().err
 
     def test_every_verdict_is_written_then_an_all_failed_ensemble_exits_4(
             self, tmp_path, artifacts, questions_file, capsys):
@@ -840,16 +830,14 @@ class TestInfer:
     @pytest.mark.parametrize("flags", [
         ["--lexical", "index.idx"],
         ["--semantic", "semantic.idx"],
-        ["--embed-url", "http://x/v1"],
-        ["--embed-model", "embedder"],
-    ], ids=["lexical", "semantic", "embed_url", "embed_model"])
+    ], ids=["lexical", "semantic"])
     def test_no_retrieval_rejects_retrieval_flags(self, tmp_path, artifacts, questions_file,
                                                   flags, capsys):
         with MockModelServer(chat="Answer: A") as server:
             code = main([
+                "--config", _endpoints(tmp_path, chat=server.base_url),
                 "infer", "--questions", str(questions_file), "--output", str(tmp_path / "v.jsonl"),
                 "--corpus", str(artifacts["corpus"]), "--no-retrieval", *flags,
-                "--endpoint-url", server.base_url, "--model", "mock-model",
             ])
             assert server.request_log == []
         assert code == EXIT_CONFIG
@@ -889,21 +877,22 @@ class TestInfer:
         assert err.count("\n") == 1, err
         assert not (tmp_path / "v.jsonl").exists()
 
-    def test_max_in_flight_past_its_cap_exits_2_before_any_request(self, tmp_path, artifacts,
-                                                                    questions_file, capsys):
-        # past the cap by one: were it accepted, the client would open only 257 connections
+    @pytest.mark.parametrize("key, low, cap", [("max_in_flight", 1, MAX_IN_FLIGHT_CAP),
+                                               ("max_retries", 0, MAX_RETRIES_CAP)])
+    def test_count_past_its_cap_exits_2_before_any_request(self, tmp_path, artifacts,
+                                                           questions_file, key, low, cap, capsys):
+        # past the cap by one, so a run that accepted it would still end soon
         config = tmp_path / "config.yaml"
         with MockModelServer(chat="Answer: A") as server:
             config.write_text(f"endpoint:\n  base_url: {server.base_url}\n  model_name: m\n"
-                              f"  max_in_flight: {MAX_IN_FLIGHT_CAP + 1}\n", encoding="utf-8")
+                              f"  {key}: {cap + 1}\n", encoding="utf-8")
             code = main(["--config", str(config), "infer", "--questions", str(questions_file),
                          "--output", str(tmp_path / "v.jsonl"),
                          "--corpus", str(artifacts["corpus"]), "--no-retrieval"])
             assert server.request_log == []
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG, err
-        assert err == ("config error: invalid endpoint config: "
-                       f"max_in_flight must lie in [1, {MAX_IN_FLIGHT_CAP}]\n")
+        assert err == f"config error: invalid endpoint config: {key} must lie in [{low}, {cap}]\n"
         assert not (tmp_path / "v.jsonl").exists()
 
     @pytest.mark.parametrize("token", ["sec\nret", "sec\x1bret", "sec\x7fret", "sec☃ret"],
@@ -929,29 +918,15 @@ class TestInfer:
         assert "sec" not in err and "ret" not in err, err
         assert err.count("\n") == 1, err
 
-    def test_env_token_http_cannot_send_exits_2_for_a_flags_only_endpoint(
-            self, tmp_path, artifacts, questions_file, monkeypatch, capsys):
-        monkeypatch.setenv(AUTH_TOKEN_ENV, "sec\r\nret")
-        with MockModelServer(chat="Answer: A") as server:
-            code = main(["infer", "--questions", str(questions_file),
-                         "--output", str(tmp_path / "v.jsonl"),
-                         "--corpus", str(artifacts["corpus"]), "--no-retrieval",
-                         "--endpoint-url", server.base_url, "--model", "m"])
-            assert server.request_log == []
-        err = capsys.readouterr().err
-        assert code == EXIT_CONFIG, err
-        assert err == ("config error: invalid endpoint: auth_token must hold only printable "
-                       "Latin-1 characters\n")
-
     def test_max_context_chars_with_retrieval_exits_2_before_any_file_is_read(
             self, tmp_path, artifacts, capsys):
         # the questions file does not exist, so reading any file first would exit 3
         with MockModelServer(chat="Answer: A") as server:
             code = main([
+                "--config", _endpoints(tmp_path, chat=server.base_url),
                 "infer", "--questions", str(tmp_path / "missing.jsonl"),
                 "--output", str(tmp_path / "v.jsonl"), "--corpus", str(artifacts["corpus"]),
                 "--lexical", str(artifacts["lexical"]), "--max-context-chars", "5",
-                "--endpoint-url", server.base_url, "--model", "mock-model",
             ])
             assert server.request_log == []
         assert code == EXIT_CONFIG
@@ -960,29 +935,30 @@ class TestInfer:
 
     def test_missing_questions_file_is_io_error(self, tmp_path, artifacts):
         assert main([
+            "--config", _endpoints(tmp_path, chat="http://x/v1"),
             "infer", "--questions", str(tmp_path / "none.jsonl"),
             "--output", str(tmp_path / "v.jsonl"),
             "--corpus", str(artifacts["corpus"]), "--no-retrieval",
-            "--endpoint-url", "http://x/v1", "--model", "m",
         ]) == EXIT_IO
 
     def test_empty_questions_file_is_validation_error(self, tmp_path, artifacts, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
         code = main([
+            "--config", _endpoints(tmp_path, chat="http://x/v1"),
             "infer", "--questions", str(empty), "--output", str(tmp_path / "v.jsonl"),
             "--corpus", str(artifacts["corpus"]), "--no-retrieval",
-            "--endpoint-url", "http://x/v1", "--model", "m",
         ])
         assert code == EXIT_VALIDATION
         assert "no question records" in capsys.readouterr().err
 
-    def test_no_endpoint_is_config_error(self, tmp_path, artifacts, questions_file):
+    def test_no_endpoint_exits_2_before_any_file_is_read(self, tmp_path, capsys):
+        # the questions file does not exist, so reading it first would exit 3
         assert main([
-            "infer", "--questions", str(questions_file),
-            "--output", str(tmp_path / "v.jsonl"),
-            "--corpus", str(artifacts["corpus"]), "--no-retrieval",
+            "infer", "--questions", str(tmp_path / "missing.jsonl"),
+            "--output", str(tmp_path / "v.jsonl"), "--no-retrieval",
         ]) == EXIT_CONFIG
+        assert capsys.readouterr().err == NO_ENDPOINT
 
 
 class TestReadQuestions:
@@ -1036,9 +1012,9 @@ class TestReadQuestions:
         path = tmp_path / "q.jsonl"
         _write_jsonl(path, [{"question": "q", "options": ["a", "b", "c"], "answer_index": "2"}])
         code = main([
+            "--config", _endpoints(tmp_path, chat="http://x/v1"),
             "infer", "--questions", str(path), "--output", str(tmp_path / "v.jsonl"),
             "--corpus", str(artifacts["corpus"]), "--no-retrieval",
-            "--endpoint-url", "http://x/v1", "--model", "m",
         ])
         assert code == EXIT_VALIDATION
         assert "line 1: bad question record: answer_index must be an integer" \
@@ -1055,9 +1031,9 @@ class TestReadQuestions:
         path = tmp_path / "q.jsonl"
         _write_jsonl(path, [{"question": "q", "options": ["a", "b"], "answer_index": 5}])
         code = main([
+            "--config", _endpoints(tmp_path, chat="http://x/v1"),
             "infer", "--questions", str(path), "--output", str(tmp_path / "v.jsonl"),
             "--corpus", str(artifacts["corpus"]), "--no-retrieval",
-            "--endpoint-url", "http://x/v1", "--model", "m",
         ])
         assert code == EXIT_VALIDATION
         assert "line 1: bad question record: answer_index 5" in capsys.readouterr().err
@@ -1239,18 +1215,29 @@ class TestParserAndConfig:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["build-index", "--model", "m"],
-        ["retrieve", "q", "--endpoint-url", "http://x/v1"],
-        ["augment", "--quota", "1", "--output", "qa.jsonl", "--embed-url", "http://x/v1"],
-    ], ids=["build_index_model", "retrieve_endpoint_url", "augment_embed_url"])
-    def test_endpoint_flags_a_command_never_uses_are_rejected(self, tmp_path, monkeypatch,
-                                                             argv, capsys):
+    @pytest.mark.parametrize("argv, line", [
+        *[pytest.param([*command, flag, "x"], f"unrecognized arguments: {flag} x",
+                       id=f"{command[0]}{flag}")
+          for command in (["build-index"], ["retrieve", "q"],
+                          ["augment", "--quota", "1", "--output", "qa.jsonl"],
+                          ["infer", "--questions", "q.jsonl", "--output", "v.jsonl"])
+          for flag in ("--endpoint-url", "--model", "--embed-url", "--embed-model", "--seed")],
+        pytest.param(["--config", "paths.yaml", "evaluate", "--verdicts", "v.jsonl"],
+                     "config error: unknown key(s) in config section '<top level>': paths",
+                     id="paths_section"),
+    ])
+    def test_endpoints_and_the_seed_come_from_the_config_and_paths_from_flags(
+            self, tmp_path, monkeypatch, argv, line, capsys):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        (tmp_path / "paths.yaml").write_text("paths:\n  corpus: corpus.jsonl\n", encoding="utf-8")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's exit on an unknown flag
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, err
+        assert err.splitlines()[-1].endswith(line), err
+        assert argv[0] != "--config" or err.count("\n") == 1, err
 
     def test_config_policy_drives_retrieve(self, tmp_path, artifacts, capsys):
         config = tmp_path / "config.yaml"
@@ -1330,10 +1317,10 @@ class TestParserAndConfig:
         assert err.count("\n") == 1, err
 
 
-class TestEndpointFlags:
-    """Endpoint flags replace only the fields they name."""
+class TestEndpointSections:
+    """A command builds each client from its config section as the file states it."""
 
-    SECTION = ("  base_url: http://cfg/v1\n  model_name: cfg-model\n  auth_token: s3cret\n"
+    SECTION = ("  base_url: http://cfg/v1\n  model_name: cfg-model\n"
                "  timeout: 7.5\n  max_retries: 5\n  max_in_flight: 8\n  backoff_base: 0.1\n")
 
     @pytest.fixture()
@@ -1348,45 +1335,34 @@ class TestEndpointFlags:
         monkeypatch.setattr(cli, "GatewayClient", capture)
         return seen
 
-    def _augment(self, tmp_path, artifacts, config_text, *flags):
-        config = tmp_path / "config.yaml"
-        config.write_text(config_text, encoding="utf-8")
-        return main(["--config", str(config), "augment", "--corpus", str(artifacts["corpus"]),
-                     "--quota", "1", "--output", str(tmp_path / "qa.jsonl"), *flags])
-
-    def test_both_flags_keep_the_sections_other_fields(self, tmp_path, artifacts, endpoints,
-                                                        monkeypatch):
+    @pytest.mark.parametrize("section, argv", [
+        ("endpoint", ["augment", "--quota", "1", "--output", "qa.jsonl"]),
+        ("embedding", ["build-index"]),
+    ])
+    @pytest.mark.parametrize("token, expected", [("  auth_token: s3cret\n", "s3cret"),
+                                                 ("", "from-env")], ids=["file", "environment"])
+    def test_every_field_reaches_the_client(self, tmp_path, monkeypatch, endpoints, section,
+                                            argv, token, expected):
+        # DOCQA_AUTH_TOKEN fills only a section without a token
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setenv(AUTH_TOKEN_ENV, "from-env")
-        assert self._augment(tmp_path, artifacts, "endpoint:\n" + self.SECTION,
-                             "--endpoint-url", "http://flag/v1", "--model", "flag-model",
-                             ) == EXIT_CONFIG
+        (tmp_path / "config.yaml").write_text(f"{section}:\n{self.SECTION}{token}",
+                                             encoding="utf-8")
+        assert main(["--config", "config.yaml", *argv]) == EXIT_CONFIG
         assert endpoints == [EndpointConfig(
-            base_url="http://flag/v1", model_name="flag-model", timeout=7.5, max_retries=5,
-            max_in_flight=8, auth_token="s3cret", backoff_base=0.1)]
+            base_url="http://cfg/v1", model_name="cfg-model", timeout=7.5, max_retries=5,
+            max_in_flight=8, auth_token=expected, backoff_base=0.1)]
 
-    def test_one_flag_replaces_one_field(self, tmp_path, artifacts, endpoints):
-        self._augment(tmp_path, artifacts, "endpoint:\n" + self.SECTION, "--model", "flag-model")
-        (endpoint,) = endpoints
-        assert (endpoint.base_url, endpoint.model_name) == ("http://cfg/v1", "flag-model")
-        assert endpoint.max_in_flight == 8
 
-    def test_env_token_applies_to_a_flags_only_endpoint(self, tmp_path, artifacts, endpoints,
-                                                        monkeypatch):
-        monkeypatch.setenv(AUTH_TOKEN_ENV, "from-env")
-        self._augment(tmp_path, artifacts, "", "--endpoint-url", "http://flag/v1",
-                      "--model", "flag-model")
-        assert endpoints == [EndpointConfig(base_url="http://flag/v1", model_name="flag-model",
-                                            auth_token="from-env")]
-
-    def test_embed_flags_keep_the_embedding_section(self, tmp_path, artifacts, endpoints):
-        config = tmp_path / "config.yaml"
-        config.write_text("embedding:\n  dim: 32\n" + self.SECTION, encoding="utf-8")
-        assert main(["--config", str(config), "build-index", "--corpus", str(artifacts["corpus"]),
-                     "--lexical", str(tmp_path / "l.idx"), "--semantic", str(tmp_path / "s.idx"),
-                     "--embed-url", "http://embed/v1"]) == EXIT_CONFIG
-        (endpoint,) = endpoints
-        assert (endpoint.base_url, endpoint.model_name) == ("http://embed/v1", "cfg-model")
-        assert (endpoint.auth_token, endpoint.max_in_flight) == ("s3cret", 8)
+def test_artifact_paths_default_to_files_in_the_working_directory(tmp_path, raw_pages,
+                                                                  monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["ingest", "--input", str(raw_pages)]) == EXIT_OK
+    assert main(["build-index"]) == EXIT_OK
+    assert main(["retrieve", "売上高"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "documents -> corpus.jsonl\n" in out and "features -> lexical.idx\n" in out
+    assert "\n1\tfin\t" in out
 
 
 # ---------------------------------------------------------------------------
@@ -1592,16 +1568,16 @@ def answering_server():
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_hostile_question_file_exits_0_or_5_with_one_line(tmp_path, capsys, artifacts,
-                                                          fast_config, answering_server, data):
+                                                          answering_server, data):
     blob, valid = _hostile_file(data, "questions")
     path = tmp_path / "hostile.jsonl"
     path.write_bytes(blob)
+    config = _endpoints(tmp_path, chat=answering_server.base_url, text=FAST_ENSEMBLE)
     answering_server.request_log.clear()
     capsys.readouterr()
-    code = main(["--config", str(fast_config), "infer", "--questions", str(path),
+    code = main(["--config", config, "infer", "--questions", str(path),
                  "--output", str(tmp_path / "v.jsonl"), "--corpus", str(artifacts["corpus"]),
-                 "--no-retrieval", "--endpoint-url", answering_server.base_url,
-                 "--model", "mock-model"])
+                 "--no-retrieval"])
     out, err = capsys.readouterr()
     _check_exit(code, valid, out, err)
     if code == EXIT_OK:
@@ -1648,10 +1624,8 @@ def test_hostile_verdict_file_exits_0_or_5_with_one_line(tmp_path, capsys, data)
 # still valid, else 2 with one stderr line. evaluate builds no client, so no drawn
 # value opens a connection.
 
-# section -> (key, value as written); every value is valid, one path is not ASCII
+# section -> (key, value as written); every value is valid, one model name is not ASCII
 _CONFIG_SECTIONS = {
-    "paths": [("corpus", "コーパス.jsonl"), ("lexical_index", "lexical.idx"),
-              ("semantic_index", "semantic.idx")],
     "retrieval": [("alpha", "0.6"), ("beta", "0.4"), ("min_pages", "3"), ("max_pages", "7"),
                   ("threshold", "0.3"), ("candidate_k", "50")],
     "ensemble": [("schedule_count", "20"), ("seed", "0"), ("min_responses", "10"),
@@ -1664,7 +1638,7 @@ _CONFIG_SECTIONS = {
                  ("timeout", "30.0"), ("max_retries", "2"), ("max_in_flight", "4"),
                  ("auth_token", "s3cret"), ("backoff_base", "0.5")],
     "embedding": [("dim", "64"), ("base_url", "http://127.0.0.1:9/v1"),
-                  ("model_name", "embed-model"), ("auth_token", "s3cret")],
+                  ("model_name", "埋め込み"), ("auth_token", "s3cret")],
 }
 # per kind of valid value, values of another type
 _WRONG_TYPES = {"int": ["1.5", "'3'", "true", "[3]", "null"],
@@ -1688,7 +1662,7 @@ def test_hostile_config_file_exits_0_or_2_with_one_line(tmp_path, capsys, monkey
     monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
     sections = {section: list(pairs) for section, pairs in _CONFIG_SECTIONS.items()}
     mutation = data.draw(st.sampled_from(
-        ["cut", "flip", "not_utf8", "mistyped", "duplicate_key", "duplicate_section"]),
+        ["cut", "flip", "not_utf8", "mistyped", "duplicate_key", "duplicate_section", "retries"]),
         label="mutation")
     section = data.draw(st.sampled_from(sorted(sections)), label="section")
     at = data.draw(st.integers(0, len(sections[section]) - 1), label="key")
@@ -1700,6 +1674,11 @@ def test_hostile_config_file_exits_0_or_2_with_one_line(tmp_path, capsys, monkey
         valid = False
     elif mutation == "duplicate_key":  # the later of two equal keys wins
         sections[section].insert(at, sections[section][at])
+    elif mutation == "retries":  # a max_retries at most its cap, or past it
+        retries = data.draw(st.integers(0, 2 * MAX_RETRIES_CAP), label="max_retries")
+        sections["endpoint"] = [(key, str(retries) if key == "max_retries" else value)
+                                for key, value in sections["endpoint"]]
+        valid = retries <= MAX_RETRIES_CAP
     text = _config_text(sections)
     if mutation == "duplicate_section":
         text += _config_text({section: sections[section]})
@@ -1732,3 +1711,43 @@ def test_hostile_config_file_exits_0_or_2_with_one_line(tmp_path, capsys, monkey
         assert err.startswith("config error: ") and err.endswith("\n"), err
         assert len(err.splitlines()) == 1, err
         assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# README drift: every command line it shows parses, and every flag it names exists
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_command_lines() -> list[str]:
+    """The `docqa …` lines of README's sh blocks, continuation lines joined."""
+    lines = []
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"),
+                            re.MULTILINE | re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("docqa "):
+                lines.append(line)
+    return lines
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert len(lines) >= 6
+    for line in lines:
+        try:
+            cli.build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
+
+
+def test_readme_names_only_flags_the_parser_has():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {option for p in (parser, *subparsers.choices.values()) for action in p._actions
+             for option in action.option_strings}
+    text = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"),
+                  flags=re.MULTILINE | re.DOTALL)
+    named = {flag for span in re.findall(r"`([^`\n]+)`", text)
+             for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", span)}
+    assert "--no-retrieval" in named
+    assert named - flags == set()

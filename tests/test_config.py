@@ -70,12 +70,6 @@ class TestOverrides:
         assert config.seed == 11
         assert config.stop.min_responses == 10  # untouched
 
-    def test_paths_section(self, tmp_path):
-        path = _write(tmp_path, "paths:\n  corpus: data/pages.jsonl\n")
-        config = load_config(path)
-        assert config.paths.corpus == "data/pages.jsonl"
-        assert config.paths.lexical_index == "lexical.idx"
-
     def test_gates_section(self, tmp_path):
         path = _write(tmp_path, "gates:\n  dedup_jaccard: 0.9\n  min_clauses: 1\n")
         thresholds = load_config(path).thresholds
@@ -200,8 +194,6 @@ _WRONG_TYPES = [
     ("ensemble.schedule_count", "ensemble:\n  schedule_count: 6.5\n"),
     ("ensemble.seed", "ensemble:\n  seed: '3'\n"),
     ("ensemble.confidence_threshold", "ensemble:\n  confidence_threshold: [0.5]\n"),
-    ("paths.corpus", "paths:\n  corpus: [a, b]\n"),
-    ("paths.semantic_index", "paths:\n  semantic_index: 7\n"),
     ("gates.min_clauses", "gates:\n  min_clauses: 1.0\n"),
     ("gates.dedup_jaccard", "gates:\n  dedup_jaccard: high\n"),
     ("endpoint.max_retries", "endpoint:\n" + _ENDPOINT + "  max_retries: 1.5\n"),

@@ -9,6 +9,7 @@ concurrency caps are exercised end to end.
 from __future__ import annotations
 
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -24,6 +25,7 @@ import docqa_engine
 from docqa_engine.errors import ConfigError, ContractError, EndpointError, TransportError
 from docqa_engine.gateway import (
     MAX_IN_FLIGHT_CAP,
+    MAX_RETRIES_CAP,
     EndpointConfig,
     GatewayClient,
     _retry_after_seconds,
@@ -93,14 +95,17 @@ class TestEndpointConfig:
             EndpointConfig(base_url="http://x", model_name="m",
                            **{key: threading.TIMEOUT_MAX * 1.5})
 
-    def test_max_in_flight_is_capped(self):
-        # configs only: a client of the values rejected here opens every connection up front
-        config = EndpointConfig(base_url="http://x", model_name="m",
-                                max_in_flight=MAX_IN_FLIGHT_CAP)
-        assert config.max_in_flight == 256
-        for value in (MAX_IN_FLIGHT_CAP + 1, 1_000_000_000):
-            with pytest.raises(ValueError, match=r"max_in_flight must lie in \[1, 256\]"):
-                EndpointConfig(base_url="http://x", model_name="m", max_in_flight=value)
+    @pytest.mark.parametrize("key, low, cap", [("max_in_flight", 1, MAX_IN_FLIGHT_CAP),
+                                               ("max_retries", 0, MAX_RETRIES_CAP)])
+    def test_counts_are_capped(self, key, low, cap):
+        # configs only: a client of the values rejected here opens every connection up front,
+        # or retries for days
+        assert (MAX_IN_FLIGHT_CAP, MAX_RETRIES_CAP) == (256, 10)
+        config = EndpointConfig(base_url="http://x", model_name="m", **{key: cap})
+        assert getattr(config, key) == cap
+        for value in (cap + 1, 1_000_000_000):
+            with pytest.raises(ValueError, match=re.escape(f"{key} must lie in [{low}, {cap}]")):
+                EndpointConfig(base_url="http://x", model_name="m", **{key: value})
 
     @pytest.mark.parametrize("token", ["a\nb", "a\rb", "a\tb", "a\x85b", "a\u20acb"])
     def test_token_http_cannot_send_is_rejected_without_its_value(self, token):
@@ -237,14 +242,18 @@ class TestRetryBehavior:
             assert client.generate({"messages": [{"role": "user", "content": "q"}]}) == "ok"
         assert sleeps == expected
 
-    def test_retry_after_is_capped_at_the_request_timeout(self, monkeypatch):
+    @pytest.mark.parametrize("reply, backoff_base", [
+        (MockReply(status=429, headers={"Retry-After": "3600"}), 0.01),
+        (MockReply(status=503), 3.0),
+    ], ids=["retry_after", "backoff_base"])
+    def test_every_sleep_is_capped_at_the_request_timeout(self, monkeypatch, reply,
+                                                          backoff_base):
         sleeps: list[float] = []
         monkeypatch.setattr("docqa_engine.gateway.time.sleep", sleeps.append)
-        throttled = MockReply(status=429, headers={"Retry-After": "3600"})
-        with MockModelServer(chat=[throttled, "ok"]) as server:
-            client = server.make_client(max_retries=1, backoff_base=0.01, timeout=2.0)
+        with MockModelServer(chat=[reply, reply, "ok"]) as server:
+            client = server.make_client(max_retries=2, backoff_base=backoff_base, timeout=2.0)
             assert client.generate({"messages": [{"role": "user", "content": "q"}]}) == "ok"
-        assert sleeps == [2.0]
+        assert sleeps == [2.0, 2.0]
 
     @given(st.text(max_size=20))
     def test_any_retry_after_header_gives_a_finite_delay(self, value):
