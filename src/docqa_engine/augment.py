@@ -475,11 +475,8 @@ def augment(
     At most two requests are in flight, and the accepted set, the audit and
     every request are those of a fully serial run for a fixed seed and model.
     """
-    if quota < 1:
-        raise ValueError("quota must be at least 1")
     pages = select_pages(corpus, quota, seed=seed)
     if not pages:
-        logger.warning("augmentation produced nothing: no eligible pages")
         return AugmentResult(accepted=[], audit=[])
 
     # One (generation, feasibility) seed pair per attempt, drawn up front: a

@@ -407,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         "retrieval, QA synthesis, and ensemble inference.",
     )
     parser.add_argument("--config", help="YAML config file")
-    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse raw page records into a corpus file")
@@ -460,10 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         config = load_config(args.config)
         return args.func(args, config)

@@ -75,12 +75,6 @@ def chat_request(content: str, *, temperature: float, top_p: float, top_k: int, 
     }
 
 
-def _retry_after_seconds(value: str | None) -> float:
-    """A Retry-After header in delta-seconds; 0 when absent or an HTTP date."""
-    value = (value or "").strip()
-    return float(int(value)) if value.isdecimal() else 0.0
-
-
 # Errors raised before any status line arrives: on a reused keep-alive
 # connection they mean the server closed it while it sat idle in the pool.
 _STALE_CONNECTION = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
@@ -144,28 +138,27 @@ class GatewayClient:
         """POST with bounded retries and exponential backoff.
 
         Transport failures, 429 and 5xx responses are retried; other non-2xx
-        statuses fail immediately with the endpoint's status code. A
-        seconds-valued Retry-After header lengthens the next delay to
-        max(backoff, Retry-After). Every delay is capped at the request
-        timeout, so neither a header nor the doubling stalls the caller for long.
+        statuses fail immediately with the endpoint's status code. Each failed
+        attempt sets the error to raise if none follows and the wait before
+        the next: the doubled backoff, or a longer seconds-valued Retry-After.
+        A retryable status outranks a later transport failure. Every wait is
+        capped at the request timeout, so no header stalls the caller for long.
         """
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        delay = self.config.backoff_base
         attempts = self.config.max_retries + 1
-        last_exc: Exception | None = None
-        last_status: int | None = None
-        retry_after = 0.0
+        failure, wait = None, 0.0
         for attempt in range(attempts):
             if attempt:
-                time.sleep(min(max(delay, retry_after), self.config.timeout))
-                delay *= 2
-                retry_after = 0.0
+                backoff = self.config.backoff_base * 2 ** (attempt - 1)
+                time.sleep(min(max(backoff, wait), self.config.timeout))
             conn = self._pool.get()
             try:
-                status, retry_after_header, data = self._exchange(conn, path, body)
+                status, retry_after, data = self._exchange(conn, path, body)
             except (OSError, http.client.HTTPException) as exc:
                 conn.close()
-                last_exc = exc
+                if not isinstance(failure, EndpointError):
+                    failure = TransportError(f"request failed after {attempts} attempts: {exc!r}")
+                wait = 0.0
                 continue
             finally:
                 self._pool.put(conn)
@@ -174,16 +167,12 @@ class GatewayClient:
                     return json.loads(data)
                 except ValueError as exc:
                     raise ContractError("endpoint returned non-JSON body") from exc
-            if status == 429 or status >= 500:
-                last_status = status
-                retry_after = _retry_after_seconds(retry_after_header)
-                continue
-            raise EndpointError(data.decode("utf-8", "replace")[:200], status)
-        if last_status is not None:
-            raise EndpointError("retries exhausted", last_status)
-        raise TransportError(
-            f"request failed after {attempts} attempts: {last_exc!r}"
-        )
+            if status != 429 and status < 500:
+                raise EndpointError(data.decode("utf-8", "replace")[:200], status)
+            failure = EndpointError("retries exhausted", status)
+            # delay-seconds of any length: a digit run past float's range reads inf
+            wait = float(retry_after) if (retry_after or "").strip().isdecimal() else 0.0
+        raise failure
 
     def generate(self, request: dict) -> str:
         """Send one generation request; returns the first choice's content."""

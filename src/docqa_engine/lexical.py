@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from collections import Counter
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from itertools import pairwise
 from pathlib import Path
 
@@ -99,16 +99,14 @@ class LexicalIndex:
     n_min: int
     n_max: int
     fingerprint: bytes  # corpus.page_fingerprint of the indexed pages
-    # the idf the build weighted with; ``dataclasses.replace`` passes None
-    known_idf: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, known_idf):
+    def __post_init__(self):
         check_corpus_order(self.page_refs)
         df = np.asarray(self.vocabulary.df, dtype=np.int64)
         if not ((df >= 0).all() and df.sum() == len(self.rows) == len(self.weights)):
             raise ValueError(f"document frequencies add up to {df.sum()}, but rows and weights "
                              f"hold {len(self.rows)} and {len(self.weights)} entries")
-        self.idf = idf_table(self.vocabulary.df, self.page_count) if known_idf is None else known_idf
+        self.idf = idf_table(self.vocabulary.df, self.page_count)
         self._col_offsets = np.concatenate([[0], np.cumsum(df)])  # column f is [f] to [f + 1]
         col_start = np.zeros(len(self.rows), dtype=bool)  # a column's first row need not rise
         col_start[self._col_offsets[:-1][df > 0]] = True
@@ -277,7 +275,7 @@ def build_lexical_index(corpus: Corpus, max_features: int = DEFAULT_MAX_FEATURES
     del fids, tfs  # freed before the index checks its columns
     return LexicalIndex(vocabulary, corpus.page_refs, rows=rows[by_column].astype(np.uint32),
                         weights=weights[by_column], n_min=n_min, n_max=n_max,
-                        fingerprint=corpus.fingerprint, known_idf=idf)
+                        fingerprint=corpus.fingerprint)
 
 
 def score_lexical(index: LexicalIndex, query_text: str,

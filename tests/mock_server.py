@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
@@ -18,14 +17,16 @@ from docqa_engine.gateway import EndpointConfig, GatewayClient, hash_embedder
 
 @dataclass
 class MockReply:
-    """One scripted chat response: text, or a failure status, or raw body,
-    with optional extra response headers."""
+    """One scripted response: chat text, or a failure status, or a JSON body
+    in place of the usual one, or raw body bytes sent as they are, with
+    optional extra response headers, after an optional delay."""
 
     text: str = ""
     status: int = 200
     delay: float = 0.0
     json_body: dict | None = None
     headers: dict[str, str] = field(default_factory=dict)
+    raw: bytes | None = None
 
 
 UNSCRIPTED = MockReply(status=404, json_body={"error": "unscripted request"})
@@ -45,13 +46,12 @@ class _MockRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # keep pytest output clean
         pass
 
-    def _send(self, status: int, body: dict, headers: dict[str, str] | None = None) -> None:
-        data = json.dumps(body, ensure_ascii=False).encode("utf-8")
+    def _send(self, status: int, data: bytes, headers: dict[str, str]) -> None:
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
-            for name, value in (headers or {}).items():
+            for name, value in headers.items():
                 self.send_header(name, value)
             self.end_headers()
             self.wfile.write(data)
@@ -67,23 +67,23 @@ class _MockRequestHandler(BaseHTTPRequestHandler):
         try:
             if self.path.endswith("/chat/completions"):
                 reply = owner._chat_reply(payload)
-                if reply.delay:  # tests patch time.sleep to record backoff waits
-                    time.sleep(reply.delay)
-                if reply.json_body is not None:
-                    body = reply.json_body
-                elif reply.status != 200:
-                    body = {"error": f"scripted status {reply.status}"}
-                else:
-                    body = {"choices": [{"message": {"content": reply.text}}]}
-                self._send(reply.status, body, reply.headers)
+                body = {"choices": [{"message": {"content": reply.text}}]}
             elif self.path.endswith("/embeddings"):
-                vectors = owner._embed_reply(payload)
-                if isinstance(vectors, MockReply):  # a scripted failure
-                    self._send(vectors.status, {"error": f"scripted status {vectors.status}"})
+                reply = owner._embed_reply(payload)
+                if isinstance(reply, MockReply):  # a scripted failure or body
+                    body = {}
                 else:
-                    self._send(200, {"data": [{"embedding": v} for v in vectors]})
+                    reply, body = MockReply(), {"data": [{"embedding": v} for v in reply]}
             else:
-                self._send(404, {"error": f"unknown path {self.path}"})
+                reply = MockReply(status=404, json_body={"error": f"unknown path {self.path}"})
+            # an event wait, not time.sleep: tests patch time.sleep to record backoff waits
+            threading.Event().wait(reply.delay)
+            if reply.json_body is not None:
+                body = reply.json_body
+            elif reply.status != 200:
+                body = {"error": f"scripted status {reply.status}"}
+            data = json.dumps(body, ensure_ascii=False).encode("utf-8")
+            self._send(reply.status, data if reply.raw is None else reply.raw, reply.headers)
         finally:
             owner._leave()
 
@@ -94,9 +94,10 @@ class MockModelServer:
     Chat behavior comes from ``chat``: a fixed string, a list consumed in
     arrival order, or a callable (payload, call_index) -> str | MockReply.
     An unscripted request fails with 404. Embeddings come from ``embed``
-    (callable texts -> vectors, or a MockReply whose status the request
-    fails with), defaulting to the deterministic hash embedder. Every request is appended to ``request_log``; peak handler
-    concurrency is tracked in ``max_in_flight_observed``.
+    (callable texts -> vectors, or a MockReply sent in their place),
+    defaulting to the deterministic hash embedder. Every request is appended
+    to ``request_log``; peak handler concurrency is tracked in
+    ``max_in_flight_observed``.
     """
 
     def __init__(self, chat=None,

@@ -750,6 +750,12 @@ class TestValidateFeasibility:
         verdict = self._verdict(answer="たしかに 4200 百万円 です")
         assert validate_feasibility(verdict, _candidate(), GATE_PAGE)
 
+    def test_answer_of_only_punctuation_matches_not_even_a_sole_option(self):
+        # an empty answer is part of every option's text, so it is matched to none
+        candidate = _candidate(options=("4200 百万円",))
+        assert validate_feasibility(self._verdict(), candidate, GATE_PAGE)
+        assert not validate_feasibility(self._verdict(answer="。"), candidate, GATE_PAGE)
+
     def test_off_page_evidence(self):
         verdict = self._verdict(evidence="まったく無関係な別文書の引用文がここに入る")
         assert not validate_feasibility(verdict, _candidate(), GATE_PAGE)

@@ -15,6 +15,8 @@ import re
 import shlex
 import struct
 import tempfile
+import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -1711,6 +1713,183 @@ def test_hostile_config_file_exits_0_or_2_with_one_line(tmp_path, capsys, monkey
         assert err.startswith("config error: ") and err.endswith("\n"), err
         assert len(err.splitlines()) == 1, err
         assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# Scripted endpoint outcomes through infer: each HTTP attempt of each request answers
+# as drawn, and the verdicts, the attempt counts and the exit code follow from the script
+
+_OUTCOME_TIMEOUT = 0.1  # seconds; the endpoints' timeout, which a "timeout" reply outlasts
+_OUTCOMES = st.one_of(
+    st.sampled_from([("ok", "A"), ("ok", "B"), ("ok", None), ("5xx", 500), ("5xx", 503),
+                     ("timeout", None), ("malformed", None), ("not_json", None)]),
+    st.tuples(st.just("429"), st.sampled_from(["1", "2" * 400, "3" * 5000, "soon", ""])))
+_PROPERTY_QUESTIONS = (
+    {"question": "当期の売上高はいくらですか。", "options": ["4200 百万円", "310 百万円"]},
+    {"question": "新卒採用は何人を見込んでいますか。", "options": ["80 人", "45 人", "120 人"]},
+    {"question": "在宅勤務制度の上限は何日ですか。", "options": ["週 3 日", "週 5 日"]},
+)
+
+
+def _reply(outcome, kind: str, texts: list[str]):
+    """The mock endpoint's answer to one attempt: `kind` is chat or embed."""
+    what, value = outcome
+    if what == "ok":
+        if kind == "embed":
+            return hash_embedder()(texts)
+        return MockReply("Answer: " + value if value else "The pages do not say.")
+    if what == "429":
+        return MockReply(status=429, headers={"Retry-After": value})
+    if what == "5xx":
+        return MockReply(status=value)
+    if what == "timeout":
+        return MockReply(delay=3 * _OUTCOME_TIMEOUT)
+    if what == "malformed":
+        return MockReply(json_body={"choices": []} if kind == "chat" else {"data": "x"})
+    return MockReply(raw=b"<html>busy</html>")
+
+
+def _expected(script: list) -> tuple[int, bool, str | None]:
+    """Attempts, success, and the label voted for, of one request answered by `script`."""
+    for attempt, (what, value) in enumerate(script, start=1):
+        if what == "ok":
+            return attempt, True, value
+        if what in ("malformed", "not_json"):
+            return attempt, False, None
+    return len(script), False, None
+
+
+class _ScriptedEndpoint:
+    """Answers each request's n-th attempt from its script: a chat request is the k-th
+    distinct sampling seed its question sends, an embedding the question it embeds."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.reset([], {}, {})
+
+    def reset(self, questions: list[str], chat: dict, embed: dict) -> None:
+        """Script the next run; `attempts` then counts each request's HTTP attempts."""
+        self.questions, self.chat, self.embed = questions, chat, embed
+        self.attempts: Counter = Counter()
+        self.positions: dict[int, list[int]] = {}  # per question, its seeds in arrival order
+
+    def _question(self, text: str) -> int:
+        return next(qi for qi, q in enumerate(self.questions) if normalize_text(q) in text)
+
+    def chat_reply(self, payload, index):
+        qi = self._question(payload["messages"][0]["content"])
+        with self.lock:
+            seeds = self.positions.setdefault(qi, [])
+            if payload["seed"] not in seeds:
+                seeds.append(payload["seed"])
+            key = ("chat", qi, seeds.index(payload["seed"]))
+            self.attempts[key] += 1
+            attempt = self.attempts[key]
+        return _reply(self.chat[key[1:]][attempt - 1], "chat", [])
+
+    def embed_reply(self, texts):
+        qi = self._question(texts[0])
+        with self.lock:
+            self.attempts["embed", qi] += 1
+            attempt = self.attempts["embed", qi]
+        return _reply(self.embed[qi][attempt - 1], "embed", texts)
+
+
+@pytest.fixture(scope="module")
+def scripted_endpoint():
+    endpoint = _ScriptedEndpoint()
+    with MockModelServer(chat=endpoint.chat_reply, embed=endpoint.embed_reply) as server:
+        endpoint.base_url = server.base_url
+        yield endpoint
+
+
+@pytest.fixture(scope="module")
+def semantic_artifacts(tmp_path_factory):
+    """Corpus, lexical and semantic index of the fin and hr pages, the semantic one
+    embedded by model "embedder" with the hash embedder's 1024 dimensions."""
+    tmp = tmp_path_factory.mktemp("semantic")
+    raw = tmp / "raw.jsonl"
+    _write_jsonl(raw, [{"doc_id": "fin", "page_index": i, "text": FIN_BODY} for i in range(3)]
+                 + [{"doc_id": "hr", "page_index": i, "text": HR_BODY} for i in range(2)])
+    paths = {name: tmp / name for name in ("corpus", "lexical", "semantic")}
+    assert main(["ingest", "--input", str(raw), "--output", str(paths["corpus"])]) == EXIT_OK
+    with MockModelServer() as server:
+        assert main(["--config", _endpoints(tmp, embed=server.base_url), "build-index",
+                     "--corpus", str(paths["corpus"]), "--lexical", str(paths["lexical"]),
+                     "--semantic", str(paths["semantic"])]) == EXIT_OK
+    return paths
+
+
+@pytest.mark.parametrize("retrieval", [False, True], ids=["no_retrieval", "embedding"])
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_scripted_endpoint_outcomes_decide_verdicts_attempts_and_exit(
+        tmp_path, capsys, monkeypatch, scripted_endpoint, semantic_artifacts, retrieval, data):
+    questions = [q["question"] for q in _PROPERTY_QUESTIONS]
+    count = data.draw(st.integers(1, len(questions)), label="questions")
+    schedule = data.draw(st.integers(2, 3), label="schedule_count")
+    retries = data.draw(st.integers(0, 2), label="max_retries")
+    embed_retries = data.draw(st.integers(0, 2), label="embedding max_retries")
+    attempts = st.lists(_OUTCOMES, min_size=retries + 1, max_size=retries + 1)
+    chat = {(qi, pos): data.draw(attempts, label=f"chat {qi} {pos}")
+            for qi in range(count) for pos in range(schedule)}
+    embed = {qi: data.draw(st.lists(_OUTCOMES, min_size=embed_retries + 1,
+                                    max_size=embed_retries + 1), label=f"embed {qi}")
+             for qi in range(count)} if retrieval else {}
+    scripted_endpoint.reset(questions[:count], chat, embed)
+    waits: list[float] = []
+    monkeypatch.setattr("docqa_engine.gateway.time.sleep", waits.append)
+    section = (f"  base_url: {scripted_endpoint.base_url}\n  timeout: {_OUTCOME_TIMEOUT}\n"
+               "  backoff_base: 0.01\n  max_retries: ")
+    text = (f"endpoint:\n{section}{retries}\n  model_name: mock-model\n"
+            f"ensemble:\n  schedule_count: {schedule}\n  min_responses: "
+            f"{data.draw(st.integers(1, 2), label='min_responses')}\n")
+    args = ["--corpus", str(semantic_artifacts["corpus"])]
+    if retrieval:
+        text += f"embedding:\n{section}{embed_retries}\n  model_name: embedder\n"
+        args += ["--lexical", str(semantic_artifacts["lexical"]),
+                 "--semantic", str(semantic_artifacts["semantic"])]
+    else:
+        args.append("--no-retrieval")
+    config, questions_path = tmp_path / "config.yaml", tmp_path / "questions.jsonl"
+    config.write_text(text, encoding="utf-8")
+    _write_jsonl(questions_path, _PROPERTY_QUESTIONS[:count])
+    output = tmp_path / "verdicts.jsonl"
+    output.unlink(missing_ok=True)  # left by the previous example
+    capsys.readouterr()
+    code = main(["--config", str(config), "infer", "--questions", str(questions_path),
+                 "--output", str(output), *args])
+    err = capsys.readouterr().err
+
+    verdicts = [json.loads(line) for line in output.read_text(encoding="utf-8").splitlines()]
+    assert [v["question"] for v in verdicts] == questions[:count]  # every verdict is written
+    sent = scripted_endpoint.attempts
+    for qi, verdict in enumerate(verdicts):
+        embedded = True
+        if retrieval:
+            tries, embedded, _ = _expected(embed[qi])
+            assert sent["embed", qi] == tries <= embed_retries + 1
+        positions = sorted(key[2] for key in sent if key[:2] == ("chat", qi))
+        assert positions == list(range(len(positions)))  # in schedule order
+        outcomes = [_expected(chat[qi, pos]) for pos in range(len(positions))]
+        for pos, (tries, _, _) in enumerate(outcomes):
+            assert sent["chat", qi, pos] == tries <= retries + 1
+        if not embedded:
+            assert positions == [] and verdict["retrieved"] == []
+        assert verdict["responses_used"] == len(outcomes)
+        assert verdict["failed_responses"] == sum(not ok for _, ok, _ in outcomes)
+        # only a successful response votes, for the label it gave
+        assert verdict["votes"] == dict(Counter(label for _, ok, label in outcomes
+                                                if ok and label))
+        assert verdict["failed"] == (not embedded or bool(outcomes)
+                                     and not any(ok for _, ok, _ in outcomes))
+    assert len(waits) == sum(tries - 1 for tries in sent.values())
+    assert all(0.01 <= wait <= _OUTCOME_TIMEOUT for wait in waits)
+    if any(v["failed"] for v in verdicts):
+        assert code == EXIT_TRANSPORT and "endpoint error: " in err, err
+    else:
+        assert code == EXIT_OK, err
 
 
 # ---------------------------------------------------------------------------

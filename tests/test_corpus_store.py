@@ -1,5 +1,6 @@
 """Corpus ingestion, integrity checks, and file round-trips."""
 
+import errno
 import functools
 import json
 import os
@@ -235,6 +236,22 @@ class TestSaveLoad:
 
         with pytest.raises(RuntimeError, match="source failed"):
             write_records(path, records())
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+    def test_an_error_inside_the_block_is_raised_as_it_is(self, tmp_path):
+        # only an error naming the temporary file is told as one about the caller's path
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(ingest(_lines(_record("a", 0, "x"))), path)
+        old = path.read_bytes()
+
+        def records():
+            yield {"format": "corpus"}
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with pytest.raises(OSError) as excinfo:
+            write_records(path, records())
+        assert excinfo.value.errno == errno.ENOSPC and excinfo.value.filename is None
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 

@@ -272,6 +272,10 @@ class TestStopRuleDefaults:
         assert rule.min_responses == 10
         assert rule.confidence_threshold == 0.8
 
+    def test_fewer_than_one_response_is_rejected(self):
+        with pytest.raises(ValueError, match="min_responses"):
+            StopRule(min_responses=0)
+
 
 class TestRunEnsemble:
     def test_unanimous_stops_at_minimum(self):

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import docqa_engine
@@ -28,7 +28,6 @@ from docqa_engine.gateway import (
     MAX_RETRIES_CAP,
     EndpointConfig,
     GatewayClient,
-    _retry_after_seconds,
     hash_embedder,
     in_flight_limit,
 )
@@ -42,6 +41,24 @@ def _free_port() -> int:
 
 
 QUESTION = {"messages": [{"role": "user", "content": "q"}]}
+# Retry-After values a server can send: delay-seconds of any length (runs of 400 and
+# 5,000 digits are past float's range and int's digit limit), HTTP dates, anything else
+_RETRY_AFTER_VALUES = (
+    st.sampled_from(["1" * 400, "9" * 5000, "Wed, 21 Oct 2015 07:28:00 GMT"])
+    | st.integers(1, 6000).map(lambda digits: "7" * digits)
+    | st.text(st.characters(min_codepoint=0x20, max_codepoint=0xFF, exclude_categories=["Cc"]),
+              max_size=40))
+
+_LATE = MockReply("late", delay=0.5)  # outlasts a 0.2 s request timeout
+
+
+@pytest.fixture(scope="module")
+def replying_server():
+    """A server whose chat replies are its ``replies``, taken in arrival order."""
+    replies: list[MockReply] = []
+    with MockModelServer(chat=lambda payload, index: replies.pop(0)) as server:
+        server.replies = replies
+        yield server
 
 
 @pytest.fixture
@@ -213,6 +230,20 @@ class TestRetryBehavior:
                 client.generate({"messages": [{"role": "user", "content": "q"}]})
         assert excinfo.value.status == script[-1].status
 
+    @pytest.mark.parametrize("script, waits", [
+        ([MockReply(status=429, headers={"Retry-After": "1"}), _LATE, _LATE], [0.2, 0.02]),
+        ([_LATE, _LATE, MockReply(status=429, headers={"Retry-After": "1"})], [0.01, 0.02]),
+    ], ids=["status_first", "status_last"])
+    def test_a_retryable_status_outranks_a_transport_failure(self, monkeypatch, script, waits):
+        # a timed-out attempt asks for no Retry-After wait, but leaves the status to report
+        sleeps: list[float] = []
+        monkeypatch.setattr("docqa_engine.gateway.time.sleep", sleeps.append)
+        with MockModelServer(chat=script) as server:
+            client = server.make_client(max_retries=2, timeout=0.2)
+            with pytest.raises(EndpointError, match=r"^retries exhausted \(status 429\)$"):
+                client.generate(QUESTION)
+        assert sleeps == waits
+
     def test_429_then_success_is_retried(self):
         with MockModelServer(chat=[MockReply(status=429), "recovered"]) as server:
             client = server.make_client(max_retries=2)
@@ -255,10 +286,23 @@ class TestRetryBehavior:
             assert client.generate({"messages": [{"role": "user", "content": "q"}]}) == "ok"
         assert sleeps == [2.0, 2.0]
 
-    @given(st.text(max_size=20))
-    def test_any_retry_after_header_gives_a_finite_delay(self, value):
-        delay = _retry_after_seconds(value)
-        assert 0.0 <= delay < float("inf")
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=_RETRY_AFTER_VALUES, succeeds=st.booleans())
+    def test_a_retry_after_header_of_any_length_waits_at_most_the_timeout(
+            self, monkeypatch, replying_server, value, succeeds):
+        sleeps: list[float] = []
+        monkeypatch.setattr("docqa_engine.gateway.time.sleep", sleeps.append)
+        replying_server.replies[:] = [MockReply(status=429, headers={"Retry-After": value}),
+                                      MockReply("ok") if succeeds else MockReply(status=503)]
+        client = replying_server.make_client(max_retries=1, timeout=2.0)
+        if succeeds:
+            assert client.generate(QUESTION) == "ok"
+        else:
+            with pytest.raises(EndpointError, match="retries exhausted") as excinfo:
+                client.generate(QUESTION)
+            assert excinfo.value.status == 503
+        assert len(sleeps) == 1 and 0.01 <= sleeps[0] <= 2.0
+        assert replying_server.replies == []
 
     def test_4xx_fails_immediately_without_retry(self):
         with MockModelServer(chat=[MockReply(status=400), "never"]) as server:
@@ -289,6 +333,18 @@ class TestResponseContracts:
             client = server.make_client()
             with pytest.raises(ContractError, match="malformed chat-completions"):
                 client.generate({"messages": [{"role": "user", "content": "q"}]})
+
+    def test_a_2xx_body_that_is_not_json_is_a_contract_error(self):
+        with MockModelServer(chat=[MockReply(raw=b"<html>busy</html>")]) as server:
+            client = server.make_client()
+            with pytest.raises(ContractError, match="non-JSON body"):
+                client.generate(QUESTION)
+            assert len(server.request_log) == 1
+
+    def test_malformed_embeddings_are_a_contract_error(self):
+        with MockModelServer(embed=lambda texts: MockReply(json_body={"data": "x"})) as server:
+            with pytest.raises(ContractError, match="malformed embeddings"):
+                server.make_client().embed(["page"])
 
     def test_non_string_content_is_a_contract_error(self):
         reply = MockReply(json_body={"choices": [{"message": {"content": 42}}]})
@@ -376,6 +432,29 @@ class TestKeepAlive:
             with pytest.raises(TransportError):
                 client.generate(QUESTION)
             assert client.generate(QUESTION) == "on time"
+
+    def test_a_fresh_connection_the_server_drops_is_one_failed_attempt(self):
+        # only a reused connection is opened again at once; a fresh one failing is an attempt
+        accepted: list[socket.socket] = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(10)
+
+            def drop_two():
+                for _ in range(2):
+                    conn, _ = listener.accept()
+                    accepted.append(conn)
+                    conn.close()
+
+            dropper = threading.Thread(target=drop_two)
+            dropper.start()
+            config = EndpointConfig(base_url=f"http://127.0.0.1:{listener.getsockname()[1]}/v1",
+                                    model_name="m", timeout=2.0, max_retries=1,
+                                    backoff_base=0.001)
+            with pytest.raises(TransportError, match="after 2 attempts: (RemoteDisconnected|"
+                                                     "ConnectionResetError|BrokenPipeError)"):
+                GatewayClient(config).generate(QUESTION)
+            dropper.join(timeout=10)
+        assert not dropper.is_alive() and len(accepted) == 2
 
     def test_base_url_path_prefix_reaches_the_server(self, seen):
         with MockModelServer(chat="ok") as server:

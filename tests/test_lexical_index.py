@@ -366,19 +366,13 @@ def _report_pages(pages=300, seed=11):
 
 
 class TestBuildResources:
-    def test_idf_is_computed_once_and_matches_the_saved_df(self, monkeypatch, tmp_path):
-        calls = []
-        monkeypatch.setattr(lexical, "idf_table", lambda *args: calls.append(args) or idf_table(*args))
+    def test_idf_is_derived_from_the_saved_df(self, tmp_path):
         index = build_lexical_index(_corpus(("d", ["a b a", "b c"]), ("e", ["c 2024年"])), n_max=2)
-        assert len(calls) == 1
         want = idf_table(index.vocabulary.df, index.page_count)
         assert index.idf.dtype == want.dtype and index.idf.tobytes() == want.tobytes()
         save_lexical_index(index, tmp_path / "lex.idx")
         assert load_lexical_index(tmp_path / "lex.idx").idf.tobytes() == want.tobytes()
-        # a copy derives its own idf from the df it keeps
-        calls.clear()
-        copy = dataclasses.replace(index)
-        assert len(calls) == 1 and copy.idf.tobytes() == want.tobytes()
+        assert dataclasses.replace(index).idf.tobytes() == want.tobytes()
 
     def test_only_rows_and_weights_hold_an_entry_per_nonzero(self, tmp_path):
         # 4 features, 9 nonzeros: any other per-nonzero array is derived state

@@ -227,6 +227,13 @@ class TestSearch:
         )
         assert search_semantic(index, np.ones(8), k=3) == []
 
+    @pytest.mark.parametrize("shape, dim, match", [
+        ((3, 8), 4, "shape"), ((3,), 3, "shape"), ((2, 8), 8, "parallel")])
+    def test_vectors_of_another_shape_are_rejected(self, shape, dim, match):
+        with pytest.raises(ValueError, match=match):
+            SemanticIndex(vectors=np.zeros(shape, dtype=np.float32),
+                          page_refs=[("a", 0), ("a", 1), ("b", 0)], dim=dim)
+
     def test_query_shape_checked(self):
         rng = np.random.default_rng(7)
         index = _index(rng, n=5, dim=8)
