@@ -295,7 +295,7 @@ def cmd_build_index(args, config: PipelineConfig) -> int:
     print(f"lexical index: {index.page_count} pages, "
           f"{index.vocabulary.size} features -> {lexical_out}")
     if embed_client is not None:
-        sem_index = build_semantic_index(corpus, embed_client, dim=config.embed_dim)
+        sem_index = build_semantic_index(corpus, embed_client)
         save_semantic_index(sem_index, semantic_out)
         print(f"semantic index: {len(sem_index.page_refs)} pages, "
               f"dim {sem_index.dim} -> {semantic_out}")

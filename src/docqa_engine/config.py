@@ -26,7 +26,6 @@ from .retriever import (
     FusionWeights,
     SelectionPolicy,
 )
-from .semantic import DEFAULT_DIM
 
 AUTH_TOKEN_ENV = "DOCQA_AUTH_TOKEN"
 
@@ -42,15 +41,12 @@ class PipelineConfig:
     thresholds: GateThresholds = GateThresholds()
     endpoint: EndpointConfig | None = None
     embedding: EndpointConfig | None = None
-    embed_dim: int = DEFAULT_DIM
 
     def __post_init__(self):
         if self.candidate_k < 1:
             raise ValueError("candidate_k must be at least 1")
         if self.schedule_count < 2:
             raise ValueError("schedule_count must be at least 2")
-        if self.embed_dim < 1:
-            raise ValueError("embedding dim must be at least 1")
 
 
 # YAML section -> the PipelineConfig fields its keys fill, in order. A
@@ -61,10 +57,8 @@ _SECTIONS = {
     "ensemble": ("schedule_count", "seed", "stop"),
     "gates": ("thresholds",),
     "endpoint": ("endpoint",),
-    "embedding": ("embed_dim", "embedding"),
+    "embedding": ("embedding",),
 }
-# the fields whose YAML key differs from the field name
-_KEY_OF_FIELD = {"top_m": "min_pages", "top_n": "max_pages", "embed_dim": "dim"}
 _TYPES = {"int": int, "float": float, "str": str}
 # An endpoint section starts from this; its two names have no default.
 _BLANK_ENDPOINT = EndpointConfig(base_url="", model_name="")
@@ -90,9 +84,8 @@ def _take(section: str, values: dict, targets) -> dict:
     """Pop the keys naming the dataclass fields `targets` from `values`."""
     taken = {}
     for f in targets:
-        key = _KEY_OF_FIELD.get(f.name, f.name)
-        if key in values:
-            taken[f.name] = _typed(f"{section}.{key}", values.pop(key), f.type)
+        if f.name in values:
+            taken[f.name] = _typed(f"{section}.{f.name}", values.pop(f.name), f.type)
     return taken
 
 
@@ -100,6 +93,7 @@ def _endpoint(section: str, values: dict) -> EndpointConfig | None:
     if not values:
         return None
     endpoint = replace(_BLANK_ENDPOINT, **_take(section, values, fields(EndpointConfig)))
+    _reject_unknown(section, values)  # before the names: a stray key is named, not a missing one
     if not endpoint.base_url or not endpoint.model_name:
         raise ConfigError(f"config section {section!r} needs both base_url and model_name")
     if endpoint.auth_token is None:  # EndpointConfig checks the environment's token too

@@ -85,14 +85,10 @@ def make_schedule(count: int = DEFAULT_SCHEDULE_COUNT, seed: int = 0) -> list[De
     seeds = [rng.randrange(2**31) for _ in range(count)]
     configs = [DecodingConfig(id=0, temperature=0.0, top_p=1.0, top_k=1, seed=seeds[0])]
     lo, hi = TEMPERATURE_RANGE
-    samplers = count - 1
+    step = (hi - lo) / max(count - 2, 1)  # between the count - 1 samplers' temperatures
     for i in range(1, count):
-        if samplers == 1:
-            temperature = lo
-        else:
-            temperature = lo + (i - 1) * ((hi - lo) / (samplers - 1))
         configs.append(DecodingConfig(
-            id=i, temperature=temperature, top_p=TOP_P_CYCLE[(i - 1) % len(TOP_P_CYCLE)],
+            id=i, temperature=lo + (i - 1) * step, top_p=TOP_P_CYCLE[(i - 1) % len(TOP_P_CYCLE)],
             top_k=TOP_K_CYCLE[(i - 1) % len(TOP_K_CYCLE)], seed=seeds[i]))
     return configs
 

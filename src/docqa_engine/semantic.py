@@ -24,7 +24,6 @@ from .gateway import in_flight_limit
 SEMANTIC_MAGIC = b"SEMV"
 SEMANTIC_FORMAT_VERSION = 2
 
-DEFAULT_DIM = 1024
 BATCH_SIZE = 32  # texts per embedding request
 UNIT_NORM_TOL = 1e-4  # a saved row's norm may differ from 1 by float32 rounding only
 
@@ -49,28 +48,28 @@ class SemanticIndex:
             raise ValueError("vectors and page_refs must be parallel")
 
 
-def embed(texts: list[str], client, dim: int = DEFAULT_DIM) -> np.ndarray:
+def embed(texts: list[str], client, dim: int | None = None) -> np.ndarray:
     """Fetch one L2-normalized vector per text, in order.
 
-    Batching is transparent: ceil(len(texts)/BATCH_SIZE) endpoint calls. A
-    single batch is sent from the caller's thread; more are each sent from a
+    Batching is transparent: ceil(len(texts)/BATCH_SIZE) endpoint calls. The
+    first batch is sent from the caller's thread and fixes the width (`dim`
+    when given, else its first vector's); later batches are each sent from a
     pool thread, up to the client's in-flight limit at a time. When several
     batches fail, the earliest one's error is raised. A response vector that
-    is not a list of numbers, of the wrong dimension, with a non-finite
-    component or of zero norm violates the wire contract.
+    is not a list of numbers, of another width, with a non-finite component
+    or of zero norm violates the wire contract.
     """
     if not texts:
         raise ValueError("embed requires at least one text")
     batches = [texts[start : start + BATCH_SIZE] for start in range(0, len(texts), BATCH_SIZE)]
-    if len(batches) == 1:
-        return _embed_batch(batches[0], client, dim)
+    first = _embed_batch(batches[0], client, dim)
     with ThreadPoolExecutor(min(in_flight_limit(client), len(batches))) as pool:
         # map yields in input order, so the earliest failed batch raises
-        rows = pool.map(partial(_embed_batch, client=client, dim=dim), batches)
-        return np.concatenate(list(rows))
+        rows = pool.map(partial(_embed_batch, client=client, dim=first.shape[1]), batches[1:])
+        return np.concatenate([first, *rows])
 
 
-def _embed_batch(batch: list[str], client, dim: int) -> np.ndarray:
+def _embed_batch(batch: list[str], client, dim: int | None) -> np.ndarray:
     vectors = client.embed(batch)
     if len(vectors) != len(batch):
         raise ContractError(f"endpoint returned {len(vectors)} vectors for {len(batch)} inputs")
@@ -82,8 +81,9 @@ def _embed_batch(batch: list[str], client, dim: int) -> np.ndarray:
         # and a true or false component is promoted unless looked for
         if arr.ndim != 1 or arr.dtype.kind not in "iuf" or bool in map(type, vec):
             raise ContractError("endpoint returned an embedding that is not a list of numbers")
+        dim = len(arr) if dim is None else dim  # the first vector's width, unless given
         if len(arr) != dim:
-            raise ContractError(f"embedding dimension {len(arr)} does not match configured {dim}")
+            raise ContractError(f"embedding dimension {len(arr)} does not match {dim}")
         arr = arr.astype(np.float64, copy=False)
         if not np.isfinite(arr).all():
             raise ContractError("endpoint returned a non-finite embedding component")
@@ -99,14 +99,14 @@ def model_name(client) -> str:
     return getattr(getattr(client, "config", None), "model_name", "")
 
 
-def build_semantic_index(corpus: Corpus, client, dim: int = DEFAULT_DIM) -> SemanticIndex:
-    texts = [PASSAGE_PREFIX + p.normalized_text for p in corpus.pages]
-    vectors = embed(texts, client, dim=dim)
-    return SemanticIndex(vectors=vectors, page_refs=corpus.page_refs, dim=dim,
+def build_semantic_index(corpus: Corpus, client, dim: int | None = None) -> SemanticIndex:
+    """The corpus pages' vectors, as wide as the endpoint returns them (see `embed`)."""
+    vectors = embed([PASSAGE_PREFIX + p.normalized_text for p in corpus.pages], client, dim=dim)
+    return SemanticIndex(vectors=vectors, page_refs=corpus.page_refs, dim=vectors.shape[1],
                          fingerprint=corpus.fingerprint, model=model_name(client))
 
 
-def embed_query(query_text: str, client, dim: int = DEFAULT_DIM) -> np.ndarray:
+def embed_query(query_text: str, client, dim: int | None = None) -> np.ndarray:
     """The query's vector, embedded from its normalize_text form as pages are."""
     return embed([QUERY_PREFIX + normalize_text(query_text)], client, dim=dim)[0]
 

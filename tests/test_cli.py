@@ -17,6 +17,7 @@ import struct
 import tempfile
 import threading
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from docqa_engine.cli import (
     main,
     read_questions_jsonl,
 )
-from docqa_engine.config import AUTH_TOKEN_ENV
+from docqa_engine.config import AUTH_TOKEN_ENV, PipelineConfig, load_config
 from docqa_engine.corpus import ingest, load_corpus, normalize_text, save_corpus
 from docqa_engine.errors import ConfigError, ParseError
 from docqa_engine.gateway import (MAX_IN_FLIGHT_CAP, MAX_RETRIES_CAP, EndpointConfig,
@@ -69,15 +70,14 @@ def _write_jsonl(path, records):
 
 
 def _endpoints(tmp_path, *, chat: str | None = None, embed: str | None = None,
-               embed_model: str = "embedder", dim: int | None = None, text: str = "") -> str:
+               embed_model: str = "embedder", text: str = "") -> str:
     """The path of a config file holding `text`, then an `endpoint` section for
     the chat base URL `chat` and an `embedding` section for the embedding base
-    URL `embed` (of `dim` when given), each when given."""
+    URL `embed`, each when given."""
     if chat:
         text += f"endpoint:\n  base_url: {chat}\n  model_name: mock-model\n"
     if embed:
         text += f"embedding:\n  base_url: {embed}\n  model_name: {embed_model}\n"
-        text += f"  dim: {dim}\n" if dim else ""
     path = tmp_path / "endpoints.yaml"
     path.write_text(text, encoding="utf-8")
     return str(path)
@@ -230,7 +230,7 @@ class TestBuildIndex:
         semantic = tmp_path / "semantic.idx"
         with MockModelServer(dim=32) as server:
             code = main([
-                "--config", _endpoints(tmp_path, embed=server.base_url, dim=32),
+                "--config", _endpoints(tmp_path, embed=server.base_url),
                 "build-index",
                 "--corpus", str(artifacts["corpus"]),
                 "--lexical", str(tmp_path / "lex2.idx"),
@@ -276,7 +276,7 @@ class TestBuildIndex:
         # an endpoint alone turns the semantic side on, written to its default path
         monkeypatch.chdir(tmp_path)
         with MockModelServer(dim=32) as server:
-            code = main(["--config", _endpoints(tmp_path, embed=server.base_url, dim=32),
+            code = main(["--config", _endpoints(tmp_path, embed=server.base_url),
                          "build-index", "--corpus", str(artifacts["corpus"]),
                          "--lexical", str(tmp_path / "lex8.idx")])
         assert code == EXIT_OK
@@ -363,7 +363,7 @@ class TestRetrieve:
 
     def test_config_policy(self, tmp_path, artifacts, capsys):
         config = tmp_path / "config.yaml"
-        config.write_text("retrieval:\n  min_pages: 1\n  max_pages: 1\n  threshold: 0.9\n",
+        config.write_text("retrieval:\n  top_m: 1\n  top_n: 1\n  threshold: 0.9\n",
                           encoding="utf-8")
         code = main(["--config", str(config), "retrieve", "売上高",
                      "--lexical", str(artifacts["lexical"])])
@@ -385,7 +385,7 @@ class TestRetrieve:
     def test_hybrid_with_semantic_index(self, tmp_path, artifacts, capsys):
         semantic = tmp_path / "semantic.idx"
         with MockModelServer(dim=32) as server:
-            config = _endpoints(tmp_path, embed=server.base_url, dim=32)
+            config = _endpoints(tmp_path, embed=server.base_url)
             main([
                 "--config", config,
                 "build-index", "--corpus", str(artifacts["corpus"]),
@@ -477,7 +477,7 @@ class TestRetrieve:
                                                           other_artifacts, capsys):
         semantic = tmp_path / "semantic.idx"
         with MockModelServer(dim=32) as server:
-            config = _endpoints(tmp_path, embed=server.base_url, dim=32)
+            config = _endpoints(tmp_path, embed=server.base_url)
             assert main(["--config", config, "build-index",
                          "--corpus", str(other_artifacts["corpus"]),
                          "--lexical", str(tmp_path / "lex6.idx"),
@@ -493,14 +493,13 @@ class TestRetrieve:
     def test_semantic_index_of_another_model_is_io_error(self, tmp_path, artifacts, capsys):
         semantic = tmp_path / "semantic.idx"
         with MockModelServer(dim=32) as server:
-            assert main(["--config", _endpoints(tmp_path, embed=server.base_url, dim=32),
+            assert main(["--config", _endpoints(tmp_path, embed=server.base_url),
                          "build-index", "--corpus", str(artifacts["corpus"]),
                          "--lexical", str(tmp_path / "lex7.idx"),
                          "--semantic", str(semantic)]) == EXIT_OK
             sent = len(server.request_log)
             capsys.readouterr()
-            other = _endpoints(tmp_path, embed=server.base_url, embed_model="other-embedder",
-                               dim=32)
+            other = _endpoints(tmp_path, embed=server.base_url, embed_model="other-embedder")
             code = main(["--config", other, "retrieve", "売上高",
                          "--lexical", str(artifacts["lexical"]), "--semantic", str(semantic)])
             assert len(server.request_log) == sent  # no query embedding was requested
@@ -750,8 +749,7 @@ class TestInfer:
         monkeypatch.chdir(tmp_path)  # which holds no semantic.idx
         with MockModelServer(chat="Answer: A", dim=32) as server:
             code = main([
-                "--config", _endpoints(tmp_path, chat=server.base_url, embed=server.base_url,
-                                       dim=32),
+                "--config", _endpoints(tmp_path, chat=server.base_url, embed=server.base_url),
                 "infer", "--questions", str(questions_file), "--output", str(tmp_path / "v.jsonl"),
                 "--corpus", str(artifacts["corpus"]), "--lexical", str(artifacts["lexical"]),
             ])
@@ -805,7 +803,7 @@ class TestInfer:
                               f"endpoint:\n  base_url: {server.base_url}\n"
                               "  model_name: mock-model\n  max_retries: 0\n"
                               f"embedding:\n  base_url: {server.base_url}\n"
-                              "  model_name: embedder\n  dim: 32\n  max_retries: 0\n",
+                              "  model_name: embedder\n  max_retries: 0\n",
                               encoding="utf-8")
             assert main(["--config", str(config), "build-index", "--corpus", str(artifacts["corpus"]),
                          "--lexical", str(tmp_path / "lex.idx"), "--semantic", str(semantic)]) == EXIT_OK
@@ -1242,14 +1240,25 @@ class TestParserAndConfig:
         assert argv[0] != "--config" or err.count("\n") == 1, err
 
     def test_config_policy_drives_retrieve(self, tmp_path, artifacts, capsys):
-        config = tmp_path / "config.yaml"
-        config.write_text(
-            "retrieval:\n  min_pages: 2\n  max_pages: 2\n", encoding="utf-8"
-        )
-        code = main(["--config", str(config), "retrieve", "売上高",
+        config = _endpoints(tmp_path, text="retrieval:\n  top_m: 2\n  top_n: 2\n")
+        code = main(["--config", config, "retrieve", "売上高", "--json",
                      "--lexical", str(artifacts["lexical"])])
         assert code == EXIT_OK
-        assert len(capsys.readouterr().out.strip().splitlines()) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["policy"] == {"top_m": 2, "top_n": 2, "threshold": 0.3}
+        assert len(record["results"]) == 2
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("retrieval", "min_pages", 2), ("retrieval", "max_pages", 2), ("embedding", "dim", 64)])
+    def test_a_key_that_names_no_field_exits_2_naming_it(self, tmp_path, artifacts, section,
+                                                          key, value, capsys):
+        # the policy's keys are its fields' names, and the endpoint's vectors set the width
+        config = _endpoints(tmp_path, text=f"{section}:\n  {key}: {value}\n")
+        code = main(["--config", config, "retrieve", "売上高",
+                     "--lexical", str(artifacts["lexical"])])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: unknown key(s) in config section '{section}': {key}\n")
 
     def test_wrong_config_type_is_config_error(self, tmp_path, artifacts, questions_file,
                                                capsys):
@@ -1628,7 +1637,7 @@ def test_hostile_verdict_file_exits_0_or_5_with_one_line(tmp_path, capsys, data)
 
 # section -> (key, value as written); every value is valid, one model name is not ASCII
 _CONFIG_SECTIONS = {
-    "retrieval": [("alpha", "0.6"), ("beta", "0.4"), ("min_pages", "3"), ("max_pages", "7"),
+    "retrieval": [("alpha", "0.6"), ("beta", "0.4"), ("top_m", "3"), ("top_n", "7"),
                   ("threshold", "0.3"), ("candidate_k", "50")],
     "ensemble": [("schedule_count", "20"), ("seed", "0"), ("min_responses", "10"),
                  ("confidence_threshold", "0.8")],
@@ -1639,7 +1648,7 @@ _CONFIG_SECTIONS = {
     "endpoint": [("base_url", "http://127.0.0.1:9/v1"), ("model_name", "chat-model"),
                  ("timeout", "30.0"), ("max_retries", "2"), ("max_in_flight", "4"),
                  ("auth_token", "s3cret"), ("backoff_base", "0.5")],
-    "embedding": [("dim", "64"), ("base_url", "http://127.0.0.1:9/v1"),
+    "embedding": [("base_url", "http://127.0.0.1:9/v1"),
                   ("model_name", "埋め込み"), ("auth_token", "s3cret")],
 }
 # per kind of valid value, values of another type
@@ -1930,3 +1939,16 @@ def test_readme_names_only_flags_the_parser_has():
              for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", span)}
     assert "--no-retrieval" in named
     assert named - flags == set()
+
+
+def test_readme_config_block_loads_as_the_defaults(tmp_path, monkeypatch):
+    # the block shows every key at its default; only the endpoints' two names have none
+    monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
+    [block] = re.findall(r"^```yaml\n(.*?)^```", README.read_text(encoding="utf-8"),
+                         re.MULTILINE | re.DOTALL)
+    path = tmp_path / "readme.yaml"
+    path.write_text(block, encoding="utf-8")
+    config = load_config(path)
+    for endpoint in (config.endpoint, config.embedding):
+        assert replace(endpoint, base_url="", model_name="") == EndpointConfig("", "")
+    assert replace(config, endpoint=None, embedding=None) == PipelineConfig()

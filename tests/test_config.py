@@ -37,7 +37,6 @@ class TestDefaults:
         assert config.stop.confidence_threshold == 0.8
         assert config.endpoint is None
         assert config.embedding is None
-        assert config.embed_dim == 1024
 
     def test_empty_file_equals_defaults(self, tmp_path):
         assert load_config(_write(tmp_path, "")) == load_config(None)
@@ -59,7 +58,7 @@ class TestOverrides:
     def test_partial_override_keeps_other_defaults(self, tmp_path):
         path = _write(
             tmp_path,
-            "retrieval:\n  alpha: 0.7\n  beta: 0.3\n  max_pages: 9\n"
+            "retrieval:\n  alpha: 0.7\n  beta: 0.3\n  top_n: 9\n"
             "ensemble:\n  schedule_count: 6\n  seed: 11\n",
         )
         config = load_config(path)
@@ -82,15 +81,13 @@ class TestOverrides:
             tmp_path,
             "endpoint:\n  base_url: http://llm:8000/v1\n  model_name: chat-7b\n"
             "  timeout: 12\n"
-            "embedding:\n  base_url: http://emb:8000/v1\n  model_name: embed-1b\n"
-            "  dim: 256\n",
+            "embedding:\n  base_url: http://emb:8000/v1\n  model_name: embed-1b\n",
         )
         config = load_config(path)
         assert config.endpoint.base_url == "http://llm:8000/v1"
         assert config.endpoint.timeout == 12
         assert config.endpoint.max_retries == 2  # EndpointConfig default
         assert config.embedding.model_name == "embed-1b"
-        assert config.embed_dim == 256
 
 
 class TestAuthToken:
@@ -172,10 +169,6 @@ class TestRejection:
                 "endpoint:\n  base_url: http://llm/v1\n  model_name: m\n  timeout: -1\n",
             ))
 
-    def test_bad_embedding_dim(self, tmp_path):
-        with pytest.raises(ConfigError, match="dim"):
-            load_config(_write(tmp_path, "embedding:\n  dim: 0\n"))
-
     def test_bad_candidate_k(self, tmp_path):
         with pytest.raises(ConfigError, match="candidate_k"):
             load_config(_write(tmp_path, "retrieval:\n  candidate_k: 0\n"))
@@ -185,8 +178,8 @@ _ENDPOINT = "  base_url: http://llm/v1\n  model_name: m\n"
 
 # (key, YAML holding a value of the wrong type for it)
 _WRONG_TYPES = [
-    ("retrieval.min_pages", "retrieval:\n  min_pages: 2.7\n"),
-    ("retrieval.max_pages", "retrieval:\n  max_pages: '9'\n"),
+    ("retrieval.top_m", "retrieval:\n  top_m: 2.7\n"),
+    ("retrieval.top_n", "retrieval:\n  top_n: '9'\n"),
     ("retrieval.alpha", "retrieval:\n  alpha: '0.5'\n  beta: 0.5\n"),
     ("retrieval.threshold", "retrieval:\n  threshold: true\n"),
     ("retrieval.candidate_k", "retrieval:\n  candidate_k: 5.0\n"),
@@ -200,7 +193,6 @@ _WRONG_TYPES = [
     ("endpoint.base_url", "endpoint:\n  base_url: 8000\n  model_name: m\n"),
     ("endpoint.auth_token", "endpoint:\n" + _ENDPOINT + "  auth_token: 123\n"),
     ("embedding.max_in_flight", "embedding:\n" + _ENDPOINT + "  max_in_flight: true\n"),
-    ("embedding.dim", "embedding:\n  dim: 256.0\n"),
 ]
 
 # (key, YAML holding a float that is not a finite number for it)
@@ -264,19 +256,10 @@ class TestTypes:
         with pytest.raises(ConfigError, match=re.escape("endpoint.timeout")):
             load_config(_write(tmp_path, text))
 
-    def test_field_names_are_not_config_keys(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown key.*top_m"):
-            load_config(_write(tmp_path, "retrieval:\n  top_m: 2\n"))
-
     def test_null_auth_token_falls_back_to_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(AUTH_TOKEN_ENV, "from-env")
         path = _write(tmp_path, "endpoint:\n" + _ENDPOINT + "  auth_token: null\n")
         assert load_config(path).endpoint.auth_token == "from-env"
-
-    def test_embedding_dim_alone_sets_no_endpoint(self, tmp_path):
-        config = load_config(_write(tmp_path, "embedding:\n  dim: 64\n"))
-        assert config.embed_dim == 64
-        assert config.embedding is None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from docqa_engine.ensemble import (
     DEFAULT_SCHEDULE_COUNT,
     TOP_K_CYCLE,
     TOP_P_CYCLE,
+    TEMPERATURE_RANGE,
     DecodingConfig,
     StopRule,
     build_answer_prompt,
@@ -126,6 +127,16 @@ class TestMakeSchedule:
         schedule = make_schedule(2, seed=0)
         assert len(schedule) == 2
         assert schedule[1].temperature == pytest.approx(0.1)
+
+    def test_temperatures_equal_the_two_case_ladder(self):
+        # one step expression gives, float for float, what a lone sampler at lo
+        # and an evenly spaced ladder over [lo, hi] gave as two cases
+        lo, hi = TEMPERATURE_RANGE
+        for count in range(2, 200):
+            samplers = count - 1
+            expected = [lo if samplers == 1 else lo + (i - 1) * ((hi - lo) / (samplers - 1))
+                        for i in range(1, count)]
+            assert [c.temperature for c in make_schedule(count)[1:]] == expected, count
 
     def test_seeds_come_from_master_seed(self):
         schedule = make_schedule(5, seed=123)

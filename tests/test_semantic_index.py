@@ -136,8 +136,9 @@ class TestOverlappedEmbed:
     TEXTS = [f"page {i}" for i in range(100)]  # four batches: 32, 32, 32, 4
 
     def test_batches_overlap_and_rows_keep_input_order(self):
-        meet = threading.Barrier(2, timeout=10)  # breaks unless two batches are in flight at once
-        client = RecordingEmbedClient(3, script={"page 0": meet.wait, "page 32": meet.wait})
+        # the first batch goes alone; the barrier breaks unless two later ones are in flight at once
+        meet = threading.Barrier(2, timeout=10)
+        client = RecordingEmbedClient(3, script={"page 32": meet.wait, "page 64": meet.wait})
         out = embed(self.TEXTS, client, dim=8)
         assert client.peak >= 2
         serial = np.concatenate([embed(self.TEXTS[i:i + 32], RecordingEmbedClient(1), dim=8)
@@ -145,11 +146,11 @@ class TestOverlappedEmbed:
         assert out.dtype == serial.dtype and (out == serial).all()
 
     def test_in_flight_limit_caps_the_overlap(self):
-        # the first two batches meet, then hold their slots long enough for a
-        # third to start if the cap let it
+        # the second and third batches meet, then hold their slots long enough
+        # for the fourth to start if the cap let it
         meet = threading.Barrier(2, timeout=10)
         hold = lambda: (meet.wait(), time.sleep(0.05))  # noqa: E731
-        client = RecordingEmbedClient(2, script={"page 0": hold, "page 32": hold})
+        client = RecordingEmbedClient(2, script={"page 32": hold, "page 64": hold})
         embed(self.TEXTS, client, dim=8)
         assert client.peak == 2
 
@@ -173,6 +174,27 @@ class TestOverlappedEmbed:
         embed_query("question", client, dim=8)
         embed(self.TEXTS[:32], client, dim=8)
         assert client.threads == {threading.get_ident()}
+
+    def test_first_batch_fixes_the_width(self):
+        # without a dim the index is as wide as the endpoint's vectors
+        out = embed(self.TEXTS, RecordingEmbedClient(2, dim=12))
+        assert out.shape == (100, 12)
+        assert embed_query("question", RecordingEmbedClient(1, dim=5)).shape == (5,)
+
+    def test_two_widths_within_the_first_batch_are_contract_error(self):
+        client = FakeEmbedClient(lambda texts: [[1.0] * (8 + i % 2) for i in range(len(texts))])
+        with pytest.raises(ContractError, match="dimension 9 does not match 8"):
+            embed(self.TEXTS, client)
+        assert len(client.calls) == 1  # a failed first batch sends no later batch
+
+    def test_a_later_batch_of_another_width_is_contract_error(self):
+        narrow, wide = hash_embedder(dim=8), hash_embedder(dim=16)
+        client = FakeEmbedClient(lambda texts: (wide if texts[0] == "page 64" else narrow)(texts))
+        with pytest.raises(ContractError, match="dimension 16 does not match 8"):
+            embed(self.TEXTS, client)
+        # a given dim is checked against the first batch as well
+        with pytest.raises(ContractError, match="dimension 8 does not match 16"):
+            embed(self.TEXTS[:32], client, dim=16)
 
 
 class TestSearch:
