@@ -80,14 +80,12 @@ def _index_field(record: dict, key: str, options: list[str] | None = None) -> in
 
 
 def _options(record: dict) -> list[str]:
-    """record["options"] and its category, checked as a question's."""
+    """record["options"], checked as a question's."""
     options = record["options"]
     if not isinstance(options, list):
         raise ValueError("options must be a list")
     if not all(isinstance(o, str) for o in options):
         raise ValueError("options must be strings")
-    if not isinstance(record.get("category"), (str, type(None))):
-        raise ValueError("category must be a string")
     if not 2 <= len(options) <= MAX_OPTIONS:
         raise ValueError(f"{len(options)} options; a question needs 2 to {MAX_OPTIONS}")
     return options
@@ -107,14 +105,17 @@ def _question_record(raw: dict) -> QuestionRecord:
     if not isinstance(question, str):
         raise ValueError("question must be a string")
     options = _options(raw)
-    if not isinstance(raw.get("doc_id"), (str, type(None))):
-        raise ValueError("doc_id must be a string")
+    for key in ("category", "doc_id"):
+        if not isinstance(raw.get(key), (str, type(None))):
+            raise ValueError(f"{key} must be a string")
     return QuestionRecord(question, tuple(options), _index_field(raw, "answer_index", options),
                           doc_id=raw.get("doc_id"), category=raw.get("category"))
 
 
 def _verdict_record(raw: dict) -> dict:
     options = _options(raw) if "options" in raw else None  # older files hold none
+    if not isinstance(raw.get("category"), (str, type(None))):
+        raise ValueError("category must be a string")
     for key in ("gold_answer_index", "predicted_index"):
         _index_field(raw, key, options)
     for key in ("failed", "no_context"):  # either may be absent, as in older files

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 from .augment import GateThresholds
-from .ensemble import DEFAULT_SCHEDULE_COUNT, StopRule
+from .ensemble import DEFAULT_SCHEDULE_COUNT, MAX_SCHEDULE_COUNT, StopRule
 from .errors import ConfigError
 from .gateway import EndpointConfig
 from .retriever import (
@@ -45,8 +45,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.candidate_k < 1:
             raise ValueError("candidate_k must be at least 1")
-        if self.schedule_count < 2:
-            raise ValueError("schedule_count must be at least 2")
+        if not 2 <= self.schedule_count <= MAX_SCHEDULE_COUNT:
+            raise ValueError(f"schedule_count must lie in [2, {MAX_SCHEDULE_COUNT}]")
 
 
 # YAML section -> the PipelineConfig fields its keys fill, in order. A
@@ -60,8 +60,7 @@ _SECTIONS = {
     "embedding": ("embedding",),
 }
 _TYPES = {"int": int, "float": float, "str": str}
-# An endpoint section starts from this; its two names have no default.
-_BLANK_ENDPOINT = EndpointConfig(base_url="", model_name="")
+_BLANK_ENDPOINT = EndpointConfig(base_url="", model_name="")  # its two names have no default
 
 
 def _typed(key: str, value, annotation: str):
@@ -87,18 +86,6 @@ def _take(section: str, values: dict, targets) -> dict:
         if f.name in values:
             taken[f.name] = _typed(f"{section}.{f.name}", values.pop(f.name), f.type)
     return taken
-
-
-def _endpoint(section: str, values: dict) -> EndpointConfig | None:
-    if not values:
-        return None
-    endpoint = replace(_BLANK_ENDPOINT, **_take(section, values, fields(EndpointConfig)))
-    _reject_unknown(section, values)  # before the names: a stray key is named, not a missing one
-    if not endpoint.base_url or not endpoint.model_name:
-        raise ConfigError(f"config section {section!r} needs both base_url and model_name")
-    if endpoint.auth_token is None:  # EndpointConfig checks the environment's token too
-        endpoint = replace(endpoint, auth_token=os.environ.get(AUTH_TOKEN_ENV) or None)
-    return endpoint
 
 
 def _reject_unknown(section_name: str, leftovers) -> None:
@@ -143,9 +130,9 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
     config = PipelineConfig()
     top_fields = {f.name: f for f in fields(PipelineConfig)}
     for section, names in _SECTIONS.items():
-        values = raw.get(section)
-        if values is None:
+        if section not in raw:
             continue
+        values = {} if raw[section] is None else raw[section]  # a bare `section:` is empty
         if not isinstance(values, dict):
             raise ConfigError(f"config section {section!r} must be a mapping")
         values = dict(values)
@@ -153,13 +140,20 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
         try:
             for name in names:
                 current = getattr(config, name)
-                if name in ("endpoint", "embedding"):
-                    changes[name] = _endpoint(section, values)
-                elif is_dataclass(current):
+                if current is None:  # an endpoint section starts blank
+                    current = _BLANK_ENDPOINT
+                if is_dataclass(current):
                     changes[name] = replace(current, **_take(section, values, fields(current)))
                 else:
                     changes.update(_take(section, values, [top_fields[name]]))
-            _reject_unknown(section, values)
+            _reject_unknown(section, values)  # before the names: a stray key is named, not them
+            for name, value in changes.items():
+                if isinstance(value, EndpointConfig) and not (value.base_url and value.model_name):
+                    raise ConfigError(
+                        f"config section {section!r} needs both base_url and model_name")
+                # replace checks the environment's token as the file's, in this try
+                if isinstance(value, EndpointConfig) and value.auth_token is None:
+                    changes[name] = replace(value, auth_token=os.environ.get(AUTH_TOKEN_ENV) or None)
             config = replace(config, **changes)
         except ValueError as exc:
             raise ConfigError(f"invalid {section} config: {exc}") from exc

@@ -25,6 +25,7 @@ TOP_P_CYCLE = (0.7, 0.8, 0.9, 0.95)
 TOP_K_CYCLE = (20, 40, 50)
 
 DEFAULT_SCHEDULE_COUNT = 20
+MAX_SCHEDULE_COUNT = 1000  # make_schedule builds all configs up front, per question in flight
 OPTION_LABELS = "ABCDEFGHIJ"  # the letters extract_option recognizes, in option order
 MAX_OPTIONS = len(OPTION_LABELS)
 

@@ -37,6 +37,7 @@ from docqa_engine.cli import (
 )
 from docqa_engine.config import AUTH_TOKEN_ENV, PipelineConfig, load_config
 from docqa_engine.corpus import ingest, load_corpus, normalize_text, save_corpus
+from docqa_engine.ensemble import MAX_SCHEDULE_COUNT
 from docqa_engine.errors import ConfigError, ParseError
 from docqa_engine.gateway import (MAX_IN_FLIGHT_CAP, MAX_RETRIES_CAP, EndpointConfig,
                                   hash_embedder)
@@ -270,6 +271,22 @@ class TestBuildIndex:
         ])
         assert code == EXIT_CONFIG
         assert "no embedding endpoint" in capsys.readouterr().err
+
+    def test_empty_embedding_section_exits_2_and_writes_no_index(self, tmp_path, artifacts,
+                                                                  monkeypatch, capsys):
+        # a present section is an endpoint or an error, never a lexical-only run
+        run = tmp_path / "run"
+        run.mkdir()
+        monkeypatch.chdir(run)
+        (run / "config.yaml").write_text("embedding: {}\n", encoding="utf-8")
+        code = main(["--config", "config.yaml", "build-index",
+                     "--corpus", str(artifacts["corpus"]), "--lexical", "lex.idx"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG, captured.err
+        assert captured.err == ("config error: config section 'embedding' needs both "
+                                "base_url and model_name\n")
+        assert captured.out == ""
+        assert [p.name for p in run.iterdir()] == ["config.yaml"]
 
     def test_config_embedding_endpoint_builds_the_semantic_index(self, tmp_path, artifacts,
                                                                   monkeypatch, capsys):
@@ -1175,6 +1192,14 @@ class TestEvaluate:
         assert main(["evaluate", "--verdicts", str(path)]) == EXIT_VALIDATION
         assert f"line 2: bad verdict record: {message}" in capsys.readouterr().err
 
+    def test_verdict_without_options_needs_a_string_category(self, tmp_path, capsys):
+        path = tmp_path / "verdicts.jsonl"
+        _write_jsonl(path, [_verdict(0, 0, "Num"), _verdict(0, 0, 5)])
+        assert main(["evaluate", "--verdicts", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "line 2: bad verdict record: category must be a string" in captured.err
+        assert captured.out == ""
+
     def test_verdicts_without_options_load_as_before(self, tmp_path, capsys):
         # older files carry no options, so their indexes have no range to keep to
         path = tmp_path / "verdicts.jsonl"
@@ -1298,6 +1323,21 @@ class TestParserAndConfig:
         assert capsys.readouterr().err == (
             f"config error: config file {config} is not valid YAML: expected the node content, "
             "but found '<stream end>' at line 2, column 1\n")
+
+    @pytest.mark.parametrize("count, code, err", [
+        (MAX_SCHEDULE_COUNT, EXIT_OK, ""),
+        (MAX_SCHEDULE_COUNT + 1, EXIT_CONFIG, "config error: invalid ensemble config: "
+         f"schedule_count must lie in [2, {MAX_SCHEDULE_COUNT}]\n"),
+    ], ids=["at_cap", "past_cap"])
+    def test_schedule_count_past_its_cap_exits_2_with_one_line(self, tmp_path, count, code, err,
+                                                               capsys):
+        # evaluate loads the config but builds no schedule, so neither count builds one
+        config = tmp_path / "config.yaml"
+        config.write_text(f"ensemble:\n  schedule_count: {count}\n", encoding="utf-8")
+        verdicts = tmp_path / "verdicts.jsonl"
+        _write_jsonl(verdicts, [_verdict(0, 0)])
+        assert main(["--config", str(config), "evaluate", "--verdicts", str(verdicts)]) == code
+        assert capsys.readouterr().err == err
 
     def test_unknown_key_holding_a_line_break_is_one_line(self, tmp_path, capsys):
         config = tmp_path / "config.yaml"
@@ -1673,8 +1713,8 @@ def test_hostile_config_file_exits_0_or_2_with_one_line(tmp_path, capsys, monkey
     monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
     sections = {section: list(pairs) for section, pairs in _CONFIG_SECTIONS.items()}
     mutation = data.draw(st.sampled_from(
-        ["cut", "flip", "not_utf8", "mistyped", "duplicate_key", "duplicate_section", "retries"]),
-        label="mutation")
+        ["cut", "flip", "not_utf8", "mistyped", "duplicate_key", "duplicate_section", "retries",
+         "schedule", "empty_section"]), label="mutation")
     section = data.draw(st.sampled_from(sorted(sections)), label="section")
     at = data.draw(st.integers(0, len(sections[section]) - 1), label="key")
     valid = True
@@ -1690,9 +1730,20 @@ def test_hostile_config_file_exits_0_or_2_with_one_line(tmp_path, capsys, monkey
         sections["endpoint"] = [(key, str(retries) if key == "max_retries" else value)
                                 for key, value in sections["endpoint"]]
         valid = retries <= MAX_RETRIES_CAP
+    elif mutation == "schedule":  # a schedule_count inside [2, its cap], or outside it
+        count = data.draw(st.integers(0, 2 * MAX_SCHEDULE_COUNT), label="schedule_count")
+        sections["ensemble"] = [(key, str(count) if key == "schedule_count" else value)
+                                for key, value in sections["ensemble"]]
+        valid = 2 <= count <= MAX_SCHEDULE_COUNT
+    elif mutation == "empty_section":  # only an endpoint section needs keys, its two names
+        del sections[section]
+        valid = section not in ("endpoint", "embedding")
     text = _config_text(sections)
     if mutation == "duplicate_section":
         text += _config_text({section: sections[section]})
+    elif mutation == "empty_section":  # `{}` or null, spelled out or left bare
+        empty = data.draw(st.sampled_from(["{}", "null", "~", ""]), label="empty")
+        text += f"{section}: {empty}\n"
     blob = bytearray(text.encode("utf-8"))
     if mutation == "cut":
         del blob[data.draw(st.integers(0, len(blob) - 1), label="length"):]

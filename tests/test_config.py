@@ -38,8 +38,11 @@ class TestDefaults:
         assert config.endpoint is None
         assert config.embedding is None
 
-    def test_empty_file_equals_defaults(self, tmp_path):
-        assert load_config(_write(tmp_path, "")) == load_config(None)
+    # a section whose value is null reads as an empty one
+    @pytest.mark.parametrize("text", ["", "retrieval:\n", "gates: {}\n"],
+                             ids=["empty_file", "null_retrieval", "empty_gates"])
+    def test_empty_file_equals_defaults(self, tmp_path, text):
+        assert load_config(_write(tmp_path, text)) == load_config(None)
 
     def test_a_run_without_a_config_file_never_imports_yaml(self):
         # PyYAML is read only for a config file; a fresh interpreter shows it
@@ -158,9 +161,16 @@ class TestRejection:
         with pytest.raises(ConfigError, match="confidence_threshold"):
             load_config(_write(tmp_path, "ensemble:\n  confidence_threshold: 1.4\n"))
 
-    def test_endpoint_needs_url_and_model(self, tmp_path):
-        with pytest.raises(ConfigError, match="base_url and model_name"):
-            load_config(_write(tmp_path, "endpoint:\n  base_url: http://llm/v1\n"))
+    # a present endpoint section, even an empty or null one, is an endpoint or an error
+    @pytest.mark.parametrize("text", [
+        "endpoint:\n  base_url: http://llm/v1\n", "endpoint: {}\n", "embedding: {}\n",
+        "endpoint:\n", "embedding:\n",
+    ], ids=["url_only", "empty_endpoint", "empty_embedding", "null_endpoint", "null_embedding"])
+    def test_endpoint_needs_url_and_model(self, tmp_path, text):
+        section = text.split(":")[0]
+        with pytest.raises(ConfigError, match=f"config section '{section}' needs both "
+                                              "base_url and model_name"):
+            load_config(_write(tmp_path, text))
 
     def test_bad_endpoint_values(self, tmp_path):
         with pytest.raises(ConfigError, match="invalid endpoint config"):
