@@ -23,7 +23,7 @@ from importlib import resources
 from string import Template
 from typing import Iterable
 
-from .corpus import Corpus, Page, PageRef, normalize_text
+from .corpus import Corpus, Page, PageRef, fold_reply, normalize_text
 from .ensemble import OPTION_LABELS, options_block
 from .errors import ConfigError, ContractError, ParseError, TransportError
 from .gateway import chat_request
@@ -231,27 +231,28 @@ def build_prompt(kind: str, context: dict) -> str:
 # One pattern per reply format. A match of a named group starts a section under
 # that name (`letter`: an option); a match of none only ends the section before it.
 _QA_LABEL_RE = re.compile(
-    r"^(?:[ \t>*#-]*(?i:(?:(?P<question>question)|(?P<evidence>evidence))[^\S\n]*[:：]"
-    r"|options[^\S\n]*[:：]?[^\S\n]*$"
-    r"|(?P<answer>answer)[^\S\n]*[:：][^\S\n]*[\(（]?(?=[a-j]\b))"  # a letterless Answer: is text
-    r"|[ \t>*-]*[\(（]?(?P<letter>[A-J])[\)）\.．。:：]"
+    r"^(?:[ \t>*#-]*(?i:(?:(?P<question>question)|(?P<evidence>evidence))[^\S\n]*:"
+    r"|options[^\S\n]*:?[^\S\n]*$"
+    r"|(?P<answer>answer)[^\S\n]*:[^\S\n]*\(?(?=[a-j]\b))"  # a letterless Answer: is text
+    r"|[ \t>*-]*\(?(?P<letter>[A-J])[).。:]"
     r"|[^\S\n]*$)",
     re.MULTILINE,
 )
 _FEAS_LABEL_RE = re.compile(
     r"^[ \t>*#-]*(?:(?P<reasoning>reasoning)|(?P<answerable>answerable)"
-    r"|(?P<answer>answer(?!able))|(?P<evidence>evidence))\s*[:：]",
+    r"|(?P<answer>answer(?!able))|(?P<evidence>evidence))\s*:",
     re.IGNORECASE | re.MULTILINE,
 )
 _FEAS_SECTIONS = ("reasoning", "answerable", "answer", "evidence")
 
 
 def _label_sections(reply: str, labels: re.Pattern) -> tuple[dict[str, str], list[tuple[str, str]]]:
-    """Cut `reply` at each match of `labels`; a section runs to the next match.
+    """Cut the folded `reply` at each match of `labels`; a section runs to the next match.
 
     Returns the first section under each named label, by name, and the
     (letter, section) of every lettered option in order.
     """
+    reply = fold_reply(reply)
     sections: dict[str, str] = {}
     options: list[tuple[str, str]] = []
     matches = list(labels.finditer(reply))
@@ -270,8 +271,7 @@ def parse_qa_candidate(model_output: str, qtype: str, source_page: PageRef) -> Q
     consecutively from A; tolerates list markers and wrapped continuation
     lines. A blank line ends a section.
     """
-    # one line break per line, as str.splitlines finds them
-    sections, options = _label_sections("\n".join(model_output.splitlines()), _QA_LABEL_RE)
+    sections, options = _label_sections(model_output, _QA_LABEL_RE)
     if not sections.get("question", "").strip():
         raise ParseError("generation output missing question")
     if len(options) < 2:
@@ -302,8 +302,7 @@ _NO_TOKENS = {"no", "n", "false", "いいえ", "不可", "不可能"}
 
 
 def _parse_yes_no(text: str) -> bool:
-    m = re.match(r"[^\s。、，,\.:：;；!！?？]*", text.strip())
-    token = m.group(0).casefold() if m else ""
+    token = re.match(r"[^\s。、,.:;!?]*", text.strip())[0].casefold()
     if token in _YES_TOKENS:
         return True
     if token in _NO_TOKENS:
@@ -479,17 +478,17 @@ def augment(
     if not pages:
         return AugmentResult(accepted=[], audit=[])
 
-    # One (generation, feasibility) seed pair per attempt, drawn up front: a
-    # request then depends on the master seed, its attempt and its own reply
-    # only, not on how earlier attempts fared or on the feasibility switch.
+    # One (generation, feasibility) seed pair per attempt, drawn as its generation is
+    # sent, in attempt order: a request then depends on the master seed, its attempt
+    # and its own reply only, not on how earlier attempts fared or on the feasibility switch.
     rng = random.Random(seed)
-    seeds = [(rng.randrange(2**31), rng.randrange(2**31)) for _ in range(quota)]
     accepted: list[QACandidate] = []
     audit: list[dict] = []
-    # attempts whose generation request is sent: (qtype, page, page text, reply)
-    sent: deque[tuple[str, PageRef, str, Future]] = deque()
+    # attempts whose generation is sent: (qtype, page, page text, feasibility seed, reply)
+    sent: deque[tuple[str, PageRef, str, int, Future]] = deque()
 
     def send_generation(attempt: int) -> None:
+        generation_seed, feasibility_seed = rng.randrange(2**31), rng.randrange(2**31)
         qtype = QTYPES[attempt % len(QTYPES)]
         doc_id, page_index = pages[attempt % len(pages)]
         page_text = corpus.get(doc_id, page_index).normalized_text
@@ -498,8 +497,9 @@ def augment(
             {"page_text": page_text, "doc_id": doc_id, "page_index": page_index},
         )
         request = chat_request(prompt, temperature=0.7, top_p=0.95, top_k=50,
-                               seed=seeds[attempt][0], max_tokens=512)
-        sent.append((qtype, (doc_id, page_index), page_text, lane.submit(client.generate, request)))
+                               seed=generation_seed, max_tokens=512)
+        sent.append((qtype, (doc_id, page_index), page_text, feasibility_seed,
+                     lane.submit(client.generate, request)))
 
     def check_feasibility(candidate: QACandidate, page_text: str,
                           request_seed: int) -> tuple[str, str] | None:
@@ -532,7 +532,7 @@ def augment(
         for attempt in range(quota):
             while len(sent) <= GENERATIONS_AHEAD and attempt + len(sent) < quota:
                 send_generation(attempt + len(sent))
-            qtype, (doc_id, page_index), page_text, reply = sent.popleft()
+            qtype, (doc_id, page_index), page_text, feasibility_seed, reply = sent.popleft()
             candidate = None
             try:
                 candidate = parse_qa_candidate(reply.result(), qtype, (doc_id, page_index))
@@ -545,7 +545,7 @@ def augment(
                 if failed:
                     rejection = f"gate:{failed[0]}", "failed gates: " + ",".join(failed)
                 elif feasibility_check:
-                    rejection = check_feasibility(candidate, page_text, seeds[attempt][1])
+                    rejection = check_feasibility(candidate, page_text, feasibility_seed)
                 else:
                     rejection = None
             if rejection is None:

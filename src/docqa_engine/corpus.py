@@ -81,6 +81,12 @@ def normalize_text(raw: str) -> str:
     return " ".join(text.split())
 
 
+def fold_reply(text: str) -> str:
+    """A model reply as every reply reader takes it: NFKC-folded, so "：" reads
+    as ":" and "Ｂ" as "B", with one "\\n" for each line break str.splitlines finds."""
+    return "\n".join(unicodedata.normalize("NFKC", text).splitlines())
+
+
 @dataclass(frozen=True)
 class Page:
     doc_id: str

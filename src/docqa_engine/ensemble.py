@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-from .corpus import normalize_text
+from .corpus import fold_reply, normalize_text
 from .errors import ContractError, TransportError
 from .gateway import chat_request
 
@@ -97,17 +97,18 @@ def make_schedule(count: int = DEFAULT_SCHEDULE_COUNT, seed: int = 0) -> list[De
 # Marker words must be followed by a real separator so "answered" or
 # "answers" never match, and the captured letter must not continue into a
 # longer word. A lowercase letter counts only where its clause ends, at a
-# line end or before punctuation, so "answer a question" is prose.
+# line end or before punctuation, so "answer a question" is prose. The
+# patterns read a reply as fold_reply leaves it: ASCII forms, "\n" breaks.
 _MARKER_RE = re.compile(
     r"(?:final\s+answer|answer|答え|回答|正解)"
-    r"(?:\s+(?:is|was)\s+|\s*[:：]\s*|は\s*|\s+)"
-    r"[\(（\[]?((?-i:[A-J])(?![0-9A-Za-z])"
-    r"|(?-i:[a-j])(?=[ \t\r]*(?:\n|$)|[.,;:!?)\]）】」。、，．：；！？]))",
-    re.IGNORECASE,
+    r"(?:\s+(?:is|was)\s+|\s*:\s*|は\s*|\s+)"
+    r"[(\[]?((?-i:[A-J])(?![0-9A-Za-z])"
+    r"|(?-i:[a-j])(?=[ \t]*$|[.,;:!?)\]】」。、]))",
+    re.IGNORECASE | re.MULTILINE,
 )
 
-_STANDALONE_LINE_RE = re.compile(r"^[\(（]?([A-Ja-j])[\)）\.。:：]?$")
-_LEADING_LETTER_RE = re.compile(r"^\s*[\(（]?([A-Ja-j])[\)）\.。:：]")
+_STANDALONE_LINE_RE = re.compile(r"^[^\S\n]*\(?([A-Ja-j])[).。:]?[^\S\n]*$", re.MULTILINE)
+_LEADING_LETTER_RE = re.compile(r"^\s*\(?([A-Ja-j])[).。:]")
 
 
 def extract_option(
@@ -117,31 +118,21 @@ def extract_option(
 ) -> str | None:
     """Extract the chosen option letter from a model response.
 
-    Patterns are tried in priority order: explicit answer markers
-    ("Answer: X", "答え: X", "the answer is X"), then a standalone label
-    letter on its own line or at the start, then an exact option-text
-    match when option strings are supplied. Returns None when nothing
-    matches.
+    Patterns are tried on the reply as ``fold_reply`` folds it, in priority
+    order: explicit answer markers ("Answer: X", "答え: X", "the answer is
+    X"), then a standalone label letter on its own line or at the start,
+    then an exact option-text match when option strings are supplied.
+    Returns None when nothing matches.
     """
+    raw = fold_reply(raw)
     allowed = {label.upper() for label in labels}
-
-    marker_hits = [
-        m.group(1).upper() for m in _MARKER_RE.finditer(raw)
-        if m.group(1).upper() in allowed
-    ]
-    if marker_hits:
-        return marker_hits[-1]  # the final stated answer wins
-
-    line_hits = []
-    for line in raw.splitlines():
-        m = _STANDALONE_LINE_RE.match(line.strip())
-        if m and m.group(1).upper() in allowed:
-            line_hits.append(m.group(1).upper())
-    if line_hits:
-        return line_hits[-1]
+    for pattern in (_MARKER_RE, _STANDALONE_LINE_RE):
+        hits = [m[1].upper() for m in pattern.finditer(raw) if m[1].upper() in allowed]
+        if hits:
+            return hits[-1]  # the final stated answer wins
     m = _LEADING_LETTER_RE.match(raw)
-    if m and m.group(1).upper() in allowed:
-        return m.group(1).upper()
+    if m and m[1].upper() in allowed:
+        return m[1].upper()
 
     if option_texts:
         matches = _mentioned(raw, option_texts)
@@ -159,6 +150,7 @@ def _mentioned(raw: str, option_texts: list[str]) -> list[int]:
 
 
 def _structure_score(raw: str, option_texts: list[str] | None) -> int:
+    raw = fold_reply(raw)
     score = 0
     if _MARKER_RE.search(raw):
         score += 2

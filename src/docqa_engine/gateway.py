@@ -184,6 +184,10 @@ class GatewayClient:
             raise ContractError("malformed chat-completions response") from exc
         if not isinstance(content, str):
             raise ContractError("chat-completions content is not a string")
+        try:  # a \u escape can make a lone surrogate, which UTF-8 cannot encode
+            content.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ContractError("chat-completions content holds a lone surrogate") from exc
         return content
 
     def embed(self, texts: list[str]) -> list[list[float]]:

@@ -17,6 +17,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 from importlib import resources
@@ -47,7 +48,8 @@ from docqa_engine.augment import (
 )
 from docqa_engine.cli import QuestionRecord, read_questions_jsonl
 from docqa_engine.corpus import Corpus, Page, write_records
-from docqa_engine.ensemble import build_answer_prompt, options_block
+from docqa_engine.ensemble import (_structure_score, build_answer_prompt, extract_option,
+                                   options_block)
 from docqa_engine.errors import (ConfigError, ContractError, EndpointError, ParseError,
                                  TransportError)
 from mock_server import MockModelServer, MockReply
@@ -419,6 +421,11 @@ class TestParseQACandidate:
         assert candidate.options[1].endswith("営業利益の値です")
         assert candidate.evidence.endswith("に達した")
 
+    def test_full_width_option_letters_parse(self):
+        raw = "Question: q, r?\nOptions:\nＡ．x\nＢ．y\nＡｎｓｗｅｒ：Ｂ\nEvidence: e"
+        candidate = parse_qa_candidate(raw, "comparative", ("d", 1))
+        assert (candidate.options, candidate.answer_index) == (("x", "y"), 1)
+
     def test_list_markers_tolerated(self):
         raw = (
             "> Question: どちらが大きいですか、売上と利益とでは。\n"
@@ -494,6 +501,13 @@ class TestParseFeasibility:
         )
         verdict = parse_feasibility(raw)
         assert "さらに続く説明" in verdict.reasoning
+
+    @pytest.mark.parametrize("newline", ["\r", "\u2028"], ids=["cr", "line_separator"])
+    def test_any_line_break_separates_sections(self, newline):
+        raw = newline.join(["Reasoning: 根拠の説明です。", "続きの説明。", "Answerable: yes",
+                            "Answer: 甲", "Evidence: 引用"])
+        assert parse_feasibility(raw) == FeasibilityVerdict(
+            reasoning="根拠の説明です。\n続きの説明。", answerable=True, answer="甲", evidence="引用")
 
     @pytest.mark.parametrize("missing", ["reasoning", "answerable", "answer", "evidence"])
     def test_missing_sections_rejected(self, missing):
@@ -576,6 +590,33 @@ def test_any_labeled_text_parses_or_raises_parse_error(lines, newline):
             parse(raw)
         except ParseError:
             pass
+
+
+# ASCII widened to its full-width forms, and the characters str.splitlines breaks at
+_WIDEN = str.maketrans({**{chr(c): chr(c + 0xFEE0) for c in range(0x21, 0x7F)}, " ": "\u3000"})
+_LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _reply_readings(reply: str) -> list:
+    """What every reply reader makes of `reply`: each parse (or its error), the
+    extracted option and the structure score."""
+    readings = []
+    for parse in (lambda text: parse_qa_candidate(text, "causal", ("d", 1)), parse_feasibility):
+        try:
+            readings.append(parse(reply))
+        except ParseError as exc:
+            readings.append(str(exc))
+    options = ["4200 百万円", "yes", "x"]
+    return readings + [extract_option(reply, list("ABCD"), options), _structure_score(reply, options)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(lines=st.lists(_REPLY_LINES.filter(_LINE_BREAKS.isdisjoint), max_size=14),
+       newline=st.sampled_from(["\r\n", "\r", "\x85", "\u2028"]))
+def test_a_widened_reply_with_other_line_breaks_reads_as_its_ascii_form(lines, newline):
+    reply = "\n".join(lines)
+    variant = newline.join(line.translate(_WIDEN) for line in lines)
+    assert _reply_readings(variant) == _reply_readings(reply)
 
 
 # ---------------------------------------------------------------------------
@@ -948,6 +989,19 @@ class TestAugment:
             gen for gen, _ in pairs]
         assert [r["seed"] for r, f in zip(client.requests, feas) if f] == [
             pairs[attempt][1] for attempt in (0, 2, 3, 4)]
+
+    def test_memory_does_not_grow_with_the_quota(self, corpus):
+        # seeds are drawn as generations are sent, so a call that ends at its first
+        # reply holds nothing per attempt of its quota
+        client = RoutedClient([RuntimeError("endpoint gone")])
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="endpoint gone"):
+                augment(corpus, client, quota=100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_empty_corpus_of_covers_short_circuits(self, caplog):
         corpus = Corpus.from_pages([Page.from_raw("d", 0, "表紙")])

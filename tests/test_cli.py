@@ -598,6 +598,23 @@ class TestAugmentCommand:
         assert len(lines) == 2
         assert audit.exists() and audit.read_text(encoding="utf-8") == ""
 
+    def test_a_lone_surrogate_reply_is_audited_as_transport(self, tmp_path, artifacts, capsys):
+        # generations are requested in attempt order, so request 1 is attempt 1's
+        clean = _augment_chat_script()
+        surrogate = MockReply(raw=b'{"choices": [{"message": {"content": "Question: \\udc80"}}]}')
+        output, audit = tmp_path / "qa.jsonl", tmp_path / "audit.jsonl"
+        with MockModelServer(chat=lambda payload, index:
+                             surrogate if index == 1 else clean(payload, index)) as server:
+            code = main(["--config", _endpoints(tmp_path, chat=server.base_url), "augment",
+                         "--no-feasibility", "--corpus", str(artifacts["corpus"]), "--quota", "3",
+                         "--output", str(output), "--audit", str(audit)])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["rejections_by_stage"] == {"transport": 1}
+        (record,) = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
+        assert (record["attempt"], record["stage"]) == (1, "transport")
+        assert "lone surrogate" in record["reason"]
+        assert len(output.read_text(encoding="utf-8").splitlines()) == 2
+
     def test_no_endpoint_exits_2_before_any_file_is_read(self, tmp_path, capsys):
         # the corpus does not exist, so reading it first would exit 3
         code = main(["augment", "--corpus", str(tmp_path / "missing.jsonl"),

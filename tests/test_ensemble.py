@@ -210,6 +210,17 @@ class TestExtractOption:
     def test_lowercase_letter_votes_only_where_its_clause_ends(self, raw, expected):
         assert extract_option(raw, LABELS) == expected
 
+    @pytest.mark.parametrize("raw,expected", [
+        # a reply reads as fold_reply folds it: full-width forms as ASCII, any break as "\n"
+        ("答え：Ｂ", "B"),
+        ("（Ｂ）", "B"),
+        ("Ａｎｓｗｅｒ: C", "C"),
+        ("answer: b\rthat is all", "B"),
+        ("Let me think.\u2028Ｄ．", "D"),
+    ])
+    def test_full_width_forms_and_any_line_break_are_read(self, raw, expected):
+        assert extract_option(raw, LABELS) == expected
+
     def test_unique_option_text_match(self):
         options = ["increase of 12.5%", "flat year over year", "decline of 3%"]
         raw = "The filing shows a decline of 3% in segment revenue."

@@ -353,6 +353,14 @@ class TestResponseContracts:
             with pytest.raises(ContractError, match="not a string"):
                 client.generate({"messages": [{"role": "user", "content": "q"}]})
 
+    def test_lone_surrogate_content_is_a_contract_error(self):
+        # JSON can escape a lone surrogate, which no UTF-8 file or prompt can hold
+        reply = MockReply(raw=b'{"choices": [{"message": {"content": "Answer: \\ud800A"}}]}')
+        with MockModelServer(chat=[reply]) as server:
+            with pytest.raises(ContractError, match="lone surrogate"):
+                server.make_client().generate(QUESTION)
+            assert len(server.request_log) == 1
+
 
 class TestEmbeddings:
     def test_embed_round_trip_matches_hash_embedder(self):
