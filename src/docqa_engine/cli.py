@@ -4,7 +4,7 @@ evaluate.
 Exit codes are stable so scripts can branch on failure class:
 0 success, 2 configuration, 3 file I/O or artifact format, 4 endpoint
 transport (from infer also when, after writing every verdict, some question
-got no successful response), 5 data validation.
+got no successful response), 5 data validation; each failure prints one stderr line.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def answer_questions(
     runs its ensemble, one chat request at a time; the client's own
     connection pool still bounds the requests in flight. Returns one
     serializable verdict record per question, in input order, identical to
-    answering them one by one.
+    answering them one by one. Blank pages are left out of every context.
     A question left with no context sends no request: its verdict abstains
     with ``no_context`` set. A question whose query embedding fails after the
     gateway's retries sends no request either: its verdict is ``failed``.
@@ -170,7 +170,8 @@ def answer_questions(
             raise ParseError(
                 f"question {qi}: doc_id {q.doc_id!r} names no document in the corpus")
     if not use_retrieval:  # the naive baseline: the same context for every question
-        joined = "\n\n".join(p.normalized_text for p in corpus.pages)[:max_context_chars]
+        joined = "\n\n".join(p.normalized_text for p in corpus.pages
+                             if p.normalized_text)[:max_context_chars]
         baseline_contexts = [joined] if joined else []
 
     def answer(qi: int, q: QuestionRecord) -> dict:
@@ -190,7 +191,7 @@ def answer_questions(
             except (TransportError, ContractError):  # the query embedding failed: ask nothing
                 results, embedded = [], False
             retrieved = [r.page_ref for r in results]
-            contexts = [corpus.get(*ref).normalized_text for ref in retrieved]
+            contexts = [text for ref in retrieved if (text := corpus.get(*ref).normalized_text)]
         else:
             contexts = baseline_contexts
 
@@ -373,9 +374,7 @@ def cmd_infer(args, config: PipelineConfig) -> int:
     print(f"answered {answered}/{len(verdicts)} questions -> {args.output}")
     failed = sum(1 for v in verdicts if v["failed"])
     if failed:
-        print(f"endpoint error: {failed} of {len(verdicts)} questions got no successful "
-              "response", file=sys.stderr)
-        return EXIT_TRANSPORT
+        raise TransportError(f"{failed} of {len(verdicts)} questions got no successful response")
     return EXIT_OK
 
 
@@ -465,17 +464,16 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config)
         return args.func(args, config)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, label, error = EXIT_CONFIG, "config error", exc
     except (FormatError, OSError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, label, error = EXIT_IO, "i/o error", exc
     except TransportError as exc:
-        print(f"endpoint error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
+        code, label, error = EXIT_TRANSPORT, "endpoint error", exc
     except (ParseError, IntegrityError, ContractError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        code, label, error = EXIT_VALIDATION, "validation error", exc
+    # one line, however many line breaks a message or a value quoted in it holds
+    print(f"{label}: " + "\\n".join(str(error).splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -236,8 +236,7 @@ def read_records(numbered: Iterable[tuple[int, dict]], kind: str, checked) -> li
             out.append(checked(record))
         except (KeyError, TypeError, ValueError) as exc:
             why = f"missing field {exc.args[0]!r}" if type(exc) is KeyError else exc
-            # a field name in a TypeError can hold a newline; the message keeps to one line
-            raise ParseError(f"bad {kind} record: {why}".replace("\n", "\\n"), line_no) from exc
+            raise ParseError(f"bad {kind} record: {why}", line_no) from exc
     return out
 
 

@@ -14,10 +14,6 @@ class EngineError(Exception):
 class ConfigError(EngineError):
     """Bad configuration value, unresolvable path, or missing template."""
 
-    def __init__(self, message: str):
-        # one line, however many a quoted key or value holds
-        super().__init__("\\n".join(message.splitlines()))
-
 
 class ParseError(EngineError):
     """Malformed input record or unparseable model output."""

@@ -322,6 +322,58 @@ def test_a_question_without_context_sends_no_request():
     assert (report["no_context"], report["failed"]) == (1, 0)
 
 
+# a page whose text normalizes to "" ("\n" does) is no context for any question
+_BLANK_CORPUS = (Page.from_raw("d", 0, "売上高は前年比で増加した。"), Page.from_raw("blank", 0, ""),
+                 Page.from_raw("m", 0, ""), Page.from_raw("m", 1, "売上高は増加した。"),
+                 Page.from_raw("m", 2, "\n"), Page.from_raw("m", 3, "営業利益も改善した。"))
+
+
+def _answer_on_blank_pages(doc_id: str) -> tuple[dict, list[str]]:
+    """The hybrid verdict on a question restricted to `doc_id` of the blank-page
+    corpus, and the user message of each chat request it sent."""
+    corpus = Corpus.from_pages(_BLANK_CORPUS)
+    question = QuestionRecord(question="売上高は増加したか", options=_OPTIONS, doc_id=doc_id)
+    with MockModelServer(chat="Answer: A", dim=16) as server:
+        client = server.make_client()
+        (record,) = answer_questions([question], corpus, client, PipelineConfig(),
+                                     lexical_index=build_lexical_index(corpus),
+                                     semantic_index=build_semantic_index(corpus, client, dim=16),
+                                     embed_client=client)
+        contents = [r["payload"]["messages"][-1]["content"] for r in server.request_log
+                    if r["kind"] == "chat"]
+    return record, contents
+
+
+def test_a_document_of_blank_pages_gives_no_context():
+    # the semantic side selects the blank page, yet there is nothing to ask about
+    record, contents = _answer_on_blank_pages("blank")
+    assert contents == []
+    assert {key: record[key] for key in ("retrieved", "no_context", "responses_used",
+                                         "abstained", "failed")} == {
+        "retrieved": [["blank", 0]], "no_context": True, "responses_used": 0,
+        "abstained": True, "failed": False}
+
+
+def test_blank_pages_of_a_mixed_document_are_left_out_of_the_context():
+    record, contents = _answer_on_blank_pages("m")
+    assert sorted(map(tuple, record["retrieved"])) == [("m", 0), ("m", 1), ("m", 2), ("m", 3)]
+    text_of = {(p.doc_id, p.page_index): p.normalized_text for p in _BLANK_CORPUS}
+    texts = [text_of[doc, i] for doc, i in record["retrieved"] if text_of[doc, i]]
+    prefix = "".join(f"[Context {i}]\n{text}\n\n" for i, text in enumerate(texts, start=1))
+    assert record["no_context"] is False and len(texts) == 2
+    assert contents and all(content.startswith(prefix) for content in contents)
+    assert not any(re.search(r"\[Context \d+\]\n\n", content) for content in contents)
+
+
+def test_no_retrieval_baseline_over_blank_pages_sends_no_request():
+    corpus = Corpus.from_pages([Page.from_raw("d", i, text) for i, text in enumerate(["", "\n"])])
+    with MockModelServer(chat="Answer: A") as server:
+        records = answer_questions(_questions([0, 5]), corpus, server.make_client(),
+                                   PipelineConfig(), use_retrieval=False)
+        assert server.request_log == []
+    assert [(r["no_context"], r["responses_used"]) for r in records] == [(True, 0)] * 2
+
+
 def test_retrieval_takes_no_max_context_chars():
     corpus, index = _fixture()
 

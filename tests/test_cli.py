@@ -2,23 +2,29 @@
 
 These drive main(argv) directly against temp files and the in-process
 mock endpoint, so they cover argument wiring, config loading, and the
-printed output without spawning subprocesses.
+printed output; one test spawns a subprocess, to run the module entry point.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import itertools
 import json
+import os
 import re
 import shlex
 import struct
+import subprocess
+import sys
 import tempfile
 import threading
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -38,7 +44,8 @@ from docqa_engine.cli import (
 from docqa_engine.config import AUTH_TOKEN_ENV, PipelineConfig, load_config
 from docqa_engine.corpus import ingest, load_corpus, normalize_text, save_corpus
 from docqa_engine.ensemble import MAX_SCHEDULE_COUNT
-from docqa_engine.errors import ConfigError, ParseError
+from docqa_engine.errors import (ConfigError, ContractError, EndpointError, FormatError,
+                                 IntegrityError, ParseError, TransportError)
 from docqa_engine.gateway import (MAX_IN_FLIGHT_CAP, MAX_RETRIES_CAP, EndpointConfig,
                                   hash_embedder)
 from docqa_engine.semantic import QUERY_PREFIX, load_semantic_index
@@ -225,7 +232,7 @@ class TestBuildIndex:
         assert code == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and err.endswith(f"{message}\n")
-        assert err.count("\n") == 1
+        assert len(err.splitlines()) == 1
 
     def test_semantic_build_via_flags(self, tmp_path, artifacts, capsys):
         semantic = tmp_path / "semantic.idx"
@@ -349,7 +356,7 @@ class TestBuildIndex:
         err = capsys.readouterr().err
         assert code == EXIT_IO, err
         assert err.startswith("i/o error: corrupt corpus file: line 3: invalid JSON: ")
-        assert err.count("\n") == 1, err
+        assert len(err.splitlines()) == 1, err
 
     @pytest.mark.parametrize("page_index", [2, 0], ids=["gap", "duplicate"])
     def test_page_set_a_corpus_cannot_have_is_io_error(self, tmp_path, artifacts, page_index,
@@ -908,7 +915,7 @@ class TestInfer:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG, err
         assert err.startswith(f"config error: invalid endpoint config: {key} must lie in ")
-        assert err.count("\n") == 1, err
+        assert len(err.splitlines()) == 1, err
         assert not (tmp_path / "v.jsonl").exists()
 
     @pytest.mark.parametrize("key, low, cap", [("max_in_flight", 1, MAX_IN_FLIGHT_CAP),
@@ -950,7 +957,7 @@ class TestInfer:
         assert code == EXIT_CONFIG, err
         assert "auth_token must hold only printable Latin-1 characters" in err
         assert "sec" not in err and "ret" not in err, err
-        assert err.count("\n") == 1, err
+        assert len(err.splitlines()) == 1, err
 
     def test_max_context_chars_with_retrieval_exits_2_before_any_file_is_read(
             self, tmp_path, artifacts, capsys):
@@ -1279,7 +1286,7 @@ class TestParserAndConfig:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG, err
         assert err.splitlines()[-1].endswith(line), err
-        assert argv[0] != "--config" or err.count("\n") == 1, err
+        assert argv[0] != "--config" or len(err.splitlines()) == 1, err
 
     def test_config_policy_drives_retrieve(self, tmp_path, artifacts, capsys):
         config = _endpoints(tmp_path, text="retrieval:\n  top_m: 2\n  top_n: 2\n")
@@ -1321,7 +1328,7 @@ class TestParserAndConfig:
         code = main(["--config", str(config), "evaluate", "--verdicts", str(tmp_path / "v")])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1, err
         assert "is not valid YAML" in err
 
     def test_config_that_is_not_utf8_exits_2_with_one_line(self, tmp_path, capsys):
@@ -1382,7 +1389,7 @@ class TestParserAndConfig:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: invalid {section} config: "), err
-        assert err.count("\n") == 1, err
+        assert len(err.splitlines()) == 1, err
 
 
 class TestEndpointSections:
@@ -1431,6 +1438,68 @@ def test_artifact_paths_default_to_files_in_the_working_directory(tmp_path, raw_
     out = capsys.readouterr().out
     assert "documents -> corpus.jsonl\n" in out and "features -> lexical.idx\n" in out
     assert "\n1\tfin\t" in out
+
+
+# ---------------------------------------------------------------------------
+# One failure handler: main maps each class it catches to an exit code and a label,
+# and prints the message on one stderr line with each line break written as \n
+
+_CAUGHT = [  # how to raise the class with a message, exit code, label, text after the message
+    (ConfigError, EXIT_CONFIG, "config error", ""),
+    (FormatError, EXIT_IO, "i/o error", ""),
+    (OSError, EXIT_IO, "i/o error", ""),
+    (TransportError, EXIT_TRANSPORT, "endpoint error", ""),
+    (functools.partial(EndpointError, status=400), EXIT_TRANSPORT, "endpoint error",
+     " (status 400)"),
+    (ParseError, EXIT_VALIDATION, "validation error", ""),
+    (IntegrityError, EXIT_VALIDATION, "validation error", ""),
+    (ContractError, EXIT_VALIDATION, "validation error", ""),
+    (ValueError, EXIT_VALIDATION, "validation error", ""),
+]
+# every line boundary str.splitlines splits at
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                "\u2029"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(caught=st.sampled_from(_CAUGHT), data=st.data(),
+       lines=st.lists(st.text(st.characters(exclude_characters="".join(_LINE_BREAKS)),
+                              min_size=1, max_size=6), min_size=2, max_size=5))
+def test_every_caught_failure_is_its_code_and_one_labelled_stderr_line(caught, lines, data):
+    make, code, label, suffix = caught
+    message = lines[0] + "".join(data.draw(st.sampled_from(_LINE_BREAKS), label="break") + line
+                                 for line in lines[1:])
+
+    def command(args, config):
+        raise make(message)
+
+    err = io.StringIO()
+    with mock.patch.object(cli, "cmd_evaluate", command), contextlib.redirect_stderr(err):
+        assert main(["evaluate", "--verdicts", "v.jsonl"]) == code
+    assert err.getvalue() == f"{label}: " + "\\n".join(lines) + f"{suffix}\n"
+
+
+def test_endpoint_error_with_a_multi_line_body_is_one_line(tmp_path, artifacts, capsys):
+    body = b"<html>\n<body>Bad Request</body>\n</html>\n"
+    with MockModelServer(embed=lambda texts: MockReply(status=400, raw=body)) as server:
+        code = main(["--config", _endpoints(tmp_path, embed=server.base_url), "build-index",
+                     "--corpus", str(artifacts["corpus"]), "--lexical", str(tmp_path / "l.idx"),
+                     "--semantic", str(tmp_path / "s.idx")])
+    assert code == EXIT_TRANSPORT
+    assert capsys.readouterr().err == (
+        "endpoint error: <html>\\n<body>Bad Request</body>\\n</html>\\n (status 400)\n")
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    # the one test that spawns a process: `python -m docqa_engine.cli` runs sys.exit(main())
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "docqa_engine.cli", "evaluate", "--verdicts",
+                          str(tmp_path / "missing.jsonl")],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == EXIT_IO, run.stderr
+    assert run.stderr.startswith("i/o error: ") and len(run.stderr.splitlines()) == 1, run.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -1521,7 +1590,8 @@ def test_hostile_corpus_file_exits_3_with_one_line(tmp_path, capsys, data):
     code = main(["build-index", "--corpus", str(path), "--lexical", str(tmp_path / "l.idx")])
     err = capsys.readouterr().err
     assert code == EXIT_IO, err
-    assert err.startswith("i/o error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert err.startswith("i/o error: ") and err.endswith("\n"), err
+    assert len(err.splitlines()) == 1, err
 
 
 # ---------------------------------------------------------------------------
@@ -1622,7 +1692,7 @@ def _check_exit(code: int, valid: bool | None, out: str, err: str) -> None:
         assert err == ""
     else:
         assert code == EXIT_VALIDATION, err
-        assert err.startswith("validation error: ") and err.count("\n") == 1, err
+        assert err.startswith("validation error: ") and len(err.splitlines()) == 1, err
         assert out == ""
 
 
