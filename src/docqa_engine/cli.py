@@ -2,9 +2,11 @@
 evaluate.
 
 Exit codes are stable so scripts can branch on failure class:
-0 success, 2 configuration, 3 file I/O or artifact format, 4 endpoint
-transport (from infer also when, after writing every verdict, some question
-got no successful response), 5 data validation; each failure prints one stderr line.
+0 success, 2 configuration (also two outputs of one command that are one file),
+3 file I/O or artifact format, 4 endpoint transport (from infer also when,
+after writing every verdict, some question got no successful response),
+5 data validation; each failure prints one stderr line. A command checks every
+output it writes before it reads any input or sends any request.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from pathlib import Path
 
 from .augment import augment
 from .config import PipelineConfig, load_config
-from .corpus import (Corpus, ingest_path, iter_records, load_corpus, read_records, save_corpus,
-                     write_records)
+from .corpus import (Corpus, ingest_path, iter_records, load_corpus, output_target, read_records,
+                     save_corpus, write_records)
 from .ensemble import (MAX_OPTIONS, OPTION_LABELS, EnsembleVerdict, build_answer_prompt,
                        make_schedule, run_ensemble)
 from .errors import (
@@ -280,18 +282,32 @@ def _load_indexes(config: PipelineConfig, args):
     return lexical_index, semantic_index, embed_client
 
 
-def cmd_ingest(args, config: PipelineConfig) -> int:
-    corpus = ingest_path(args.input)
+def _check_outputs(**paths: str | None) -> None:
+    """Each given path per `output_target`, where two that are one file are a
+    ConfigError; a device such as /dev/null may take several outputs."""
+    seen: dict[Path, str] = {}
+    for flag, path in paths.items():
+        if path is None:
+            continue
+        target = output_target(path)
+        if target in seen and (target.is_file() or not target.exists()):
+            raise ConfigError(f"--{seen[target]} and --{flag} name one file: {path}")
+        seen[target] = flag
+
+
+def cmd_ingest(args, config: PipelineConfig) -> None:
     out = args.output or CORPUS_PATH
+    _check_outputs(output=out)
+    corpus = ingest_path(args.input)
     save_corpus(corpus, out)
     print(f"ingested {corpus.page_count} pages across {corpus.doc_count} documents -> {out}")
-    return EXIT_OK
 
 
-def cmd_build_index(args, config: PipelineConfig) -> int:
+def cmd_build_index(args, config: PipelineConfig) -> None:
     embed_client, semantic_out = _semantic_side(config, args)
-    corpus = load_corpus(args.corpus or CORPUS_PATH)
     lexical_out = args.lexical or LEXICAL_PATH
+    _check_outputs(lexical=lexical_out, semantic=semantic_out)
+    corpus = load_corpus(args.corpus or CORPUS_PATH)
     index = build_lexical_index(corpus)
     save_lexical_index(index, lexical_out)
     print(f"lexical index: {index.page_count} pages, "
@@ -301,10 +317,9 @@ def cmd_build_index(args, config: PipelineConfig) -> int:
         save_semantic_index(sem_index, semantic_out)
         print(f"semantic index: {len(sem_index.page_refs)} pages, "
               f"dim {sem_index.dim} -> {semantic_out}")
-    return EXIT_OK
 
 
-def cmd_retrieve(args, config: PipelineConfig) -> int:
+def cmd_retrieve(args, config: PipelineConfig) -> None:
     lexical_index, semantic_index, embed_client = _load_indexes(config, args)
     check_indexes(lexical_index.fingerprint, lexical_index, semantic_index, embed_client)
     results = retrieve(
@@ -323,11 +338,11 @@ def cmd_retrieve(args, config: PipelineConfig) -> int:
         for rank, r in enumerate(results, start=1):
             doc_id, page_index = r.page_ref
             print(f"{rank}\t{doc_id}\t{page_index}\t{r.s_final:.4f}")
-    return EXIT_OK
 
 
-def cmd_augment(args, config: PipelineConfig) -> int:
+def cmd_augment(args, config: PipelineConfig) -> None:
     client = _require_chat_client(config)
+    _check_outputs(output=args.output, audit=args.audit)
     result = augment(
         load_corpus(args.corpus or CORPUS_PATH),
         client,
@@ -340,10 +355,9 @@ def cmd_augment(args, config: PipelineConfig) -> int:
     if args.audit:
         write_records(args.audit, result.audit)
     print(json.dumps(result.summary(), ensure_ascii=False))
-    return EXIT_OK
 
 
-def cmd_infer(args, config: PipelineConfig) -> int:
+def cmd_infer(args, config: PipelineConfig) -> None:
     if args.no_retrieval:
         for flag in ("lexical", "semantic"):
             if getattr(args, flag):
@@ -353,6 +367,7 @@ def cmd_infer(args, config: PipelineConfig) -> int:
         raise ConfigError("--max-context-chars needs --no-retrieval: it truncates only the "
                           "baseline's context, and retrieval selects its own pages")
     chat_client = _require_chat_client(config)
+    _check_outputs(output=args.output)
     questions = read_questions_jsonl(args.questions)
     corpus = load_corpus(args.corpus or CORPUS_PATH)
     lexical_index = semantic_index = embed_client = None
@@ -375,10 +390,9 @@ def cmd_infer(args, config: PipelineConfig) -> int:
     failed = sum(1 for v in verdicts if v["failed"])
     if failed:
         raise TransportError(f"{failed} of {len(verdicts)} questions got no successful response")
-    return EXIT_OK
 
 
-def cmd_evaluate(args, config: PipelineConfig) -> int:
+def cmd_evaluate(args, config: PipelineConfig) -> None:
     report = evaluate_verdicts(_read_jsonl(args.verdicts, "verdict", _verdict_record))
     if args.json:
         print(json.dumps(report, ensure_ascii=False))
@@ -393,7 +407,6 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
             print(f"failed\t{report['failed']} records without a successful model response")
         if report["no_context"]:
             print(f"no_context\t{report['no_context']} records with no context, scored as wrong")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +475,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         config = load_config(args.config)
-        return args.func(args, config)
+        args.func(args, config)  # a command fails only by raising
+        return EXIT_OK
     except ConfigError as exc:
         code, label, error = EXIT_CONFIG, "config error", exc
     except (FormatError, OSError) as exc:

@@ -4,12 +4,13 @@ One record per page, line-delimited JSON on the wire. Pages of a document
 must be contiguous starting at page 0; the corpus is immutable once built.
 Also here: the engine's readers and writer for line-delimited JSON
 (iter_records, read_records, write_records), for the binary index files (ByteReader,
-pack_text), the one way every artifact is written (write_atomically), and the
-page-order and fingerprint rules every index shares.
+pack_text), the one way every artifact is written (write_atomically, to the file
+output_target names), and the page-order and fingerprint rules every index shares.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -195,6 +196,20 @@ def iter_records(lines: Iterable[str | bytes]) -> Iterator[tuple[int, dict]]:
         yield line_no, record
 
 
+def output_target(path: str | Path) -> Path:
+    """The file that writing ``path`` replaces or, for a device, writes in place: its
+    real path, so a symlink stays one. A path that is a directory, or whose directory
+    is missing, raises the OSError that opening it would, naming ``path``."""
+    target = Path(os.path.realpath(path))
+    if target.is_dir():
+        code = errno.EISDIR
+    elif not target.parent.is_dir():
+        code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+    else:
+        return target
+    raise OSError(code, os.strerror(code), str(path))
+
+
 @contextmanager
 def write_atomically(path: str | Path) -> Iterator[IO[bytes]]:
     """A binary file for ``path``'s new bytes: a temporary file in its directory that
@@ -202,7 +217,7 @@ def write_atomically(path: str | Path) -> Iterator[IO[bytes]]:
     ``path`` holds either all of its old bytes or all of the new ones. A path that
     exists but is no regular file (a device such as /dev/null, a pipe) is written
     in place: replacing it would put a regular file where it was."""
-    target = Path(os.path.realpath(path))  # a symlink stays one: its target is replaced
+    target = output_target(path)
     if target.exists() and not target.is_file():
         with Path(path).open("wb") as fh:
             yield fh

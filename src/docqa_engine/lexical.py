@@ -101,11 +101,17 @@ class LexicalIndex:
     fingerprint: bytes  # corpus.page_fingerprint of the indexed pages
 
     def __post_init__(self):
+        if not 1 <= self.n_min <= self.n_max:
+            raise ValueError(f"n-gram range [{self.n_min}, {self.n_max}] is invalid")
         check_corpus_order(self.page_refs)
         df = np.asarray(self.vocabulary.df, dtype=np.int64)
+        if ((df == 0) | (df > self.page_count)).any():  # a negative one fails the sum below
+            raise ValueError(f"holds a document frequency outside 1..{self.page_count}")
         if not ((df >= 0).all() and df.sum() == len(self.rows) == len(self.weights)):
             raise ValueError(f"document frequencies add up to {df.sum()}, but rows and weights "
                              f"hold {len(self.rows)} and {len(self.weights)} entries")
+        if not np.isfinite(self.weights).all():
+            raise ValueError("holds a non-finite weight")
         self.idf = idf_table(self.vocabulary.df, self.page_count)
         self._col_offsets = np.concatenate([[0], np.cumsum(df)])  # column f is [f] to [f + 1]
         col_start = np.zeros(len(self.rows), dtype=bool)  # a column's first row need not rise
@@ -332,18 +338,12 @@ def save_lexical_index(index: LexicalIndex, path: str | Path) -> None:
 def load_lexical_index(path: str | Path) -> LexicalIndex:
     reader = ByteReader(path, LEXICAL_MAGIC, "lexical index", LEXICAL_FORMAT_VERSION)
     page_count, vocab_size, n_min, n_max, blob_size, nnz, fingerprint = reader.unpack(_HEADER)
-    if not 1 <= n_min <= n_max:
-        raise FormatError(f"lexical index n-gram range [{n_min}, {n_max}] is invalid")
     features = reader.take(blob_size)
     df = reader.array("<u4", vocab_size)
     page_refs = [(reader.text(), reader.unpack("<I")[0]) for _ in range(page_count)]
     rows = reader.array("<u4", nnz)
     weights = reader.array("<f8", nnz)
     reader.finish()
-    if not ((df >= 1) & (df <= page_count)).all():
-        raise FormatError(f"lexical index holds a document frequency outside 1..{page_count}")
-    if not np.isfinite(weights).all():
-        raise FormatError("lexical index holds a non-finite weight")
     try:
         return LexicalIndex(Vocabulary(features, df), page_refs, rows=rows,
                             weights=weights, n_min=n_min, n_max=n_max, fingerprint=fingerprint)

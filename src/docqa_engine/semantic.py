@@ -25,7 +25,7 @@ SEMANTIC_MAGIC = b"SEMV"
 SEMANTIC_FORMAT_VERSION = 2
 
 BATCH_SIZE = 32  # texts per embedding request
-UNIT_NORM_TOL = 1e-4  # a saved row's norm may differ from 1 by float32 rounding only
+UNIT_NORM_TOL = 1e-4  # a row's norm may differ from 1 by float32 rounding only
 
 # Prefixes that query/passage asymmetric embedding models expect.
 QUERY_PREFIX = "query: "
@@ -46,6 +46,11 @@ class SemanticIndex:
             raise ValueError("vectors must have shape (page_count, dim)")
         if self.vectors.shape[0] != len(self.page_refs):
             raise ValueError("vectors and page_refs must be parallel")
+        # one pass rejects non-finite components (their norm is inf or nan) and non-unit rows
+        norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors, dtype=np.float64))
+        if not (np.abs(norms - 1.0) <= UNIT_NORM_TOL).all():
+            raise ValueError("holds a row with a non-finite component or a norm that is not 1 "
+                             f"within {UNIT_NORM_TOL}")
 
 
 def embed(texts: list[str], client, dim: int | None = None) -> np.ndarray:
@@ -152,14 +157,8 @@ def load_semantic_index(path: str | Path) -> SemanticIndex:
     # reading the refs first bounds count by the file size, even for dim 0
     page_refs = [(reader.text(), reader.unpack("<I")[0]) for _ in range(count)]
     reader.finish()
-    vectors = raw.reshape(count, dim)  # a read-only view of the file's bytes
-    # one pass rejects non-finite components (their norm is inf or nan) and non-unit rows
-    norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64))
-    if not (np.abs(norms - 1.0) <= UNIT_NORM_TOL).all():
-        raise FormatError("semantic index holds a row with a non-finite component or a norm "
-                          f"that is not 1 within {UNIT_NORM_TOL}")
-    try:
-        return SemanticIndex(vectors=vectors, page_refs=page_refs, dim=dim,
+    try:  # the rows stay a read-only view of the file's bytes
+        return SemanticIndex(vectors=raw.reshape(count, dim), page_refs=page_refs, dim=dim,
                              fingerprint=fingerprint, model=model)
     except ValueError as exc:
         raise FormatError(f"semantic index {exc}") from exc

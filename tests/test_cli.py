@@ -1441,6 +1441,71 @@ def test_artifact_paths_default_to_files_in_the_working_directory(tmp_path, raw_
 
 
 # ---------------------------------------------------------------------------
+# Every output is checked before any input is read or any request is sent: one
+# that cannot be written exits 3, and two outputs that are one file exit 2
+
+
+def _tree(root: Path) -> dict:
+    """Each file under ``root``: its inode, mtime and bytes, which a replaced file changes."""
+    return {path: (path.stat().st_ino, path.stat().st_mtime_ns, path.read_bytes())
+            for path in root.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("endpoint, argv, code, err", [
+    ("chat", "infer {q} --output {t}/missing/v.jsonl",
+     EXIT_IO, "i/o error: [Errno 2] No such file or directory: '{t}/missing/v.jsonl'"),
+    ("chat", "infer {q} --output {t}/outdir",
+     EXIT_IO, "i/o error: [Errno 21] Is a directory: '{t}/outdir'"),
+    ("chat", "infer {q} --output {t}/qa.jsonl/v.jsonl",
+     EXIT_IO, "i/o error: [Errno 20] Not a directory: '{t}/qa.jsonl/v.jsonl'"),
+    ("chat", "augment {c} --quota 5 --output {t}/missing/qa.jsonl",
+     EXIT_IO, "i/o error: [Errno 2] No such file or directory: '{t}/missing/qa.jsonl'"),
+    ("chat", "augment {c} --quota 5 --output {t}/qa.jsonl --audit {t}/missing/a.jsonl",
+     EXIT_IO, "i/o error: [Errno 2] No such file or directory: '{t}/missing/a.jsonl'"),
+    ("embed", "build-index {c} --lexical {t}/lexical.idx --semantic {t}/missing/s.idx",
+     EXIT_IO, "i/o error: [Errno 2] No such file or directory: '{t}/missing/s.idx'"),
+    ("none", "ingest --input {t}/bad_raw.jsonl --output {t}/missing/corpus.jsonl",
+     EXIT_IO, "i/o error: [Errno 2] No such file or directory: '{t}/missing/corpus.jsonl'"),
+    ("chat", "augment {c} --quota 5 --output {t}/x.jsonl --audit {t}/x.jsonl",
+     EXIT_CONFIG, "config error: --output and --audit name one file: {t}/x.jsonl"),
+    ("chat", "augment {c} --quota 5 --output {t}/x.jsonl --audit {t}/link.jsonl",
+     EXIT_CONFIG, "config error: --output and --audit name one file: {t}/link.jsonl"),
+    ("embed", "build-index {c} --lexical {t}/both.idx --semantic {t}/both.idx",
+     EXIT_CONFIG, "config error: --lexical and --semantic name one file: {t}/both.idx"),
+], ids=["infer_missing_dir", "infer_directory", "infer_under_a_file", "augment_missing_dir",
+        "audit_missing_dir", "semantic_missing_dir", "ingest_missing_dir", "output_is_audit",
+        "audit_links_to_output", "lexical_is_semantic"])
+def test_outputs_are_checked_before_any_work(tmp_path, artifacts, questions_file, capsys,
+                                             endpoint, argv, code, err):
+    (tmp_path / "outdir").mkdir()
+    (tmp_path / "qa.jsonl").write_text("an earlier QA file\n", encoding="utf-8")
+    (tmp_path / "link.jsonl").symlink_to(tmp_path / "x.jsonl")  # dangling: both name x.jsonl
+    # a record that reading would reject with exit 5
+    (tmp_path / "bad_raw.jsonl").write_text('{"doc_id": "d"}\n', encoding="utf-8")
+    with MockModelServer(chat="Answer: A") as server:
+        config = _endpoints(tmp_path, chat=server.base_url if endpoint == "chat" else None,
+                            embed=server.base_url if endpoint == "embed" else None)
+        before = _tree(tmp_path)
+        c = f"--corpus {artifacts['corpus']}"
+        q = f"--questions {questions_file} {c} --lexical {artifacts['lexical']}"
+        got = main(["--config", config, *argv.format(t=tmp_path, c=c, q=q).split()])
+        assert server.request_log == []
+    assert got == code
+    assert capsys.readouterr().err == err.format(t=tmp_path) + "\n"
+    assert _tree(tmp_path) == before
+    assert not (tmp_path / "missing").exists()
+
+
+def test_one_device_may_take_several_outputs(tmp_path, artifacts, capsys):
+    # /dev/null is written in place, so it is no file that one output would overwrite
+    with MockModelServer(chat=_augment_chat_script()) as server:
+        code = main(["--config", _endpoints(tmp_path, chat=server.base_url), "augment",
+                     "--no-feasibility", "--corpus", str(artifacts["corpus"]), "--quota", "1",
+                     "--output", os.devnull, "--audit", os.devnull])
+    assert code == EXIT_OK, capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # One failure handler: main maps each class it catches to an exit code and a label,
 # and prints the message on one stderr line with each line break written as \n
 

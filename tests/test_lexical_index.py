@@ -714,6 +714,20 @@ class TestCorruptFiles:
         with pytest.raises(ValueError, match="document frequencies add up to"):
             dataclasses.replace(index, vocabulary=Vocabulary(index.vocabulary.features, df))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda index: {"weights": np.where(np.arange(len(index.weights)) == 1, np.nan,
+                                            index.weights)}, "non-finite weight"),
+        (lambda index: {"vocabulary": Vocabulary(index.vocabulary.features,
+                                                 [0, *index.vocabulary.df[1:]])},
+         r"document frequency outside 1\.\.3"),
+        (lambda index: {"n_min": 3}, r"n-gram range \[3, 2\] is invalid"),
+    ], ids=["nan_weight", "zero_df", "gram_range"])
+    def test_constructor_holds_the_loaders_checks(self, edit, message):
+        # a library-made index is held to the rules a loaded one is, in the loader's words
+        index = _sample_index()
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(index, **edit(index))
+
     def test_fingerprint_field_names_the_indexed_pages(self, tmp_path):
         # any 32 bytes load; another corpus's fingerprint is rejected before use
         corpus = _sample_corpus()

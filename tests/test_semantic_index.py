@@ -256,6 +256,13 @@ class TestSearch:
             SemanticIndex(vectors=np.zeros(shape, dtype=np.float32),
                           page_refs=[("a", 0), ("a", 1), ("b", 0)], dim=dim)
 
+    def test_a_row_of_norm_two_is_rejected(self):
+        # search ranks dot products as cosines, which holds for unit rows only
+        vectors = _unit_rows(np.random.default_rng(7), 3, 8)
+        vectors[1] *= 2
+        with pytest.raises(ValueError, match="norm that is not 1 within"):
+            SemanticIndex(vectors=vectors, page_refs=[("a", 0), ("a", 1), ("b", 0)], dim=8)
+
     def test_query_shape_checked(self):
         rng = np.random.default_rng(7)
         index = _index(rng, n=5, dim=8)
